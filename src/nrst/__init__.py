@@ -28,7 +28,6 @@ from .explore import (
     ExplorationKernel,
     SliceConfig,
     SliceNumericalError,
-    compose,
     slice_step,
     tune_explore_steps,
 )

@@ -73,12 +73,14 @@ class ConvergenceThresholds:
 
 
 def _finite_reference_draw(model, rng):
-    """Reference draw with finite potential, for warm-starting level chains."""
+    """(x, V(x)) for a reference draw with finite potential, for warm-starting
+    level chains."""
     for _ in range(_INIT_DRAW_TRIES):
         x = model.sample_reference(rng)
-        if math.isfinite(model.potential(x)):
-            return x
-    raise DivergedPotentialError(x, model.potential(x))
+        v = model.potential(x)
+        if math.isfinite(v):
+            return x, v
+    raise DivergedPotentialError(x, v)
 
 
 def run_nrpt(
@@ -98,23 +100,28 @@ def run_nrpt(
     alternate deterministically between even pairs (0,1),(2,3),... and odd
     pairs (1,2),(3,4),...; the phase resets to even on every call.  The
     potential of every level is recorded once per scan, after the swap round.
+
+    A state is the pair (x, V(x)) of one level.  ``init_states`` holds one
+    per level 0..N (the level-0 state is redrawn before it is used), and
+    ``return_states`` returns the final ones alongside the dataset.
     """
     if n_scan < 1:
         raise ValueError("n_scan must be >= 1")
     n = schedule.n_levels
     explorers = build_explorers(model, schedule, slice_cfg)
-    if init_states is not None:
-        xs = [np.array(x, dtype=float, copy=True) for x in init_states]
-    else:
-        xs = [model.sample_reference(rng)]
-        xs += [_finite_reference_draw(model, rng) for _ in range(n)]
+    if init_states is None:
+        # Level 0 is redrawn at the start of every scan; its V is never read.
+        init_states = [(model.sample_reference(rng), math.nan)]
+        init_states += [_finite_reference_draw(model, rng) for _ in range(n)]
+    xs = [np.array(x, dtype=float, copy=True) for x, _ in init_states]
+    vs = [v for _, v in init_states]
     records = np.empty((n + 1, n_scan))
     betas = schedule.betas
     for scan in range(n_scan):
         xs[0] = model.sample_reference(rng)
+        vs[0] = model.potential(xs[0])
         for i in range(1, n + 1):
-            xs[i] = explorers[i](xs[i], rng)
-        vs = np.array([model.potential(xs[i]) for i in range(n + 1)])
+            xs[i], vs[i] = explorers[i](xs[i], vs[i], rng)
         start = 0 if scan % 2 == 0 else 1
         for i in range(start, n, 2):
             j = i + 1
@@ -131,7 +138,7 @@ def run_nrpt(
         records[:, scan] = vs
     data = VDataset(tuple(records))
     if return_states:
-        return data, xs
+        return data, list(zip(xs, vs))
     return data
 
 
@@ -452,8 +459,12 @@ def _affinities_for(mode, data, betas):
 
 
 def _remap_states(states, old_betas, new_betas):
-    idx = [int(np.argmin(np.abs(old_betas - b))) for b in new_betas]
-    return [np.array(states[j], dtype=float, copy=True) for j in idx]
+    """Warm states for a new grid: new level i >= 1 takes the state of the
+    old level >= 1 nearest in beta.  The level-0 state, which is redrawn
+    before use and may have V = +inf, never moves to a level above 0."""
+    old = np.asarray(old_betas, dtype=float)[1:]
+    idx = [0] + [1 + int(np.argmin(np.abs(old - b))) for b in new_betas[1:]]
+    return [states[j] for j in idx]
 
 
 def adapt(
@@ -478,8 +489,12 @@ def adapt(
     convergence (or exhaustion of ``max_rounds``) runs a final NRPT pass on
     the final grid to settle affinities and barrier.  If the tuned barrier
     implies a grid size differing from the current one by more than
-    ``restart_mismatch`` (relative), the loop restarts once at the implied
-    size.  Exploration step counts are tuned last, on the final grid.
+    ``restart_mismatch`` (relative), the loop restarts at the implied size
+    (at most ``max_restarts`` times).  A restart keeps the scan count and
+    the warm chain states and goes on with the rounds that are left:
+    ``max_rounds`` caps the rounds of the whole tune, across restarts, and
+    when none are left the final pass runs at once on the new grid.
+    Exploration step counts are tuned last, on the final grid.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -492,12 +507,14 @@ def adapt(
     states = None
     rounds_log = []
     restarts = 0
+    round_idx = 0
+    n_scan = 1
 
     while True:
         converged = False
         prev = None
-        n_scan = 1
-        for round_idx in range(1, max_rounds + 1):
+        while round_idx < max_rounds and not converged:
+            round_idx += 1
             n_scan *= 2
             sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
             data, states = run_nrpt(
@@ -525,8 +542,6 @@ def adapt(
                 "converged": converged,
             })
             prev = current
-            if converged:
-                break
 
         # Final pass on the final grid.
         sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))

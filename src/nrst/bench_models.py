@@ -216,10 +216,13 @@ class MRnaTransfection(TemperedModel):
         if not np.all(np.isfinite(mu)):
             return math.inf
         resid = self.y - mu
+        # A residual beyond ~1e154 overflows its square: zero likelihood.
+        with np.errstate(over="ignore"):
+            sum_sq = float(np.dot(resid, resid))
+        if not math.isfinite(sum_sq):
+            return math.inf
         n = self.y.size
-        return 0.5 * n * (_LOG_2PI + 2.0 * math.log(sigma)) + float(
-            np.dot(resid, resid)
-        ) / (2.0 * sigma**2)
+        return 0.5 * n * (_LOG_2PI + 2.0 * math.log(sigma)) + sum_sq / (2.0 * sigma**2)
 
 
 class ThresholdWeibull(TemperedModel):

@@ -297,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="toy_gaussian", choices=available_models())
     p.add_argument("--params", default="", help="JSON object of model parameters")
     p.add_argument("--levels", type=int, default=8)
-    p.add_argument("--max-rounds", type=int, default=12)
+    p.add_argument("--max-rounds", type=int, default=12,
+                   help="cap on the scan-doubling rounds of the whole tune, "
+                        "across the grid-size restart")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--kappa-bar", type=float, default=0.95)

@@ -4,17 +4,20 @@ One exploration kernel per tempering level, each leaving its tempered
 distribution invariant.  Slice sampling needs no per-level adaptation, which
 is what makes it usable inside a tuning loop whose grid moves every round.
 The number of self-compositions per level is chosen from the lag-n
-autocorrelation of the potential series.
+autocorrelation of the potential series.  Kernels take the potential V of
+their start point and return V of their end point with it, so no caller
+spends a V-eval where a sweep already holds the value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .model import Schedule, TemperedModel, log_tempered_density
+from .model import Schedule, TemperedModel, log_tempered_density_from_v
 
 # Shrinkage intervals narrower than this indicate a numerically degenerate
 # target (e.g. a point mass) rather than a slice that is still being located.
@@ -44,8 +47,11 @@ class SliceConfig:
             raise ValueError("max_doublings must be >= 1")
 
 
-def _slice_coordinate(x, d, logp, log_density, cfg, rng):
-    """One slice update of coordinate d in place. Returns the new log density."""
+def _slice_coordinate(x, d, logp, density, cfg, rng):
+    """One slice update of coordinate d in place.
+
+    Returns the (log density, V) pair that ``density`` gave at the new point.
+    """
     x0 = float(x[d])
     u = rng.random()
     while u <= 0.0:
@@ -60,12 +66,12 @@ def _slice_coordinate(x, d, logp, log_density, cfg, rng):
     j = int(math.floor(cfg.max_doublings * rng.random()))
     k = (cfg.max_doublings - 1) - j
     x[d] = left
-    while j > 0 and log_density(x) > y:
+    while j > 0 and density(x)[0] > y:
         left -= w
         x[d] = left
         j -= 1
     x[d] = right
-    while k > 0 and log_density(x) > y:
+    while k > 0 and density(x)[0] > y:
         right += w
         x[d] = right
         k -= 1
@@ -77,71 +83,74 @@ def _slice_coordinate(x, d, logp, log_density, cfg, rng):
             )
         x1 = left + (right - left) * rng.random()
         x[d] = x1
-        lp = log_density(x)
+        lp, v = density(x)
         if lp > y:
-            return lp
+            return lp, v
         if x1 < x0:
             left = x1
         else:
             right = x1
 
 
-def slice_step(x, log_density, cfg: SliceConfig, rng: np.random.Generator) -> np.ndarray:
+class Sweep(NamedTuple):
+    """End of a slice sweep: the new point, its log density and its V."""
+
+    x: np.ndarray
+    logp: float
+    v: float
+
+    @property
+    def size(self) -> int:
+        """Number of coordinates the sweep updated."""
+        return self.x.size
+
+
+def slice_step(x, logp: float, density, cfg: SliceConfig, rng: np.random.Generator) -> Sweep:
     """One sweep of coordinate-wise slice sampling (fixed ascending scan).
 
-    Returns a new point whose log density is at least the sampled slice
-    level; the sweep leaves ``log_density`` invariant.
+    ``density(x)`` returns the pair (log density, V) at x, and ``logp`` is the
+    log density at the start point, which the caller already holds: the
+    sweep evaluates nothing there.  The returned V is the one ``density``
+    gave at the accepted point of the last coordinate, i.e. at the new point.
+    The sweep leaves the log density invariant.
     """
     x = np.array(x, dtype=float, copy=True)
-    logp = log_density(x)
     if not math.isfinite(logp):
         raise SliceNumericalError(f"log density not finite at the initial point: {logp}")
     for d in range(x.size):
-        logp = _slice_coordinate(x, d, logp, log_density, cfg, rng)
-    return x
+        logp, v = _slice_coordinate(x, d, logp, density, cfg, rng)
+    return Sweep(x, logp, v)
 
 
 class ExplorationKernel:
-    """Slice-within-Gibbs kernel for one tempering level.
+    """Slice-within-Gibbs kernel for one tempering level with beta > 0.
 
-    Immutable configuration; callable as kernel(x, rng) -> x'.  Applies
-    ``n_steps`` full sweeps per call.
+    Immutable configuration; callable as kernel(x, v, rng) -> (x', v'),
+    where v = V(x) is carried in and v' = V(x') comes out of the last sweep,
+    so neither end point costs a V-eval.  Applies ``n_steps`` full sweeps
+    per call.
     """
 
     def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1,
                  cfg: SliceConfig | None = None):
+        if not 0.0 < beta <= 1.0:
+            raise ValueError(f"beta must lie in (0, 1], got {beta}")
         self.model = model
         self.beta = float(beta)
         self.n_steps = int(n_steps)
         self.cfg = cfg if cfg is not None else SliceConfig()
 
-    def log_density(self, x) -> float:
-        return log_tempered_density(self.model, x, self.beta)
+    def density(self, x) -> tuple:
+        """(log pi_beta(x), V(x)), at the cost of one V-eval."""
+        logref = self.model.log_reference(x)
+        v = self.model.potential(x)
+        return log_tempered_density_from_v(x, logref, v, self.beta), v
 
-    def __call__(self, x, rng):
+    def __call__(self, x, v, rng):
+        logp = log_tempered_density_from_v(x, self.model.log_reference(x), v, self.beta)
         for _ in range(self.n_steps):
-            x = slice_step(x, self.log_density, self.cfg, rng)
-        return x
-
-
-class ComposedKernel:
-    """n-fold self-composition of a kernel: applies the base n times."""
-
-    def __init__(self, base, n: int):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.base = base
-        self.n = int(n)
-
-    def __call__(self, x, rng):
-        for _ in range(self.n):
-            x = self.base(x, rng)
-        return x
-
-
-def compose(kernel, n: int):
-    """Self-composition kernel^n; V-evaluation cost scales by n."""
-    return ComposedKernel(kernel, n)
+            x, logp, v = slice_step(x, logp, self.density, self.cfg, rng)
+        return x, v
 
 
 def build_explorers(model: TemperedModel, schedule: Schedule,
@@ -204,7 +213,9 @@ def tune_explore_steps(
     the (final) grid, estimates the lag-n autocorrelation of the V series and
     returns the smallest n that brings it at or below ``kappa_bar``.  Levels
     use independent spawned rng streams, so results do not depend on the
-    order in which levels are processed.
+    order in which levels are processed.  ``init_states`` optionally holds
+    one (x, V(x)) warm start per level 0..N; otherwise each chain starts
+    from a reference draw.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ValueError("kappa_bar must lie in (0, 1)")
@@ -218,13 +229,14 @@ def tune_explore_steps(
         level_rng = streams[i - 1]
         kernel = ExplorationKernel(model, schedule.betas[i], 1, cfg)
         if init_states is not None:
-            x = np.array(init_states[i], dtype=float, copy=True)
+            x, v = init_states[i]
         else:
             x = model.sample_reference(level_rng)
+            v = model.potential(x)
         vs = np.empty(chain_len)
         for t in range(chain_len):
-            x = kernel(x, level_rng)
-            vs[t] = model.potential(x)
+            x, v = kernel(x, v, level_rng)
+            vs[t] = v
         if np.var(vs) == 0.0:
             steps[i - 1] = 1
             continue

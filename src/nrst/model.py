@@ -207,12 +207,20 @@ def log_tempered_density(model: TemperedModel, x: np.ndarray, beta: float) -> fl
     logref = model.log_reference(x)
     if beta == 0.0:
         return float(logref)
-    v = model.potential(x)
+    return log_tempered_density_from_v(x, logref, model.potential(x), beta)
+
+
+def log_tempered_density_from_v(x: np.ndarray, log_ref: float, v: float, beta: float) -> float:
+    """log pi0(x) - beta V(x) from a V(x) already at hand.
+
+    Follows the rules of :func:`log_tempered_density`: V = +inf yields -inf,
+    NaN or -inf raise :class:`DivergedPotentialError`.
+    """
     if math.isnan(v) or v == -math.inf:
         raise DivergedPotentialError(x, v)
     if v == math.inf:
         return -math.inf
-    return float(logref) - beta * v
+    return float(log_ref) - beta * v
 
 
 def pseudo_prior(log_z, affinities) -> np.ndarray:

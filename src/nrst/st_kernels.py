@@ -132,6 +132,15 @@ def _temper_accept(v, beta_from, beta_to, c_from, c_to):
     return acceptance_probability(v, beta_from, beta_to, c_from, c_to)
 
 
+def _explore(model, explorers, x, v, level, rng):
+    """Exploration at ``level``: a fresh reference draw at level 0, else the
+    level's explorer.  Returns the new point and its potential."""
+    if level > 0:
+        return explorers[level](x, v, rng)
+    x = model.sample_reference(rng)
+    return x, model.potential(x)
+
+
 def nrst_step(
     state: ChainState,
     model: TemperedModel,
@@ -139,21 +148,18 @@ def nrst_step(
     explorers,
     rng: np.random.Generator,
     *,
-    v: float | None = None,
+    v: float,
     accept_draw=None,
-    return_v: bool = False,
 ):
     """One non-reversible step: deterministic tempering proposal, then exploration.
 
-    ``v`` may carry a precomputed potential of state.x; ``accept_draw`` is a
-    stubbing hook returning the uniform used for the accept decision (tests
-    use it to force accept/reject paths).  With ``return_v`` the potential of
-    the new state is returned alongside it, so a driver can chain steps with
-    one V evaluation per state.
+    ``v`` is the potential of state.x; the step returns the new state and
+    the potential of its point, so a driver chains steps without
+    re-evaluating V.  ``accept_draw`` is a stubbing hook returning the
+    uniform used for the accept decision (tests use it to force
+    accept/reject paths).
     """
     n = schedule.n_levels
-    if v is None:
-        v = model.potential(state.x)
     i, eps = state.level, state.direction
     iprop = i + eps
     if iprop > n:
@@ -173,14 +179,8 @@ def nrst_step(
             i = iprop
         else:
             eps = -eps
-    if i > 0:
-        x = explorers[i](state.x, rng)
-    else:
-        x = model.sample_reference(rng)
-    new = ChainState(x, i, eps)
-    if return_v:
-        return new, model.potential(x)
-    return new
+    x, v = _explore(model, explorers, state.x, v, i, rng)
+    return ChainState(x, i, eps), v
 
 
 def st_step(
@@ -190,19 +190,17 @@ def st_step(
     explorers,
     rng: np.random.Generator,
     *,
-    v: float | None = None,
+    v: float,
     accept_draw=None,
     direction_draw=None,
-    return_v: bool = False,
 ):
     """One reversible step: symmetric +-1 proposal, then exploration.
 
-    The direction field of the returned state records the drawn proposal
-    direction (bookkeeping only).  Out-of-range proposals are rejected.
+    Takes and returns potentials as :func:`nrst_step` does.  The direction
+    field of the returned state records the drawn proposal direction
+    (bookkeeping only).  Out-of-range proposals are rejected.
     """
     n = schedule.n_levels
-    if v is None:
-        v = model.potential(state.x)
     i = state.level
     ud = direction_draw() if direction_draw is not None else rng.random()
     eps = 1 if ud < 0.5 else -1
@@ -218,14 +216,8 @@ def st_step(
         u = accept_draw() if accept_draw is not None else rng.random()
         if u < a:
             i = iprop
-    if i > 0:
-        x = explorers[i](state.x, rng)
-    else:
-        x = model.sample_reference(rng)
-    new = ChainState(x, i, eps)
-    if return_v:
-        return new, model.potential(x)
-    return new
+    x, v = _explore(model, explorers, state.x, v, i, rng)
+    return ChainState(x, i, eps), v
 
 
 def run_tour(
@@ -267,13 +259,12 @@ def run_tour(
         if kernel_variant == NRST:
             state, v = nrst_step(
                 state, model, schedule, explorers, rng,
-                v=v, accept_draw=accept_draw, return_v=True,
+                v=v, accept_draw=accept_draw,
             )
         else:
             state, v = st_step(
                 state, model, schedule, explorers, rng,
                 v=v, accept_draw=accept_draw, direction_draw=direction_draw,
-                return_v=True,
             )
         records.append(
             StepRecord(state.level, state.direction, v,

@@ -8,6 +8,7 @@ from nrst.adapt import (
     ConvergenceThresholds,
     RoundState,
     VDataset,
+    _remap_states,
     adapt,
     build_barrier,
     check_convergence,
@@ -21,7 +22,7 @@ from nrst.adapt import (
     run_nrpt,
     stepping_stone_logz,
 )
-from nrst.bench_models import ToyGaussian, analytic_gaussian_path
+from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
 from nrst.model import Schedule
 
 
@@ -346,6 +347,40 @@ def test_adapt_flat_model_converges_in_two_rounds():
     np.testing.assert_allclose(res.schedule.betas, np.linspace(0, 1, 5))
     np.testing.assert_allclose(res.schedule.affinities, np.zeros(5), atol=1e-12)
     assert np.all(res.schedule.explore_steps == 1)
+
+
+def test_remap_states_maps_levels_above_zero_onto_old_levels_above_zero():
+    old_betas = np.array([0.0, 0.3, 0.6, 1.0])
+    states = [(np.full(1, float(i)), float(i)) for i in range(4)]
+    # new beta 0.1 is nearest to old level 0, but that state may have V = +inf
+    new = _remap_states(states, old_betas, np.array([0.0, 0.1, 0.4, 0.7, 1.0]))
+    assert [v for _, v in new] == [0.0, 1.0, 1.0, 2.0, 3.0]
+
+
+def test_adapt_restart_keeps_scan_budget_within_round_cap():
+    # Loose thresholds converge at the first comparison, so the restart
+    # (N 8 -> 5) fires with rounds left.
+    loose = ConvergenceThresholds(l_r=10.0, l_c=10.0, l_lambda=10.0, l_d=10.0)
+    res = adapt(ToyGaussian(), 8, 6, "mean", loose, rng=np.random.default_rng(3))
+    assert res.restarts == 1
+    levels = [r["n_levels"] for r in res.rounds]
+    assert levels[0] == 8 and levels[-1] == res.schedule.n_levels != 8
+    n_scans = [r["n_scan"] for r in res.rounds]
+    assert n_scans == sorted(n_scans) and n_scans[-1] == res.n_scan_final
+    assert [r["round"] for r in res.rounds] == list(range(1, len(res.rounds) + 1))
+    assert len(res.rounds) <= 6
+
+
+def test_adapt_restart_from_heavy_tailed_reference_completes():
+    # Level-0 states of threshold_weibull can have V = +inf; a restart used
+    # to warm-start a tempered level from one and fail in the slice sweep.
+    model = make_model(ModelSpec("threshold_weibull"))
+    res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
+    assert res.restarts == 1 and res.schedule.n_levels != 8
+    n_scans = [r["n_scan"] for r in res.rounds]
+    assert len(res.rounds) == 6 and n_scans == sorted(n_scans)
+    # no rounds were left after the restart: the final pass keeps the budget
+    assert res.n_scan_final == n_scans[-1]
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -184,3 +185,11 @@ def test_mrna_potential_at_truth_is_moderate():
     n, sigma = 30, 0.1
     bound = 0.5 * n * (math.log(2 * math.pi * sigma**2) + 1)
     assert abs(v - bound) < 15.0
+
+
+def test_mrna_overflowing_residual_gives_inf_without_warning():
+    t, _ = mrna_dataset(np.random.default_rng(6))
+    model = MRnaTransfection(t, np.full(t.shape, 1e200))  # residuals square past 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.potential(np.zeros(5)) == math.inf

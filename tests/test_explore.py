@@ -9,17 +9,21 @@ from nrst.explore import (
     SliceConfig,
     SliceNumericalError,
     autocorrelation,
-    compose,
     slice_step,
     steps_from_autocorrelation,
     tune_explore_steps,
 )
-from nrst.model import Schedule
-from nrst.bench_models import ToyGaussian
+from nrst.model import DivergedPotentialError, Schedule, log_tempered_density
+from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 
 
 def std_normal_logpdf(x):
     return -0.5 * float(x[0]) ** 2
+
+
+def sweep(x, logdensity, cfg, rng):
+    """One slice sweep over a plain log density, which reports no V."""
+    return slice_step(x, logdensity(x), lambda y: (logdensity(y), None), cfg, rng).x
 
 
 def test_slice_step_standard_normal_ks():
@@ -29,7 +33,7 @@ def test_slice_step_standard_normal_ks():
     n = 100_000
     out = np.empty(n)
     for i in range(n):
-        x = slice_step(x, std_normal_logpdf, cfg, rng)
+        x = sweep(x, std_normal_logpdf, cfg, rng)
         out[i] = x[0]
     # thin to reduce serial correlation before the KS test
     stat, pvalue = sps.kstest(out[::10], "norm")
@@ -46,7 +50,7 @@ def test_slice_step_uniform_slice():
     total = 0.0
     x = np.array([0.5])
     for _ in range(n):
-        x = slice_step(x, logdensity, cfg, rng)
+        x = sweep(x, logdensity, cfg, rng)
         total += x[0]
     mean = total / n
     # 3 sigma band for the mean of Uniform(0, 1) draws
@@ -65,7 +69,7 @@ def test_slice_step_asymmetric_target_ks():
     n = 60_000
     out = np.empty(n)
     for i in range(n):
-        x = slice_step(x, loggamma3, cfg, rng)
+        x = sweep(x, loggamma3, cfg, rng)
         out[i] = x[0]
     stat, pvalue = sps.kstest(out[::10], "gamma", args=(3.0,))
     assert pvalue > 0.01
@@ -77,84 +81,138 @@ def test_slice_step_spike_raises():
 
     rng = np.random.default_rng(0)
     with pytest.raises(SliceNumericalError):
-        slice_step(np.array([0.0]), spike, SliceConfig(), rng)
+        sweep(np.array([0.0]), spike, SliceConfig(), rng)
 
 
 def test_slice_step_requires_finite_start():
     rng = np.random.default_rng(0)
     with pytest.raises(SliceNumericalError):
-        slice_step(np.array([5.0]), lambda x: -math.inf, SliceConfig(), rng)
+        sweep(np.array([5.0]), lambda x: -math.inf, SliceConfig(), rng)
 
 
-class CountingKernel:
-    """Kernel stub that logs its rng draws so trajectories can be compared."""
+class RecordingToy(ToyGaussian):
+    """Toy model that logs every point at which V is evaluated."""
 
     def __init__(self):
-        self.calls = 0
+        super().__init__()
+        self.points = []
 
-    def __call__(self, x, rng):
-        self.calls += 1
-        return x + rng.random()
+    def _potential(self, x):
+        self.points.append(np.array(x, copy=True))
+        return super()._potential(x)
+
+
+def test_exploration_kernel_returns_potential_of_its_point_exactly():
+    model = RecordingToy()
+    rng = np.random.default_rng(8)
+    for n_steps in (1, 3):
+        kernel = ExplorationKernel(model, 0.6, n_steps)
+        x = model.sample_reference(rng)
+        v = model.potential(x)
+        for _ in range(50):
+            x, v = kernel(x, v, rng)
+            assert v == ToyGaussian()._potential(x)  # bit for bit
+
+
+def test_sweep_spends_no_v_eval_at_its_start_point():
+    model = RecordingToy()
+    rng = np.random.default_rng(9)
+    kernel = ExplorationKernel(model, 0.6, 1)
+    x0 = model.sample_reference(rng)
+    v0 = model.potential(x0)
+    model.points.clear()
+    model.v_evals.reset()
+    x1, v1 = kernel(x0, v0, rng)
+    assert model.v_evals.value == len(model.points) > 0
+    assert not any(np.array_equal(p, x0) for p in model.points)
+    # the last evaluation is the accepted point, whose V is returned
+    assert np.array_equal(model.points[-1], x1)
+
+
+@pytest.mark.parametrize("v, error", [
+    (math.nan, DivergedPotentialError),
+    (-math.inf, DivergedPotentialError),
+    (math.inf, SliceNumericalError),
+])
+def test_exploration_kernel_checks_carried_potential(v, error):
+    model = ToyGaussian()
+    kernel = ExplorationKernel(model, 0.5, 1)
+    with pytest.raises(error):
+        kernel(np.zeros(3), v, np.random.default_rng(0))
+
+
+def test_exploration_kernel_rejects_reference_level():
+    with pytest.raises(ValueError):
+        ExplorationKernel(ToyGaussian(), 0.0)
 
 
 def test_compose_identity_and_associativity():
-    base = CountingKernel()
-    assert compose(base, 1)(np.zeros(1), np.random.default_rng(3))[0] == pytest.approx(
-        base(np.zeros(1), np.random.default_rng(3))[0]
-    )
-    left = compose(compose(CountingKernel(), 2), 2)
-    right = compose(CountingKernel(), 4)
-    a = left(np.zeros(1), np.random.default_rng(9))
-    b = right(np.zeros(1), np.random.default_rng(9))
-    assert a[0] == pytest.approx(b[0], abs=0.0)
+    # n_steps = 1 is a single sweep, and two calls of n_steps = 2 are one
+    # call of n_steps = 4 on the same stream: V carries across calls.
+    model = ToyGaussian()
+    x = model.sample_reference(np.random.default_rng(2))
+    v = model.potential(x)
+    kernel = ExplorationKernel(model, 0.7, 1)
+    one, v_one = kernel(x, v, np.random.default_rng(3))
+    logp = log_tempered_density(model, x, 0.7)
+    single = slice_step(x, logp, kernel.density, kernel.cfg, np.random.default_rng(3))
+    assert np.array_equal(one, single.x) and v_one == single.v
+
+    rng = np.random.default_rng(9)
+    two = ExplorationKernel(model, 0.7, 2)
+    a, va = two(*two(x, v, rng), rng)
+    b, vb = ExplorationKernel(model, 0.7, 4)(x, v, np.random.default_rng(9))
+    assert np.array_equal(a, b) and va == vb
 
 
 def test_compose_scales_fixed_cost_kernel_exactly():
-    model = ToyGaussian()
+    class FlatModel(ToyGaussian):
+        def log_reference(self, x):
+            return 0.0
 
-    class TwoEvalKernel:
-        def __call__(self, x, rng):
-            model.potential(x)
-            model.potential(x)
-            return x
+        def _potential(self, x):
+            return 7.0
 
+    # A flat density with no step-out budget accepts the first proposal:
+    # exactly one V-eval per coordinate and sweep.
+    model = FlatModel()
+    cfg = SliceConfig(max_doublings=1)
     model.v_evals.reset()
-    compose(TwoEvalKernel(), 5)(np.zeros(3), np.random.default_rng(0))
-    assert model.v_evals.value == 10
+    ExplorationKernel(model, 0.5, 5, cfg)(np.zeros(3), 7.0, np.random.default_rng(0))
+    assert model.v_evals.value == 5 * model.dim
 
 
 def test_compose_scales_v_evaluations():
     model = ToyGaussian()
     rng = np.random.default_rng(5)
-    base = ExplorationKernel(model, 0.7, 1)
     x = model.sample_reference(rng)
+    v = model.potential(x)
     model.v_evals.reset()
-    base(x.copy(), np.random.default_rng(11))
+    ExplorationKernel(model, 0.7, 1)(x.copy(), v, np.random.default_rng(11))
     single = model.v_evals.value
     model.v_evals.reset()
-    compose(base, 3)(x.copy(), np.random.default_rng(11))
+    ExplorationKernel(model, 0.7, 3)(x.copy(), v, np.random.default_rng(11))
     assert model.v_evals.value > single  # three sweeps cost more than one
     # exact scaling on a fixed stream is draw-dependent; check the n=1 case exactly
     model.v_evals.reset()
-    compose(base, 1)(x.copy(), np.random.default_rng(11))
+    ExplorationKernel(model, 0.7, 1)(x.copy(), v, np.random.default_rng(11))
     assert model.v_evals.value == single
 
 
 def test_composed_kernel_preserves_normal_invariance():
+    # At beta = 1 the toy target in one dimension is N(mu, var).
+    model = ToyGaussian(dim=1)
+    mu, var, _ = analytic_gaussian_path(1, model.m, model.sigma0, 1.0)
     rng = np.random.default_rng(21)
-    cfg = SliceConfig()
-
-    def kernel(x, r):
-        return slice_step(x, std_normal_logpdf, cfg, r)
-
-    k3 = compose(kernel, 3)
-    x = np.zeros(1)
+    k3 = ExplorationKernel(model, 1.0, 3)
+    x = np.array([mu])
+    v = model.potential(x)
     n = 20_000
     out = np.empty(n)
     for i in range(n):
-        x = k3(x, rng)
+        x, v = k3(x, v, rng)
         out[i] = x[0]
-    stat, pvalue = sps.kstest(out[::5], "norm")
+    stat, pvalue = sps.kstest(out[::5], "norm", args=(mu, math.sqrt(var)))
     assert pvalue > 0.01
 
 

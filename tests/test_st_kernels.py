@@ -39,7 +39,8 @@ def sched2():
 def test_nrst_step_forced_rejection(toy, sched2):
     rng = np.random.default_rng(0)
     state = ChainState(toy.sample_reference(rng), 0, 1)
-    new = nrst_step(state, toy, sched2, None, rng, accept_draw=force(0.999999))
+    new, _ = nrst_step(state, toy, sched2, None, rng, v=toy.potential(state.x),
+                       accept_draw=force(0.999999))
     assert (new.level, new.direction) == (0, -1)
     assert not np.array_equal(new.x, state.x)  # level 0 resamples the reference
 
@@ -52,7 +53,8 @@ def test_nrst_step_bounce_above_no_draw(toy):
     def no_draw():
         raise AssertionError("boundary bounce must not consume an acceptance draw")
 
-    new = nrst_step(state, toy, sched, _explorers(toy, sched), rng, accept_draw=no_draw)
+    new, _ = nrst_step(state, toy, sched, _explorers(toy, sched), rng,
+                       v=toy.potential(state.x), accept_draw=no_draw)
     assert (new.level, new.direction) == (1, -1)
 
 
@@ -75,7 +77,7 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
     explorers = _explorers(toy, sched2)
     accepted = 0
     for _ in range(n):
-        new = nrst_step(state, toy, sched2, explorers, rng, v=v)
+        new, _ = nrst_step(state, toy, sched2, explorers, rng, v=v)
         accepted += new.level == 1
     freq = accepted / n
     assert abs(freq - prob) <= 3.0 * math.sqrt(prob * (1 - prob) / n)
@@ -84,7 +86,8 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
 def test_st_step_boundary_rejection(toy, sched2):
     rng = np.random.default_rng(4)
     state = ChainState(toy.sample_reference(rng), 0, 1)
-    new = st_step(state, toy, sched2, None, rng, direction_draw=force(0.9))
+    new, _ = st_step(state, toy, sched2, None, rng, v=toy.potential(state.x),
+                     direction_draw=force(0.9))
     assert new.level == 0 and new.direction == -1
 
 
@@ -94,9 +97,10 @@ def test_st_step_absorbing_when_all_rejected(toy):
     rng = np.random.default_rng(5)
     state = ChainState(toy.sample_reference(rng), 1, 1)
     explorers = _explorers(toy, sched)
+    v = toy.potential(state.x)
     for _ in range(20):
-        state = st_step(
-            state, toy, sched, explorers, rng, accept_draw=force(1.0)
+        state, v = st_step(
+            state, toy, sched, explorers, rng, v=v, accept_draw=force(1.0)
         )
         assert state.level == 1
 
@@ -196,13 +200,13 @@ def test_step_kernels_match_ideal_index_chain():
     grid = (np.arange(2000) + 0.5) / 2000
     size = 2 * (n + 1)
     empirical = np.zeros((size, size))
-    explorers = [None] + [lambda x, r: x] * n
+    explorers = [None] + [lambda x, v, r: (x, v)] * n
     rng = np.random.default_rng(11)
     for i in range(n + 1):
         for di, d in enumerate((1, -1)):
             for u in grid:
-                new = nrst_step(ChainState(np.zeros(1), i, d), model, sched,
-                                explorers, rng, accept_draw=force(u))
+                new, _ = nrst_step(ChainState(np.zeros(1), i, d), model, sched,
+                                   explorers, rng, v=v, accept_draw=force(u))
                 empirical[2 * i + di, 2 * new.level + (0 if new.direction > 0 else 1)] += 1
     empirical /= grid.size
     np.testing.assert_allclose(empirical, ideal, atol=1e-3)
@@ -215,9 +219,9 @@ def test_step_kernels_match_ideal_index_chain():
     for i in range(n + 1):
         for u in (np.arange(50) + 0.5) / 50:
             for ud in (0.25, 0.75):
-                new = st_step(ChainState(np.zeros(1), i, +1), model, sched,
-                              explorers, rng, accept_draw=force(u),
-                              direction_draw=force(ud))
+                new, _ = st_step(ChainState(np.zeros(1), i, +1), model, sched,
+                                 explorers, rng, v=v, accept_draw=force(u),
+                                 direction_draw=force(ud))
                 level_counts[new.level] += 1
     level_counts /= level_counts.sum()
     np.testing.assert_allclose(level_counts, np.full(n + 1, 1 / (n + 1)), atol=0.02)
@@ -318,8 +322,9 @@ def test_ele_stubbed_tour_length(toy):
     def exact_sampler(beta):
         mu, var, _ = analytic_gaussian_path(3, 2.0, 2.0, beta)
 
-        def draw(x, rng):
-            return rng.normal(mu, math.sqrt(var), 3)
+        def draw(x, v, rng):
+            y = rng.normal(mu, math.sqrt(var), 3)
+            return y, toy.potential(y)
 
         return draw
 
