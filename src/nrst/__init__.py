@@ -37,7 +37,6 @@ from .model import (
     TemperedModel,
     acceptance_probability,
     log_tempered_density,
-    pseudo_prior,
 )
 from .planner import (
     CpuTimeModel,
@@ -54,7 +53,6 @@ from .st_kernels import (
     TourOverrunError,
     TourTrace,
     ideal_te,
-    index_kernel,
     nrst_step,
     run_tour,
     simulate_index_tours,

@@ -485,16 +485,17 @@ def adapt(
 ) -> AdaptResult:
     """Full tuning loop: doubling NRPT budget until the indicators stabilize.
 
-    Starts from the uniform grid, doubles the scan count each round, and on
-    convergence (or exhaustion of ``max_rounds``) runs a final NRPT pass on
-    the final grid to settle affinities and barrier.  If the tuned barrier
-    implies a grid size differing from the current one by more than
-    ``restart_mismatch`` (relative), the loop restarts at the implied size
-    (at most ``max_restarts`` times).  A restart keeps the scan count and
-    the warm chain states and goes on with the rounds that are left:
-    ``max_rounds`` caps the rounds of the whole tune, across restarts, and
-    when none are left the final pass runs at once on the new grid.
-    Exploration step counts are tuned last, on the final grid.
+    Starts from the uniform grid and doubles the scan count each round
+    until convergence or exhaustion of ``max_rounds``.  If the barrier of
+    the last round implies a grid size differing from the current one by
+    more than ``restart_mismatch`` (relative), the loop restarts at the
+    implied size (at most ``max_restarts`` times).  A restart keeps the
+    scan count and the warm chain states, remapped from the grid that round
+    ran on, and goes on with the rounds that are left: ``max_rounds`` caps
+    the rounds of the whole tune, across restarts.  One final NRPT pass, on
+    the final grid only, then settles affinities and barrier; no pass runs
+    at a grid size that a restart discards.  Exploration step counts are
+    tuned last, on the final grid.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -543,26 +544,27 @@ def adapt(
             })
             prev = current
 
-        # Final pass on the final grid.
-        sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
-        data, states = run_nrpt(
-            model, sched, n_scan, rng,
-            slice_cfg=slice_cfg, init_states=states, return_states=True,
-        )
-        affinities, log_z = _affinities_for(affinity_mode, data, betas)
-        r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
-        barrier = build_barrier(r_sym, betas)
-
+        # The restart is decided from the last round's barrier, on the grid
+        # that round ran on: no NRPT pass is spent at a size about to go.
         if barrier.total > 0.0 and restarts < max_restarts:
             n_target = optimal_grid_size(barrier.total, gamma)
             if abs(n - n_target) / n > restart_mismatch:
                 restarts += 1
-                old_betas = betas
                 n = n_target
                 betas = optimize_grid(barrier, n)
-                states = _remap_states(states, old_betas, betas)
+                states = _remap_states(states, barrier.knots_beta, betas)
                 continue
         break
+
+    # Final pass on the final grid.
+    sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
+    data, states = run_nrpt(
+        model, sched, n_scan, rng,
+        slice_cfg=slice_cfg, init_states=states, return_states=True,
+    )
+    affinities, log_z = _affinities_for(affinity_mode, data, betas)
+    r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
+    barrier = build_barrier(r_sym, betas)
 
     spread, asym = equi_rejection_indicators(r_up, r_down, r_sym)
     final_indicators = {"rejection_spread": spread, "directional_asymmetry": asym}

@@ -299,7 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--max-rounds", type=int, default=12,
                    help="cap on the scan-doubling rounds of the whole tune, "
-                        "across the grid-size restart")
+                        "across the grid-size restart; the restart is decided "
+                        "from the last round, and no final pass runs at the "
+                        "discarded grid size")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--kappa-bar", type=float, default=0.95)

@@ -221,20 +221,3 @@ def log_tempered_density_from_v(x: np.ndarray, log_ref: float, v: float, beta: f
     if v == math.inf:
         return -math.inf
     return float(log_ref) - beta * v
-
-
-def pseudo_prior(log_z, affinities) -> np.ndarray:
-    """Marginal level probabilities p_i propto Z(beta_i) exp(c_i).
-
-    Only used in tests and idealized simulations where the log normalizing
-    constants are known or estimated.  Guarded against overflow by shifting
-    by the max exponent.
-    """
-    log_z = np.asarray(log_z, dtype=float)
-    affinities = np.asarray(affinities, dtype=float)
-    if log_z.shape != affinities.shape or log_z.ndim != 1 or log_z.size < 1:
-        raise ValueError("log_z and affinities must be 1-d arrays of equal length >= 1")
-    expo = log_z + affinities
-    expo = expo - expo.max()
-    w = np.exp(expo)
-    return w / w.sum()

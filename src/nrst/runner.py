@@ -18,16 +18,8 @@ import numpy as np
 from .explore import SliceConfig
 from .model import Schedule, TemperedModel
 from .planner import te_infinity
-from .st_kernels import TourTrace, run_tour
-from .stats import (
-    NoTopVisitsError,
-    TourStatistics,
-    confidence_interval,
-    estimate_sigma2,
-    estimate_te,
-    min_tours,
-    ratio_estimate,
-)
+from .st_kernels import TourTrace, run_tour, trace_summary
+from .stats import NoTopVisitsError, TourStatistics, diagnostics_report, estimate_te, min_tours
 
 
 @dataclass(frozen=True)
@@ -105,29 +97,11 @@ def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs,
         return list(pool.map(_tour_task, args, chunksize=chunk))
 
 
-def _aggregate(model, traces, variant, alpha, delta, te_input, seed, h_funcs,
-               h_names, k_trial=None) -> RunReport:
-    n_h = len(h_funcs)
-    stats = TourStatistics.from_traces(traces, n_h)
-    te_hat = estimate_te(stats.visits)
-    if h_names is None:
-        h_names = [f"h{m}" for m in range(n_h)]
-    estimates = {}
-    for m, name in enumerate(h_names):
-        est = ratio_estimate(stats, m)
-        s2 = estimate_sigma2(stats, m)
-        lo, hi = confidence_interval(est, s2, stats.k, alpha)
-        estimates[name] = {"estimate": est, "sigma2": s2, "ci": [lo, hi]}
-    per_tour = [
-        {
-            "tour": i,
-            "n_steps": t.n_steps,
-            "visits_top": t.visits_top,
-            "v_evals": t.v_evals,
-            "cpu_seconds": t.cpu_seconds,
-        }
-        for i, t in enumerate(traces)
-    ]
+def _aggregate(traces, variant, alpha, delta, te_input, seed, h_funcs, h_names,
+               k_trial=None) -> RunReport:
+    stats = TourStatistics.from_traces(traces, len(h_funcs))
+    diag = diagnostics_report(stats, alpha, h_names)
+    per_tour = [{"tour": i, **trace_summary(t)} for i, t in enumerate(traces)]
     v_evals = np.array([t.v_evals for t in traces], dtype=np.int64)
     return RunReport(
         variant=variant,
@@ -135,11 +109,11 @@ def _aggregate(model, traces, variant, alpha, delta, te_input, seed, h_funcs,
         delta=delta,
         te_hat_input=te_input,
         k=len(traces),
-        te_hat=te_hat,
+        te_hat=diag["te_hat"],
         serial_cost=int(v_evals.sum()),
         parallel_cost=int(v_evals.max()),
         tours=per_tour,
-        estimates=estimates,
+        estimates=diag["per_h"],
         seed=seed,
         k_trial=k_trial,
         traces=traces,
@@ -174,8 +148,8 @@ def run_parallel(
         model, schedule, kernel_variant, range(k), workers, rng_seed,
         tuple(h_funcs), max_steps, slice_cfg,
     )
-    return _aggregate(model, traces, kernel_variant, alpha, delta, te_hat,
-                      rng_seed, h_funcs, h_names)
+    return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed,
+                      h_funcs, h_names)
 
 
 def pilot_then_run(
@@ -218,5 +192,5 @@ def pilot_then_run(
             model, schedule, kernel_variant, range(k_trial, k), workers,
             rng_seed, tuple(h_funcs), max_steps, slice_cfg,
         )
-    return _aggregate(model, traces, kernel_variant, alpha, delta, te_seed,
-                      rng_seed, h_funcs, h_names, k_trial=k_trial)
+    return _aggregate(traces, kernel_variant, alpha, delta, te_seed, rng_seed,
+                      h_funcs, h_names, k_trial=k_trial)

@@ -76,7 +76,8 @@ class TourTrace:
     reference draw at (level 0, direction +1) and ending with the
     regeneration state.  ``n_steps`` is the number of kernel applications,
     i.e. len(steps) - 1; the tour length in the regenerative-simulation sense
-    (number of states) is ``tour_length``.
+    (number of states) is ``tour_length``.  ``cpu_seconds`` is the CPU time
+    of the thread that ran the tour (``time.thread_time``), not wall time.
     """
 
     steps: list
@@ -247,7 +248,7 @@ def run_tour(
     if explorers is None:
         explorers = build_explorers(model, schedule, slice_cfg)
     n = schedule.n_levels
-    t0 = time.perf_counter()
+    t0 = time.thread_time()
     evals0 = model.v_evals.value
 
     x = model.sample_reference(rng)
@@ -280,13 +281,13 @@ def run_tour(
             max_steps,
             TourTrace(records, n, kernel_variant,
                       v_evals=model.v_evals.value - evals0,
-                      cpu_seconds=time.perf_counter() - t0),
+                      cpu_seconds=time.thread_time() - t0),
         )
 
     return TourTrace(
         records, n, kernel_variant,
         v_evals=model.v_evals.value - evals0,
-        cpu_seconds=time.perf_counter() - t0,
+        cpu_seconds=time.thread_time() - t0,
     )
 
 
@@ -366,60 +367,6 @@ def ideal_te(chain: IdealIndexChain, variant: str) -> float:
     if variant == NRST:
         return 1.0 / (1.0 + 2.0 * s)
     return 1.0 / (4.0 * n - 1.0 + 4.0 * s)
-
-
-def _state_index(i, direction):
-    return 2 * i + (0 if direction > 0 else 1)
-
-
-def index_kernel(chain: IdealIndexChain, variant: str) -> np.ndarray:
-    """Explicit transition matrix of the index chain on {0..N} x {-1,+1}.
-
-    States are ordered (0,+1), (0,-1), (1,+1), (1,-1), ...  Boundary bounces
-    are encoded as forced rejections of out-of-range proposals.  For the
-    reversible variant the direction coordinate is pure bookkeeping; it is
-    encoded here as an independent fair coin so that the uniform lifted law
-    is an exact fixed point (carrying the drawn proposal instead would skew
-    the direction marginal near the boundaries while leaving the level
-    process, and hence tours, untouched).
-    """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
-    n = chain.n_levels
-    size = 2 * (n + 1)
-    alpha_up = np.zeros(n + 1)
-    alpha_up[:n] = 1.0 - chain.rej_up
-    alpha_dn = np.zeros(n + 1)
-    alpha_dn[1:] = 1.0 - chain.rej_down
-    kernel = np.zeros((size, size))
-    for i in range(n + 1):
-        if variant == NRST:
-            row = kernel[_state_index(i, +1)]
-            if i == n:
-                row[_state_index(n, -1)] = 1.0
-            else:
-                row[_state_index(i + 1, +1)] = alpha_up[i]
-                row[_state_index(i, -1)] = 1.0 - alpha_up[i]
-            row = kernel[_state_index(i, -1)]
-            if i == 0:
-                row[_state_index(0, +1)] = 1.0
-            else:
-                row[_state_index(i - 1, -1)] = alpha_dn[i]
-                row[_state_index(i, +1)] = 1.0 - alpha_dn[i]
-        else:
-            level_row = np.zeros(n + 1)
-            level_row[i] = 0.5 * (1.0 - alpha_up[i]) + 0.5 * (1.0 - alpha_dn[i])
-            if i < n:
-                level_row[i + 1] = 0.5 * alpha_up[i]
-            if i > 0:
-                level_row[i - 1] = 0.5 * alpha_dn[i]
-            row = np.zeros(size)
-            for j in range(n + 1):
-                row[_state_index(j, +1)] = 0.5 * level_row[j]
-                row[_state_index(j, -1)] = 0.5 * level_row[j]
-            kernel[_state_index(i, +1)] = row
-            kernel[_state_index(i, -1)] = row
-    return kernel
 
 
 def simulate_index_tours(

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -124,7 +125,7 @@ def test_mean_energy_affinities_examples():
 
 
 def test_mean_energy_affinities_cancel_in_pseudo_prior():
-    from nrst.model import pseudo_prior
+    from oracles import pseudo_prior
 
     logz = np.array([0.0, -2.3, -4.1])
     p = pseudo_prior(logz, mean_energy_affinities(logz))
@@ -357,11 +358,13 @@ def test_remap_states_maps_levels_above_zero_onto_old_levels_above_zero():
     assert [v for _, v in new] == [0.0, 1.0, 1.0, 2.0, 3.0]
 
 
+# Loose thresholds converge at the first comparison, so on ToyGaussian at
+# seed 3 the restart (N 8 -> 5) fires with rounds left.
+LOOSE = ConvergenceThresholds(l_r=10.0, l_c=10.0, l_lambda=10.0, l_d=10.0)
+
+
 def test_adapt_restart_keeps_scan_budget_within_round_cap():
-    # Loose thresholds converge at the first comparison, so the restart
-    # (N 8 -> 5) fires with rounds left.
-    loose = ConvergenceThresholds(l_r=10.0, l_c=10.0, l_lambda=10.0, l_d=10.0)
-    res = adapt(ToyGaussian(), 8, 6, "mean", loose, rng=np.random.default_rng(3))
+    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3))
     assert res.restarts == 1
     levels = [r["n_levels"] for r in res.rounds]
     assert levels[0] == 8 and levels[-1] == res.schedule.n_levels != 8
@@ -369,6 +372,42 @@ def test_adapt_restart_keeps_scan_budget_within_round_cap():
     assert n_scans == sorted(n_scans) and n_scans[-1] == res.n_scan_final
     assert [r["round"] for r in res.rounds] == list(range(1, len(res.rounds) + 1))
     assert len(res.rounds) <= 6
+
+
+def spy_on_run_nrpt(monkeypatch):
+    """Record (n_levels, n_scan) of every NRPT pass that adapt makes."""
+    module = importlib.import_module("nrst.adapt")
+    calls = []
+    real = module.run_nrpt
+
+    def spy(model, schedule, n_scan, *args, **kwargs):
+        calls.append((schedule.n_levels, n_scan))
+        return real(model, schedule, n_scan, *args, **kwargs)
+
+    monkeypatch.setattr(module, "run_nrpt", spy)
+    return calls
+
+
+def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch):
+    calls = spy_on_run_nrpt(monkeypatch)
+    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3))
+    assert res.restarts == 1
+    first = [r for r in res.rounds if r["n_levels"] == 8]
+    assert sum(1 for n_levels, _ in calls if n_levels == 8) == len(first)
+    # one pass per round, then exactly one final pass, at the final size
+    assert calls[:-1] == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    assert calls[-1] == (res.schedule.n_levels, res.n_scan_final)
+    # the restart size comes from the last round at the first size
+    assert res.schedule.n_levels == optimal_grid_size(first[-1]["lambda_hat"], 2.0)
+
+
+def test_adapt_without_restart_runs_one_pass_per_round_and_a_final_pass(monkeypatch):
+    calls = spy_on_run_nrpt(monkeypatch)
+    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3),
+                max_restarts=0)
+    assert res.restarts == 0
+    assert len(calls) == len(res.rounds) + 1
+    assert {n_levels for n_levels, _ in calls} == {8}
 
 
 def test_adapt_restart_from_heavy_tailed_reference_completes():

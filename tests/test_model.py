@@ -10,9 +10,9 @@ from nrst.model import (
     Schedule,
     acceptance_probability,
     log_tempered_density,
-    pseudo_prior,
 )
 from nrst.bench_models import ToyGaussian
+from oracles import pseudo_prior
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 

@@ -1,16 +1,18 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.model import Schedule, acceptance_probability
+from nrst.planner import fit_cpu_model
+from nrst.runner import run_parallel
 from nrst.st_kernels import (
     ChainState,
     IdealIndexChain,
     TourOverrunError,
     ideal_te,
-    index_kernel,
     nrst_step,
     run_tour,
     simulate_index_tours,
@@ -18,6 +20,8 @@ from nrst.st_kernels import (
     trace_summary,
     write_traces_csv,
 )
+
+from oracles import index_kernel
 
 
 def force(*values):
@@ -34,6 +38,13 @@ def toy():
 @pytest.fixture
 def sched2():
     return Schedule.uniform(2)
+
+
+def exact_toy_schedule(n):
+    """Uniform grid of n levels with the toy's exact mean-energy affinities."""
+    betas = np.linspace(0, 1, n + 1)
+    logz = np.array([analytic_gaussian_path(3, 2.0, 2.0, b)[2] for b in betas])
+    return Schedule(betas, -(logz - logz[0]), np.ones(n, dtype=int))
 
 
 def test_nrst_step_forced_rejection(toy, sched2):
@@ -161,6 +172,33 @@ def test_trace_serialization(toy, sched2, tmp_path):
     assert len(lines) == 1 + sum(t.tour_length for t in traces)
     summary = trace_summary(traces[0])
     assert set(summary) == {"n_steps", "visits_top", "v_evals", "cpu_seconds"}
+
+
+class SleepyModel(ToyGaussian):
+    """Each V-eval sleeps: the tour's wall time is mostly spent off the CPU."""
+
+    def _potential(self, x):
+        time.sleep(0.002)
+        return super()._potential(x)
+
+
+def test_tour_cpu_seconds_is_cpu_time_not_wall_time():
+    # forced accepts: up to level 1, bounce, down to level 0 -- two sweeps
+    t0 = time.perf_counter()
+    trace = run_tour(SleepyModel(), Schedule.uniform(1), "nrst", 10, np.random.default_rng(4),
+                     accept_draw=force(0.0, 0.0))
+    wall = time.perf_counter() - t0
+    assert trace.n_steps == 3 and wall >= 0.002 * trace.v_evals >= 0.01
+    assert 0.0 < trace.cpu_seconds < 0.5 * wall
+
+
+def test_every_tour_of_a_short_run_has_positive_cpu_seconds(toy):
+    # fit_cpu_model rejects non-positive times, and most reversible tours
+    # here are a single step
+    report = run_parallel(toy, exact_toy_schedule(4), "st", 0.95, 0.5, 0.5, 1, 5)
+    times = [t["cpu_seconds"] for t in report.tours]
+    assert len(times) >= 10 and min(times) > 0.0
+    fit_cpu_model(times)
 
 
 class PointModel(ToyGaussian):
@@ -315,9 +353,7 @@ def test_simulate_matches_closed_form():
 def test_ele_stubbed_tour_length(toy):
     """Perfect per-level samplers + exact affinities give mean length 2(N+1)."""
     n = 4
-    betas = np.linspace(0, 1, n + 1)
-    logz = np.array([analytic_gaussian_path(3, 2.0, 2.0, b)[2] for b in betas])
-    sched = Schedule(betas, -(logz - logz[0]), np.ones(n, dtype=int))
+    sched = exact_toy_schedule(n)
 
     def exact_sampler(beta):
         mu, var, _ = analytic_gaussian_path(3, 2.0, 2.0, beta)
@@ -328,7 +364,7 @@ def test_ele_stubbed_tour_length(toy):
 
         return draw
 
-    explorers = [None] + [exact_sampler(b) for b in betas[1:]]
+    explorers = [None] + [exact_sampler(b) for b in sched.betas[1:]]
     rng = np.random.default_rng(16)
     n_tours = 20_000
     lengths = np.empty(n_tours)
