@@ -15,7 +15,6 @@ from .adapt import (
     build_barrier,
     check_convergence,
     estimate_rejections,
-    local_rejection_rates,
     mean_energy_affinities,
     median_affinities,
     optimal_grid_size,

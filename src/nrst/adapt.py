@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explore import SliceConfig, build_explorers, tune_explore_steps
+from .explore import SliceConfig, build_explorers, lag1_autocorrelation, tune_explore_steps
 from .model import (
     DivergedPotentialError,
     Schedule,
@@ -92,6 +92,7 @@ def run_nrpt(
     slice_cfg: SliceConfig | None = None,
     init_states=None,
     return_states: bool = False,
+    return_sweep_ends: bool = False,
 ):
     """Non-reversible parallel tempering over the grid; returns the V dataset.
 
@@ -104,6 +105,9 @@ def run_nrpt(
     A state is the pair (x, V(x)) of one level.  ``init_states`` holds one
     per level 0..N (the level-0 state is redrawn before it is used), and
     ``return_states`` returns the final ones alongside the dataset.
+    ``return_sweep_ends`` appends an array ``ends`` of shape (2, N+1, n_scan):
+    ``ends[0, i, s]`` is the V entering level i's exploration in scan s and
+    ``ends[1, i, s]`` the V leaving it (at level 0, the fresh draw twice).
     """
     if n_scan < 1:
         raise ValueError("n_scan must be >= 1")
@@ -116,12 +120,17 @@ def run_nrpt(
     xs = [np.array(x, dtype=float, copy=True) for x, _ in init_states]
     vs = [v for _, v in init_states]
     records = np.empty((n + 1, n_scan))
+    ends = np.empty((2, n + 1, n_scan)) if return_sweep_ends else None
     betas = schedule.betas
     for scan in range(n_scan):
         xs[0] = model.sample_reference(rng)
         vs[0] = model.potential(xs[0])
+        if ends is not None:
+            ends[0, :, scan] = vs
         for i in range(1, n + 1):
             xs[i], vs[i] = explorers[i](xs[i], vs[i], rng)
+        if ends is not None:
+            ends[1, :, scan] = vs
         start = 0 if scan % 2 == 0 else 1
         for i in range(start, n, 2):
             j = i + 1
@@ -137,9 +146,12 @@ def run_nrpt(
                 vs[i], vs[j] = vs[j], vs[i]
         records[:, scan] = vs
     data = VDataset(tuple(records))
+    out = (data,)
     if return_states:
-        return data, list(zip(xs, vs))
-    return data
+        out += (list(zip(xs, vs)),)
+    if ends is not None:
+        out += (ends,)
+    return out if len(out) > 1 else data
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -417,23 +429,6 @@ def check_convergence(
     return converged, indicators
 
 
-def local_rejection_rates(data: VDataset, betas, affinities) -> np.ndarray:
-    """Per-level rejection rate estimate: mean of |V - c'| / 2.
-
-    c' is approximated by finite differences of the affinity sequence.
-    Diagnostic only.
-    """
-    betas = np.asarray(betas, dtype=float)
-    c = np.asarray(affinities, dtype=float)
-    n = betas.size - 1
-    cp = np.empty(n + 1)
-    cp[0] = (c[1] - c[0]) / (betas[1] - betas[0])
-    cp[n] = (c[n] - c[n - 1]) / (betas[n] - betas[n - 1])
-    for i in range(1, n):
-        cp[i] = (c[i + 1] - c[i - 1]) / (betas[i + 1] - betas[i - 1])
-    return np.array([0.5 * float(np.mean(np.abs(data[i] - cp[i]))) for i in range(n + 1)])
-
-
 @dataclass
 class AdaptResult:
     schedule: Schedule
@@ -494,8 +489,16 @@ def adapt(
     ran on, and goes on with the rounds that are left: ``max_rounds`` caps
     the rounds of the whole tune, across restarts.  One final NRPT pass, on
     the final grid only, then settles affinities and barrier; no pass runs
-    at a grid size that a restart discards.  Exploration step counts are
-    tuned last, on the final grid.
+    at a grid size that a restart discards.
+
+    Exploration step counts are tuned last, on the final grid.  In the final
+    pass every level's chain is stationary for its tempered law, so the
+    pairs (V before, V after) of its explorer calls give its lag-1
+    autocorrelation kappa(1).  A level with kappa(1) <= ``kappa_bar`` gets 1
+    step at no V-eval cost; every other level runs the warm-started chain
+    of ``chain_len`` sweeps of :func:`tune_explore_steps`.  With
+    ``nrpt_explore_steps > 1`` the pairs measure lag ``nrpt_explore_steps``,
+    not lag 1, so every level runs its chain.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -558,9 +561,10 @@ def adapt(
 
     # Final pass on the final grid.
     sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
-    data, states = run_nrpt(
+    data, states, ends = run_nrpt(
         model, sched, n_scan, rng,
         slice_cfg=slice_cfg, init_states=states, return_states=True,
+        return_sweep_ends=True,
     )
     affinities, log_z = _affinities_for(affinity_mode, data, betas)
     r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
@@ -569,10 +573,15 @@ def adapt(
     spread, asym = equi_rejection_indicators(r_up, r_down, r_sym)
     final_indicators = {"rejection_spread": spread, "directional_asymmetry": asym}
 
+    # Each level's (V in, V out) pairs span nrpt_explore_steps sweeps, so
+    # they measure kappa(1) only at one sweep per scan.
+    kappa1 = None
+    if nrpt_explore_steps == 1:
+        kappa1 = [lag1_autocorrelation(ends[0, i], ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int))
     explore_steps = tune_explore_steps(
         model, tuning_sched, kappa_bar, chain_len, rng,
-        cfg=slice_cfg, init_states=states,
+        cfg=slice_cfg, init_states=states, kappa1=kappa1,
     )
     schedule = Schedule(betas, affinities, explore_steps)
     return AdaptResult(

@@ -17,6 +17,7 @@ import numpy as np
 from . import planner
 from .adapt import adapt as run_adapt
 from .bench_models import ModelSpec, available_models, make_model
+from .explore import SliceNumericalError
 from .model import DivergedPotentialError, Schedule
 from .runner import CoordinateFunction, pilot_then_run, run_parallel
 from .st_kernels import (
@@ -306,7 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--kappa-bar", type=float, default=0.95)
     p.add_argument("--nrpt-explore-steps", type=int, default=1)
-    p.add_argument("--chain-len", type=int, default=512)
+    p.add_argument("--chain-len", type=int, default=512,
+                   help="sweeps of the chain that sets a level's exploration "
+                        "steps; it runs only at levels whose lag-1 V "
+                        "autocorrelation in the final NRPT pass exceeds "
+                        "--kappa-bar, or at every level when "
+                        "--nrpt-explore-steps > 1")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_tune)
@@ -370,8 +376,12 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 1
-    except (TourOverrunError, DivergedPotentialError, NoTopVisitsError) as err:
-        print(f"runtime error: {err}", file=sys.stderr)
+    except (TourOverrunError, DivergedPotentialError, SliceNumericalError,
+            NoTopVisitsError) as err:
+        where = ""
+        if hasattr(err, "tour_index"):
+            where = f"tour {err.tour_index} (seed {err.seed}): "
+        print(f"runtime error: {where}{err}", file=sys.stderr)
         return 2
 
 

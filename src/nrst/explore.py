@@ -184,6 +184,24 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     return out
 
 
+def lag1_autocorrelation(v_in, v_out) -> float:
+    """Lag-1 autocorrelation of V from the (V before, V after) pairs of
+    single sweeps started from stationary draws.
+
+    The biased estimator of :func:`autocorrelation`, with both ends of a
+    pair taken from the same law: centred on the pooled mean, scaled by the
+    pooled sum of squares.  Zero variance returns 0.
+    """
+    a = np.asarray(v_in, dtype=float)
+    b = np.asarray(v_out, dtype=float)
+    m = 0.5 * (a.mean() + b.mean())
+    ca, cb = a - m, b - m
+    denom = 0.5 * (float(np.dot(ca, ca)) + float(np.dot(cb, cb)))
+    if denom == 0.0:
+        return 0.0
+    return float(np.dot(ca, cb)) / denom
+
+
 def steps_from_autocorrelation(kappas, kappa_bar: float, n_max: int = 64) -> int:
     """Smallest lag n >= 1 with kappa(n) <= kappa_bar, capped at n_max.
 
@@ -206,6 +224,7 @@ def tune_explore_steps(
     n_max: int = 64,
     cfg: SliceConfig | None = None,
     init_states=None,
+    kappa1=None,
 ) -> np.ndarray:
     """Per-level exploration step counts from the V autocorrelation.
 
@@ -216,6 +235,12 @@ def tune_explore_steps(
     order in which levels are processed.  ``init_states`` optionally holds
     one (x, V(x)) warm start per level 0..N; otherwise each chain starts
     from a reference draw.
+
+    ``kappa1`` optionally holds, per level 1..N, a lag-1 autocorrelation of
+    V already measured on stationary draws (see :func:`adapt.adapt`).  The
+    rule above returns 1 exactly when kappa(1) <= ``kappa_bar``, so such a
+    level gets 1 step and runs no chain.  The other levels run their chain
+    on the same stream as without ``kappa1``, and get the same count.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ValueError("kappa_bar must lie in (0, 1)")
@@ -226,6 +251,8 @@ def tune_explore_steps(
     streams = rng.spawn(n)
     steps = np.ones(n, dtype=int)
     for i in range(1, n + 1):
+        if kappa1 is not None and kappa1[i - 1] <= kappa_bar:
+            continue
         level_rng = streams[i - 1]
         kernel = ExplorationKernel(model, schedule.betas[i], 1, cfg)
         if init_states is not None:

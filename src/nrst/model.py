@@ -28,7 +28,8 @@ class DivergedPotentialError(RuntimeError):
         self.value = value
 
     def __reduce__(self):
-        return (DivergedPotentialError, (self.x, self.value))
+        # The state carries what callers attach, e.g. the runner's tour_index.
+        return (DivergedPotentialError, (self.x, self.value), self.__dict__)
 
 
 class EvalCounter:

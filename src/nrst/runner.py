@@ -80,7 +80,9 @@ def _tour_task(args) -> TourTrace:
             h_funcs=h_funcs, slice_cfg=slice_cfg,
         )
     except Exception as err:
+        # Name the failing tour by the key of its random stream.
         err.tour_index = index
+        err.seed = seed
         raise
 
 

@@ -42,7 +42,8 @@ class TourOverrunError(RuntimeError):
         self.trace = trace
 
     def __reduce__(self):
-        return (TourOverrunError, (self.max_steps, self.trace))
+        # The state carries what callers attach, e.g. the runner's tour_index.
+        return (TourOverrunError, (self.max_steps, self.trace), self.__dict__)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,13 @@
 ``index_kernel`` is the explicit transition matrix of the idealized index
 chain, against which simulated tours and closed-form TEs are checked;
 ``pseudo_prior`` is the marginal level law that mean-energy affinities
-make uniform.
+make uniform; ``local_rejection_rates`` is the per-level rejection rate
+that the interval rejections approach as the grid refines.
 """
 
 import numpy as np
 
+from nrst.adapt import VDataset
 from nrst.st_kernels import _VARIANTS, NRST, IdealIndexChain
 
 
@@ -80,3 +82,19 @@ def pseudo_prior(log_z, affinities) -> np.ndarray:
     expo = expo - expo.max()
     w = np.exp(expo)
     return w / w.sum()
+
+
+def local_rejection_rates(data: VDataset, betas, affinities) -> np.ndarray:
+    """Per-level rejection rate estimate: mean of |V - c'| / 2.
+
+    c' is approximated by finite differences of the affinity sequence.
+    """
+    betas = np.asarray(betas, dtype=float)
+    c = np.asarray(affinities, dtype=float)
+    n = betas.size - 1
+    cp = np.empty(n + 1)
+    cp[0] = (c[1] - c[0]) / (betas[1] - betas[0])
+    cp[n] = (c[n] - c[n - 1]) / (betas[n] - betas[n - 1])
+    for i in range(1, n):
+        cp[i] = (c[i + 1] - c[i - 1]) / (betas[i + 1] - betas[i - 1])
+    return np.array([0.5 * float(np.mean(np.abs(data[i] - cp[i]))) for i in range(n + 1)])

@@ -14,7 +14,6 @@ from nrst.adapt import (
     build_barrier,
     check_convergence,
     estimate_rejections,
-    local_rejection_rates,
     mean_energy_affinities,
     median_affinities,
     n_star,
@@ -24,7 +23,9 @@ from nrst.adapt import (
     stepping_stone_logz,
 )
 from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
-from nrst.model import Schedule
+from nrst.explore import autocorrelation, lag1_autocorrelation
+from nrst.model import Schedule, TemperedModel
+from oracles import local_rejection_rates
 
 
 class FlatModel(ToyGaussian):
@@ -56,6 +57,26 @@ def test_run_nrpt_shape_contract():
     data = run_nrpt(model, sched, 4, np.random.default_rng(0))
     assert data.n_levels == 2
     assert all(data[i].shape == (4,) for i in range(3))
+
+
+def test_run_nrpt_sweep_ends_pair_each_sweep_with_its_records():
+    model = ToyGaussian()
+    sched = Schedule(np.linspace(0, 1, 4), np.zeros(4), np.ones(3, dtype=int))
+    data, states = run_nrpt(model, sched, 6, np.random.default_rng(0), return_states=True)
+    again, states_again, ends = run_nrpt(model, sched, 6, np.random.default_rng(0),
+                                         return_states=True, return_sweep_ends=True)
+    assert ends.shape == (2, 4, 6)
+    # recording draws nothing: the pass is the same
+    for i in range(4):
+        np.testing.assert_array_equal(again[i], data[i])
+    assert [v for _, v in states_again] == [v for _, v in states]
+    # the V entering scan s's sweep is the one recorded after scan s - 1
+    for i in range(1, 4):
+        np.testing.assert_array_equal(ends[0, i, 1:], data[i][:-1])
+    np.testing.assert_array_equal(ends[0, 0], ends[1, 0])
+    # the swap round after the sweeps only permutes the V leaving them
+    records = np.array([data[i] for i in range(4)])
+    np.testing.assert_array_equal(np.sort(ends[1], axis=0), np.sort(records, axis=0))
 
 
 def test_run_nrpt_constant_v_swaps_always_accept():
@@ -445,3 +466,114 @@ def test_adapt_toy_gaussian_reaches_equi_rejection():
     # mean-energy affinities approximate the exact free energies
     exact = exact_affinities(res.schedule.betas)
     np.testing.assert_allclose(res.schedule.affinities, exact, atol=0.25)
+
+
+class Ridge(TemperedModel):
+    """Reference N(0, I_2), V = a/2 (x0 - x1)^2 - c (x0 + x1): a narrow
+    ridge that coordinate-wise slice sweeps cross slowly at large beta."""
+
+    def __init__(self, a=500.0, c=6.0):
+        super().__init__(2)
+        self.a, self.c = a, c
+
+    def sample_reference(self, rng):
+        return rng.normal(0.0, 1.0, 2)
+
+    def log_reference(self, x):
+        return -0.5 * float(np.dot(x, x)) - math.log(2 * math.pi)
+
+    def _potential(self, x):
+        return 0.5 * self.a * (x[0] - x[1]) ** 2 - self.c * (x[0] + x[1])
+
+
+def spy_on_step_tuning(monkeypatch, drop_kappa1=False):
+    """Record what each step tuning inside adapt is given and spends: its
+    kappa1, its V-evals, and the levels that ran a chain.  ``drop_kappa1``
+    withholds kappa1, so every level runs its chain."""
+    explore = importlib.import_module("nrst.explore")
+    module = importlib.import_module("nrst.adapt")
+    real_tune, real_kernel = explore.tune_explore_steps, explore.ExplorationKernel
+    calls = []
+
+    def spy(model, schedule, *args, **kwargs):
+        call = {"kappa1": kwargs.get("kappa1"), "chain_levels": []}
+        if drop_kappa1:
+            kwargs["kappa1"] = None
+
+        def kernel(model, beta, *k_args, **k_kwargs):
+            call["chain_levels"].append(int(np.flatnonzero(schedule.betas == beta)[0]))
+            return real_kernel(model, beta, *k_args, **k_kwargs)
+
+        monkeypatch.setattr(explore, "ExplorationKernel", kernel)
+        v0 = model.v_evals.value
+        try:
+            steps = real_tune(model, schedule, *args, **kwargs)
+        finally:
+            monkeypatch.setattr(explore, "ExplorationKernel", real_kernel)
+        call["v_evals"] = model.v_evals.value - v0
+        calls.append(call)
+        return steps
+
+    monkeypatch.setattr(module, "tune_explore_steps", spy)
+    return calls
+
+
+def adapt_with_and_without_kappa1(monkeypatch, make, *args, seed):
+    """adapt at one seed, then again with every level running its chain."""
+    calls = spy_on_step_tuning(monkeypatch)
+    res = adapt(make(), *args, rng=np.random.default_rng(seed))
+    chain_calls = spy_on_step_tuning(monkeypatch, drop_kappa1=True)
+    chain_res = adapt(make(), *args, rng=np.random.default_rng(seed))
+    # nothing drawn before the step tuning moves
+    np.testing.assert_array_equal(res.schedule.betas, chain_res.schedule.betas)
+    np.testing.assert_array_equal(res.schedule.affinities, chain_res.schedule.affinities)
+    assert res.lambda_hat == chain_res.lambda_hat
+    return res, calls[0], chain_res, chain_calls[0]
+
+
+def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
+    res, call, chain_res, chain_call = adapt_with_and_without_kappa1(
+        monkeypatch, ToyGaussian, 8, 5, "mean", seed=1)
+    assert len(call["kappa1"]) == res.schedule.n_levels
+    assert max(call["kappa1"]) <= 0.95
+    assert call["v_evals"] == 0 and call["chain_levels"] == []
+    assert chain_call["v_evals"] > 0
+    assert chain_call["chain_levels"] == list(range(1, res.schedule.n_levels + 1))
+    np.testing.assert_array_equal(res.schedule.explore_steps, chain_res.schedule.explore_steps)
+
+
+def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
+    res, call, chain_res, _ = adapt_with_and_without_kappa1(
+        monkeypatch, Ridge, 8, 6, "mean", seed=2)
+    slow = [i for i, k in enumerate(call["kappa1"], start=1) if k > 0.95]
+    assert call["chain_levels"] == slow
+    # the top level is slow, and the others are not all slow
+    assert slow and slow[-1] == res.schedule.n_levels and slow[0] > 1
+    steps = res.schedule.explore_steps
+    assert max(steps[i - 1] for i in slow) > 1
+    fast = [i for i in range(1, res.schedule.n_levels + 1) if i not in slow]
+    assert all(steps[i - 1] == 1 for i in fast)
+    for i in slow:
+        assert steps[i - 1] == chain_res.schedule.explore_steps[i - 1]
+
+
+def test_adapt_with_several_nrpt_sweeps_runs_every_chain(monkeypatch):
+    calls = spy_on_step_tuning(monkeypatch)
+    res = adapt(ToyGaussian(), 4, 3, "mean", rng=np.random.default_rng(1),
+                nrpt_explore_steps=2, max_restarts=0)
+    assert calls[0]["kappa1"] is None
+    assert calls[0]["chain_levels"] == list(range(1, res.schedule.n_levels + 1))
+
+
+def test_lag1_from_final_pass_matches_the_chain_estimate():
+    # the pass's pairs from the stationary chain (V_t, V_t+1) estimate what
+    # autocorrelation() estimates from the series
+    rng = np.random.default_rng(6)
+    v = np.empty(20_000)
+    v[0] = rng.normal()
+    for t in range(1, v.size):
+        v[t] = 0.9 * v[t - 1] + math.sqrt(1 - 0.81) * rng.normal()
+    pairs = lag1_autocorrelation(v[:-1], v[1:])
+    assert abs(pairs - autocorrelation(v, 1)[1]) < 1e-3
+    assert abs(pairs - 0.9) < 0.02
+    assert lag1_autocorrelation(np.full(5, 2.0), np.full(5, 2.0)) == 0.0

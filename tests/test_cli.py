@@ -1,9 +1,12 @@
 import json
+import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from nrst.bench_models import ToyGaussian
 from nrst.cli import main
 
 
@@ -140,3 +143,23 @@ def test_workers_env_cap(tuned_dir, tmp_path, monkeypatch):
         "--delta", 1.0, "--seed", 12, "--workers", 8, "--out", out,
     ])
     assert code == 0
+
+
+class BrokenReference(ToyGaussian):
+    """log_reference is -inf on part of the reference's support, so a slice
+    sweep started from a reference draw there raises SliceNumericalError."""
+
+    def log_reference(self, x):
+        return -math.inf if x[0] > 3.0 else super().log_reference(x)
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_runtime_error_names_the_failing_tour(command, tuned_dir, tmp_path, monkeypatch,
+                                              capsys):
+    monkeypatch.setattr("nrst.cli.make_model", lambda spec: BrokenReference())
+    argv = [command, "--schedule", tuned_dir / "schedule.json", "--seed", 5]
+    if command == "run":
+        argv += ["--out", tmp_path]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"runtime error: tour \d+ \(seed 5\): log density not finite", err)

@@ -276,3 +276,20 @@ def test_tune_explore_steps_constant_series():
     sched = Schedule.uniform(2)
     steps = tune_explore_steps(model, sched, 0.95, 64, np.random.default_rng(1))
     assert np.all(steps == 1)
+
+
+def test_tune_explore_steps_runs_chains_only_above_kappa_bar():
+    model = ToyGaussian()
+    sched = Schedule.uniform(3)
+    full = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4))
+    v0 = model.v_evals.value
+    none_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),
+                                   kappa1=[0.05, 0.1, -0.2])
+    assert model.v_evals.value == v0
+    assert np.all(none_slow == 1)
+    one_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),
+                                  kappa1=[0.05, 0.9, 0.0])
+    assert model.v_evals.value > v0
+    assert one_slow[0] == one_slow[2] == 1
+    # the slow level's chain runs on its own stream, as without kappa1
+    assert one_slow[1] == full[1] > 1

@@ -5,10 +5,26 @@ import numpy as np
 import pytest
 
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
-from nrst.model import Schedule
+from nrst.explore import SliceNumericalError
+from nrst.model import DivergedPotentialError, Schedule
 from nrst.runner import CoordinateFunction, pilot_then_run, run_parallel
-from nrst.st_kernels import write_traces_csv
+from nrst.st_kernels import TourOverrunError, write_traces_csv
 from nrst.stats import min_tours
+
+
+class DivergesFarOut(ToyGaussian):
+    """V is NaN where x[0] > 4, which some tours reach."""
+
+    def _potential(self, x):
+        return math.nan if x[0] > 4.0 else super()._potential(x)
+
+
+class BrokenReference(ToyGaussian):
+    """log_reference is -inf on part of the reference's support, so a slice
+    sweep started from a reference draw there fails."""
+
+    def log_reference(self, x):
+        return -math.inf if x[0] > 3.0 else super().log_reference(x)
 
 
 def tuned_like_schedule(n=4):
@@ -103,3 +119,19 @@ def test_coordinate_function_picklable():
     f = CoordinateFunction(2)
     g = pickle.loads(pickle.dumps(f))
     assert g(np.array([1.0, 2.0, 3.0])) == 3.0
+
+
+@pytest.mark.parametrize("model, max_steps, error", [
+    (DivergesFarOut(), 10**6, DivergedPotentialError),
+    (ToyGaussian(), 4, TourOverrunError),
+    (BrokenReference(), 10**6, SliceNumericalError),
+], ids=["diverged", "overrun", "slice"])
+def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_steps, error):
+    named = []
+    for workers in (1, 2):
+        with pytest.raises(error) as info:
+            run_parallel(model, tuned_like_schedule(), "nrst", 0.9, 1.0, 1.0, workers, 5,
+                         max_steps=max_steps)
+        named.append((info.value.tour_index, info.value.seed))
+    assert named[0] == named[1]
+    assert named[0][1] == 5
