@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .explore import SliceConfig, build_explorers, lag1_autocorrelation, tune_explore_steps
-from .model import (
-    DivergedPotentialError,
-    Schedule,
-    TemperedModel,
-    acceptance_probability_array,
-)
+from .model import DivergedPotentialError, Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
 
@@ -213,22 +208,22 @@ def estimate_rejections(data: VDataset, betas, affinities):
 
     r_up[i-1] estimates the rejection of the move beta_{i-1} -> beta_i using
     the level i-1 samples, r_down[i-1] the reverse move from the level i
-    samples, and r_sym their average.
+    samples, and r_sym their average.  Infinite affinities (the
+    stepping-stone estimate of a level whose samples are all +inf) give
+    NaN rates where two meet, which :func:`adapt` reads as a round without
+    a barrier.
     """
     betas = np.asarray(betas, dtype=float)
     c = np.asarray(affinities, dtype=float)
     n = betas.size - 1
     r_up = np.empty(n)
     r_down = np.empty(n)
-    for i in range(1, n + 1):
-        acc_up = acceptance_probability_array(
-            data[i - 1], betas[i - 1], betas[i], c[i - 1], c[i]
-        )
-        acc_dn = acceptance_probability_array(
-            data[i], betas[i], betas[i - 1], c[i], c[i - 1]
-        )
-        r_up[i - 1] = 1.0 - float(np.mean(acc_up))
-        r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
+    with np.errstate(invalid="ignore"):
+        for i in range(1, n + 1):
+            acc_up = acceptance_probability(data[i - 1], betas[i - 1], betas[i], c[i - 1], c[i])
+            acc_dn = acceptance_probability(data[i], betas[i], betas[i - 1], c[i], c[i - 1])
+            r_up[i - 1] = 1.0 - float(np.mean(acc_up))
+            r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
     r_sym = 0.5 * (r_up + r_down)
     return r_up, r_down, r_sym
 
@@ -260,14 +255,12 @@ class BarrierEstimate:
     """Monotone interpolant of the cumulative rejection knots.
 
     knots_lambda holds the partial sums of the symmetrized rejections with a
-    leading 0; ``total`` is the estimated total barrier.  ``kind`` selects
-    Fritsch-Carlson monotone cubic interpolation (default) or piecewise
-    linear.
+    leading 0; ``total`` is the estimated total barrier.  The interpolant is
+    Fritsch-Carlson monotone cubic, which is linear below 3 knots.
     """
 
     knots_beta: np.ndarray
     knots_lambda: np.ndarray
-    kind: str = "pchip"
     _slopes: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -283,12 +276,8 @@ class BarrierEstimate:
             raise ValueError("knot ordinates must be non-decreasing")
         if kl[0] != 0.0:
             raise ValueError("barrier must start at 0")
-        if self.kind not in ("pchip", "linear"):
-            raise ValueError("kind must be 'pchip' or 'linear'")
-        if self.kind == "pchip" and kb.size >= 3:
+        if kb.size >= 3:
             object.__setattr__(self, "_slopes", _fritsch_carlson_slopes(kb, kl))
-        else:
-            object.__setattr__(self, "_slopes", None)
 
     @property
     def total(self) -> float:
@@ -316,14 +305,14 @@ class BarrierEstimate:
         return float(out[0]) if scalar else out
 
 
-def build_barrier(r_sym, betas, kind: str = "pchip") -> BarrierEstimate:
+def build_barrier(r_sym, betas) -> BarrierEstimate:
     """Barrier estimate from symmetrized rejections: knots are partial sums."""
     r = np.asarray(r_sym, dtype=float)
     betas = np.asarray(betas, dtype=float)
     if r.size != betas.size - 1:
         raise ValueError("need one rejection estimate per grid interval")
     knots = np.concatenate([[0.0], np.cumsum(np.maximum(r, 0.0))])
-    return BarrierEstimate(betas.copy(), knots, kind=kind)
+    return BarrierEstimate(betas.copy(), knots)
 
 
 def optimize_grid(barrier: BarrierEstimate, n_levels: int) -> np.ndarray:

@@ -246,7 +246,7 @@ def _cmd_index_sim(args) -> int:
     print("variant  N  rho    TE_closed  TE_mc      mean_visits")
     for variant in variants:
         closed = ideal_te(chain, variant)
-        steps, visits = simulate_index_tours(chain, variant, args.tours, rng)
+        steps, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
         mc = estimate_te(visits)
         print(f"{variant:7s}  {args.n_levels}  {args.rho:<5g}  "
               f"{closed:<9.5f}  {mc:<9.5f}  {visits.mean():.4f}")
@@ -269,7 +269,7 @@ def _cmd_bench(args) -> int:
         print("variant  TE_closed  TE_mc")
         for variant in variants:
             closed = ideal_te(chain, variant)
-            _, visits = simulate_index_tours(chain, variant, args.tours, rng)
+            _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
             print(f"{variant:7s}  {closed:<9.5f}  {estimate_te(visits):<9.5f}")
         return 0
     model_spec = ModelSpec(cfg.model, cfg.params)

@@ -95,9 +95,16 @@ class TemperedModel:
         raise NotImplementedError
 
     def potential(self, x: np.ndarray) -> float:
-        """V(x).  Counted; may be +inf where the target has zero density."""
+        """V(x).  Counted; may be +inf where the target has zero density.
+
+        NaN or -inf raise :class:`DivergedPotentialError`, wherever V is
+        evaluated: at reference draws as in exploration.
+        """
         self.v_evals.add()
-        return float(self._potential(x))
+        v = float(self._potential(x))
+        if not v > -math.inf:
+            raise DivergedPotentialError(x, v)
+        return v
 
 
 @dataclass(frozen=True)
@@ -165,34 +172,29 @@ class Schedule:
         )
 
 
-def acceptance_probability(
-    v: float, beta_from: float, beta_to: float, c_from: float, c_to: float
-) -> float:
+def acceptance_probability(v, beta_from: float, beta_to: float, c_from: float, c_to: float):
     """Probability of accepting the tempering move beta_from -> beta_to.
 
     Equals exp(-max{0, (beta_to - beta_from) v - (c_to - c_from)}), so it can
-    be evaluated without any normalizing constants.
+    be evaluated without any normalizing constants.  ``v`` is one potential
+    (a float in, a float out) or an array of them.  V = +inf is a point of
+    zero density: the arithmetic rejects the move up surely and accepts the
+    move down surely.  NaN or -inf V, and non-finite betas, raise
+    ValueError.  Affinities are taken as they come: a :class:`Schedule`
+    holds finite ones, and the tuner's estimates may be infinite (see
+    :func:`nrst.adapt.estimate_rejections`).
     """
-    args = (v, beta_from, beta_to, c_from, c_to)
-    if not all(math.isfinite(a) for a in args):
-        raise ValueError(f"acceptance_probability requires finite inputs, got {args}")
-    expo = (beta_to - beta_from) * v - (c_to - c_from)
-    return math.exp(-max(0.0, expo))
-
-
-def acceptance_probability_array(
-    v: np.ndarray, beta_from: float, beta_to: float, c_from: float, c_to: float
-) -> np.ndarray:
-    """Vectorized acceptance probability over a batch of potential values.
-
-    Unlike the scalar version, tolerates v = +inf (zero density under the
-    target side of the move): the move towards higher beta is then rejected
-    with probability one.
-    """
-    v = np.asarray(v, dtype=float)
-    with np.errstate(invalid="ignore"):
-        expo = (beta_to - beta_from) * v - (c_to - c_from)
-    return np.exp(-np.maximum(0.0, expo))
+    if not (math.isfinite(beta_from) and math.isfinite(beta_to)):
+        raise ValueError(f"acceptance_probability requires finite betas, "
+                         f"got {(beta_from, beta_to)}")
+    if isinstance(v, float):
+        diverged = not v > -math.inf
+    else:
+        v = np.asarray(v, dtype=float)
+        diverged = not np.all(v > -np.inf)
+    if diverged:
+        raise ValueError("acceptance_probability requires potentials that are not NaN or -inf")
+    return np.exp(-np.maximum(0.0, (beta_to - beta_from) * v - (c_to - c_from)))
 
 
 def log_tempered_density(model: TemperedModel, x: np.ndarray, beta: float) -> float:
@@ -215,7 +217,8 @@ def log_tempered_density_from_v(x: np.ndarray, log_ref: float, v: float, beta: f
     """log pi0(x) - beta V(x) from a V(x) already at hand.
 
     Follows the rules of :func:`log_tempered_density`: V = +inf yields -inf,
-    NaN or -inf raise :class:`DivergedPotentialError`.
+    NaN or -inf raise :class:`DivergedPotentialError`.  A V carried in from
+    a caller is checked here; :meth:`TemperedModel.potential` checks its own.
     """
     if math.isnan(v) or v == -math.inf:
         raise DivergedPotentialError(x, v)

@@ -1,12 +1,12 @@
 """Lifted tempering kernels, tour execution, and the idealized index process.
 
-The non-reversible kernel proposes a deterministic one-level move along the
-current direction and flips the direction on rejection; the reversible
-baseline draws the proposal direction uniformly at each step.  Both share the
-regeneration structure: tours start from a fresh reference draw and end at
-the regeneration set (level 0 moving down for the non-reversible kernel, any
-return to level 0 for the reversible one), so tours are i.i.d. and trivially
-parallel.
+The two kernels differ in two rules only.  The non-reversible kernel keeps
+its direction and flips it when a move is rejected or leaves the grid; the
+reversible baseline draws a fresh direction at every step.  One step routine
+runs both.  Both share the regeneration structure: tours start from a fresh
+reference draw and end at the regeneration set (level 0 moving down for the
+non-reversible kernel, any return to level 0 for the reversible one), so
+tours are i.i.d. and trivially parallel.
 
 The module also implements the idealized index process: the finite Markov
 chain obtained when the potential mixes perfectly within one exploration
@@ -16,7 +16,6 @@ simulator serve as oracles for each other.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -66,7 +65,6 @@ class StepRecord:
     level: int
     direction: int
     v: float
-    h_values: tuple = ()
 
 
 @dataclass
@@ -77,7 +75,9 @@ class TourTrace:
     reference draw at (level 0, direction +1) and ending with the
     regeneration state.  ``n_steps`` is the number of kernel applications,
     i.e. len(steps) - 1; the tour length in the regenerative-simulation sense
-    (number of states) is ``tour_length``.  ``cpu_seconds`` is the CPU time
+    (number of states) is ``tour_length``.  ``h_top_sums[m]`` is the sum of
+    the m-th test function over the states at the top level, the only
+    states where the tour evaluates it.  ``cpu_seconds`` is the CPU time
     of the thread that ran the tour (``time.thread_time``), not wall time.
     """
 
@@ -86,6 +86,7 @@ class TourTrace:
     variant: str
     v_evals: int = 0
     cpu_seconds: float = 0.0
+    h_top_sums: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     @property
     def n_steps(self) -> int:
@@ -98,14 +99,6 @@ class TourTrace:
     @property
     def visits_top(self) -> int:
         return sum(1 for s in self.steps if s.level == self.n_levels)
-
-    def h_top_sums(self, n_h: int) -> np.ndarray:
-        """Per-function sums of h over states at the top level."""
-        out = np.zeros(n_h)
-        for s in self.steps:
-            if s.level == self.n_levels:
-                out += np.asarray(s.h_values[:n_h], dtype=float)
-        return out
 
     def validate(self) -> None:
         first = self.steps[0]
@@ -126,14 +119,6 @@ class TourTrace:
                     raise AssertionError("level 0 visited before the end")
 
 
-def _temper_accept(v, beta_from, beta_to, c_from, c_to):
-    # +inf potentials carry zero target density: the upward move is then
-    # rejected surely and the downward move accepted surely.
-    if math.isinf(v):
-        return 0.0 if beta_to > beta_from else 1.0
-    return acceptance_probability(v, beta_from, beta_to, c_from, c_to)
-
-
 def _explore(model, explorers, x, v, level, rng):
     """Exploration at ``level``: a fresh reference draw at level 0, else the
     level's explorer.  Returns the new point and its potential."""
@@ -143,83 +128,42 @@ def _explore(model, explorers, x, v, level, rng):
     return x, model.potential(x)
 
 
-def nrst_step(
-    state: ChainState,
-    model: TemperedModel,
-    schedule: Schedule,
-    explorers,
-    rng: np.random.Generator,
-    *,
-    v: float,
-    accept_draw=None,
-):
-    """One non-reversible step: deterministic tempering proposal, then exploration.
+def _step(state, model, schedule, explorers, rng, v, reversible):
+    """One step of either kernel: a tempering move, then exploration.
 
-    ``v`` is the potential of state.x; the step returns the new state and
-    the potential of its point, so a driver chains steps without
-    re-evaluating V.  ``accept_draw`` is a stubbing hook returning the
-    uniform used for the accept decision (tests use it to force
-    accept/reject paths).
+    The reversible kernel first draws its direction (up if
+    ``rng.random() < 0.5``); the non-reversible one keeps ``state.direction``.
+    A proposal inside the grid draws one uniform and is accepted if it falls
+    below :func:`acceptance_probability`; a proposal off the grid draws
+    nothing and is rejected.  On rejection the non-reversible kernel flips
+    its direction; the reversible one records the drawn direction either way
+    (bookkeeping only).  ``v`` is the potential of state.x; the step returns
+    the new state and the potential of its point, so a driver chains steps
+    without re-evaluating V.
     """
-    n = schedule.n_levels
-    i, eps = state.level, state.direction
-    iprop = i + eps
-    if iprop > n:
-        i, eps = n, -1
-    elif iprop < 0:
-        i, eps = 0, +1
-    else:
-        a = _temper_accept(
-            v,
-            schedule.betas[i],
-            schedule.betas[iprop],
-            schedule.affinities[i],
-            schedule.affinities[iprop],
-        )
-        u = accept_draw() if accept_draw is not None else rng.random()
-        if u < a:
-            i = iprop
-        else:
-            eps = -eps
-    x, v = _explore(model, explorers, state.x, v, i, rng)
-    return ChainState(x, i, eps), v
-
-
-def st_step(
-    state: ChainState,
-    model: TemperedModel,
-    schedule: Schedule,
-    explorers,
-    rng: np.random.Generator,
-    *,
-    v: float,
-    accept_draw=None,
-    direction_draw=None,
-):
-    """One reversible step: symmetric +-1 proposal, then exploration.
-
-    Takes and returns potentials as :func:`nrst_step` does.  The direction
-    field of the returned state records the drawn proposal direction
-    (bookkeeping only).  Out-of-range proposals are rejected.
-    """
-    n = schedule.n_levels
     i = state.level
-    ud = direction_draw() if direction_draw is not None else rng.random()
-    eps = 1 if ud < 0.5 else -1
-    iprop = i + eps
-    if 0 <= iprop <= n:
-        a = _temper_accept(
-            v,
-            schedule.betas[i],
-            schedule.betas[iprop],
-            schedule.affinities[i],
-            schedule.affinities[iprop],
-        )
-        u = accept_draw() if accept_draw is not None else rng.random()
-        if u < a:
-            i = iprop
+    eps = (1 if rng.random() < 0.5 else -1) if reversible else state.direction
+    j = i + eps
+    if 0 <= j <= schedule.n_levels and rng.random() < acceptance_probability(
+        v, schedule.betas[i], schedule.betas[j], schedule.affinities[i], schedule.affinities[j]
+    ):
+        i = j
+    elif not reversible:
+        eps = -eps
     x, v = _explore(model, explorers, state.x, v, i, rng)
     return ChainState(x, i, eps), v
+
+
+def nrst_step(state: ChainState, model: TemperedModel, schedule: Schedule, explorers,
+              rng: np.random.Generator, *, v: float):
+    """One non-reversible step; see :func:`_step`."""
+    return _step(state, model, schedule, explorers, rng, v, False)
+
+
+def st_step(state: ChainState, model: TemperedModel, schedule: Schedule, explorers,
+            rng: np.random.Generator, *, v: float):
+    """One reversible step; see :func:`_step`."""
+    return _step(state, model, schedule, explorers, rng, v, True)
 
 
 def run_tour(
@@ -232,15 +176,14 @@ def run_tour(
     explorers=None,
     h_funcs=(),
     slice_cfg: SliceConfig | None = None,
-    accept_draw=None,
-    direction_draw=None,
 ) -> TourTrace:
     """Run one regeneration tour and record its trace.
 
     Starts from a fresh reference draw at (level 0, direction +1), iterates
     kernel steps until the regeneration set is reached, and raises
     :class:`TourOverrunError` (carrying the partial trace) if that takes more
-    than ``max_steps`` steps.
+    than ``max_steps`` steps.  Each of ``h_funcs`` is evaluated at the
+    top-level states only and summed into ``h_top_sums``.
     """
     if kernel_variant not in _VARIANTS:
         raise ValueError(f"kernel_variant must be one of {_VARIANTS}")
@@ -251,45 +194,27 @@ def run_tour(
     n = schedule.n_levels
     t0 = time.thread_time()
     evals0 = model.v_evals.value
+    # Looked up from the module at call time, so a wrapper bound to either
+    # name sees every step.
+    step = st_step if kernel_variant == ST else nrst_step
 
-    x = model.sample_reference(rng)
-    state = ChainState(x, 0, 1)
-    v = model.potential(x)
-    records = [StepRecord(0, 1, v, tuple(h(x) for h in h_funcs))]
+    state = ChainState(model.sample_reference(rng), 0, 1)
+    v = model.potential(state.x)
+    records = [StepRecord(0, 1, v)]
+    h_sums = np.zeros(len(h_funcs))
+
+    def trace():
+        return TourTrace(records, n, kernel_variant, v_evals=model.v_evals.value - evals0,
+                         cpu_seconds=time.thread_time() - t0, h_top_sums=h_sums)
 
     for _ in range(max_steps):
-        if kernel_variant == NRST:
-            state, v = nrst_step(
-                state, model, schedule, explorers, rng,
-                v=v, accept_draw=accept_draw,
-            )
-        else:
-            state, v = st_step(
-                state, model, schedule, explorers, rng,
-                v=v, accept_draw=accept_draw, direction_draw=direction_draw,
-            )
-        records.append(
-            StepRecord(state.level, state.direction, v,
-                       tuple(h(state.x) for h in h_funcs))
-        )
-        if kernel_variant == NRST:
-            if state.level == 0 and state.direction == -1:
-                break
-        elif state.level == 0:
-            break
-    else:
-        raise TourOverrunError(
-            max_steps,
-            TourTrace(records, n, kernel_variant,
-                      v_evals=model.v_evals.value - evals0,
-                      cpu_seconds=time.thread_time() - t0),
-        )
-
-    return TourTrace(
-        records, n, kernel_variant,
-        v_evals=model.v_evals.value - evals0,
-        cpu_seconds=time.thread_time() - t0,
-    )
+        state, v = step(state, model, schedule, explorers, rng, v=v)
+        records.append(StepRecord(state.level, state.direction, v))
+        if state.level == n:
+            h_sums += [h(state.x) for h in h_funcs]
+        elif state.level == 0 and (kernel_variant == ST or state.direction == -1):
+            return trace()
+    raise TourOverrunError(max_steps, trace())
 
 
 def write_traces_csv(traces, fileobj) -> None:
@@ -377,17 +302,16 @@ def simulate_index_tours(
     rng: np.random.Generator,
     *,
     max_steps: int = 10**6,
-    return_parity_sums: bool = False,
 ):
     """Simulate regeneration tours of the idealized index chain.
 
-    Returns (steps, visits_top) arrays of length n_tours, where steps counts
-    kernel applications per tour (the tour length in states is steps + 1 for
-    the non-reversible variant, which starts one step past the regeneration
-    set, and steps for the reversible one, which starts at it).  With
-    ``return_parity_sums`` a third array holds the per-tour count of
-    odd-numbered top-level visits, a bounded test function used by the
-    regenerative variance estimators.
+    Returns (steps, visits_top, parity_sums) arrays of length n_tours, where
+    steps counts kernel applications per tour (the tour length in states is
+    steps + 1 for the non-reversible variant, which starts one step past the
+    regeneration set, and steps for the reversible one, which starts at it),
+    and parity_sums holds the per-tour count of odd-numbered top-level
+    visits, a bounded test function used by the regenerative variance
+    estimators.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
@@ -448,6 +372,4 @@ def simulate_index_tours(
             visits = visits[keep]
             sodd = sodd[keep]
 
-    if return_parity_sums:
-        return out_steps, out_visits, out_sodd
-    return out_steps, out_visits
+    return out_steps, out_visits, out_sodd

@@ -56,7 +56,7 @@ class TourStatistics:
     def from_traces(cls, traces, n_h: int) -> "TourStatistics":
         tau = np.array([t.n_steps for t in traces], dtype=np.int64)
         visits = np.array([t.visits_top for t in traces], dtype=np.int64)
-        h = np.array([t.h_top_sums(n_h) for t in traces], dtype=float).reshape(len(traces), n_h)
+        h = np.array([t.h_top_sums for t in traces], dtype=float).reshape(len(traces), n_h)
         return cls(tau, visits, h)
 
 

@@ -4,7 +4,9 @@
 chain, against which simulated tours and closed-form TEs are checked;
 ``pseudo_prior`` is the marginal level law that mean-energy affinities
 make uniform; ``local_rejection_rates`` is the per-level rejection rate
-that the interval rejections approach as the grid refines.
+that the interval rejections approach as the grid refines;
+``LinearBarrier`` is a piecewise-linear barrier whose grid
+``optimize_grid`` places by hand-checkable arithmetic.
 """
 
 import numpy as np
@@ -98,3 +100,19 @@ def local_rejection_rates(data: VDataset, betas, affinities) -> np.ndarray:
     for i in range(1, n):
         cp[i] = (c[i + 1] - c[i - 1]) / (betas[i + 1] - betas[i - 1])
     return np.array([0.5 * float(np.mean(np.abs(data[i] - cp[i]))) for i in range(n + 1)])
+
+
+class LinearBarrier:
+    """Piecewise-linear interpolant of barrier knots: the part of the
+    ``BarrierEstimate`` interface that ``optimize_grid`` reads."""
+
+    def __init__(self, knots_beta, knots_lambda):
+        self.knots_beta = np.asarray(knots_beta, dtype=float)
+        self.knots_lambda = np.asarray(knots_lambda, dtype=float)
+
+    @property
+    def total(self) -> float:
+        return float(self.knots_lambda[-1])
+
+    def __call__(self, beta):
+        return np.interp(beta, self.knots_beta, self.knots_lambda)

@@ -67,7 +67,7 @@ def test_criterion_01_te_closed_forms():
         tes = {}
         for variant in ("nrst", "st"):
             closed = ideal_te(chain, variant)
-            _, visits = simulate_index_tours(chain, variant, 10**6, rng)
+            _, visits, _ = simulate_index_tours(chain, variant, 10**6, rng)
             mc = estimate_te(visits)
             ok &= abs(mc - closed) <= 0.01
             tes[variant] = mc
@@ -82,7 +82,7 @@ def test_criterion_02_regeneration_identities():
     rng = np.random.default_rng(102)
     n = 5
     chain = IdealIndexChain.symmetric([0.1, 0.3, 0.2, 0.4, 0.25])
-    steps, visits = simulate_index_tours(chain, "nrst", 10**5, rng)
+    steps, visits, _ = simulate_index_tours(chain, "nrst", 10**5, rng)
     lengths = steps + 1.0  # tours include the regeneration state
     se_len = lengths.std() / math.sqrt(lengths.size)
     se_vis = visits.std() / math.sqrt(visits.size)
@@ -104,7 +104,7 @@ def test_criterion_03_te_infinity_limit():
         gaps = {}
         for n in (16, 64):
             chain = IdealIndexChain.symmetric(np.full(n, lam / n))
-            _, visits = simulate_index_tours(chain, "nrst", 4 * 10**5, rng)
+            _, visits, _ = simulate_index_tours(chain, "nrst", 4 * 10**5, rng)
             te = estimate_te(visits)
             gaps[n] = abs(te - te_infinity(lam)) / te_infinity(lam)
         ok &= gaps[64] <= 0.10
@@ -302,9 +302,7 @@ def test_criterion_12_variance_bound():
     for n, rho in CRITERION1_CONFIGS:
         chain = IdealIndexChain.symmetric(np.full(n, rho))
         for variant in ("nrst", "st"):
-            steps, visits, sodd = simulate_index_tours(
-                chain, variant, 10**5, rng, return_parity_sums=True
-            )
+            steps, visits, sodd = simulate_index_tours(chain, variant, 10**5, rng)
             stats = TourStatistics(steps, visits, sodd.astype(float))
             te_hat = estimate_te(visits)
             sigma2 = estimate_sigma2(stats)

@@ -25,7 +25,7 @@ from nrst.adapt import (
 from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
 from nrst.explore import autocorrelation, lag1_autocorrelation
 from nrst.model import Schedule, TemperedModel
-from oracles import local_rejection_rates
+from oracles import LinearBarrier, local_rejection_rates
 
 
 class FlatModel(ToyGaussian):
@@ -227,8 +227,7 @@ def test_optimize_grid_linear_and_piecewise():
     linear = build_barrier([0.1, 0.1, 0.1, 0.1], np.linspace(0, 1, 5))
     np.testing.assert_allclose(optimize_grid(linear, 4), np.linspace(0, 1, 5), atol=1e-9)
 
-    knots = BarrierEstimate(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.1, 0.6]),
-                            kind="linear")
+    knots = LinearBarrier(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.1, 0.6]))
     betas = optimize_grid(knots, 2)
     assert betas[1] == pytest.approx(0.7, abs=1e-9)
 

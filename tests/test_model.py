@@ -36,8 +36,13 @@ def test_acceptance_probability_examples():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_acceptance_probability_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        acceptance_probability(bad, 0.0, 1.0, 0.0, 0.0)
+    if bad == math.inf:
+        # V = +inf is a zero-density point: sure rejection up, sure acceptance down
+        assert acceptance_probability(bad, 0.0, 1.0, 0.0, 0.0) == 0.0
+        assert acceptance_probability(bad, 1.0, 0.0, 0.0, 0.0) == 1.0
+    else:
+        with pytest.raises(ValueError):
+            acceptance_probability(bad, 0.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         acceptance_probability(1.0, bad, 1.0, 0.0, 0.0)
 

@@ -19,6 +19,18 @@ class DivergesFarOut(ToyGaussian):
         return math.nan if x[0] > 4.0 else super()._potential(x)
 
 
+class DivergesAtReference(ToyGaussian):
+    """V is ``value`` everywhere, so a tour meets it first at its reference
+    draw, before any explorer runs."""
+
+    def __init__(self, value):
+        super().__init__()
+        self.value = value
+
+    def _potential(self, x):
+        return self.value
+
+
 class BrokenReference(ToyGaussian):
     """log_reference is -inf on part of the reference's support, so a slice
     sweep started from a reference draw there fails."""
@@ -125,7 +137,9 @@ def test_coordinate_function_picklable():
     (DivergesFarOut(), 10**6, DivergedPotentialError),
     (ToyGaussian(), 4, TourOverrunError),
     (BrokenReference(), 10**6, SliceNumericalError),
-], ids=["diverged", "overrun", "slice"])
+    (DivergesAtReference(math.nan), 10**6, DivergedPotentialError),
+    (DivergesAtReference(-math.inf), 10**6, DivergedPotentialError),
+], ids=["diverged", "overrun", "slice", "reference-nan", "reference-neginf"])
 def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_steps, error):
     named = []
     for workers in (1, 2):
@@ -135,3 +149,17 @@ def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_st
         named.append((info.value.tour_index, info.value.seed))
     assert named[0] == named[1]
     assert named[0][1] == 5
+
+
+def test_h_runs_only_at_top_level_states():
+    calls = []
+
+    def h(x):
+        calls.append(1)
+        return float(x[0])
+
+    report = run_parallel(ToyGaussian(), tuned_like_schedule(), "nrst", 0.9, 1.0, 1.0, 1, 5,
+                          h_funcs=(h,))
+    visits_top = sum(t["visits_top"] for t in report.tours)
+    assert visits_top > 0
+    assert len(calls) == visits_top

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
+from nrst.explore import build_explorers
 from nrst.model import Schedule, acceptance_probability
 from nrst.planner import fit_cpu_model
 from nrst.runner import run_parallel
@@ -24,10 +25,30 @@ from nrst.st_kernels import (
 from oracles import index_kernel
 
 
-def force(*values):
-    """Acceptance-draw stub yielding a fixed sequence of uniforms."""
-    queue = list(values)
-    return lambda: queue.pop(0)
+class ScriptedRng:
+    """Generator proxy: ``random()`` returns the scripted uniforms first and
+    then draws from ``rng``; every other call goes to ``rng``.
+
+    The step kernels draw their direction and acceptance uniforms through
+    ``random()``, so a script forces those decisions.
+    """
+
+    def __init__(self, rng, *uniforms):
+        self.rng = rng
+        self.script = list(uniforms)
+
+    def random(self):
+        return self.script.pop(0) if self.script else self.rng.random()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def own_explorers(model, sched, rng):
+    """Slice explorers that draw from ``rng`` whatever Generator they are
+    handed, so their draws do not consume a script."""
+    return [None] + [lambda x, v, _, e=e: e(x, v, rng)
+                     for e in build_explorers(model, sched)[1:]]
 
 
 @pytest.fixture
@@ -50,8 +71,8 @@ def exact_toy_schedule(n):
 def test_nrst_step_forced_rejection(toy, sched2):
     rng = np.random.default_rng(0)
     state = ChainState(toy.sample_reference(rng), 0, 1)
-    new, _ = nrst_step(state, toy, sched2, None, rng, v=toy.potential(state.x),
-                       accept_draw=force(0.999999))
+    new, _ = nrst_step(state, toy, sched2, None, ScriptedRng(rng, 0.999999),
+                       v=toy.potential(state.x))
     assert (new.level, new.direction) == (0, -1)
     assert not np.array_equal(new.x, state.x)  # level 0 resamples the reference
 
@@ -64,15 +85,11 @@ def test_nrst_step_bounce_above_no_draw(toy):
     def no_draw():
         raise AssertionError("boundary bounce must not consume an acceptance draw")
 
-    new, _ = nrst_step(state, toy, sched, _explorers(toy, sched), rng,
-                       v=toy.potential(state.x), accept_draw=no_draw)
+    stub = ScriptedRng(rng)
+    stub.random = no_draw
+    new, _ = nrst_step(state, toy, sched, own_explorers(toy, sched, rng), stub,
+                       v=toy.potential(state.x))
     assert (new.level, new.direction) == (1, -1)
-
-
-def _explorers(model, sched):
-    from nrst.explore import build_explorers
-
-    return build_explorers(model, sched)
 
 
 def test_nrst_step_interior_acceptance_frequency(toy, sched2):
@@ -85,7 +102,7 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
         v, sched2.betas[0], sched2.betas[1], 0.0, 0.0
     )
     state = ChainState(x, 0, 1)
-    explorers = _explorers(toy, sched2)
+    explorers = build_explorers(toy, sched2)
     accepted = 0
     for _ in range(n):
         new, _ = nrst_step(state, toy, sched2, explorers, rng, v=v)
@@ -97,8 +114,8 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
 def test_st_step_boundary_rejection(toy, sched2):
     rng = np.random.default_rng(4)
     state = ChainState(toy.sample_reference(rng), 0, 1)
-    new, _ = st_step(state, toy, sched2, None, rng, v=toy.potential(state.x),
-                     direction_draw=force(0.9))
+    new, _ = st_step(state, toy, sched2, None, ScriptedRng(rng, 0.9),
+                     v=toy.potential(state.x))
     assert new.level == 0 and new.direction == -1
 
 
@@ -107,18 +124,19 @@ def test_st_step_absorbing_when_all_rejected(toy):
     sched = Schedule.uniform(1)
     rng = np.random.default_rng(5)
     state = ChainState(toy.sample_reference(rng), 1, 1)
-    explorers = _explorers(toy, sched)
+    explorers = own_explorers(toy, sched, rng)
     v = toy.potential(state.x)
     for _ in range(20):
+        # a random direction, then u = 1.0 if the proposal is in range
         state, v = st_step(
-            state, toy, sched, explorers, rng, v=v, accept_draw=force(1.0)
+            state, toy, sched, explorers, ScriptedRng(rng, rng.random(), 1.0), v=v
         )
         assert state.level == 1
 
 
 def test_run_tour_minimal(toy, sched2):
     rng = np.random.default_rng(6)
-    trace = run_tour(toy, sched2, "nrst", 100, rng, accept_draw=force(0.999999))
+    trace = run_tour(toy, sched2, "nrst", 100, ScriptedRng(rng, 0.999999))
     trace.validate()
     assert trace.n_steps == 1
     assert trace.visits_top == 0
@@ -129,7 +147,8 @@ def test_run_tour_full_sweep_hand_executed(toy):
     sched = Schedule.uniform(1)
     rng = np.random.default_rng(7)
     trace = run_tour(
-        toy, sched, "nrst", 100, rng, accept_draw=force(0.0, 0.0)
+        toy, sched, "nrst", 100, ScriptedRng(rng, 0.0, 0.0),
+        explorers=own_explorers(toy, sched, rng),
     )
     trace.validate()
     levels = [s.level for s in trace.steps]
@@ -143,7 +162,7 @@ def test_run_tour_full_sweep_hand_executed(toy):
 def test_run_tour_rejection_at_zero_is_not_overrun(toy, sched2):
     # upward rejections at level 0 land in the regeneration set immediately
     rng = np.random.default_rng(8)
-    trace = run_tour(toy, sched2, "nrst", 5, rng, accept_draw=force(*([0.999999] * 5)))
+    trace = run_tour(toy, sched2, "nrst", 5, ScriptedRng(rng, *([0.999999] * 5)))
     trace.validate()
     assert trace.n_steps == 1
 
@@ -154,8 +173,9 @@ def test_run_tour_overrun_carries_partial_trace(toy):
     sched = Schedule.uniform(1)
     rng = np.random.default_rng(9)
     with pytest.raises(TourOverrunError) as err:
-        run_tour(toy, sched, "st", 3, rng, accept_draw=force(0.0),
-                 direction_draw=force(*([0.1] * 10)))
+        # direction up and accept, then up (off the grid: no acceptance draw) twice
+        run_tour(toy, sched, "st", 3, ScriptedRng(rng, 0.1, 0.0, 0.1, 0.1),
+                 explorers=own_explorers(toy, sched, rng))
     assert err.value.trace is not None
     assert err.value.trace.n_steps == 3
 
@@ -185,8 +205,9 @@ class SleepyModel(ToyGaussian):
 def test_tour_cpu_seconds_is_cpu_time_not_wall_time():
     # forced accepts: up to level 1, bounce, down to level 0 -- two sweeps
     t0 = time.perf_counter()
-    trace = run_tour(SleepyModel(), Schedule.uniform(1), "nrst", 10, np.random.default_rng(4),
-                     accept_draw=force(0.0, 0.0))
+    model, sched, rng = SleepyModel(), Schedule.uniform(1), np.random.default_rng(4)
+    trace = run_tour(model, sched, "nrst", 10, ScriptedRng(rng, 0.0, 0.0),
+                     explorers=own_explorers(model, sched, rng))
     wall = time.perf_counter() - t0
     assert trace.n_steps == 3 and wall >= 0.002 * trace.v_evals >= 0.01
     assert 0.0 < trace.cpu_seconds < 0.5 * wall
@@ -244,7 +265,7 @@ def test_step_kernels_match_ideal_index_chain():
         for di, d in enumerate((1, -1)):
             for u in grid:
                 new, _ = nrst_step(ChainState(np.zeros(1), i, d), model, sched,
-                                   explorers, rng, v=v, accept_draw=force(u))
+                                   explorers, ScriptedRng(rng, u), v=v)
                 empirical[2 * i + di, 2 * new.level + (0 if new.direction > 0 else 1)] += 1
     empirical /= grid.size
     np.testing.assert_allclose(empirical, ideal, atol=1e-3)
@@ -258,8 +279,7 @@ def test_step_kernels_match_ideal_index_chain():
         for u in (np.arange(50) + 0.5) / 50:
             for ud in (0.25, 0.75):
                 new, _ = st_step(ChainState(np.zeros(1), i, +1), model, sched,
-                                 explorers, rng, v=v, accept_draw=force(u),
-                                 direction_draw=force(ud))
+                                 explorers, ScriptedRng(rng, ud, u), v=v)
                 level_counts[new.level] += 1
     level_counts /= level_counts.sum()
     np.testing.assert_allclose(level_counts, np.full(n + 1, 1 / (n + 1)), atol=0.02)
@@ -328,7 +348,7 @@ def test_index_kernel_st_rows_mix_proposals():
 def test_simulate_zero_rejection_deterministic():
     chain = IdealIndexChain.symmetric([0.0] * 3)
     rng = np.random.default_rng(14)
-    steps, visits = simulate_index_tours(chain, "nrst", 1000, rng)
+    steps, visits, _ = simulate_index_tours(chain, "nrst", 1000, rng)
     assert np.all(visits == 2)
     assert np.all(steps == 2 * 4 - 1)
     from nrst.stats import estimate_te
@@ -341,12 +361,12 @@ def test_simulate_matches_closed_form():
 
     rng = np.random.default_rng(15)
     chain = IdealIndexChain.symmetric([0.5])
-    steps, visits = simulate_index_tours(chain, "nrst", 10**6, rng)
+    steps, visits, _ = simulate_index_tours(chain, "nrst", 10**6, rng)
     assert visits.mean() == pytest.approx(2.0, abs=3 * visits.std() / 1000)
     assert estimate_te(visits) == pytest.approx(1 / 3, abs=0.01)
 
     chain6 = IdealIndexChain.symmetric([0.2] * 6)
-    steps, visits = simulate_index_tours(chain6, "st", 10**6, rng)
+    steps, visits, _ = simulate_index_tours(chain6, "st", 10**6, rng)
     assert estimate_te(visits) == pytest.approx(1 / 29, abs=0.005)
 
 

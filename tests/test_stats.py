@@ -132,9 +132,7 @@ def test_ci_coverage_on_ideal_chain():
     chain = IdealIndexChain.symmetric([0.5])
     rng = np.random.default_rng(2024)
     n_runs, k = 1000, 500
-    steps, visits, sodd = simulate_index_tours(
-        chain, "st", n_runs * k, rng, return_parity_sums=True
-    )
+    steps, visits, sodd = simulate_index_tours(chain, "st", n_runs * k, rng)
     covered = 0
     for r in range(n_runs):
         sl = slice(r * k, (r + 1) * k)
