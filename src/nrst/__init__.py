@@ -11,7 +11,7 @@ blocks are imported from the submodules.
 
 from .adapt import AdaptResult, adapt
 from .bench_models import ModelSpec, make_model
-from .explore import SliceConfig, SliceNumericalError
+from .explore import SliceNumericalError
 from .model import DivergedPotentialError, Schedule, TemperedModel
 from .planner import InsufficientDataError, cost_curves, fit_cpu_model, simulate_pool
 from .runner import CoordinateFunction, RunReport, pilot_then_run, run_parallel

@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explore import SliceConfig, build_explorers, lag1_autocorrelation, tune_explore_steps
+from .explore import build_explorers, lag1_autocorrelation, tune_explore_steps
 from .model import DivergedPotentialError, Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
+# Relative gap between the current grid size and the one the last round's
+# barrier implies above which the tune restarts at the implied size.
+_RESTART_MISMATCH = 0.25
 
 
 @dataclass(frozen=True)
@@ -84,7 +87,6 @@ def run_nrpt(
     n_scan: int,
     rng: np.random.Generator,
     *,
-    slice_cfg: SliceConfig | None = None,
     init_states=None,
     return_states: bool = False,
     return_sweep_ends: bool = False,
@@ -107,7 +109,7 @@ def run_nrpt(
     if n_scan < 1:
         raise ValueError("n_scan must be >= 1")
     n = schedule.n_levels
-    explorers = build_explorers(model, schedule, slice_cfg)
+    explorers = build_explorers(model, schedule)
     if init_states is None:
         # Level 0 is redrawn at the start of every scan; its V is never read.
         init_states = [(model.sample_reference(rng), math.nan)]
@@ -161,6 +163,9 @@ def stepping_stone_logz(data: VDataset, betas) -> np.ndarray:
 
     Averages the forward and backward stepping-stone estimators in log space
     and accumulates the per-interval log ratios in one pass over the data.
+    When every lower-level sample of an interval is V = +inf (reference
+    draws of zero likelihood), the forward estimate is -inf and carries no
+    information: the interval then takes the backward estimate alone.
     """
     betas = np.asarray(betas, dtype=float)
     n = betas.size - 1
@@ -172,7 +177,8 @@ def stepping_stone_logz(data: VDataset, betas) -> np.ndarray:
         lo, hi = data[i - 1], data[i]
         forward = -math.log(lo.size) + _logsumexp(-db * lo)
         backward = math.log(hi.size) - _logsumexp(db * hi)
-        logz[i] = logz[i - 1] + 0.5 * (forward + backward)
+        step = 0.5 * (forward + backward) if math.isfinite(forward) else backward
+        logz[i] = logz[i - 1] + step
     return logz
 
 
@@ -208,22 +214,18 @@ def estimate_rejections(data: VDataset, betas, affinities):
 
     r_up[i-1] estimates the rejection of the move beta_{i-1} -> beta_i using
     the level i-1 samples, r_down[i-1] the reverse move from the level i
-    samples, and r_sym their average.  Infinite affinities (the
-    stepping-stone estimate of a level whose samples are all +inf) give
-    NaN rates where two meet, which :func:`adapt` reads as a round without
-    a barrier.
+    samples, and r_sym their average.
     """
     betas = np.asarray(betas, dtype=float)
     c = np.asarray(affinities, dtype=float)
     n = betas.size - 1
     r_up = np.empty(n)
     r_down = np.empty(n)
-    with np.errstate(invalid="ignore"):
-        for i in range(1, n + 1):
-            acc_up = acceptance_probability(data[i - 1], betas[i - 1], betas[i], c[i - 1], c[i])
-            acc_dn = acceptance_probability(data[i], betas[i], betas[i - 1], c[i], c[i - 1])
-            r_up[i - 1] = 1.0 - float(np.mean(acc_up))
-            r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
+    for i in range(1, n + 1):
+        acc_up = acceptance_probability(data[i - 1], betas[i - 1], betas[i], c[i - 1], c[i])
+        acc_dn = acceptance_probability(data[i], betas[i], betas[i - 1], c[i], c[i - 1])
+        r_up[i - 1] = 1.0 - float(np.mean(acc_up))
+        r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
     r_sym = 0.5 * (r_up + r_down)
     return r_up, r_down, r_sym
 
@@ -461,22 +463,20 @@ def adapt(
     kappa_bar: float = 0.95,
     rng: np.random.Generator | None = None,
     *,
-    slice_cfg: SliceConfig | None = None,
     nrpt_explore_steps: int = 1,
     chain_len: int = 512,
     max_restarts: int = 1,
-    restart_mismatch: float = 0.25,
 ) -> AdaptResult:
     """Full tuning loop: doubling NRPT budget until the indicators stabilize.
 
     Starts from the uniform grid and doubles the scan count each round
     until convergence or exhaustion of ``max_rounds``.  If the barrier of
     the last round implies a grid size differing from the current one by
-    more than ``restart_mismatch`` (relative), the loop restarts at the
-    implied size (at most ``max_restarts`` times).  A restart keeps the
-    scan count and the warm chain states, remapped from the grid that round
-    ran on, and goes on with the rounds that are left: ``max_rounds`` caps
-    the rounds of the whole tune, across restarts.  One final NRPT pass, on
+    more than 25% (relative), the loop restarts at the implied size (at
+    most ``max_restarts`` times).  A restart keeps the scan count and the
+    warm chain states, remapped from the grid that round ran on, and goes
+    on with the rounds that are left: ``max_rounds`` caps the rounds of the
+    whole tune, across restarts.  One final NRPT pass, on
     the final grid only, then settles affinities and barrier; no pass runs
     at a grid size that a restart discards.
 
@@ -511,8 +511,7 @@ def adapt(
             n_scan *= 2
             sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
             data, states = run_nrpt(
-                model, sched, n_scan, rng,
-                slice_cfg=slice_cfg, init_states=states, return_states=True,
+                model, sched, n_scan, rng, init_states=states, return_states=True,
             )
             affinities, _ = _affinities_for(affinity_mode, data, betas)
             r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
@@ -540,7 +539,7 @@ def adapt(
         # that round ran on: no NRPT pass is spent at a size about to go.
         if barrier.total > 0.0 and restarts < max_restarts:
             n_target = optimal_grid_size(barrier.total, gamma)
-            if abs(n - n_target) / n > restart_mismatch:
+            if abs(n - n_target) / n > _RESTART_MISMATCH:
                 restarts += 1
                 n = n_target
                 betas = optimize_grid(barrier, n)
@@ -551,8 +550,7 @@ def adapt(
     # Final pass on the final grid.
     sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
     data, states, ends = run_nrpt(
-        model, sched, n_scan, rng,
-        slice_cfg=slice_cfg, init_states=states, return_states=True,
+        model, sched, n_scan, rng, init_states=states, return_states=True,
         return_sweep_ends=True,
     )
     affinities, log_z = _affinities_for(affinity_mode, data, betas)
@@ -570,7 +568,7 @@ def adapt(
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int))
     explore_steps = tune_explore_steps(
         model, tuning_sched, kappa_bar, chain_len, rng,
-        cfg=slice_cfg, init_states=states, kappa1=kappa1,
+        init_states=states, kappa1=kappa1,
     )
     schedule = Schedule(betas, affinities, explore_steps)
     return AdaptResult(

@@ -22,6 +22,14 @@ import numpy as np
 from .model import TemperedModel
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# Seed of the synthetic datasets, so every build of a model sees the same data.
+_DATA_SEED = 20240817
+# Gauss-Hermite nodes of the toy's quadrature log Z.
+_QUAD_NODES = 200
+# Accepted band for the between/within variance ratio of the hierarchical
+# dataset (nominal 16), and the rejection-sampling budget for hitting it.
+_RATIO_BAND = (12.0, 20.0)
+_MAX_DATASET_TRIES = 200000
 
 
 def _norm_lpdf(x, mean, var):
@@ -306,8 +314,7 @@ class XYModel(TemperedModel):
         return -self.coupling * float(e)
 
 
-def analytic_gaussian_path(d: int, m: float, sigma0: float, beta: float,
-                           quad_nodes: int = 200):
+def analytic_gaussian_path(d: int, m: float, sigma0: float, beta: float):
     """Closed-form path moments of the Gaussian toy plus a quadrature log Z.
 
     Returns (mu(beta), sigma(beta)^2, log Z(beta)) with the log normalizing
@@ -318,7 +325,7 @@ def analytic_gaussian_path(d: int, m: float, sigma0: float, beta: float,
         raise ValueError("beta must lie in [0, 1]")
     var = 1.0 / (beta + 1.0 / sigma0**2)
     mu = beta * m * var
-    nodes, weights = np.polynomial.hermite.hermgauss(quad_nodes)
+    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
     x = math.sqrt(2.0) * sigma0 * nodes
     v1 = 0.5 * (x - m) ** 2 + 0.5 * _LOG_2PI
     expo = np.log(weights) - beta * v1
@@ -327,15 +334,14 @@ def analytic_gaussian_path(d: int, m: float, sigma0: float, beta: float,
     return mu, var, d * logz1
 
 
-def hierarchical_dataset(rng, j_groups: int = 8, m_per_group: int = 20,
-                         ratio_band=(12.0, 20.0), max_tries: int = 200000):
+def hierarchical_dataset(rng, j_groups: int = 8, m_per_group: int = 20):
     """Draw observations from the hierarchical model, rejection-constrained.
 
     Resamples until the variance of the group means exceeds the mean
-    within-group variance by a factor inside ``ratio_band`` (exact equality
+    within-group variance by a factor inside ``_RATIO_BAND`` (exact equality
     to the nominal 16 has probability zero).
     """
-    for _ in range(max_tries):
+    for _ in range(_MAX_DATASET_TRIES):
         mu = rng.standard_cauchy()
         tau2 = _sample_invgamma(0.1, 0.1, rng)
         sig2 = _sample_invgamma(0.1, 0.1, rng)
@@ -343,7 +349,7 @@ def hierarchical_dataset(rng, j_groups: int = 8, m_per_group: int = 20,
         y = rng.normal(theta[:, None], math.sqrt(sig2), (j_groups, m_per_group))
         between = float(np.var(y.mean(axis=1), ddof=1))
         within = float(np.mean(np.var(y, axis=1, ddof=1)))
-        if within > 0 and ratio_band[0] <= between / within <= ratio_band[1]:
+        if within > 0 and _RATIO_BAND[0] <= between / within <= _RATIO_BAND[1]:
             return y
     raise RuntimeError("hierarchical dataset rejection sampling did not terminate")
 
@@ -362,11 +368,10 @@ def mrna_dataset(rng, t0: float = 0.2, kappa: float = 1.0, beta: float = 0.8,
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Model selection record: name, parameter map, synthetic-data seed."""
+    """Model selection record: name and parameter map."""
 
     name: str
     params: dict = field(default_factory=dict)
-    data_seed: int = 20240817
 
 
 def generate_synthetic_data(spec: ModelSpec, rng: np.random.Generator):
@@ -441,5 +446,5 @@ def make_model(spec: ModelSpec) -> TemperedModel:
         raise ValueError(
             f"unknown model {spec.name!r}; available: {', '.join(available_models())}"
         )
-    rng = np.random.default_rng(spec.data_seed)
+    rng = np.random.default_rng(_DATA_SEED)
     return _MODEL_BUILDERS[spec.name](spec, rng)

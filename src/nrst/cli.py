@@ -71,7 +71,10 @@ class RunConfig:
 def _capped_workers(workers: int) -> int:
     cap = os.environ.get("NRST_THREADS")
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError("NRST_THREADS", f"must be an integer, got {cap!r}")
     return workers
 
 

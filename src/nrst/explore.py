@@ -4,7 +4,9 @@ One exploration kernel per tempering level, each leaving its tempered
 distribution invariant.  Slice sampling needs no per-level adaptation, which
 is what makes it usable inside a tuning loop whose grid moves every round.
 The number of self-compositions per level is chosen from the lag-n
-autocorrelation of the potential series.  Kernels take the potential V of
+autocorrelation of the potential series.  The slice settings (initial
+bracket width, step-out budget) are module constants: the bracket adapts on
+the fly, so no caller needs another value.  Kernels take the potential V of
 their start point and return V of their end point with it, so no caller
 spends a V-eval where a sweep already holds the value.
 """
@@ -12,7 +14,6 @@ spends a V-eval where a sweep already holds the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,32 +23,20 @@ from .model import Schedule, TemperedModel, log_tempered_density_from_v
 # Shrinkage intervals narrower than this indicate a numerically degenerate
 # target (e.g. a point mass) rather than a slice that is still being located.
 _MIN_SLICE_WIDTH = 1e-300
+# Stepping-out bracket: its starting width, and a budget of
+# _MAX_DOUBLINGS - 1 step-outs per coordinate, split at random between the
+# two sides.
+_INITIAL_WIDTH = 1.0
+_MAX_DOUBLINGS = 20
+# Cap on the exploration steps a level can be given.
+_MAX_EXPLORE_STEPS = 64
 
 
 class SliceNumericalError(RuntimeError):
     """Slice shrinkage collapsed or the initial point had no density."""
 
 
-@dataclass(frozen=True)
-class SliceConfig:
-    """Stepping-out slice sampler settings.
-
-    initial_width is the starting bracket size; max_doublings bounds the
-    number of stepping-out expansions per side.  Slice sampling adapts the
-    bracket on the fly, so these defaults are rarely worth touching.
-    """
-
-    initial_width: float = 1.0
-    max_doublings: int = 20
-
-    def __post_init__(self):
-        if not self.initial_width > 0:
-            raise ValueError("initial_width must be > 0")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be >= 1")
-
-
-def _slice_coordinate(x, d, logp, density, cfg, rng):
+def _slice_coordinate(x, d, logp, density, rng):
     """One slice update of coordinate d in place.
 
     Returns the (log density, V) pair that ``density`` gave at the new point.
@@ -58,13 +47,13 @@ def _slice_coordinate(x, d, logp, density, cfg, rng):
         u = rng.random()
     y = logp + math.log(u)
 
-    w = cfg.initial_width
+    w = _INITIAL_WIDTH
     r = rng.random()
     left = x0 - w * r
     right = left + w
     # Randomized step-out budget keeps the truncated interval reversible.
-    j = int(math.floor(cfg.max_doublings * rng.random()))
-    k = (cfg.max_doublings - 1) - j
+    j = int(math.floor(_MAX_DOUBLINGS * rng.random()))
+    k = (_MAX_DOUBLINGS - 1) - j
     x[d] = left
     while j > 0 and density(x)[0] > y:
         left -= w
@@ -105,7 +94,7 @@ class Sweep(NamedTuple):
         return self.x.size
 
 
-def slice_step(x, logp: float, density, cfg: SliceConfig, rng: np.random.Generator) -> Sweep:
+def slice_step(x, logp: float, density, rng: np.random.Generator) -> Sweep:
     """One sweep of coordinate-wise slice sampling (fixed ascending scan).
 
     ``density(x)`` returns the pair (log density, V) at x, and ``logp`` is the
@@ -118,7 +107,7 @@ def slice_step(x, logp: float, density, cfg: SliceConfig, rng: np.random.Generat
     if not math.isfinite(logp):
         raise SliceNumericalError(f"log density not finite at the initial point: {logp}")
     for d in range(x.size):
-        logp, v = _slice_coordinate(x, d, logp, density, cfg, rng)
+        logp, v = _slice_coordinate(x, d, logp, density, rng)
     return Sweep(x, logp, v)
 
 
@@ -128,17 +117,16 @@ class ExplorationKernel:
     Immutable configuration; callable as kernel(x, v, rng) -> (x', v'),
     where v = V(x) is carried in and v' = V(x') comes out of the last sweep,
     so neither end point costs a V-eval.  Applies ``n_steps`` full sweeps
-    per call.
+    per call; the bracket width and step-out budget of every sweep are the
+    module constants ``_INITIAL_WIDTH`` and ``_MAX_DOUBLINGS``.
     """
 
-    def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1,
-                 cfg: SliceConfig | None = None):
+    def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1):
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
         self.model = model
         self.beta = float(beta)
         self.n_steps = int(n_steps)
-        self.cfg = cfg if cfg is not None else SliceConfig()
 
     def density(self, x) -> tuple:
         """(log pi_beta(x), V(x)), at the cost of one V-eval."""
@@ -149,18 +137,16 @@ class ExplorationKernel:
     def __call__(self, x, v, rng):
         logp = log_tempered_density_from_v(x, self.model.log_reference(x), v, self.beta)
         for _ in range(self.n_steps):
-            x, logp, v = slice_step(x, logp, self.density, self.cfg, rng)
+            x, logp, v = slice_step(x, logp, self.density, rng)
         return x, v
 
 
-def build_explorers(model: TemperedModel, schedule: Schedule,
-                    cfg: SliceConfig | None = None) -> list:
+def build_explorers(model: TemperedModel, schedule: Schedule) -> list:
     """Kernels for levels 1..N (index 0 unused: the reference is drawn i.i.d.)."""
-    cfg = cfg if cfg is not None else SliceConfig()
     kernels = [None]
     for i in range(1, schedule.n_levels + 1):
         kernels.append(
-            ExplorationKernel(model, schedule.betas[i], int(schedule.explore_steps[i - 1]), cfg)
+            ExplorationKernel(model, schedule.betas[i], int(schedule.explore_steps[i - 1]))
         )
     return kernels
 
@@ -202,7 +188,8 @@ def lag1_autocorrelation(v_in, v_out) -> float:
     return float(np.dot(ca, cb)) / denom
 
 
-def steps_from_autocorrelation(kappas, kappa_bar: float, n_max: int = 64) -> int:
+def steps_from_autocorrelation(kappas, kappa_bar: float,
+                               n_max: int = _MAX_EXPLORE_STEPS) -> int:
     """Smallest lag n >= 1 with kappa(n) <= kappa_bar, capped at n_max.
 
     Negative estimates are truncated to 0 before thresholding.
@@ -221,8 +208,6 @@ def tune_explore_steps(
     chain_len: int,
     rng: np.random.Generator,
     *,
-    n_max: int = 64,
-    cfg: SliceConfig | None = None,
     init_states=None,
     kappa1=None,
 ) -> np.ndarray:
@@ -230,11 +215,11 @@ def tune_explore_steps(
 
     Runs a single-sweep slice chain of length ``chain_len`` at each level of
     the (final) grid, estimates the lag-n autocorrelation of the V series and
-    returns the smallest n that brings it at or below ``kappa_bar``.  Levels
-    use independent spawned rng streams, so results do not depend on the
-    order in which levels are processed.  ``init_states`` optionally holds
-    one (x, V(x)) warm start per level 0..N; otherwise each chain starts
-    from a reference draw.
+    returns the smallest n that brings it at or below ``kappa_bar``, capped
+    at ``_MAX_EXPLORE_STEPS``.  Levels use independent spawned rng streams,
+    so results do not depend on the order in which levels are processed.
+    ``init_states`` optionally holds one (x, V(x)) warm start per level
+    0..N; otherwise each chain starts from a reference draw.
 
     ``kappa1`` optionally holds, per level 1..N, a lag-1 autocorrelation of
     V already measured on stationary draws (see :func:`adapt.adapt`).  The
@@ -246,7 +231,6 @@ def tune_explore_steps(
         raise ValueError("kappa_bar must lie in (0, 1)")
     if chain_len < 2:
         raise ValueError("chain_len must be >= 2")
-    cfg = cfg if cfg is not None else SliceConfig()
     n = schedule.n_levels
     streams = rng.spawn(n)
     steps = np.ones(n, dtype=int)
@@ -254,7 +238,7 @@ def tune_explore_steps(
         if kappa1 is not None and kappa1[i - 1] <= kappa_bar:
             continue
         level_rng = streams[i - 1]
-        kernel = ExplorationKernel(model, schedule.betas[i], 1, cfg)
+        kernel = ExplorationKernel(model, schedule.betas[i], 1)
         if init_states is not None:
             x, v = init_states[i]
         else:
@@ -267,6 +251,6 @@ def tune_explore_steps(
         if np.var(vs) == 0.0:
             steps[i - 1] = 1
             continue
-        kappas = autocorrelation(vs, n_max)
-        steps[i - 1] = steps_from_autocorrelation(kappas, kappa_bar, n_max)
+        kappas = autocorrelation(vs, _MAX_EXPLORE_STEPS)
+        steps[i - 1] = steps_from_autocorrelation(kappas, kappa_bar)
     return steps

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -150,12 +150,6 @@ class Schedule:
         """N, the index of the target level."""
         return self.betas.size - 1
 
-    @classmethod
-    def uniform(cls, n_levels: int, explore_steps: int = 1) -> "Schedule":
-        """Uniform grid {i/N} with zero affinities."""
-        betas = np.linspace(0.0, 1.0, n_levels + 1)
-        return cls(betas, np.zeros(n_levels + 1), np.full(n_levels, explore_steps))
-
     def to_dict(self) -> dict:
         return {
             "betas": self.betas.tolist(),
@@ -180,9 +174,7 @@ def acceptance_probability(v, beta_from: float, beta_to: float, c_from: float, c
     (a float in, a float out) or an array of them.  V = +inf is a point of
     zero density: the arithmetic rejects the move up surely and accepts the
     move down surely.  NaN or -inf V, and non-finite betas, raise
-    ValueError.  Affinities are taken as they come: a :class:`Schedule`
-    holds finite ones, and the tuner's estimates may be infinite (see
-    :func:`nrst.adapt.estimate_rejections`).
+    ValueError.
     """
     if not (math.isfinite(beta_from) and math.isfinite(beta_to)):
         raise ValueError(f"acceptance_probability requires finite betas, "

@@ -9,10 +9,12 @@ earliest-free worker) to predict makespan and costs for candidate pool sizes.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# Share of tour CPU times, in percent, that the Weibull tail models.
+_TAIL_PERCENT = 20
 
 
 class InsufficientDataError(ValueError):
@@ -23,15 +25,15 @@ class InsufficientDataError(ValueError):
 class CpuTimeModel:
     """Bulk-tail mixture of tour CPU times.
 
-    With probability ``1 - tail_prob`` a draw resamples the sub-threshold
-    empirical bulk; otherwise it is threshold + Weibull(shape, scale).
+    With probability ``1 - _TAIL_PERCENT / 100`` a draw resamples the
+    sub-threshold empirical bulk; otherwise it is threshold +
+    Weibull(shape, scale).
     """
 
     threshold: float
     bulk: np.ndarray
     tail_shape: float
     tail_scale: float
-    tail_prob: float = 0.2
 
     def __post_init__(self):
         object.__setattr__(self, "bulk", np.asarray(self.bulk, dtype=float))
@@ -43,7 +45,7 @@ class CpuTimeModel:
             raise ValueError("bulk must hold positive samples")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        tail = rng.random(n) < self.tail_prob
+        tail = rng.random(n) < _TAIL_PERCENT / 100
         out = rng.choice(self.bulk, size=n, replace=True)
         n_tail = int(tail.sum())
         if n_tail:
@@ -79,16 +81,17 @@ def _weibull_mle_shape(y: np.ndarray, tol: float = 1e-8, max_iter: int = 200) ->
 def fit_cpu_model(times) -> CpuTimeModel:
     """Fit the bulk-tail mixture to observed tour CPU times.
 
-    The threshold is the linearly interpolated 80th percentile; the tail is
-    a maximum-likelihood Weibull over the exceedances, falling back to an
-    exponential (shape 1) when the exceedances are degenerate.
+    The threshold is the linearly interpolated 80th percentile (100 -
+    ``_TAIL_PERCENT``); the tail is a maximum-likelihood Weibull over the
+    exceedances, falling back to an exponential (shape 1) when the
+    exceedances are degenerate.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 10:
         raise InsufficientDataError(f"need >= 10 samples, got {times.size}")
     if np.any(times <= 0) or not np.all(np.isfinite(times)):
         raise ValueError("times must be positive and finite")
-    threshold = float(np.percentile(times, 80))
+    threshold = float(np.percentile(times, 100 - _TAIL_PERCENT))
     bulk = times[times <= threshold]
     exceed = times[times > threshold] - threshold
     if exceed.size < 2 or float(np.var(exceed)) == 0.0:
@@ -108,28 +111,18 @@ class PoolSimulation:
     assignments: list        # per worker, list of tour indices
 
 
-def simulate_pool(times, pool_size: int, rng: np.random.Generator | None = None,
-                  *, k_tours: int | None = None, longest_first: bool = False
-                  ) -> PoolSimulation:
+def simulate_pool(times, pool_size: int, *, longest_first: bool = False) -> PoolSimulation:
     """Greedy list scheduling of tours onto a pool of identical workers.
 
-    ``times`` is either an explicit sequence of tour durations or a
-    :class:`CpuTimeModel` to sample ``k_tours`` durations from.  Tours are
-    dispatched in order to the earliest-free worker, mirroring a live queue;
+    ``times`` is the sequence of tour durations.  Tours are dispatched in
+    order to the earliest-free worker, mirroring a live queue;
     ``longest_first`` pre-sorts them descending instead.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
-    if isinstance(times, CpuTimeModel):
-        if k_tours is None or k_tours < 1:
-            raise ValueError("k_tours must be >= 1 when sampling from a model")
-        if rng is None:
-            raise ValueError("rng required when sampling from a model")
-        durations = times.sample(k_tours, rng)
-    else:
-        durations = np.asarray(times, dtype=float)
-        if durations.size < 1:
-            raise ValueError("need at least one tour")
+    durations = np.asarray(times, dtype=float)
+    if durations.size < 1:
+        raise ValueError("need at least one tour")
     order = np.argsort(-durations, kind="stable") if longest_first else np.arange(durations.size)
 
     free = [(0.0, w) for w in range(pool_size)]

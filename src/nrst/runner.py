@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explore import SliceConfig
 from .model import Schedule, TemperedModel
 from .planner import te_infinity
 from .st_kernels import TourTrace, run_tour, trace_summary
@@ -72,13 +71,10 @@ class RunReport:
 
 
 def _tour_task(args) -> TourTrace:
-    model, schedule, variant, seed, index, h_funcs, max_steps, slice_cfg = args
+    model, schedule, variant, seed, index, h_funcs, max_steps = args
     rng = np.random.default_rng([seed, index])
     try:
-        return run_tour(
-            model, schedule, variant, max_steps, rng,
-            h_funcs=h_funcs, slice_cfg=slice_cfg,
-        )
+        return run_tour(model, schedule, variant, max_steps, rng, h_funcs=h_funcs)
     except Exception as err:
         # Name the failing tour by the key of its random stream.
         err.tour_index = index
@@ -86,12 +82,8 @@ def _tour_task(args) -> TourTrace:
         raise
 
 
-def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs,
-               max_steps, slice_cfg):
-    args = [
-        (model, schedule, variant, seed, i, h_funcs, max_steps, slice_cfg)
-        for i in indices
-    ]
+def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs, max_steps):
+    args = [(model, schedule, variant, seed, i, h_funcs, max_steps) for i in indices]
     if workers <= 1 or len(args) <= 1:
         return [_tour_task(a) for a in args]
     chunk = max(1, len(args) // (workers * 8))
@@ -135,7 +127,6 @@ def run_parallel(
     h_funcs=(CoordinateFunction(0),),
     h_names=None,
     max_steps: int = 10**6,
-    slice_cfg: SliceConfig | None = None,
 ) -> RunReport:
     """Run the number of tours implied by (alpha, delta, te_hat) on a pool.
 
@@ -146,10 +137,8 @@ def run_parallel(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     k = min_tours(alpha, delta, te_hat)
-    traces = _run_tours(
-        model, schedule, kernel_variant, range(k), workers, rng_seed,
-        tuple(h_funcs), max_steps, slice_cfg,
-    )
+    traces = _run_tours(model, schedule, kernel_variant, range(k), workers, rng_seed,
+                        tuple(h_funcs), max_steps)
     return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed,
                       h_funcs, h_names)
 
@@ -167,7 +156,6 @@ def pilot_then_run(
     h_funcs=(CoordinateFunction(0),),
     h_names=None,
     max_steps: int = 10**6,
-    slice_cfg: SliceConfig | None = None,
 ) -> RunReport:
     """Two-phase run: pilot sized by the barrier-limit TE, then a top-up.
 
@@ -181,18 +169,14 @@ def pilot_then_run(
         raise ValueError("lambda_hat must be >= 0")
     te_seed = te_infinity(lambda_hat)
     k_trial = min_tours(alpha, delta, te_seed)
-    traces = _run_tours(
-        model, schedule, kernel_variant, range(k_trial), workers, rng_seed,
-        tuple(h_funcs), max_steps, slice_cfg,
-    )
+    traces = _run_tours(model, schedule, kernel_variant, range(k_trial), workers, rng_seed,
+                        tuple(h_funcs), max_steps)
     te_pilot = estimate_te(np.array([t.visits_top for t in traces]))
     if te_pilot == 0.0:
         raise NoTopVisitsError("pilot tours never reached the target level")
     k = min_tours(alpha, delta, te_pilot)
     if k > k_trial:
-        traces += _run_tours(
-            model, schedule, kernel_variant, range(k_trial, k), workers,
-            rng_seed, tuple(h_funcs), max_steps, slice_cfg,
-        )
+        traces += _run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,
+                             rng_seed, tuple(h_funcs), max_steps)
     return _aggregate(traces, kernel_variant, alpha, delta, te_seed, rng_seed,
                       h_funcs, h_names, k_trial=k_trial)

@@ -21,12 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explore import SliceConfig, build_explorers
+from .explore import build_explorers
 from .model import Schedule, TemperedModel, acceptance_probability
 
 NRST = "nrst"
 ST = "st"
 _VARIANTS = (NRST, ST)
+# Bound on the steps of the index-process simulator, which steps all its
+# tours together until the last one regenerates.
+_INDEX_MAX_STEPS = 10**6
 
 
 class TourOverrunError(RuntimeError):
@@ -175,7 +178,6 @@ def run_tour(
     *,
     explorers=None,
     h_funcs=(),
-    slice_cfg: SliceConfig | None = None,
 ) -> TourTrace:
     """Run one regeneration tour and record its trace.
 
@@ -190,7 +192,7 @@ def run_tour(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if explorers is None:
-        explorers = build_explorers(model, schedule, slice_cfg)
+        explorers = build_explorers(model, schedule)
     n = schedule.n_levels
     t0 = time.thread_time()
     evals0 = model.v_evals.value
@@ -295,14 +297,8 @@ def ideal_te(chain: IdealIndexChain, variant: str) -> float:
     return 1.0 / (4.0 * n - 1.0 + 4.0 * s)
 
 
-def simulate_index_tours(
-    chain: IdealIndexChain,
-    variant: str,
-    n_tours: int,
-    rng: np.random.Generator,
-    *,
-    max_steps: int = 10**6,
-):
+def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
+                         rng: np.random.Generator):
     """Simulate regeneration tours of the idealized index chain.
 
     Returns (steps, visits_top, parity_sums) arrays of length n_tours, where
@@ -311,7 +307,8 @@ def simulate_index_tours(
     regeneration set, and steps for the reversible one, which starts at it),
     and parity_sums holds the per-tour count of odd-numbered top-level
     visits, a bounded test function used by the regenerative variance
-    estimators.
+    estimators.  A tour still running after ``_INDEX_MAX_STEPS`` steps
+    raises :class:`TourOverrunError`.
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
@@ -336,8 +333,8 @@ def simulate_index_tours(
     it = 0
     while alive.size:
         it += 1
-        if it > max_steps:
-            raise TourOverrunError(max_steps, None)
+        if it > _INDEX_MAX_STEPS:
+            raise TourOverrunError(_INDEX_MAX_STEPS, None)
         m = alive.size
         u = rng.random(m)
         if variant == NRST:

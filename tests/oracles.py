@@ -6,12 +6,14 @@ chain, against which simulated tours and closed-form TEs are checked;
 make uniform; ``local_rejection_rates`` is the per-level rejection rate
 that the interval rejections approach as the grid refines;
 ``LinearBarrier`` is a piecewise-linear barrier whose grid
-``optimize_grid`` places by hand-checkable arithmetic.
+``optimize_grid`` places by hand-checkable arithmetic.  ``uniform_schedule``
+is the uniform-grid schedule that kernel and NRPT tests run on.
 """
 
 import numpy as np
 
 from nrst.adapt import VDataset
+from nrst.model import Schedule
 from nrst.st_kernels import _VARIANTS, NRST, IdealIndexChain
 
 
@@ -116,3 +118,9 @@ class LinearBarrier:
 
     def __call__(self, beta):
         return np.interp(beta, self.knots_beta, self.knots_lambda)
+
+
+def uniform_schedule(n_levels: int, explore_steps: int = 1) -> Schedule:
+    """Uniform grid {i/N} with zero affinities."""
+    betas = np.linspace(0.0, 1.0, n_levels + 1)
+    return Schedule(betas, np.zeros(n_levels + 1), np.full(n_levels, explore_steps))

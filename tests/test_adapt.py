@@ -25,7 +25,7 @@ from nrst.adapt import (
 from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
 from nrst.explore import autocorrelation, lag1_autocorrelation
 from nrst.model import Schedule, TemperedModel
-from oracles import LinearBarrier, local_rejection_rates
+from oracles import LinearBarrier, local_rejection_rates, uniform_schedule
 
 
 class FlatModel(ToyGaussian):
@@ -53,7 +53,7 @@ def exact_dataset(betas, size, rng):
 
 def test_run_nrpt_shape_contract():
     model = ToyGaussian()
-    sched = Schedule.uniform(2)
+    sched = uniform_schedule(2)
     data = run_nrpt(model, sched, 4, np.random.default_rng(0))
     assert data.n_levels == 2
     assert all(data[i].shape == (4,) for i in range(3))
@@ -83,7 +83,7 @@ def test_run_nrpt_constant_v_swaps_always_accept():
     # with identical potentials every swap has unit acceptance; the level-0
     # fresh draw therefore propagates upward one level per scan
     model = FlatModel()
-    sched = Schedule.uniform(2)
+    sched = uniform_schedule(2)
     data, states = run_nrpt(model, sched, 8, np.random.default_rng(1),
                             return_states=True)
     assert np.all(data[0] == 0.0)
@@ -440,6 +440,16 @@ def test_adapt_restart_from_heavy_tailed_reference_completes():
     assert len(res.rounds) == 6 and n_scans == sorted(n_scans)
     # no rounds were left after the restart: the final pass keeps the budget
     assert res.n_scan_final == n_scans[-1]
+
+
+def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier():
+    # In the first rounds of this tune every level-0 sample has V = +inf, so
+    # the forward stepping-stone estimate is -inf; the backward one must
+    # carry the interval, or the affinities and lambda_hat come out NaN.
+    model = make_model(ModelSpec("threshold_weibull"))
+    res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
+    assert len(res.rounds) == 6
+    assert all(math.isfinite(r["lambda_hat"]) for r in res.rounds)
 
 
 @pytest.mark.slow

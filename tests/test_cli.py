@@ -145,6 +145,18 @@ def test_workers_env_cap(tuned_dir, tmp_path, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["run", "bench"])
+def test_workers_env_cap_must_be_an_integer(command, tuned_dir, tmp_path, monkeypatch,
+                                            capsys):
+    monkeypatch.setenv("NRST_THREADS", "abc")
+    argv = [command, "--schedule", tuned_dir / "schedule.json", "--alpha", 0.9,
+            "--delta", 1.0, "--seed", 12, "--workers", 2]
+    if command == "run":
+        argv += ["--out", tmp_path / "capped"]
+    assert run_cli(argv) == 1
+    assert "NRST_THREADS" in capsys.readouterr().err
+
+
 class BrokenReference(ToyGaussian):
     """log_reference is -inf on part of the reference's support, so a slice
     sweep started from a reference draw there raises SliceNumericalError."""

@@ -4,36 +4,36 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from nrst import explore
 from nrst.explore import (
     ExplorationKernel,
-    SliceConfig,
     SliceNumericalError,
     autocorrelation,
     slice_step,
     steps_from_autocorrelation,
     tune_explore_steps,
 )
-from nrst.model import DivergedPotentialError, Schedule, log_tempered_density
+from nrst.model import DivergedPotentialError, log_tempered_density
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
+from oracles import uniform_schedule
 
 
 def std_normal_logpdf(x):
     return -0.5 * float(x[0]) ** 2
 
 
-def sweep(x, logdensity, cfg, rng):
+def sweep(x, logdensity, rng):
     """One slice sweep over a plain log density, which reports no V."""
-    return slice_step(x, logdensity(x), lambda y: (logdensity(y), None), cfg, rng).x
+    return slice_step(x, logdensity(x), lambda y: (logdensity(y), None), rng).x
 
 
 def test_slice_step_standard_normal_ks():
     rng = np.random.default_rng(123)
-    cfg = SliceConfig()
     x = np.zeros(1)
     n = 100_000
     out = np.empty(n)
     for i in range(n):
-        x = sweep(x, std_normal_logpdf, cfg, rng)
+        x = sweep(x, std_normal_logpdf, rng)
         out[i] = x[0]
     # thin to reduce serial correlation before the KS test
     stat, pvalue = sps.kstest(out[::10], "norm")
@@ -45,12 +45,11 @@ def test_slice_step_uniform_slice():
         return 0.0 if 0.0 <= x[0] <= 1.0 else -math.inf
 
     rng = np.random.default_rng(7)
-    cfg = SliceConfig()
     n = 100_000
     total = 0.0
     x = np.array([0.5])
     for _ in range(n):
-        x = sweep(x, logdensity, cfg, rng)
+        x = sweep(x, logdensity, rng)
         total += x[0]
     mean = total / n
     # 3 sigma band for the mean of Uniform(0, 1) draws
@@ -64,12 +63,11 @@ def test_slice_step_asymmetric_target_ks():
         return 2.0 * math.log(v) - v if v > 0 else -math.inf
 
     rng = np.random.default_rng(77)
-    cfg = SliceConfig()
     x = np.array([2.5])
     n = 60_000
     out = np.empty(n)
     for i in range(n):
-        x = sweep(x, loggamma3, cfg, rng)
+        x = sweep(x, loggamma3, rng)
         out[i] = x[0]
     stat, pvalue = sps.kstest(out[::10], "gamma", args=(3.0,))
     assert pvalue > 0.01
@@ -81,13 +79,13 @@ def test_slice_step_spike_raises():
 
     rng = np.random.default_rng(0)
     with pytest.raises(SliceNumericalError):
-        sweep(np.array([0.0]), spike, SliceConfig(), rng)
+        sweep(np.array([0.0]), spike, rng)
 
 
 def test_slice_step_requires_finite_start():
     rng = np.random.default_rng(0)
     with pytest.raises(SliceNumericalError):
-        sweep(np.array([5.0]), lambda x: -math.inf, SliceConfig(), rng)
+        sweep(np.array([5.0]), lambda x: -math.inf, rng)
 
 
 class RecordingToy(ToyGaussian):
@@ -155,7 +153,7 @@ def test_compose_identity_and_associativity():
     kernel = ExplorationKernel(model, 0.7, 1)
     one, v_one = kernel(x, v, np.random.default_rng(3))
     logp = log_tempered_density(model, x, 0.7)
-    single = slice_step(x, logp, kernel.density, kernel.cfg, np.random.default_rng(3))
+    single = slice_step(x, logp, kernel.density, np.random.default_rng(3))
     assert np.array_equal(one, single.x) and v_one == single.v
 
     rng = np.random.default_rng(9)
@@ -173,13 +171,13 @@ def test_compose_scales_fixed_cost_kernel_exactly():
         def _potential(self, x):
             return 7.0
 
-    # A flat density with no step-out budget accepts the first proposal:
-    # exactly one V-eval per coordinate and sweep.
+    # On a flat density every step-out succeeds, so it spends its whole
+    # budget of _MAX_DOUBLINGS - 1, and the first proposal is accepted:
+    # exactly _MAX_DOUBLINGS V-evals per coordinate and sweep.
     model = FlatModel()
-    cfg = SliceConfig(max_doublings=1)
     model.v_evals.reset()
-    ExplorationKernel(model, 0.5, 5, cfg)(np.zeros(3), 7.0, np.random.default_rng(0))
-    assert model.v_evals.value == 5 * model.dim
+    ExplorationKernel(model, 0.5, 5)(np.zeros(3), 7.0, np.random.default_rng(0))
+    assert model.v_evals.value == 5 * model.dim * explore._MAX_DOUBLINGS
 
 
 def test_compose_scales_v_evaluations():
@@ -252,7 +250,7 @@ def test_autocorrelation_iid_and_constant():
 
 def test_tune_explore_steps_on_toy_gaussian():
     model = ToyGaussian()
-    sched = Schedule.uniform(3)
+    sched = uniform_schedule(3)
     rng = np.random.default_rng(2)
     steps = tune_explore_steps(model, sched, 0.95, 256, rng)
     assert steps.shape == (3,)
@@ -261,7 +259,7 @@ def test_tune_explore_steps_on_toy_gaussian():
 
 def test_tune_explore_steps_monotone_in_kappa_bar():
     model = ToyGaussian()
-    sched = Schedule.uniform(3)
+    sched = uniform_schedule(3)
     loose = tune_explore_steps(model, sched, 0.95, 256, np.random.default_rng(4))
     tight = tune_explore_steps(model, sched, 0.5, 256, np.random.default_rng(4))
     assert np.all(tight >= loose)
@@ -273,14 +271,14 @@ def test_tune_explore_steps_constant_series():
             return 7.0
 
     model = FlatModel()
-    sched = Schedule.uniform(2)
+    sched = uniform_schedule(2)
     steps = tune_explore_steps(model, sched, 0.95, 64, np.random.default_rng(1))
     assert np.all(steps == 1)
 
 
 def test_tune_explore_steps_runs_chains_only_above_kappa_bar():
     model = ToyGaussian()
-    sched = Schedule.uniform(3)
+    sched = uniform_schedule(3)
     full = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4))
     v0 = model.v_evals.value
     none_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),

@@ -1,12 +1,16 @@
-"""End-to-end smoke: every benchmark model survives tours and tempering scans."""
+"""End-to-end smoke: every benchmark model survives tours and tempering scans,
+and the package exports only the pipeline API."""
+
+import types
 
 import numpy as np
 import pytest
 
+import nrst
 from nrst.adapt import run_nrpt
 from nrst.bench_models import ModelSpec, make_model
-from nrst.model import Schedule
 from nrst.st_kernels import run_tour
+from oracles import uniform_schedule
 
 ALL_MODELS = ["toy_gaussian", "banana", "funnel", "hierarchical", "mrna",
               "threshold_weibull", "xy"]
@@ -15,7 +19,7 @@ ALL_MODELS = ["toy_gaussian", "banana", "funnel", "hierarchical", "mrna",
 @pytest.mark.parametrize("name", ALL_MODELS)
 def test_nrpt_scans_run_clean(name):
     model = make_model(ModelSpec(name))
-    sched = Schedule.uniform(3)
+    sched = uniform_schedule(3)
     data = run_nrpt(model, sched, 4, np.random.default_rng(1))
     assert data.n_levels == 3
     for i in range(1, 4):
@@ -34,7 +38,7 @@ def test_tours_run_clean(name):
     from nrst.st_kernels import TourOverrunError
 
     model = make_model(ModelSpec(name))
-    sched = Schedule.uniform(3)
+    sched = uniform_schedule(3)
     max_steps = 300
     for v_idx, variant in enumerate(("nrst", "st")):
         for seed in range(5):
@@ -46,3 +50,15 @@ def test_tours_run_clean(name):
                 continue
             trace.validate()
             assert trace.v_evals > 0
+
+
+def test_package_exports_only_the_pipeline_api():
+    public = {name for name, value in vars(nrst).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "TemperedModel", "Schedule", "ModelSpec", "make_model", "adapt", "AdaptResult",
+        "run_parallel", "pilot_then_run", "RunReport", "CoordinateFunction",
+        "fit_cpu_model", "cost_curves", "simulate_pool", "DivergedPotentialError",
+        "SliceNumericalError", "InsufficientDataError", "TourOverrunError",
+        "NoTopVisitsError",
+    }

@@ -12,7 +12,7 @@ from nrst.model import (
     log_tempered_density,
 )
 from nrst.bench_models import ToyGaussian
-from oracles import pseudo_prior
+from oracles import pseudo_prior, uniform_schedule
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -145,7 +145,7 @@ def test_schedule_validation():
         Schedule(np.array([0.0, 1.0]), np.array([0.5, 0.0]), np.ones(1))  # anchor
     with pytest.raises(ValueError):
         Schedule(np.array([0.0, 1.0]), np.zeros(2), np.zeros(1))  # explore >= 1
-    sched = Schedule.uniform(4)
+    sched = uniform_schedule(4)
     assert sched.n_levels == 4
     round_trip = Schedule.from_dict(sched.to_dict())
     np.testing.assert_array_equal(round_trip.betas, sched.betas)

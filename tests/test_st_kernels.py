@@ -22,7 +22,7 @@ from nrst.st_kernels import (
     write_traces_csv,
 )
 
-from oracles import index_kernel
+from oracles import index_kernel, uniform_schedule
 
 
 class ScriptedRng:
@@ -58,7 +58,7 @@ def toy():
 
 @pytest.fixture
 def sched2():
-    return Schedule.uniform(2)
+    return uniform_schedule(2)
 
 
 def exact_toy_schedule(n):
@@ -78,7 +78,7 @@ def test_nrst_step_forced_rejection(toy, sched2):
 
 
 def test_nrst_step_bounce_above_no_draw(toy):
-    sched = Schedule.uniform(1)
+    sched = uniform_schedule(1)
     rng = np.random.default_rng(1)
     state = ChainState(toy.sample_reference(rng), 1, 1)
 
@@ -121,7 +121,7 @@ def test_st_step_boundary_rejection(toy, sched2):
 
 def test_st_step_absorbing_when_all_rejected(toy):
     # u = 1.0 forces rejection even of sure-accept (downhill) moves
-    sched = Schedule.uniform(1)
+    sched = uniform_schedule(1)
     rng = np.random.default_rng(5)
     state = ChainState(toy.sample_reference(rng), 1, 1)
     explorers = own_explorers(toy, sched, rng)
@@ -144,7 +144,7 @@ def test_run_tour_minimal(toy, sched2):
 
 
 def test_run_tour_full_sweep_hand_executed(toy):
-    sched = Schedule.uniform(1)
+    sched = uniform_schedule(1)
     rng = np.random.default_rng(7)
     trace = run_tour(
         toy, sched, "nrst", 100, ScriptedRng(rng, 0.0, 0.0),
@@ -170,7 +170,7 @@ def test_run_tour_rejection_at_zero_is_not_overrun(toy, sched2):
 def test_run_tour_overrun_carries_partial_trace(toy):
     # force the reversible chain to climb once and then propose out of range
     # forever: it never returns to level 0 within max_steps
-    sched = Schedule.uniform(1)
+    sched = uniform_schedule(1)
     rng = np.random.default_rng(9)
     with pytest.raises(TourOverrunError) as err:
         # direction up and accept, then up (off the grid: no acceptance draw) twice
@@ -205,7 +205,7 @@ class SleepyModel(ToyGaussian):
 def test_tour_cpu_seconds_is_cpu_time_not_wall_time():
     # forced accepts: up to level 1, bounce, down to level 0 -- two sweeps
     t0 = time.perf_counter()
-    model, sched, rng = SleepyModel(), Schedule.uniform(1), np.random.default_rng(4)
+    model, sched, rng = SleepyModel(), uniform_schedule(1), np.random.default_rng(4)
     trace = run_tour(model, sched, "nrst", 10, ScriptedRng(rng, 0.0, 0.0),
                      explorers=own_explorers(model, sched, rng))
     wall = time.perf_counter() - t0
