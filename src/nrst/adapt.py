@@ -7,23 +7,29 @@ mean-energy strategy, trapezoid of sample medians for the minimum-rejection
 strategy), measures per-interval rejection probabilities, accumulates them
 into a monotone barrier function, and inverts the barrier to place the grid
 at equal rejection increments.  Rounds double the scan budget until four
-heuristic stability indicators are jointly satisfied.
+heuristic stability indicators are jointly satisfied.  Each pass also learns
+per-level slice widths from the moves of its explorers, for the next pass
+and for the schedule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .explore import build_explorers, lag1_autocorrelation, tune_explore_steps
+from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune_explore_steps
 from .model import DivergedPotentialError, Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
 # Relative gap between the current grid size and the one the last round's
 # barrier implies above which the tune restarts at the implied size.
 _RESTART_MISMATCH = 0.25
+# Starting slice width of a level and coordinate, per unit of the mean
+# |move| that the coordinate made in one explorer call of the last pass.
+_WIDTH_PER_MOVE = 2.0
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,15 @@ def _finite_reference_draw(model, rng):
     raise DivergedPotentialError(x, v)
 
 
+class NrptPass(NamedTuple):
+    """One NRPT pass in full (see :func:`run_nrpt`)."""
+
+    data: VDataset
+    states: list
+    ends: np.ndarray
+    moves: np.ndarray
+
+
 def run_nrpt(
     model: TemperedModel,
     schedule: Schedule,
@@ -88,8 +103,7 @@ def run_nrpt(
     rng: np.random.Generator,
     *,
     init_states=None,
-    return_states: bool = False,
-    return_sweep_ends: bool = False,
+    full: bool = False,
 ):
     """Non-reversible parallel tempering over the grid; returns the V dataset.
 
@@ -100,11 +114,14 @@ def run_nrpt(
     potential of every level is recorded once per scan, after the swap round.
 
     A state is the pair (x, V(x)) of one level.  ``init_states`` holds one
-    per level 0..N (the level-0 state is redrawn before it is used), and
-    ``return_states`` returns the final ones alongside the dataset.
-    ``return_sweep_ends`` appends an array ``ends`` of shape (2, N+1, n_scan):
-    ``ends[0, i, s]`` is the V entering level i's exploration in scan s and
-    ``ends[1, i, s]`` the V leaving it (at level 0, the fresh draw twice).
+    per level 0..N (the level-0 state is redrawn before it is used).
+    ``full`` returns an :class:`NrptPass` instead of the bare dataset.  It
+    adds the final states, an array ``ends`` of shape (2, N+1, n_scan) and
+    an array ``moves`` of shape (N, dim).  ``ends[0, i, s]`` is the V
+    entering level i's exploration in scan s and ``ends[1, i, s]`` the V
+    leaving it (at level 0, the fresh draw twice).  ``moves[i - 1, d]`` sums
+    |x_after[d] - x_before[d]| over level i's explorer calls.  Recording
+    draws nothing.
     """
     if n_scan < 1:
         raise ValueError("n_scan must be >= 1")
@@ -117,16 +134,19 @@ def run_nrpt(
     xs = [np.array(x, dtype=float, copy=True) for x, _ in init_states]
     vs = [v for _, v in init_states]
     records = np.empty((n + 1, n_scan))
-    ends = np.empty((2, n + 1, n_scan)) if return_sweep_ends else None
+    ends = np.empty((2, n + 1, n_scan)) if full else None
+    moves = np.zeros((n, model.dim))
     betas = schedule.betas
     for scan in range(n_scan):
         xs[0] = model.sample_reference(rng)
         vs[0] = model.potential(xs[0])
-        if ends is not None:
+        if full:
             ends[0, :, scan] = vs
         for i in range(1, n + 1):
-            xs[i], vs[i] = explorers[i](xs[i], vs[i], rng)
-        if ends is not None:
+            x, vs[i] = explorers[i](xs[i], vs[i], rng)
+            moves[i - 1] += np.abs(x - xs[i])
+            xs[i] = x
+        if full:
             ends[1, :, scan] = vs
         start = 0 if scan % 2 == 0 else 1
         for i in range(start, n, 2):
@@ -143,12 +163,9 @@ def run_nrpt(
                 vs[i], vs[j] = vs[j], vs[i]
         records[:, scan] = vs
     data = VDataset(tuple(records))
-    out = (data,)
-    if return_states:
-        out += (list(zip(xs, vs)),)
-    if ends is not None:
-        out += (ends,)
-    return out if len(out) > 1 else data
+    if full:
+        return NrptPass(data, list(zip(xs, vs)), ends, moves)
+    return data
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -444,6 +461,22 @@ def _affinities_for(mode, data, betas):
     raise ValueError("affinity_mode must be 'mean' or 'median'")
 
 
+def _widths_from_moves(moves, n_scan):
+    """Starting slice widths from a pass's summed moves: ``_WIDTH_PER_MOVE``
+    times each level's and coordinate's mean |move| per explorer call, and
+    ``_INITIAL_WIDTH`` where that mean is 0 or not finite."""
+    widths = _WIDTH_PER_MOVE * (np.asarray(moves, dtype=float) / n_scan)
+    widths[~(np.isfinite(widths) & (widths > 0.0))] = _INITIAL_WIDTH
+    return widths
+
+
+def _carry_widths(widths, old_betas, new_betas):
+    """Widths for levels 1..N of a new grid, linear in beta between those of
+    the old grid's levels 1..N and constant beyond them."""
+    old = np.asarray(old_betas, dtype=float)[1:]
+    return np.column_stack([np.interp(new_betas[1:], old, w) for w in widths.T])
+
+
 def _remap_states(states, old_betas, new_betas):
     """Warm states for a new grid: new level i >= 1 takes the state of the
     old level >= 1 nearest in beta.  The level-0 state, which is redrawn
@@ -480,6 +513,18 @@ def adapt(
     the final grid only, then settles affinities and barrier; no pass runs
     at a grid size that a restart discards.
 
+    Every pass also learns each level's starting slice width per coordinate:
+    ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
+    explorer call, 1.0 where that mean is 0 or not finite.  The move is the
+    conditional scale the sampler sees; the spread of the states is not
+    used, since a heavy-tailed marginal (e.g. a Cauchy mean) makes it far
+    wider than the slice.  The first round explores at 1.0 everywhere.
+    Each later pass, restarts included, uses the widths of the pass before,
+    interpolated linearly in beta onto its grid, and the schedule keeps the
+    widths of the final pass.  With ``nrpt_explore_steps > 1`` a call spans
+    several sweeps, so the widths come out wider; a bracket that is too wide
+    costs only a logarithmic number of shrinkage steps.
+
     Exploration step counts are tuned last, on the final grid.  In the final
     pass every level's chain is stationary for its tempered law, so the
     pairs (V before, V after) of its explorer calls give its lag-1
@@ -498,6 +543,7 @@ def adapt(
     n = int(n_levels_initial)
     betas = np.linspace(0.0, 1.0, n + 1)
     states = None
+    widths = None
     rounds_log = []
     restarts = 0
     round_idx = 0
@@ -509,16 +555,18 @@ def adapt(
         while round_idx < max_rounds and not converged:
             round_idx += 1
             n_scan *= 2
-            sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
-            data, states = run_nrpt(
-                model, sched, n_scan, rng, init_states=states, return_states=True,
+            sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)
+            data, states, _, moves = run_nrpt(
+                model, sched, n_scan, rng, init_states=states, full=True,
             )
+            learned = _widths_from_moves(moves, n_scan)
             affinities, _ = _affinities_for(affinity_mode, data, betas)
             r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
             barrier = build_barrier(r_sym, betas)
             current = RoundState(affinities, barrier, (r_up, r_down, r_sym))
             if barrier.total > 0.0:
                 betas = optimize_grid(barrier, n)
+            widths = _carry_widths(learned, sched.betas, betas)
             indicators = None
             if prev is not None:
                 converged, indicators = check_convergence(
@@ -544,15 +592,16 @@ def adapt(
                 n = n_target
                 betas = optimize_grid(barrier, n)
                 states = _remap_states(states, barrier.knots_beta, betas)
+                widths = _carry_widths(learned, barrier.knots_beta, betas)
                 continue
         break
 
     # Final pass on the final grid.
-    sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps))
-    data, states, ends = run_nrpt(
-        model, sched, n_scan, rng, init_states=states, return_states=True,
-        return_sweep_ends=True,
+    sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)
+    data, states, ends, moves = run_nrpt(
+        model, sched, n_scan, rng, init_states=states, full=True,
     )
+    widths = _widths_from_moves(moves, n_scan)
     affinities, log_z = _affinities_for(affinity_mode, data, betas)
     r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
     barrier = build_barrier(r_sym, betas)
@@ -565,12 +614,12 @@ def adapt(
     kappa1 = None
     if nrpt_explore_steps == 1:
         kappa1 = [lag1_autocorrelation(ends[0, i], ends[1, i]) for i in range(1, n + 1)]
-    tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int))
+    tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps = tune_explore_steps(
         model, tuning_sched, kappa_bar, chain_len, rng,
         init_states=states, kappa1=kappa1,
     )
-    schedule = Schedule(betas, affinities, explore_steps)
+    schedule = Schedule(betas, affinities, explore_steps, widths)
     return AdaptResult(
         schedule=schedule,
         barrier=barrier,

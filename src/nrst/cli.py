@@ -17,7 +17,7 @@ import numpy as np
 from . import planner
 from .adapt import adapt as run_adapt
 from .bench_models import ModelSpec, available_models, make_model
-from .explore import SliceNumericalError
+from .explore import SliceNumericalError, build_explorers
 from .model import DivergedPotentialError, Schedule
 from .runner import CoordinateFunction, pilot_then_run, run_parallel
 from .st_kernels import (
@@ -141,8 +141,14 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _schedule_from_payload(payload) -> Schedule:
-    return Schedule.from_dict(payload)
+def _schedule_from_payload(payload, model) -> Schedule:
+    """The payload's schedule, checked against ``model`` before any tour runs."""
+    try:
+        schedule = Schedule.from_dict(payload)
+        build_explorers(model, schedule)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError("schedule", str(err))
+    return schedule
 
 
 def _require(args, *names):
@@ -166,7 +172,7 @@ def _cmd_run(args) -> int:
     model = make_model(ModelSpec(cfg.model, cfg.params))
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
-    schedule = _schedule_from_payload(payload)
+    schedule = _schedule_from_payload(payload, model)
     h_funcs = tuple(CoordinateFunction(i) for i in args.h_coords)
     h_names = [f"x{i + 1}" for i in args.h_coords]
     if args.te_hat is not None:
@@ -276,7 +282,7 @@ def _cmd_bench(args) -> int:
             print(f"{variant:7s}  {closed:<9.5f}  {estimate_te(visits):<9.5f}")
         return 0
     model_spec = ModelSpec(cfg.model, cfg.params)
-    schedule = _schedule_from_payload(payload)
+    schedule = _schedule_from_payload(payload, make_model(model_spec))
     print("variant  k      te_hat    serial_cost  parallel_cost")
     for variant in variants:
         model = make_model(model_spec)

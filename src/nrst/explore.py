@@ -1,14 +1,15 @@
 """Exploration kernels: slice sampling within Gibbs and step-count tuning.
 
 One exploration kernel per tempering level, each leaving its tempered
-distribution invariant.  Slice sampling needs no per-level adaptation, which
-is what makes it usable inside a tuning loop whose grid moves every round.
-The number of self-compositions per level is chosen from the lag-n
-autocorrelation of the potential series.  The slice settings (initial
-bracket width, step-out budget) are module constants: the bracket adapts on
-the fly, so no caller needs another value.  Kernels take the potential V of
-their start point and return V of their end point with it, so no caller
-spends a V-eval where a sweep already holds the value.
+distribution invariant.  Slice sampling is valid at any bracket width, which
+is what makes it usable inside a tuning loop whose grid moves every round;
+the width only sets the cost.  Each level has its own starting width per
+coordinate, from ``Schedule.widths`` (the tuner learns them from its NRPT
+passes), and 1.0 where a schedule carries none.  The step-out budget is a
+module constant.  The number of self-compositions per level is chosen from
+the lag-n autocorrelation of the potential series.  Kernels take the
+potential V of their start point and return V of their end point with it,
+so no caller spends a V-eval where a sweep already holds the value.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .model import Schedule, TemperedModel, log_tempered_density_from_v
 # Shrinkage intervals narrower than this indicate a numerically degenerate
 # target (e.g. a point mass) rather than a slice that is still being located.
 _MIN_SLICE_WIDTH = 1e-300
-# Stepping-out bracket: its starting width, and a budget of
-# _MAX_DOUBLINGS - 1 step-outs per coordinate, split at random between the
-# two sides.
+# Starting bracket width of a coordinate that has no learned width: every
+# level of a schedule without widths, and the first round of a tune.
 _INITIAL_WIDTH = 1.0
+# Stepping-out budget: _MAX_DOUBLINGS - 1 step-outs of the starting width
+# per coordinate, split at random between the two sides.
 _MAX_DOUBLINGS = 20
 # Cap on the exploration steps a level can be given.
 _MAX_EXPLORE_STEPS = 64
@@ -36,8 +38,8 @@ class SliceNumericalError(RuntimeError):
     """Slice shrinkage collapsed or the initial point had no density."""
 
 
-def _slice_coordinate(x, d, logp, density, rng):
-    """One slice update of coordinate d in place.
+def _slice_coordinate(x, d, logp, density, rng, w):
+    """One slice update of coordinate d in place, from a bracket of width w.
 
     Returns the (log density, V) pair that ``density`` gave at the new point.
     """
@@ -47,7 +49,6 @@ def _slice_coordinate(x, d, logp, density, rng):
         u = rng.random()
     y = logp + math.log(u)
 
-    w = _INITIAL_WIDTH
     r = rng.random()
     left = x0 - w * r
     right = left + w
@@ -94,20 +95,21 @@ class Sweep(NamedTuple):
         return self.x.size
 
 
-def slice_step(x, logp: float, density, rng: np.random.Generator) -> Sweep:
+def slice_step(x, logp: float, density, rng: np.random.Generator, widths) -> Sweep:
     """One sweep of coordinate-wise slice sampling (fixed ascending scan).
 
     ``density(x)`` returns the pair (log density, V) at x, and ``logp`` is the
     log density at the start point, which the caller already holds: the
-    sweep evaluates nothing there.  The returned V is the one ``density``
-    gave at the accepted point of the last coordinate, i.e. at the new point.
-    The sweep leaves the log density invariant.
+    sweep evaluates nothing there.  ``widths[d]`` is the starting bracket
+    width of coordinate d.  The returned V is the one ``density`` gave at
+    the accepted point of the last coordinate, i.e. at the new point.  The
+    sweep leaves the log density invariant, whatever the widths.
     """
     x = np.array(x, dtype=float, copy=True)
     if not math.isfinite(logp):
         raise SliceNumericalError(f"log density not finite at the initial point: {logp}")
     for d in range(x.size):
-        logp, v = _slice_coordinate(x, d, logp, density, rng)
+        logp, v = _slice_coordinate(x, d, logp, density, rng, widths[d])
     return Sweep(x, logp, v)
 
 
@@ -117,16 +119,25 @@ class ExplorationKernel:
     Immutable configuration; callable as kernel(x, v, rng) -> (x', v'),
     where v = V(x) is carried in and v' = V(x') comes out of the last sweep,
     so neither end point costs a V-eval.  Applies ``n_steps`` full sweeps
-    per call; the bracket width and step-out budget of every sweep are the
-    module constants ``_INITIAL_WIDTH`` and ``_MAX_DOUBLINGS``.
+    per call.  ``widths`` holds the starting bracket width of each of the
+    model's coordinates (``_INITIAL_WIDTH`` for all when None); the step-out
+    budget is the module constant ``_MAX_DOUBLINGS``.
     """
 
-    def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1):
+    def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1, widths=None):
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
+        if widths is None:
+            widths = np.full(model.dim, _INITIAL_WIDTH)
+        widths = np.asarray(widths, dtype=float)
+        if widths.shape != (model.dim,):
+            raise ValueError(f"widths must hold one entry per coordinate ({model.dim}), "
+                             f"got shape {widths.shape}")
         self.model = model
         self.beta = float(beta)
         self.n_steps = int(n_steps)
+        # Python floats keep the bracket arithmetic off numpy scalars.
+        self.widths = tuple(float(w) for w in widths)
 
     def density(self, x) -> tuple:
         """(log pi_beta(x), V(x)), at the cost of one V-eval."""
@@ -137,17 +148,27 @@ class ExplorationKernel:
     def __call__(self, x, v, rng):
         logp = log_tempered_density_from_v(x, self.model.log_reference(x), v, self.beta)
         for _ in range(self.n_steps):
-            x, logp, v = slice_step(x, logp, self.density, rng)
+            x, logp, v = slice_step(x, logp, self.density, rng, self.widths)
         return x, v
 
 
+def _level_widths(schedule: Schedule, i: int):
+    """Row of starting widths of level i >= 1, or None for the default."""
+    return None if schedule.widths is None else schedule.widths[i - 1]
+
+
 def build_explorers(model: TemperedModel, schedule: Schedule) -> list:
-    """Kernels for levels 1..N (index 0 unused: the reference is drawn i.i.d.)."""
+    """Kernels for levels 1..N (index 0 unused: the reference is drawn i.i.d.).
+
+    Raises ValueError when a row of ``schedule.widths`` does not hold one
+    width per coordinate of ``model``.
+    """
     kernels = [None]
     for i in range(1, schedule.n_levels + 1):
-        kernels.append(
-            ExplorationKernel(model, schedule.betas[i], int(schedule.explore_steps[i - 1]))
-        )
+        kernels.append(ExplorationKernel(
+            model, schedule.betas[i], int(schedule.explore_steps[i - 1]),
+            _level_widths(schedule, i),
+        ))
     return kernels
 
 
@@ -213,13 +234,14 @@ def tune_explore_steps(
 ) -> np.ndarray:
     """Per-level exploration step counts from the V autocorrelation.
 
-    Runs a single-sweep slice chain of length ``chain_len`` at each level of
-    the (final) grid, estimates the lag-n autocorrelation of the V series and
-    returns the smallest n that brings it at or below ``kappa_bar``, capped
-    at ``_MAX_EXPLORE_STEPS``.  Levels use independent spawned rng streams,
-    so results do not depend on the order in which levels are processed.
-    ``init_states`` optionally holds one (x, V(x)) warm start per level
-    0..N; otherwise each chain starts from a reference draw.
+    Runs a single-sweep slice chain of length ``chain_len``, at the
+    schedule's widths, at each level of the (final) grid, estimates the
+    lag-n autocorrelation of the V series and returns the smallest n that
+    brings it at or below ``kappa_bar``, capped at ``_MAX_EXPLORE_STEPS``.
+    Levels use independent spawned rng streams, so results do not depend on
+    the order in which levels are processed.  ``init_states`` optionally
+    holds one (x, V(x)) warm start per level 0..N; otherwise each chain
+    starts from a reference draw.
 
     ``kappa1`` optionally holds, per level 1..N, a lag-1 autocorrelation of
     V already measured on stationary draws (see :func:`adapt.adapt`).  The
@@ -238,7 +260,7 @@ def tune_explore_steps(
         if kappa1 is not None and kappa1[i - 1] <= kappa_bar:
             continue
         level_rng = streams[i - 1]
-        kernel = ExplorationKernel(model, schedule.betas[i], 1)
+        kernel = ExplorationKernel(model, schedule.betas[i], 1, _level_widths(schedule, i))
         if init_states is not None:
             x, v = init_states[i]
         else:

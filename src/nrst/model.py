@@ -114,12 +114,15 @@ class Schedule:
     ``betas`` is the strictly increasing grid with betas[0] = 0 and
     betas[N] = 1.  ``affinities`` are the level affinities, normalized so the
     first entry is 0.  ``explore_steps`` holds the number of exploration
-    sweeps per tempering step for levels 1..N.
+    sweeps per tempering step for levels 1..N.  ``widths``, of shape
+    (N, dim), optionally holds the starting slice width of every coordinate
+    at levels 1..N (finite and > 0); None means 1.0 everywhere.
     """
 
     betas: np.ndarray
     affinities: np.ndarray
     explore_steps: np.ndarray
+    widths: np.ndarray | None = None
 
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
@@ -144,6 +147,22 @@ class Schedule:
             raise ValueError("explore_steps must have one entry per level 1..N")
         if np.any(explore_steps < 1):
             raise ValueError("explore_steps must be positive integers")
+        if self.widths is None:
+            return
+        n = betas.size - 1
+        try:
+            widths = np.asarray(self.widths, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"widths must be numbers, one row per level 1..{n}, "
+                             "all rows of one length") from None
+        object.__setattr__(self, "widths", widths)
+        if widths.ndim != 2 or widths.shape[0] != n:
+            raise ValueError(f"widths must have one row per level 1..{n}, "
+                             f"got shape {widths.shape}")
+        for i, row in enumerate(widths, start=1):
+            if not np.all(np.isfinite(row) & (row > 0)):
+                raise ValueError(f"widths at level {i} must be finite and > 0, "
+                                 f"got {row.tolist()}")
 
     @property
     def n_levels(self) -> int:
@@ -151,11 +170,14 @@ class Schedule:
         return self.betas.size - 1
 
     def to_dict(self) -> dict:
-        return {
+        d = {
             "betas": self.betas.tolist(),
             "affinities": self.affinities.tolist(),
             "explore_steps": self.explore_steps.tolist(),
         }
+        if self.widths is not None:
+            d["widths"] = self.widths.tolist()
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
@@ -163,6 +185,7 @@ class Schedule:
             np.asarray(d["betas"], dtype=float),
             np.asarray(d["affinities"], dtype=float),
             np.asarray(d["explore_steps"], dtype=int),
+            d.get("widths"),
         )
 
 

@@ -24,7 +24,7 @@ from nrst.bench_models import Banana, ToyGaussian, analytic_gaussian_path
 from nrst.planner import simulate_pool, te_infinity
 from nrst.runner import CoordinateFunction, pilot_then_run, run_parallel
 from nrst.st_kernels import IdealIndexChain, ideal_te, simulate_index_tours, write_traces_csv
-from nrst.stats import TourStatistics, estimate_sigma2, estimate_te, min_tours, ratio_estimate
+from nrst.stats import TourStatistics, estimate_sigma2, estimate_te, min_tours
 
 pytestmark = pytest.mark.acceptance
 

@@ -9,7 +9,9 @@ from nrst.adapt import (
     ConvergenceThresholds,
     RoundState,
     VDataset,
+    _carry_widths,
     _remap_states,
+    _widths_from_moves,
     adapt,
     build_barrier,
     check_convergence,
@@ -62,14 +64,14 @@ def test_run_nrpt_shape_contract():
 def test_run_nrpt_sweep_ends_pair_each_sweep_with_its_records():
     model = ToyGaussian()
     sched = Schedule(np.linspace(0, 1, 4), np.zeros(4), np.ones(3, dtype=int))
-    data, states = run_nrpt(model, sched, 6, np.random.default_rng(0), return_states=True)
-    again, states_again, ends = run_nrpt(model, sched, 6, np.random.default_rng(0),
-                                         return_states=True, return_sweep_ends=True)
+    data = run_nrpt(model, sched, 6, np.random.default_rng(0))
+    again, states_again, ends, _ = run_nrpt(model, sched, 6, np.random.default_rng(0),
+                                            full=True)
     assert ends.shape == (2, 4, 6)
     # recording draws nothing: the pass is the same
     for i in range(4):
         np.testing.assert_array_equal(again[i], data[i])
-    assert [v for _, v in states_again] == [v for _, v in states]
+    assert [v for _, v in states_again] == [data[i][-1] for i in range(4)]
     # the V entering scan s's sweep is the one recorded after scan s - 1
     for i in range(1, 4):
         np.testing.assert_array_equal(ends[0, i, 1:], data[i][:-1])
@@ -84,8 +86,7 @@ def test_run_nrpt_constant_v_swaps_always_accept():
     # fresh draw therefore propagates upward one level per scan
     model = FlatModel()
     sched = uniform_schedule(2)
-    data, states = run_nrpt(model, sched, 8, np.random.default_rng(1),
-                            return_states=True)
+    data, states, _, _ = run_nrpt(model, sched, 8, np.random.default_rng(1), full=True)
     assert np.all(data[0] == 0.0)
     assert len(states) == 3
 
@@ -428,6 +429,63 @@ def test_adapt_without_restart_runs_one_pass_per_round_and_a_final_pass(monkeypa
     assert res.restarts == 0
     assert len(calls) == len(res.rounds) + 1
     assert {n_levels for n_levels, _ in calls} == {8}
+
+
+def test_widths_from_moves_scale_the_mean_move_and_default_to_one():
+    moves = np.array([[8.0, 0.0], [math.inf, 2.0], [math.nan, 4.0]])
+    widths = _widths_from_moves(moves, 4)
+    scale = importlib.import_module("nrst.adapt")._WIDTH_PER_MOVE
+    np.testing.assert_array_equal(widths, [[2.0 * scale, 1.0], [1.0, 0.5 * scale],
+                                           [1.0, 1.0 * scale]])
+
+
+def test_carry_widths_interpolates_linearly_in_beta():
+    old_betas = np.array([0.0, 0.25, 0.5, 1.0])
+    widths = np.array([[4.0, 1.0], [3.0, 2.0], [1.0, 4.0]])
+    new_betas = np.array([0.0, 0.1, 0.375, 0.75, 1.0])
+    np.testing.assert_allclose(_carry_widths(widths, old_betas, new_betas),
+                               [[4.0, 1.0], [3.5, 1.5], [2.0, 3.0], [1.0, 4.0]])
+
+
+def test_adapt_learns_widths_from_each_pass(monkeypatch):
+    module = importlib.import_module("nrst.adapt")
+    calls = []
+    real = module.run_nrpt
+
+    def spy(model, schedule, n_scan, *args, **kwargs):
+        out = real(model, schedule, n_scan, *args, **kwargs)
+        calls.append((schedule, n_scan, out.moves))
+        return out
+
+    monkeypatch.setattr(module, "run_nrpt", spy)
+    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3))
+    assert res.restarts == 1
+    # the first round explores at 1.0; every later pass at the widths the
+    # pass before learned, carried onto its grid (the restart included)
+    assert calls[0][0].widths is None
+    for (before, n_before, moves), (after, _, _) in zip(calls, calls[1:]):
+        learned = _widths_from_moves(moves, n_before)
+        np.testing.assert_array_equal(
+            after.widths, _carry_widths(learned, before.betas, after.betas))
+    # the schedule keeps the widths of the final pass
+    final, n_final, moves = calls[-1]
+    np.testing.assert_array_equal(res.schedule.widths, _widths_from_moves(moves, n_final))
+
+
+def test_adapt_learned_widths_cut_toy_tune_v_evals(monkeypatch):
+    model = ToyGaussian()
+    res = adapt(model, 8, 9, rng=np.random.default_rng(1))
+    widths = res.schedule.widths
+    assert widths.shape == (res.schedule.n_levels, 3)
+    assert np.all(np.isfinite(widths)) and np.all(widths > 0)
+    # the conditional scale falls from sd 2 at the reference to 0.89 at
+    # the target, and so do the widths
+    assert np.all(widths[0] > widths[-1])
+    monkeypatch.setattr(importlib.import_module("nrst.adapt"), "_widths_from_moves",
+                        lambda moves, n_scan: np.ones_like(moves))
+    unit = ToyGaussian()
+    adapt(unit, 8, 9, rng=np.random.default_rng(1))
+    assert model.v_evals.value < unit.v_evals.value
 
 
 def test_adapt_restart_from_heavy_tailed_reference_completes():

@@ -8,10 +8,8 @@ from scipy import integrate, stats as sps
 from nrst.bench_models import (
     Banana,
     Funnel,
-    Hierarchical,
     ModelSpec,
     MRnaTransfection,
-    ThresholdWeibull,
     ToyGaussian,
     XYModel,
     analytic_gaussian_path,

@@ -1,9 +1,7 @@
 import json
 import math
-import os
 import re
 
-import numpy as np
 import pytest
 
 from nrst.bench_models import ToyGaussian
@@ -33,6 +31,8 @@ def test_tune_outputs(tuned_dir):
     assert payload["lambda_hat"] > 0
     assert payload["model"]["name"] == "toy_gaussian"
     assert len(payload["explore_steps"]) == len(betas) - 1
+    widths = payload["widths"]
+    assert len(widths) == len(betas) - 1 and all(len(row) == 3 for row in widths)
     lines = (tuned_dir / "barrier.csv").read_text().strip().splitlines()
     assert lines[0] == "beta,lambda"
     assert len(lines) == len(betas) + 1
@@ -155,6 +155,32 @@ def test_workers_env_cap_must_be_an_integer(command, tuned_dir, tmp_path, monkey
         argv += ["--out", tmp_path / "capped"]
     assert run_cli(argv) == 1
     assert "NRST_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("bad, message", [
+    ("rows", "one row per level 1.."),
+    ("zero", "widths at level 1 must be finite and > 0"),
+    ("nan", "widths at level 1 must be finite and > 0"),
+    ("dim", "one entry per coordinate (3)"),
+])
+def test_bad_widths_are_a_config_error(command, bad, message, tuned_dir, tmp_path, capsys):
+    payload = json.loads((tuned_dir / "schedule.json").read_text())
+    n = len(payload["explore_steps"])
+    payload["widths"] = {
+        "rows": [[1.0, 1.0, 1.0]] * (n + 1),
+        "zero": [[1.0, 0.0, 1.0]] * n,
+        "nan": [[math.nan, 1.0, 1.0]] * n,
+        "dim": [[1.0, 1.0]] * n,
+    }[bad]
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--schedule", path, "--seed", 5]
+    if command == "run":
+        argv += ["--out", tmp_path / "run"]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: schedule: ") and message in err
 
 
 class BrokenReference(ToyGaussian):

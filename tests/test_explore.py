@@ -1,4 +1,8 @@
+import hashlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +13,19 @@ from nrst.explore import (
     ExplorationKernel,
     SliceNumericalError,
     autocorrelation,
+    build_explorers,
     slice_step,
     steps_from_autocorrelation,
     tune_explore_steps,
 )
-from nrst.model import DivergedPotentialError, log_tempered_density
+from nrst.model import DivergedPotentialError, Schedule, log_tempered_density
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
+from nrst.runner import run_parallel
+from nrst.st_kernels import write_traces_csv
 from oracles import uniform_schedule
+
+FROZEN_TOY_SCHEDULE = (Path(__file__).resolve().parents[1]
+                       / "perfbench" / "inputs" / "toy_gaussian.schedule.json")
 
 
 def std_normal_logpdf(x):
@@ -24,7 +34,8 @@ def std_normal_logpdf(x):
 
 def sweep(x, logdensity, rng):
     """One slice sweep over a plain log density, which reports no V."""
-    return slice_step(x, logdensity(x), lambda y: (logdensity(y), None), rng).x
+    return slice_step(x, logdensity(x), lambda y: (logdensity(y), None), rng,
+                      (1.0,) * x.size).x
 
 
 def test_slice_step_standard_normal_ks():
@@ -153,7 +164,7 @@ def test_compose_identity_and_associativity():
     kernel = ExplorationKernel(model, 0.7, 1)
     one, v_one = kernel(x, v, np.random.default_rng(3))
     logp = log_tempered_density(model, x, 0.7)
-    single = slice_step(x, logp, kernel.density, np.random.default_rng(3))
+    single = slice_step(x, logp, kernel.density, np.random.default_rng(3), kernel.widths)
     assert np.array_equal(one, single.x) and v_one == single.v
 
     rng = np.random.default_rng(9)
@@ -212,6 +223,54 @@ def test_composed_kernel_preserves_normal_invariance():
         out[i] = x[0]
     stat, pvalue = sps.kstest(out[::5], "norm", args=(mu, math.sqrt(var)))
     assert pvalue > 0.01
+
+
+@pytest.mark.parametrize("width", [0.1, 10.0])
+def test_kernel_preserves_normal_invariance_at_any_width(width):
+    # The starting width sets the cost of a sweep, not its law: here it is
+    # 9x below and 11x above the target's sd of 0.89.
+    model = ToyGaussian(dim=1)
+    mu, var, _ = analytic_gaussian_path(1, model.m, model.sigma0, 1.0)
+    rng = np.random.default_rng(22)
+    k3 = ExplorationKernel(model, 1.0, 3, [width])
+    x = np.array([mu])
+    v = model.potential(x)
+    n = 20_000
+    out = np.empty(n)
+    for i in range(n):
+        x, v = k3(x, v, rng)
+        out[i] = x[0]
+    stat, pvalue = sps.kstest(out[::5], "norm", args=(mu, math.sqrt(var)))
+    assert pvalue > 0.01
+
+
+def test_build_explorers_gives_each_level_its_widths():
+    model = ToyGaussian()
+    sched = uniform_schedule(2)
+    assert [k.widths for k in build_explorers(model, sched)[1:]] == [(1.0, 1.0, 1.0)] * 2
+    widths = np.array([[0.5, 1.5, 2.5], [4.0, 5.0, 6.0]])
+    learned = Schedule(sched.betas, sched.affinities, sched.explore_steps, widths)
+    assert [k.widths for k in build_explorers(model, learned)[1:]] == [
+        (0.5, 1.5, 2.5), (4.0, 5.0, 6.0)]
+    with pytest.raises(ValueError, match="one entry per coordinate"):
+        build_explorers(ToyGaussian(dim=2), learned)
+
+
+def test_schedule_without_widths_explores_at_width_one():
+    # The frozen toy schedule has no widths: its NRST tours at seed 7 give
+    # the traces.csv of the code from before per-level widths (sha256 below),
+    # and so does the same schedule with every width spelled out as 1.0.
+    sched = Schedule.from_dict(json.loads(FROZEN_TOY_SCHEDULE.read_text()))
+    assert sched.widths is None
+    ones = Schedule(sched.betas, sched.affinities, sched.explore_steps,
+                    np.ones((sched.n_levels, 3)))
+    for schedule in (sched, ones):
+        report = run_parallel(ToyGaussian(), schedule, "nrst", 0.95, 1.0, 0.3, 1, 7)
+        assert (report.k, report.serial_cost) == (52, 13348)
+        buf = io.StringIO()
+        write_traces_csv(report.traces, buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "bfa36aaa2e64d152d333e5b363fa8be59190bd23be17c446583fc1fbece548a8")
 
 
 def test_autocorrelation_analytic_threshold():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -149,3 +150,31 @@ def test_schedule_validation():
     assert sched.n_levels == 4
     round_trip = Schedule.from_dict(sched.to_dict())
     np.testing.assert_array_equal(round_trip.betas, sched.betas)
+
+
+def test_schedule_round_trips_widths():
+    sched = uniform_schedule(3)
+    assert sched.widths is None and "widths" not in sched.to_dict()
+    widths = np.array([[3.5, 0.25], [2.0, 1e-3], [0.75, 10.0]])
+    with_widths = Schedule(sched.betas, sched.affinities, sched.explore_steps, widths)
+    d = with_widths.to_dict()
+    assert d["widths"] == widths.tolist()
+    round_trip = Schedule.from_dict(json.loads(json.dumps(d)))
+    np.testing.assert_array_equal(round_trip.widths, widths)
+    assert Schedule.from_dict(sched.to_dict()).widths is None
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+def test_schedule_rejects_bad_widths_naming_the_level(bad):
+    sched = uniform_schedule(3)
+    widths = np.ones((3, 2))
+    widths[1, 0] = bad
+    with pytest.raises(ValueError, match="level 2"):
+        Schedule(sched.betas, sched.affinities, sched.explore_steps, widths)
+
+
+def test_schedule_rejects_widths_with_wrong_rows():
+    sched = uniform_schedule(3)
+    for widths in (np.ones((2, 2)), np.ones((4, 2)), np.ones(3), [[1.0, 1.0], [1.0], [1.0, 1.0]]):
+        with pytest.raises(ValueError, match="one row per level 1..3"):
+            Schedule(sched.betas, sched.affinities, sched.explore_steps, widths)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nrst.planner import (
-    CpuTimeModel,
     InsufficientDataError,
     cost_curves,
     fit_cpu_model,
