@@ -7,9 +7,12 @@ mean-energy strategy, trapezoid of sample medians for the minimum-rejection
 strategy), measures per-interval rejection probabilities, accumulates them
 into a monotone barrier function, and inverts the barrier to place the grid
 at equal rejection increments.  Rounds double the scan budget until four
-heuristic stability indicators are jointly satisfied.  Each pass also learns
-per-level slice widths from the moves of its explorers, for the next pass
-and for the schedule.
+heuristic stability indicators are jointly satisfied.  The grid-size
+restart is decided inside that loop, at the first round whose batch-means
+standard error of the barrier pins the implied grid size down, so the rounds
+after it run on the grid that is kept.  Each pass also learns per-level
+slice widths from the moves of its explorers, for the next pass and for the
+schedule.
 """
 
 from __future__ import annotations
@@ -24,9 +27,13 @@ from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune
 from .model import DivergedPotentialError, Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
-# Relative gap between the current grid size and the one the last round's
+# Relative gap between the current grid size and the one a settled round's
 # barrier implies above which the tune restarts at the implied size.
 _RESTART_MISMATCH = 0.25
+# Fewest scans from which a pass's batch-means standard error is computed:
+# with fewer, a handful of short batches gives SEs small enough to settle
+# the grid size on noise (2-4 scan rounds settled the toy at N=3 or 4).
+_MIN_SE_SCANS = 32
 # Starting slice width of a level and coordinate, per unit of the mean
 # |move| that the coordinate made in one explorer call of the last pass.
 _WIDTH_PER_MOVE = 2.0
@@ -477,6 +484,35 @@ def _carry_widths(widths, old_betas, new_betas):
     return np.column_stack([np.interp(new_betas[1:], old, w) for w in widths.T])
 
 
+def _batch_se(data: VDataset, stat):
+    """Batch-means standard error of ``stat`` over a pass's scans.
+
+    Splits the scans into b = 2^floor(log2(n_scan) / 2) consecutive batches
+    of equal length (every scan when n_scan is a power of two), evaluates
+    ``stat`` on each batch's dataset and returns sd(batch values) / sqrt(b)
+    (Flegal & Jones, Ann. Statist. 2010).  None below ``_MIN_SE_SCANS``
+    scans.
+    """
+    n_scan = data[0].size
+    if n_scan < _MIN_SE_SCANS:
+        return None
+    b = 2 ** (int(math.log2(n_scan)) // 2)
+    size = n_scan // b
+    values = [
+        stat(VDataset(tuple(level[k * size:(k + 1) * size] for level in data.levels)))
+        for k in range(b)
+    ]
+    return float(np.std(values, ddof=1)) / math.sqrt(b)
+
+
+def _grid_size_settled(lambda_hat, lambda_se, gamma) -> bool:
+    """Whether ``optimal_grid_size`` gives one N across lambda_hat +- 2 SE."""
+    if lambda_se is None or not lambda_hat - 2.0 * lambda_se > 0.0:
+        return False
+    return (optimal_grid_size(lambda_hat - 2.0 * lambda_se, gamma)
+            == optimal_grid_size(lambda_hat + 2.0 * lambda_se, gamma))
+
+
 def _remap_states(states, old_betas, new_betas):
     """Warm states for a new grid: new level i >= 1 takes the state of the
     old level >= 1 nearest in beta.  The level-0 state, which is redrawn
@@ -503,15 +539,20 @@ def adapt(
     """Full tuning loop: doubling NRPT budget until the indicators stabilize.
 
     Starts from the uniform grid and doubles the scan count each round
-    until convergence or exhaustion of ``max_rounds``.  If the barrier of
-    the last round implies a grid size differing from the current one by
-    more than 25% (relative), the loop restarts at the implied size (at
-    most ``max_restarts`` times).  A restart keeps the scan count and the
-    warm chain states, remapped from the grid that round ran on, and goes
-    on with the rounds that are left: ``max_rounds`` caps the rounds of the
-    whole tune, across restarts.  One final NRPT pass, on
-    the final grid only, then settles affinities and barrier; no pass runs
-    at a grid size that a restart discards.
+    until convergence or exhaustion of ``max_rounds``.  Each round records
+    batch-means standard errors of its ``lambda_hat`` (affinities held
+    fixed) and of its log Z(1) as ``lambda_se`` and ``logz_se`` (None below
+    ``_MIN_SE_SCANS`` scans).  The grid size N = ``optimal_grid_size``
+    (lambda_hat, gamma) is settled at the first round where it is the same
+    at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE, or else at the last
+    round (the cap binds or the round converged).  If a settled N differs
+    from the current one by more than 25% (relative), the tune restarts at
+    N (at most ``max_restarts`` times).  A restart keeps the scan count and
+    the warm chain states, remapped from the grid that round ran on, and
+    goes on with the rounds that are left: ``max_rounds`` caps the rounds of
+    the whole tune, across restarts.  One final NRPT pass, on the final grid
+    only, then settles affinities and barrier; no pass runs at a grid size
+    that a restart discards.
 
     Every pass also learns each level's starting slice width per coordinate:
     ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
@@ -546,55 +587,62 @@ def adapt(
     widths = None
     rounds_log = []
     restarts = 0
-    round_idx = 0
     n_scan = 1
+    converged = False
+    prev = None
 
-    while True:
-        converged = False
-        prev = None
-        while round_idx < max_rounds and not converged:
-            round_idx += 1
-            n_scan *= 2
-            sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)
-            data, states, _, moves = run_nrpt(
-                model, sched, n_scan, rng, init_states=states, full=True,
-            )
-            learned = _widths_from_moves(moves, n_scan)
-            affinities, _ = _affinities_for(affinity_mode, data, betas)
-            r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
-            barrier = build_barrier(r_sym, betas)
-            current = RoundState(affinities, barrier, (r_up, r_down, r_sym))
-            if barrier.total > 0.0:
-                betas = optimize_grid(barrier, n)
-            widths = _carry_widths(learned, sched.betas, betas)
-            indicators = None
-            if prev is not None:
-                converged, indicators = check_convergence(
-                    prev, current, thresholds, affinity_mode
-                )
-            rounds_log.append({
-                "round": round_idx,
-                "n_scan": n_scan,
-                "n_levels": n,
-                "lambda_hat": barrier.total,
-                "affinity_top": float(affinities[-1]),
-                "indicators": indicators,
-                "converged": converged,
-            })
-            prev = current
+    for round_idx in range(1, max_rounds + 1):
+        n_scan *= 2
+        sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)
+        data, states, _, moves = run_nrpt(
+            model, sched, n_scan, rng, init_states=states, full=True,
+        )
+        learned = _widths_from_moves(moves, n_scan)
+        affinities, _ = _affinities_for(affinity_mode, data, betas)
+        r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
+        barrier = build_barrier(r_sym, betas)
+        # With the affinities held fixed, lambda_hat is the mean of per-scan
+        # sums, so batch means applies to it directly.
+        lambda_se = _batch_se(
+            data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
+        logz_se = _batch_se(data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
+        current = RoundState(affinities, barrier, (r_up, r_down, r_sym))
+        if barrier.total > 0.0:
+            betas = optimize_grid(barrier, n)
+        widths = _carry_widths(learned, sched.betas, betas)
+        indicators = None
+        if prev is not None:
+            converged, indicators = check_convergence(prev, current, thresholds, affinity_mode)
+        rounds_log.append({
+            "round": round_idx,
+            "n_scan": n_scan,
+            "n_levels": n,
+            "lambda_hat": barrier.total,
+            "lambda_se": lambda_se,
+            "logz_se": logz_se,
+            "affinity_top": float(affinities[-1]),
+            "indicators": indicators,
+            "converged": converged,
+        })
+        prev = current
 
-        # The restart is decided from the last round's barrier, on the grid
-        # that round ran on: no NRPT pass is spent at a size about to go.
-        if barrier.total > 0.0 and restarts < max_restarts:
+        # The restart is decided on the grid this round ran on, as soon as
+        # the round's noise pins the implied size down, or at the last
+        # round: no NRPT pass is spent at a size about to go.
+        last = converged or round_idx == max_rounds
+        if (restarts < max_restarts and barrier.total > 0.0
+                and (last or _grid_size_settled(barrier.total, lambda_se, gamma))):
             n_target = optimal_grid_size(barrier.total, gamma)
             if abs(n - n_target) / n > _RESTART_MISMATCH:
                 restarts += 1
                 n = n_target
                 betas = optimize_grid(barrier, n)
-                states = _remap_states(states, barrier.knots_beta, betas)
-                widths = _carry_widths(learned, barrier.knots_beta, betas)
-                continue
-        break
+                states = _remap_states(states, sched.betas, betas)
+                widths = _carry_widths(learned, sched.betas, betas)
+                converged = False
+                prev = None
+        if converged:
+            break
 
     # Final pass on the final grid.
     sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,6 +138,8 @@ def _cmd_tune(args) -> int:
             f.write(f"{float(b)!r},{float(l)!r}\n")
     print(f"tuned {cfg.model}: N={result.schedule.n_levels} "
           f"lambda_hat={result.lambda_hat:.4f} converged={result.converged}")
+    per_n = Counter(r["n_levels"] for r in result.rounds)
+    print("rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items()))
     print(f"schedule written to {sched_path}")
     return 0
 
@@ -310,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rounds", type=int, default=12,
                    help="cap on the scan-doubling rounds of the whole tune, "
                         "across the grid-size restart; the restart is decided "
-                        "from the last round, and no final pass runs at the "
-                        "discarded grid size")
+                        "at the first round whose standard error pins the grid "
+                        "size down (or at the last round), and no pass runs at "
+                        "the discarded grid size after it")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--kappa-bar", type=float, default=0.95)

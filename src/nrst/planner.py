@@ -151,7 +151,8 @@ def cost_curves(model, k_tours: int, pool_sizes, replications: int,
     """Makespan and cost summaries for candidate pool sizes.
 
     Within each replication a single workload of ``k_tours`` durations is
-    sampled and reused across every pool size, so the cloud cost (sum of CPU
+    drawn by ``model.sample(k_tours, rng)`` (a :class:`CpuTimeModel`) and
+    reused across every pool size, so the cloud cost (sum of CPU
     times) is exactly pool-invariant and only the HPC cost (makespan times
     pool size) varies.  Bands are the 10th/90th replication quantiles.
     """
@@ -161,10 +162,7 @@ def cost_curves(model, k_tours: int, pool_sizes, replications: int,
     makespans = np.empty((replications, len(pool_sizes)))
     clouds = np.empty(replications)
     for r in range(replications):
-        if isinstance(model, CpuTimeModel):
-            durations = model.sample(k_tours, rng)
-        else:
-            durations = np.asarray(model, dtype=float)
+        durations = model.sample(k_tours, rng)
         clouds[r] = float(durations.sum())
         for j, pool in enumerate(pool_sizes):
             sim = simulate_pool(durations, pool, longest_first=longest_first)

@@ -9,6 +9,7 @@ from nrst.adapt import (
     ConvergenceThresholds,
     RoundState,
     VDataset,
+    _batch_se,
     _carry_widths,
     _remap_states,
     _widths_from_moves,
@@ -429,6 +430,64 @@ def test_adapt_without_restart_runs_one_pass_per_round_and_a_final_pass(monkeypa
     assert res.restarts == 0
     assert len(calls) == len(res.rounds) + 1
     assert {n_levels for n_levels, _ in calls} == {8}
+
+
+def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(monkeypatch):
+    calls = spy_on_run_nrpt(monkeypatch)
+    res = adapt(ToyGaussian(), 8, 9, "mean", rng=np.random.default_rng(1000))
+    assert res.restarts == 1
+
+    def settled_size(r):
+        lam, se = r["lambda_hat"], r["lambda_se"]
+        if se is None or lam - 2 * se <= 0:
+            return None
+        lo, hi = (optimal_grid_size(lam + k * se, 2.0) for k in (-2, 2))
+        return lo if lo == hi else None
+
+    sizes = [settled_size(r) for r in res.rounds]
+    restart = next(i for i, size in enumerate(sizes)
+                   if size is not None and abs(size - 8) / 8 > 0.25)
+    n_final = res.schedule.n_levels
+    assert res.rounds[restart]["n_scan"] >= 32 and sizes[restart] == n_final
+    levels = [r["n_levels"] for r in res.rounds]
+    assert levels == [8] * (restart + 1) + [n_final] * (len(levels) - restart - 1)
+    # the rounds after the restart run on the grid that is kept
+    assert calls[:-1] == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    assert calls[-1] == (n_final, res.n_scan_final)
+    assert sum(1 for n_levels, _ in calls[:-1] if n_levels == n_final) >= 2
+
+
+def _series_dataset(x):
+    return VDataset((x, x))
+
+
+def _mean_of_level_0(data):
+    return float(np.mean(data[0]))
+
+
+def test_batch_se_of_an_iid_mean_is_one_over_sqrt_n():
+    x = np.random.default_rng(4).standard_normal(4096)
+    se = _batch_se(_series_dataset(x), _mean_of_level_0)
+    assert abs(se - 1 / 64) <= 0.25 / 64
+
+
+def test_batch_se_inflates_by_the_ar1_variance_factor():
+    rho, n = 0.8, 4096
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal(n) * math.sqrt(1 - rho**2)
+    x = np.empty(n)
+    x[0] = rng.standard_normal()
+    for t in range(1, n):
+        x[t] = rho * x[t - 1] + noise[t]
+    se = _batch_se(_series_dataset(x), _mean_of_level_0)
+    iid_se = float(np.std(x)) / math.sqrt(n)
+    assert abs(se / iid_se - 3.0) <= 0.3 * 3.0
+
+
+def test_batch_se_needs_32_scans():
+    x = np.random.default_rng(6).standard_normal(32)
+    assert _batch_se(_series_dataset(x[:16]), _mean_of_level_0) is None
+    assert _batch_se(_series_dataset(x), _mean_of_level_0) > 0
 
 
 def test_widths_from_moves_scale_the_mean_move_and_default_to_one():

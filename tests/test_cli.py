@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -13,17 +15,26 @@ def run_cli(argv):
 
 
 @pytest.fixture(scope="module")
-def tuned_dir(tmp_path_factory):
+def tune_run(tmp_path_factory):
+    """Output directory and stdout of one `nrst tune`."""
     out = tmp_path_factory.mktemp("tuned")
-    code = run_cli([
-        "tune", "--model", "toy_gaussian", "--levels", 6, "--max-rounds", 6,
-        "--seed", 3, "--out", out,
-    ])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = run_cli([
+            "tune", "--model", "toy_gaussian", "--levels", 6, "--max-rounds", 6,
+            "--seed", 3, "--out", out,
+        ])
     assert code == 0
-    return out
+    return out, stdout.getvalue()
 
 
-def test_tune_outputs(tuned_dir):
+@pytest.fixture(scope="module")
+def tuned_dir(tune_run):
+    return tune_run[0]
+
+
+def test_tune_outputs(tune_run):
+    tuned_dir, stdout = tune_run
     payload = json.loads((tuned_dir / "schedule.json").read_text())
     betas = payload["betas"]
     assert betas[0] == 0.0 and betas[-1] == 1.0
@@ -37,6 +48,21 @@ def test_tune_outputs(tuned_dir):
     assert lines[0] == "beta,lambda"
     assert len(lines) == len(betas) + 1
     assert "np.float" not in lines[1]  # plain-number CSV, no numpy reprs
+    # every round records its standard errors, None below 32 scans
+    rounds = payload["rounds"]
+    for r in rounds:
+        for key in ("lambda_se", "logz_se"):
+            if r["n_scan"] < 32:
+                assert r[key] is None
+            else:
+                assert math.isfinite(r[key]) and r[key] > 0
+    assert any(r["lambda_se"] is not None for r in rounds)
+    # and stdout counts the rounds run at each grid size, in order
+    per_n = {}
+    for r in rounds:
+        per_n[r["n_levels"]] = per_n.get(r["n_levels"], 0) + 1
+    expected = "rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items())
+    assert expected in stdout.splitlines()
 
 
 def test_run_and_plan_pipeline(tuned_dir, tmp_path, capsys):

@@ -96,9 +96,16 @@ def test_longest_first_never_worse_here():
         assert lpt <= fifo + 1e-12
 
 
+class FixedDurations:
+    """A duration model whose every workload is the same four tours."""
+
+    def sample(self, n, rng):
+        return np.array([4.0, 3.0, 2.0, 1.0])
+
+
 def test_cost_curves_invariants():
     rng = np.random.default_rng(9)
-    curves = cost_curves([4.0, 3.0, 2.0, 1.0], 4, [1, 2, 4, 8], 5, rng)
+    curves = cost_curves(FixedDurations(), 4, [1, 2, 4, 8], 5, rng)
     for c in curves:
         assert c["cloud_cost_mean"] == pytest.approx(10.0)
     pool1 = curves[0]
