@@ -10,9 +10,10 @@ at equal rejection increments.  Rounds double the scan budget until four
 heuristic stability indicators are jointly satisfied.  The grid-size
 restart is decided inside that loop, at the first round whose batch-means
 standard error of the barrier pins the implied grid size down, so the rounds
-after it run on the grid that is kept.  Each pass also learns per-level
-slice widths from the moves of its explorers, for the next pass and for the
-schedule.
+after it run on the grid that is kept.  The schedule comes from the last
+round's own pass, on the grid that round ran on.  Each pass also learns
+per-level slice widths from the moves of its explorers, for the next pass
+and for the schedule.
 """
 
 from __future__ import annotations
@@ -386,13 +387,18 @@ def optimal_grid_size(lambda_total: float, gamma: float) -> int:
     return max(2, math.ceil(gamma * n_star(lambda_total)))
 
 
-@dataclass(frozen=True)
-class RoundState:
-    """Quantities compared across rounds by the convergence check."""
+class RoundState(NamedTuple):
+    """One round's NRPT pass on a grid and the estimates taken from it."""
 
+    betas: np.ndarray
+    data: VDataset
+    states: list
+    ends: np.ndarray
+    widths: np.ndarray  # learned from the pass's moves
     affinities: np.ndarray
-    barrier: BarrierEstimate
+    log_z: np.ndarray | None
     rejections: tuple  # (r_up, r_down, r_sym)
+    barrier: BarrierEstimate
 
 
 def _safe_ratio(num: float, denom: float) -> float:
@@ -459,15 +465,6 @@ class AdaptResult:
     log_z: np.ndarray | None = None
 
 
-def _affinities_for(mode, data, betas):
-    if mode == "mean":
-        logz = stepping_stone_logz(data, betas)
-        return mean_energy_affinities(logz), logz
-    if mode == "median":
-        return median_affinities(data, betas), None
-    raise ValueError("affinity_mode must be 'mean' or 'median'")
-
-
 def _widths_from_moves(moves, n_scan):
     """Starting slice widths from a pass's summed moves: ``_WIDTH_PER_MOVE``
     times each level's and coordinate's mean |move| per explorer call, and
@@ -522,6 +519,25 @@ def _remap_states(states, old_betas, new_betas):
     return [states[j] for j in idx]
 
 
+def _run_round(model, betas, widths, n_scan, rng, states, affinity_mode) -> RoundState:
+    """One NRPT pass of ``n_scan`` scans on ``betas``, from the starting
+    ``widths`` and warm ``states``, and the estimates taken from it."""
+    n = betas.size - 1
+    sched = Schedule(betas, np.zeros(n + 1), np.ones(n, dtype=int), widths)
+    data, states, ends, moves = run_nrpt(model, sched, n_scan, rng, init_states=states,
+                                         full=True)
+    if affinity_mode == "mean":
+        log_z = stepping_stone_logz(data, betas)
+        affinities = mean_energy_affinities(log_z)
+    elif affinity_mode == "median":
+        log_z, affinities = None, median_affinities(data, betas)
+    else:
+        raise ValueError("affinity_mode must be 'mean' or 'median'")
+    rejections = estimate_rejections(data, betas, affinities)
+    return RoundState(betas, data, states, ends, _widths_from_moves(moves, n_scan),
+                      affinities, log_z, rejections, build_barrier(rejections[2], betas))
+
+
 def adapt(
     model: TemperedModel,
     n_levels_initial: int,
@@ -532,7 +548,6 @@ def adapt(
     kappa_bar: float = 0.95,
     rng: np.random.Generator | None = None,
     *,
-    nrpt_explore_steps: int = 1,
     chain_len: int = 512,
     max_restarts: int = 1,
 ) -> AdaptResult:
@@ -550,9 +565,13 @@ def adapt(
     N (at most ``max_restarts`` times).  A restart keeps the scan count and
     the warm chain states, remapped from the grid that round ran on, and
     goes on with the rounds that are left: ``max_rounds`` caps the rounds of
-    the whole tune, across restarts.  One final NRPT pass, on the final grid
-    only, then settles affinities and barrier; no pass runs at a grid size
-    that a restart discards.
+    the whole tune, across restarts.  Every round but the last re-places
+    the grid from its barrier.  The last keeps the grid it ran on, and the
+    schedule (betas, affinities, widths) comes from its pass, as do
+    ``barrier``, ``lambda_hat``, ``log_z``, ``rejections``,
+    ``final_indicators`` and ``n_scan_final``, all on the schedule's grid.
+    Only if the last round restarts does one more pass, of as many scans,
+    run on the new grid for them to come from.
 
     Every pass also learns each level's starting slice width per coordinate:
     ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
@@ -561,19 +580,14 @@ def adapt(
     used, since a heavy-tailed marginal (e.g. a Cauchy mean) makes it far
     wider than the slice.  The first round explores at 1.0 everywhere.
     Each later pass, restarts included, uses the widths of the pass before,
-    interpolated linearly in beta onto its grid, and the schedule keeps the
-    widths of the final pass.  With ``nrpt_explore_steps > 1`` a call spans
-    several sweeps, so the widths come out wider; a bracket that is too wide
-    costs only a logarithmic number of shrinkage steps.
+    interpolated linearly in beta onto its grid.
 
-    Exploration step counts are tuned last, on the final grid.  In the final
-    pass every level's chain is stationary for its tempered law, so the
-    pairs (V before, V after) of its explorer calls give its lag-1
-    autocorrelation kappa(1).  A level with kappa(1) <= ``kappa_bar`` gets 1
-    step at no V-eval cost; every other level runs the warm-started chain
-    of ``chain_len`` sweeps of :func:`tune_explore_steps`.  With
-    ``nrpt_explore_steps > 1`` the pairs measure lag ``nrpt_explore_steps``,
-    not lag 1, so every level runs its chain.
+    Exploration step counts are tuned last.  In the schedule's pass every
+    level's chain is stationary for its tempered law, so the pairs (V
+    before, V after) of its explorer calls give its lag-1 autocorrelation
+    kappa(1).  A level with kappa(1) <= ``kappa_bar`` gets 1 step at no
+    V-eval cost; every other level runs the chain of ``chain_len`` sweeps of
+    :func:`tune_explore_steps`, warm-started from that pass's final states.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -593,26 +607,16 @@ def adapt(
 
     for round_idx in range(1, max_rounds + 1):
         n_scan *= 2
-        sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)
-        data, states, _, moves = run_nrpt(
-            model, sched, n_scan, rng, init_states=states, full=True,
-        )
-        learned = _widths_from_moves(moves, n_scan)
-        affinities, _ = _affinities_for(affinity_mode, data, betas)
-        r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
-        barrier = build_barrier(r_sym, betas)
+        last = _run_round(model, betas, widths, n_scan, rng, states, affinity_mode)
+        states, affinities, barrier = last.states, last.affinities, last.barrier
         # With the affinities held fixed, lambda_hat is the mean of per-scan
         # sums, so batch means applies to it directly.
         lambda_se = _batch_se(
-            data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
-        logz_se = _batch_se(data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
-        current = RoundState(affinities, barrier, (r_up, r_down, r_sym))
-        if barrier.total > 0.0:
-            betas = optimize_grid(barrier, n)
-        widths = _carry_widths(learned, sched.betas, betas)
+            last.data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
+        logz_se = _batch_se(last.data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
         indicators = None
         if prev is not None:
-            converged, indicators = check_convergence(prev, current, thresholds, affinity_mode)
+            converged, indicators = check_convergence(prev, last, thresholds, affinity_mode)
         rounds_log.append({
             "round": round_idx,
             "n_scan": n_scan,
@@ -624,60 +628,43 @@ def adapt(
             "indicators": indicators,
             "converged": converged,
         })
-        prev = current
+        prev = last
 
         # The restart is decided on the grid this round ran on, as soon as
         # the round's noise pins the implied size down, or at the last
         # round: no NRPT pass is spent at a size about to go.
-        last = converged or round_idx == max_rounds
+        last_round = converged or round_idx == max_rounds
+        n_target = n
         if (restarts < max_restarts and barrier.total > 0.0
-                and (last or _grid_size_settled(barrier.total, lambda_se, gamma))):
+                and (last_round or _grid_size_settled(barrier.total, lambda_se, gamma))):
             n_target = optimal_grid_size(barrier.total, gamma)
-            if abs(n - n_target) / n > _RESTART_MISMATCH:
-                restarts += 1
-                n = n_target
-                betas = optimize_grid(barrier, n)
-                states = _remap_states(states, sched.betas, betas)
-                widths = _carry_widths(learned, sched.betas, betas)
-                converged = False
-                prev = None
-        if converged:
+        if abs(n - n_target) / n > _RESTART_MISMATCH:
+            restarts += 1
+            n = n_target
+            betas = optimize_grid(barrier, n)
+            states = _remap_states(states, last.betas, betas)
+            converged = False
+            prev = None
+        elif last_round:
+            # The last round keeps its grid: the schedule comes from its pass.
             break
+        elif barrier.total > 0.0:
+            betas = optimize_grid(barrier, n)
+        widths = _carry_widths(last.widths, last.betas, betas)
+    else:
+        # The last round restarted, so no pass has run at the new size.
+        last = _run_round(model, betas, widths, n_scan, rng, states, affinity_mode)
 
-    # Final pass on the final grid.
-    sched = Schedule(betas, np.zeros(n + 1), np.full(n, nrpt_explore_steps), widths)
-    data, states, ends, moves = run_nrpt(
-        model, sched, n_scan, rng, init_states=states, full=True,
-    )
-    widths = _widths_from_moves(moves, n_scan)
-    affinities, log_z = _affinities_for(affinity_mode, data, betas)
-    r_up, r_down, r_sym = estimate_rejections(data, betas, affinities)
-    barrier = build_barrier(r_sym, betas)
-
-    spread, asym = equi_rejection_indicators(r_up, r_down, r_sym)
-    final_indicators = {"rejection_spread": spread, "directional_asymmetry": asym}
-
-    # Each level's (V in, V out) pairs span nrpt_explore_steps sweeps, so
-    # they measure kappa(1) only at one sweep per scan.
-    kappa1 = None
-    if nrpt_explore_steps == 1:
-        kappa1 = [lag1_autocorrelation(ends[0, i], ends[1, i]) for i in range(1, n + 1)]
-    tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
-    explore_steps = tune_explore_steps(
-        model, tuning_sched, kappa_bar, chain_len, rng,
-        init_states=states, kappa1=kappa1,
-    )
-    schedule = Schedule(betas, affinities, explore_steps, widths)
+    spread, asym = equi_rejection_indicators(*last.rejections)
+    kappa1 = [lag1_autocorrelation(last.ends[0, i], last.ends[1, i]) for i in range(1, n + 1)]
+    tuning_sched = Schedule(last.betas, last.affinities, np.ones(n, dtype=int), last.widths)
+    explore_steps = tune_explore_steps(model, tuning_sched, kappa_bar, chain_len, rng,
+                                       init_states=last.states, kappa1=kappa1)
     return AdaptResult(
-        schedule=schedule,
-        barrier=barrier,
-        lambda_hat=barrier.total,
-        converged=converged,
-        rounds=rounds_log,
-        rejections=(r_up, r_down, r_sym),
-        final_indicators=final_indicators,
-        affinity_mode=affinity_mode,
-        n_scan_final=n_scan,
-        restarts=restarts,
-        log_z=log_z,
+        schedule=Schedule(last.betas, last.affinities, explore_steps, last.widths),
+        barrier=last.barrier, lambda_hat=last.barrier.total, converged=converged,
+        rounds=rounds_log, rejections=last.rejections,
+        final_indicators={"rejection_spread": spread, "directional_asymmetry": asym},
+        affinity_mode=affinity_mode, n_scan_final=n_scan, restarts=restarts,
+        log_z=last.log_z,
     )

@@ -111,7 +111,7 @@ def _cmd_tune(args) -> int:
     result = run_adapt(
         model, args.levels, args.max_rounds, cfg.affinity_mode,
         gamma=cfg.gamma, kappa_bar=cfg.kappa_bar, rng=rng,
-        nrpt_explore_steps=args.nrpt_explore_steps, chain_len=args.chain_len,
+        chain_len=args.chain_len,
     )
     os.makedirs(cfg.out, exist_ok=True)
     r_up, r_down, r_sym = result.rejections
@@ -315,17 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
                         "across the grid-size restart; the restart is decided "
                         "at the first round whose standard error pins the grid "
                         "size down (or at the last round), and no pass runs at "
-                        "the discarded grid size after it")
+                        "the discarded grid size after it; the schedule comes "
+                        "from the last round's pass (one more pass runs only "
+                        "when the last round restarts)")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--kappa-bar", type=float, default=0.95)
-    p.add_argument("--nrpt-explore-steps", type=int, default=1)
     p.add_argument("--chain-len", type=int, default=512,
                    help="sweeps of the chain that sets a level's exploration "
                         "steps; it runs only at levels whose lag-1 V "
-                        "autocorrelation in the final NRPT pass exceeds "
-                        "--kappa-bar, or at every level when "
-                        "--nrpt-explore-steps > 1")
+                        "autocorrelation in the pass the schedule comes from "
+                        "exceeds --kappa-bar")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_tune)

@@ -35,7 +35,7 @@ _MAX_EXPLORE_STEPS = 64
 
 
 class SliceNumericalError(RuntimeError):
-    """Slice shrinkage collapsed or the initial point had no density."""
+    """Slice shrinkage collapsed or stalled, or the start had no density."""
 
 
 def _slice_coordinate(x, d, logp, density, rng, w):
@@ -80,6 +80,10 @@ def _slice_coordinate(x, d, logp, density, rng, w):
             left = x1
         else:
             right = x1
+        # No float lies inside the bracket (y rounds to logp at |logp| ~1e16).
+        if not math.nextafter(left, right) < right:
+            raise SliceNumericalError(f"slice bracket [{left!r}, {right!r}] at coordinate "
+                                      f"{d} can no longer shrink below level {y!r}")
 
 
 class Sweep(NamedTuple):

@@ -1,5 +1,6 @@
 import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from nrst.adapt import (
     BarrierEstimate,
     ConvergenceThresholds,
-    RoundState,
     VDataset,
     _batch_se,
     _carry_widths,
@@ -16,6 +16,7 @@ from nrst.adapt import (
     adapt,
     build_barrier,
     check_convergence,
+    equi_rejection_indicators,
     estimate_rejections,
     mean_energy_affinities,
     median_affinities,
@@ -266,7 +267,8 @@ def _round_state(c_top, total, r_up, r_down):
     betas = np.linspace(0, 1, r_up.size + 1)
     barrier = BarrierEstimate(betas, np.linspace(0.0, total, betas.size))
     aff = np.linspace(0.0, c_top, betas.size)
-    return RoundState(aff, barrier, (r_up, r_down, r_sym))
+    # the three fields the convergence check compares
+    return SimpleNamespace(affinities=aff, barrier=barrier, rejections=(r_up, r_down, r_sym))
 
 
 def test_check_convergence_fixed_point():
@@ -416,20 +418,21 @@ def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch):
     assert res.restarts == 1
     first = [r for r in res.rounds if r["n_levels"] == 8]
     assert sum(1 for n_levels, _ in calls if n_levels == 8) == len(first)
-    # one pass per round, then exactly one final pass, at the final size
-    assert calls[:-1] == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    # one pass per round and none after them: the last round's pass, at the
+    # final size, is the one the schedule comes from
+    assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
     assert calls[-1] == (res.schedule.n_levels, res.n_scan_final)
     # the restart size comes from the last round at the first size
     assert res.schedule.n_levels == optimal_grid_size(first[-1]["lambda_hat"], 2.0)
 
 
-def test_adapt_without_restart_runs_one_pass_per_round_and_a_final_pass(monkeypatch):
+def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch):
     calls = spy_on_run_nrpt(monkeypatch)
     res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3),
                 max_restarts=0)
     assert res.restarts == 0
-    assert len(calls) == len(res.rounds) + 1
-    assert {n_levels for n_levels, _ in calls} == {8}
+    assert calls == [(8, r["n_scan"]) for r in res.rounds]
+    assert calls[-1] == (8, res.n_scan_final)
 
 
 def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(monkeypatch):
@@ -451,10 +454,60 @@ def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(mon
     assert res.rounds[restart]["n_scan"] >= 32 and sizes[restart] == n_final
     levels = [r["n_levels"] for r in res.rounds]
     assert levels == [8] * (restart + 1) + [n_final] * (len(levels) - restart - 1)
-    # the rounds after the restart run on the grid that is kept
-    assert calls[:-1] == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    # the rounds after the restart run on the grid that is kept, and no pass
+    # runs after them
+    assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
     assert calls[-1] == (n_final, res.n_scan_final)
-    assert sum(1 for n_levels, _ in calls[:-1] if n_levels == n_final) >= 2
+    assert sum(1 for n_levels, _ in calls if n_levels == n_final) >= 2
+
+
+@pytest.mark.parametrize("mode, max_rounds", [("mean", 6), ("median", 6), ("mean", 2)],
+                         ids=["mean", "median", "restart-at-last-round"])
+def test_adapt_takes_the_schedule_from_the_last_pass(monkeypatch, mode, max_rounds):
+    module = importlib.import_module("nrst.adapt")
+    passes = []
+    real = module.run_nrpt
+
+    def spy(model, schedule, n_scan, *args, **kwargs):
+        out = real(model, schedule, n_scan, *args, **kwargs)
+        passes.append((schedule, n_scan, out))
+        return out
+
+    monkeypatch.setattr(module, "run_nrpt", spy)
+    step_calls = spy_on_step_tuning(monkeypatch)
+    res = adapt(ToyGaussian(), 8, max_rounds, mode, LOOSE, rng=np.random.default_rng(3))
+    # one pass per round, plus one at the new size only when the last round
+    # restarts: with 2 rounds, round 2 converges and restarts (N 8 -> 5)
+    calls = [(sched.n_levels, n_scan) for sched, n_scan, _ in passes]
+    rounds = [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    if max_rounds == 2:
+        assert res.restarts == 1 and rounds == [(8, 2), (8, 4)]
+        assert calls == rounds + [(res.schedule.n_levels, 4)] and res.schedule.n_levels != 8
+    else:
+        assert calls == rounds
+    sched, n_scan, (data, states, ends, moves) = passes[-1]
+    betas = sched.betas
+    np.testing.assert_array_equal(res.schedule.betas, betas)
+    if mode == "mean":
+        log_z = stepping_stone_logz(data, betas)
+        affinities = mean_energy_affinities(log_z)
+        np.testing.assert_array_equal(res.log_z, log_z)
+    else:
+        affinities = median_affinities(data, betas)
+        assert res.log_z is None
+    np.testing.assert_array_equal(res.schedule.affinities, affinities)
+    np.testing.assert_array_equal(res.schedule.widths, _widths_from_moves(moves, n_scan))
+    rejections = estimate_rejections(data, betas, affinities)
+    for got, want in zip(res.rejections, rejections):
+        np.testing.assert_array_equal(got, want)
+    assert res.lambda_hat == res.barrier.total == build_barrier(rejections[2], betas).total
+    spread, asym = equi_rejection_indicators(*rejections)
+    assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
+    assert res.n_scan_final == n_scan
+    n = res.schedule.n_levels
+    assert step_calls[0]["kappa1"] == [lag1_autocorrelation(ends[0, i], ends[1, i])
+                                       for i in range(1, n + 1)]
+    assert step_calls[0]["init_states"] is states
 
 
 def _series_dataset(x):
@@ -526,7 +579,7 @@ def test_adapt_learns_widths_from_each_pass(monkeypatch):
         learned = _widths_from_moves(moves, n_before)
         np.testing.assert_array_equal(
             after.widths, _carry_widths(learned, before.betas, after.betas))
-    # the schedule keeps the widths of the final pass
+    # the schedule keeps the widths of the last pass
     final, n_final, moves = calls[-1]
     np.testing.assert_array_equal(res.schedule.widths, _widths_from_moves(moves, n_final))
 
@@ -547,16 +600,19 @@ def test_adapt_learned_widths_cut_toy_tune_v_evals(monkeypatch):
     assert model.v_evals.value < unit.v_evals.value
 
 
-def test_adapt_restart_from_heavy_tailed_reference_completes():
+def test_adapt_restart_from_heavy_tailed_reference_completes(monkeypatch):
     # Level-0 states of threshold_weibull can have V = +inf; a restart used
     # to warm-start a tempered level from one and fail in the slice sweep.
+    calls = spy_on_run_nrpt(monkeypatch)
     model = make_model(ModelSpec("threshold_weibull"))
     res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
     assert res.restarts == 1 and res.schedule.n_levels != 8
     n_scans = [r["n_scan"] for r in res.rounds]
     assert len(res.rounds) == 6 and n_scans == sorted(n_scans)
-    # no rounds were left after the restart: the final pass keeps the budget
-    assert res.n_scan_final == n_scans[-1]
+    # the restart comes at round 5, so round 6 runs at the new size and no
+    # pass runs after it
+    assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    assert calls[-1] == (res.schedule.n_levels, res.n_scan_final)
 
 
 def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier():
@@ -614,15 +670,16 @@ class Ridge(TemperedModel):
 
 def spy_on_step_tuning(monkeypatch, drop_kappa1=False):
     """Record what each step tuning inside adapt is given and spends: its
-    kappa1, its V-evals, and the levels that ran a chain.  ``drop_kappa1``
-    withholds kappa1, so every level runs its chain."""
+    kappa1 and warm states, its V-evals, and the levels that ran a chain.
+    ``drop_kappa1`` withholds kappa1, so every level runs its chain."""
     explore = importlib.import_module("nrst.explore")
     module = importlib.import_module("nrst.adapt")
     real_tune, real_kernel = explore.tune_explore_steps, explore.ExplorationKernel
     calls = []
 
     def spy(model, schedule, *args, **kwargs):
-        call = {"kappa1": kwargs.get("kappa1"), "chain_levels": []}
+        call = {"kappa1": kwargs.get("kappa1"), "init_states": kwargs.get("init_states"),
+                "chain_levels": []}
         if drop_kappa1:
             kwargs["kappa1"] = None
 
@@ -681,14 +738,6 @@ def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
     assert all(steps[i - 1] == 1 for i in fast)
     for i in slow:
         assert steps[i - 1] == chain_res.schedule.explore_steps[i - 1]
-
-
-def test_adapt_with_several_nrpt_sweeps_runs_every_chain(monkeypatch):
-    calls = spy_on_step_tuning(monkeypatch)
-    res = adapt(ToyGaussian(), 4, 3, "mean", rng=np.random.default_rng(1),
-                nrpt_explore_steps=2, max_restarts=0)
-    assert calls[0]["kappa1"] is None
-    assert calls[0]["chain_levels"] == list(range(1, res.schedule.n_levels + 1))
 
 
 def test_lag1_from_final_pass_matches_the_chain_estimate():

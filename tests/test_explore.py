@@ -93,6 +93,24 @@ def test_slice_step_spike_raises():
         sweep(np.array([0.0]), spike, rng)
 
 
+def test_slice_step_raises_where_the_slice_level_rounds_to_the_density():
+    # At |log density| 1e20 one ulp is 16384, so logp + log(u) rounds to logp
+    # and no point lies strictly above the slice level.  Without a stall check
+    # shrinkage narrows the bracket to adjacent floats around x0 and loops
+    # there forever; the density stops it after 10^4 V-evals instead.
+    evals = []
+
+    def plateau(x):
+        evals.append(1)
+        assert len(evals) <= 10_000, "shrinkage did not end"
+        return -1e20 - 0.5 * float(x[0]) ** 2, 1e20
+
+    with pytest.raises(SliceNumericalError, match="at coordinate 0 can no longer shrink"):
+        slice_step(np.array([1.0]), -1e20, plateau, np.random.default_rng(0), (1.0,))
+    # 19 step-outs at most, then about 53 halvings to the float spacing at 1.0
+    assert len(evals) <= 200
+
+
 def test_slice_step_requires_finite_start():
     rng = np.random.default_rng(0)
     with pytest.raises(SliceNumericalError):
