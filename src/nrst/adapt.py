@@ -10,8 +10,8 @@ at equal rejection increments.  Rounds double the scan budget until four
 heuristic stability indicators are jointly satisfied.  The grid-size
 restart is decided inside that loop, at the first round whose batch-means
 standard error of the barrier pins the implied grid size down, so the rounds
-after it run on the grid that is kept.  The schedule comes from the last
-round's own pass, on the grid that round ran on.  Each pass also learns
+after it run on the grid that is kept.  The last two rounds share a grid,
+and the schedule comes from their two passes pooled.  Each pass also learns
 per-level slice widths from the moves of its explorers, for the next pass
 and for the schedule.
 """
@@ -387,18 +387,13 @@ def optimal_grid_size(lambda_total: float, gamma: float) -> int:
     return max(2, math.ceil(gamma * n_star(lambda_total)))
 
 
-class RoundState(NamedTuple):
-    """One round's NRPT pass on a grid and the estimates taken from it."""
+@dataclass(frozen=True)
+class RoundState:
+    """Quantities compared across rounds by the convergence check."""
 
-    betas: np.ndarray
-    data: VDataset
-    states: list
-    ends: np.ndarray
-    widths: np.ndarray  # learned from the pass's moves
     affinities: np.ndarray
-    log_z: np.ndarray | None
-    rejections: tuple  # (r_up, r_down, r_sym)
     barrier: BarrierEstimate
+    rejections: tuple  # (r_up, r_down, r_sym)
 
 
 def _safe_ratio(num: float, denom: float) -> float:
@@ -519,13 +514,15 @@ def _remap_states(states, old_betas, new_betas):
     return [states[j] for j in idx]
 
 
-def _run_round(model, betas, widths, n_scan, rng, states, affinity_mode) -> RoundState:
-    """One NRPT pass of ``n_scan`` scans on ``betas``, from the starting
-    ``widths`` and warm ``states``, and the estimates taken from it."""
+def _tuning_pass(model, betas, widths, n_scan, rng, states) -> NrptPass:
+    """One NRPT pass on ``betas`` from the starting ``widths`` and warm ``states``."""
     n = betas.size - 1
     sched = Schedule(betas, np.zeros(n + 1), np.ones(n, dtype=int), widths)
-    data, states, ends, moves = run_nrpt(model, sched, n_scan, rng, init_states=states,
-                                         full=True)
+    return run_nrpt(model, sched, n_scan, rng, init_states=states, full=True)
+
+
+def _pass_estimates(data, betas, affinity_mode) -> tuple:
+    """(affinities, log Z or None, rejections, barrier) from a pass's data."""
     if affinity_mode == "mean":
         log_z = stepping_stone_logz(data, betas)
         affinities = mean_energy_affinities(log_z)
@@ -534,8 +531,15 @@ def _run_round(model, betas, widths, n_scan, rng, states, affinity_mode) -> Roun
     else:
         raise ValueError("affinity_mode must be 'mean' or 'median'")
     rejections = estimate_rejections(data, betas, affinities)
-    return RoundState(betas, data, states, ends, _widths_from_moves(moves, n_scan),
-                      affinities, log_z, rejections, build_barrier(rejections[2], betas))
+    return affinities, log_z, rejections, build_barrier(rejections[2], betas)
+
+
+def _pool(first: NrptPass, second: NrptPass) -> NrptPass:
+    """Two passes on one grid, the second warm-started from the first, as
+    one pass over the scans of both."""
+    data = VDataset(tuple(map(np.concatenate, zip(first.data.levels, second.data.levels))))
+    return NrptPass(data, second.states, np.concatenate([first.ends, second.ends], axis=2),
+                    first.moves + second.moves)
 
 
 def adapt(
@@ -565,13 +569,17 @@ def adapt(
     N (at most ``max_restarts`` times).  A restart keeps the scan count and
     the warm chain states, remapped from the grid that round ran on, and
     goes on with the rounds that are left: ``max_rounds`` caps the rounds of
-    the whole tune, across restarts.  Every round but the last re-places
-    the grid from its barrier.  The last keeps the grid it ran on, and the
-    schedule (betas, affinities, widths) comes from its pass, as do
-    ``barrier``, ``lambda_hat``, ``log_z``, ``rejections``,
-    ``final_indicators`` and ``n_scan_final``, all on the schedule's grid.
-    Only if the last round restarts does one more pass, of as many scans,
-    run on the new grid for them to come from.
+    the whole tune, across restarts.
+
+    Every round but the last two re-places the grid from its barrier, so
+    the last two share a grid.  The schedule (betas, affinities, widths)
+    comes from the last round's pass pooled with the pass before it when
+    that one ran on the same grid (a round that converges before the cap,
+    or follows a restart, is used alone), as do ``barrier``,
+    ``lambda_hat``, ``log_z``, ``rejections`` and ``final_indicators``.
+    ``n_scan_final`` is the last round's scan count.  Only if the last
+    round restarts does one more pass, of as many scans, run on the new
+    grid for them to come from.
 
     Every pass also learns each level's starting slice width per coordinate:
     ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
@@ -582,12 +590,13 @@ def adapt(
     Each later pass, restarts included, uses the widths of the pass before,
     interpolated linearly in beta onto its grid.
 
-    Exploration step counts are tuned last.  In the schedule's pass every
+    Exploration step counts are tuned last.  In the schedule's passes every
     level's chain is stationary for its tempered law, so the pairs (V
     before, V after) of its explorer calls give its lag-1 autocorrelation
     kappa(1).  A level with kappa(1) <= ``kappa_bar`` gets 1 step at no
     V-eval cost; every other level runs the chain of ``chain_len`` sweeps of
-    :func:`tune_explore_steps`, warm-started from that pass's final states.
+    :func:`tune_explore_steps`, warm-started from the last pass's final
+    states.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -597,38 +606,32 @@ def adapt(
 
     n = int(n_levels_initial)
     betas = np.linspace(0.0, 1.0, n + 1)
-    states = None
-    widths = None
+    states = widths = prev = None
+    held = None  # the pass before, when it ran on the current grid
     rounds_log = []
     restarts = 0
     n_scan = 1
     converged = False
-    prev = None
 
     for round_idx in range(1, max_rounds + 1):
         n_scan *= 2
-        last = _run_round(model, betas, widths, n_scan, rng, states, affinity_mode)
-        states, affinities, barrier = last.states, last.affinities, last.barrier
+        nrpt = _tuning_pass(model, betas, widths, n_scan, rng, states)
+        states = nrpt.states
+        affinities, _, rejections, barrier = _pass_estimates(nrpt.data, betas, affinity_mode)
         # With the affinities held fixed, lambda_hat is the mean of per-scan
         # sums, so batch means applies to it directly.
         lambda_se = _batch_se(
-            last.data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
-        logz_se = _batch_se(last.data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
+            nrpt.data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
+        logz_se = _batch_se(nrpt.data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
+        current = RoundState(affinities, barrier, rejections)
         indicators = None
         if prev is not None:
-            converged, indicators = check_convergence(prev, last, thresholds, affinity_mode)
-        rounds_log.append({
-            "round": round_idx,
-            "n_scan": n_scan,
-            "n_levels": n,
-            "lambda_hat": barrier.total,
-            "lambda_se": lambda_se,
-            "logz_se": logz_se,
-            "affinity_top": float(affinities[-1]),
-            "indicators": indicators,
-            "converged": converged,
-        })
-        prev = last
+            converged, indicators = check_convergence(prev, current, thresholds, affinity_mode)
+        rounds_log.append({"round": round_idx, "n_scan": n_scan, "n_levels": n,
+                           "lambda_hat": barrier.total, "lambda_se": lambda_se,
+                           "logz_se": logz_se, "affinity_top": float(affinities[-1]),
+                           "indicators": indicators, "converged": converged})
+        prev = current
 
         # The restart is decided on the grid this round ran on, as soon as
         # the round's noise pins the implied size down, or at the last
@@ -638,33 +641,39 @@ def adapt(
         if (restarts < max_restarts and barrier.total > 0.0
                 and (last_round or _grid_size_settled(barrier.total, lambda_se, gamma))):
             n_target = optimal_grid_size(barrier.total, gamma)
+        old_betas = betas
         if abs(n - n_target) / n > _RESTART_MISMATCH:
             restarts += 1
             n = n_target
             betas = optimize_grid(barrier, n)
-            states = _remap_states(states, last.betas, betas)
+            states = _remap_states(states, old_betas, betas)
             converged = False
             prev = None
         elif last_round:
-            # The last round keeps its grid: the schedule comes from its pass.
             break
-        elif barrier.total > 0.0:
+        elif round_idx < max_rounds - 1 and barrier.total > 0.0:
+            # The last two rounds share a grid, so that the schedule comes
+            # from the passes of both.
             betas = optimize_grid(barrier, n)
-        widths = _carry_widths(last.widths, last.betas, betas)
+        widths = _carry_widths(_widths_from_moves(nrpt.moves, n_scan), old_betas, betas)
+        held = nrpt if betas is old_betas else None
     else:
         # The last round restarted, so no pass has run at the new size.
-        last = _run_round(model, betas, widths, n_scan, rng, states, affinity_mode)
+        nrpt = _tuning_pass(model, betas, widths, n_scan, rng, states)
 
-    spread, asym = equi_rejection_indicators(*last.rejections)
-    kappa1 = [lag1_autocorrelation(last.ends[0, i], last.ends[1, i]) for i in range(1, n + 1)]
-    tuning_sched = Schedule(last.betas, last.affinities, np.ones(n, dtype=int), last.widths)
+    final = nrpt if held is None else _pool(held, nrpt)
+    affinities, log_z, rejections, barrier = _pass_estimates(final.data, betas, affinity_mode)
+    widths = _widths_from_moves(final.moves, final.data[0].size)
+    spread, asym = equi_rejection_indicators(*rejections)
+    kappa1 = [lag1_autocorrelation(final.ends[0, i], final.ends[1, i]) for i in range(1, n + 1)]
+    tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps = tune_explore_steps(model, tuning_sched, kappa_bar, chain_len, rng,
-                                       init_states=last.states, kappa1=kappa1)
+                                       init_states=final.states, kappa1=kappa1)
     return AdaptResult(
-        schedule=Schedule(last.betas, last.affinities, explore_steps, last.widths),
-        barrier=last.barrier, lambda_hat=last.barrier.total, converged=converged,
-        rounds=rounds_log, rejections=last.rejections,
+        schedule=Schedule(betas, affinities, explore_steps, widths),
+        barrier=barrier, lambda_hat=barrier.total, converged=converged,
+        rounds=rounds_log, rejections=rejections,
         final_indicators={"rejection_spread": spread, "directional_asymmetry": asym},
         affinity_mode=affinity_mode, n_scan_final=n_scan, restarts=restarts,
-        log_z=last.log_z,
+        log_z=log_z,
     )

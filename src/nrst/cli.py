@@ -315,16 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
                         "across the grid-size restart; the restart is decided "
                         "at the first round whose standard error pins the grid "
                         "size down (or at the last round), and no pass runs at "
-                        "the discarded grid size after it; the schedule comes "
-                        "from the last round's pass (one more pass runs only "
-                        "when the last round restarts)")
+                        "the discarded grid size after it; the last two rounds "
+                        "share a grid and the schedule comes from their passes "
+                        "(one more pass runs only when the last round restarts)")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--gamma", type=float, default=2.0)
     p.add_argument("--kappa-bar", type=float, default=0.95)
     p.add_argument("--chain-len", type=int, default=512,
                    help="sweeps of the chain that sets a level's exploration "
                         "steps; it runs only at levels whose lag-1 V "
-                        "autocorrelation in the pass the schedule comes from "
+                        "autocorrelation in the passes the schedule comes from "
                         "exceeds --kappa-bar")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=".")

@@ -80,10 +80,9 @@ def _slice_coordinate(x, d, logp, density, rng, w):
             left = x1
         else:
             right = x1
-        # No float lies inside the bracket (y rounds to logp at |logp| ~1e16).
-        if not math.nextafter(left, right) < right:
-            raise SliceNumericalError(f"slice bracket [{left!r}, {right!r}] at coordinate "
-                                      f"{d} can no longer shrink below level {y!r}")
+        if not math.nextafter(left, right) < right:  # y rounds to logp at |logp| ~1e16
+            raise SliceNumericalError(f"slice bracket [{left!r}, {right!r}] at coordinate {d} "
+                                      f"can no longer shrink below level {y!r}")
 
 
 class Sweep(NamedTuple):

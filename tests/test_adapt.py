@@ -1,6 +1,5 @@
 import importlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from nrst.adapt import (
     BarrierEstimate,
     ConvergenceThresholds,
+    RoundState,
     VDataset,
     _batch_se,
     _carry_widths,
@@ -267,8 +267,7 @@ def _round_state(c_top, total, r_up, r_down):
     betas = np.linspace(0, 1, r_up.size + 1)
     barrier = BarrierEstimate(betas, np.linspace(0.0, total, betas.size))
     aff = np.linspace(0.0, c_top, betas.size)
-    # the three fields the convergence check compares
-    return SimpleNamespace(affinities=aff, barrier=barrier, rejections=(r_up, r_down, r_sym))
+    return RoundState(aff, barrier, (r_up, r_down, r_sym))
 
 
 def test_check_convergence_fixed_point():
@@ -461,9 +460,13 @@ def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(mon
     assert sum(1 for n_levels, _ in calls if n_levels == n_final) >= 2
 
 
-@pytest.mark.parametrize("mode, max_rounds", [("mean", 6), ("median", 6), ("mean", 2)],
-                         ids=["mean", "median", "restart-at-last-round"])
-def test_adapt_takes_the_schedule_from_the_last_pass(monkeypatch, mode, max_rounds):
+@pytest.mark.parametrize(
+    "mode, max_rounds, thresholds, max_restarts",
+    [("mean", 6, LOOSE, 1), ("median", 6, LOOSE, 1), ("mean", 2, LOOSE, 1),
+     ("mean", 4, None, 0), ("median", 4, None, 0)],
+    ids=["mean", "median", "restart-at-last-round", "pooled-mean", "pooled-median"])
+def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, max_rounds,
+                                                       thresholds, max_restarts):
     module = importlib.import_module("nrst.adapt")
     passes = []
     real = module.run_nrpt
@@ -475,7 +478,8 @@ def test_adapt_takes_the_schedule_from_the_last_pass(monkeypatch, mode, max_roun
 
     monkeypatch.setattr(module, "run_nrpt", spy)
     step_calls = spy_on_step_tuning(monkeypatch)
-    res = adapt(ToyGaussian(), 8, max_rounds, mode, LOOSE, rng=np.random.default_rng(3))
+    res = adapt(ToyGaussian(), 8, max_rounds, mode, thresholds, rng=np.random.default_rng(3),
+                max_restarts=max_restarts)
     # one pass per round, plus one at the new size only when the last round
     # restarts: with 2 rounds, round 2 converges and restarts (N 8 -> 5)
     calls = [(sched.n_levels, n_scan) for sched, n_scan, _ in passes]
@@ -487,6 +491,18 @@ def test_adapt_takes_the_schedule_from_the_last_pass(monkeypatch, mode, max_roun
         assert calls == rounds
     sched, n_scan, (data, states, ends, moves) = passes[-1]
     betas = sched.betas
+    # the last two rounds share a grid, unless the tune stopped early on
+    # convergence or the last round restarted
+    pooled = max_restarts == 0
+    assert np.array_equal(passes[-2][0].betas, betas) == pooled
+    if pooled:
+        assert not res.converged and len(res.rounds) == max_rounds
+        _, n_before, before = passes[-2]
+        data = VDataset(tuple(np.concatenate([a, b])
+                              for a, b in zip(before.data.levels, data.levels)))
+        ends = np.concatenate([before.ends, ends], axis=2)
+        moves = before.moves + moves
+        assert data[0].size == n_before + n_scan
     np.testing.assert_array_equal(res.schedule.betas, betas)
     if mode == "mean":
         log_z = stepping_stone_logz(data, betas)
@@ -496,7 +512,8 @@ def test_adapt_takes_the_schedule_from_the_last_pass(monkeypatch, mode, max_roun
         affinities = median_affinities(data, betas)
         assert res.log_z is None
     np.testing.assert_array_equal(res.schedule.affinities, affinities)
-    np.testing.assert_array_equal(res.schedule.widths, _widths_from_moves(moves, n_scan))
+    np.testing.assert_array_equal(res.schedule.widths,
+                                  _widths_from_moves(moves, data[0].size))
     rejections = estimate_rejections(data, betas, affinities)
     for got, want in zip(res.rejections, rejections):
         np.testing.assert_array_equal(got, want)
@@ -727,7 +744,7 @@ def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
 
 def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
     res, call, chain_res, _ = adapt_with_and_without_kappa1(
-        monkeypatch, Ridge, 8, 6, "mean", seed=2)
+        monkeypatch, Ridge, 8, 6, "mean", seed=1)
     slow = [i for i, k in enumerate(call["kappa1"], start=1) if k > 0.95]
     assert call["chain_levels"] == slow
     # the top level is slow, and the others are not all slow
