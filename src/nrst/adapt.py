@@ -497,6 +497,13 @@ def _batch_se(data: VDataset, stat):
     return float(np.std(values, ddof=1)) / math.sqrt(b)
 
 
+def _kappa1_upper(v_in, v_out) -> float:
+    """kappa(1) from a level's (V in, V out) pairs plus 2 batch-means SEs
+    over its scans; +inf below ``_MIN_SE_SCANS`` scans."""
+    se = _batch_se(VDataset((v_in, v_out)), lambda d: lag1_autocorrelation(*d.levels))
+    return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
+
+
 def _grid_size_settled(lambda_hat, lambda_se, gamma) -> bool:
     """Whether ``optimal_grid_size`` gives one N across lambda_hat +- 2 SE."""
     if lambda_se is None or not lambda_hat - 2.0 * lambda_se > 0.0:
@@ -593,10 +600,10 @@ def adapt(
     Exploration step counts are tuned last.  In the schedule's passes every
     level's chain is stationary for its tempered law, so the pairs (V
     before, V after) of its explorer calls give its lag-1 autocorrelation
-    kappa(1).  A level with kappa(1) <= ``kappa_bar`` gets 1 step at no
-    V-eval cost; every other level runs the chain of ``chain_len`` sweeps of
-    :func:`tune_explore_steps`, warm-started from the last pass's final
-    states.
+    kappa(1).  A level whose kappa(1) plus 2 batch-means SEs is <=
+    ``kappa_bar`` gets 1 step at no V-eval cost; every other level runs the
+    chain of ``chain_len`` sweeps of :func:`tune_explore_steps`,
+    warm-started from the last pass's final states.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -665,7 +672,7 @@ def adapt(
     affinities, log_z, rejections, barrier = _pass_estimates(final.data, betas, affinity_mode)
     widths = _widths_from_moves(final.moves, final.data[0].size)
     spread, asym = equi_rejection_indicators(*rejections)
-    kappa1 = [lag1_autocorrelation(final.ends[0, i], final.ends[1, i]) for i in range(1, n + 1)]
+    kappa1 = [_kappa1_upper(final.ends[0, i], final.ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps = tune_explore_steps(model, tuning_sched, kappa_bar, chain_len, rng,
                                        init_states=final.states, kappa1=kappa1)

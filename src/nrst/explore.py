@@ -246,11 +246,11 @@ def tune_explore_steps(
     holds one (x, V(x)) warm start per level 0..N; otherwise each chain
     starts from a reference draw.
 
-    ``kappa1`` optionally holds, per level 1..N, a lag-1 autocorrelation of
-    V already measured on stationary draws (see :func:`adapt.adapt`).  The
-    rule above returns 1 exactly when kappa(1) <= ``kappa_bar``, so such a
-    level gets 1 step and runs no chain.  The other levels run their chain
-    on the same stream as without ``kappa1``, and get the same count.
+    ``kappa1`` optionally holds, per level 1..N, an upper bound on kappa(1)
+    from stationary draws (see :func:`adapt.adapt`).  A level whose bound is
+    <= ``kappa_bar`` gets 1 step, as the rule above would, and runs no
+    chain.  The other levels run their chain on the same stream as without
+    ``kappa1``, and get the same count.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ValueError("kappa_bar must lie in (0, 1)")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .model import Schedule, TemperedModel
 from .planner import te_infinity
-from .st_kernels import TourTrace, run_tour, trace_summary
+from .st_kernels import TourTrace, run_tour
 from .stats import NoTopVisitsError, TourStatistics, diagnostics_report, estimate_te, min_tours
 
 
@@ -41,11 +41,17 @@ class RunReport:
     te_hat: float
     serial_cost: int
     parallel_cost: int
-    tours: list
     estimates: dict
     seed: int
     k_trial: int | None = None
     traces: list = field(default_factory=list, repr=False)
+
+    @property
+    def tours(self) -> list:
+        """Per-tour summaries, in tour order, derived from ``traces``."""
+        return [{"tour": i, "n_steps": t.n_steps, "visits_top": t.visits_top,
+                 "v_evals": t.v_evals, "cpu_seconds": t.cpu_seconds}
+                for i, t in enumerate(self.traces)]
 
     def to_dict(self) -> dict:
         d = {
@@ -95,7 +101,6 @@ def _aggregate(traces, variant, alpha, delta, te_input, seed, h_funcs, h_names,
                k_trial=None) -> RunReport:
     stats = TourStatistics.from_traces(traces, len(h_funcs))
     diag = diagnostics_report(stats, alpha, h_names)
-    per_tour = [{"tour": i, **trace_summary(t)} for i, t in enumerate(traces)]
     v_evals = np.array([t.v_evals for t in traces], dtype=np.int64)
     return RunReport(
         variant=variant,
@@ -106,7 +111,6 @@ def _aggregate(traces, variant, alpha, delta, te_input, seed, h_funcs, h_names,
         te_hat=diag["te_hat"],
         serial_cost=int(v_evals.sum()),
         parallel_cost=int(v_evals.max()),
-        tours=per_tour,
         estimates=diag["per_h"],
         seed=seed,
         k_trial=k_trial,

@@ -17,7 +17,8 @@ simulator serve as oracles for each other.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,63 +64,54 @@ class ChainState:
             raise ValueError(f"level must be >= 0, got {self.level}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    level: int
-    direction: int
-    v: float
-
-
-@dataclass
+@dataclass(slots=True)
 class TourTrace:
-    """One regeneration tour.
-
-    ``steps`` records every state of the tour, starting with the fresh
-    reference draw at (level 0, direction +1) and ending with the
-    regeneration state.  ``n_steps`` is the number of kernel applications,
-    i.e. len(steps) - 1; the tour length in the regenerative-simulation sense
-    (number of states) is ``tour_length``.  ``h_top_sums[m]`` is the sum of
-    the m-th test function over the states at the top level, the only
-    states where the tour evaluates it.  ``cpu_seconds`` is the CPU time
-    of the thread that ran the tour (``time.thread_time``), not wall time.
+    """One regeneration tour, as three columns with one entry per state:
+    ``levels`` (``array('i')``), ``directions`` (``array('b')``) and ``v``
+    (``array('d')``, the potential).  The first state is the fresh reference
+    draw at (level 0, direction +1), the last the regeneration state.
+    ``n_steps`` is the number of kernel applications, one less than the tour
+    length in states, ``tour_length``.  ``h_top_sums[m]`` (``array('d')``)
+    sums the m-th test function over the states at the top level, the only
+    states where the tour evaluates it.  ``cpu_seconds`` is the CPU time of
+    the thread that ran the tour (``time.thread_time``), not wall time.
     """
 
-    steps: list
+    levels: array
+    directions: array
+    v: array
     n_levels: int
     variant: str
-    v_evals: int = 0
-    cpu_seconds: float = 0.0
-    h_top_sums: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v_evals: int
+    cpu_seconds: float
+    h_top_sums: array
 
     @property
     def n_steps(self) -> int:
-        return len(self.steps) - 1
+        return len(self.levels) - 1
 
     @property
     def tour_length(self) -> int:
-        return len(self.steps)
+        return len(self.levels)
 
     @property
     def visits_top(self) -> int:
-        return sum(1 for s in self.steps if s.level == self.n_levels)
+        return self.levels.count(self.n_levels)
 
     def validate(self) -> None:
-        first = self.steps[0]
-        last = self.steps[-1]
-        if (first.level, first.direction) != (0, 1):
+        levels, directions = self.levels, self.directions
+        if (levels[0], directions[0]) != (0, 1):
             raise AssertionError("tour must start at (level 0, direction +1)")
         if self.variant == NRST:
-            if (last.level, last.direction) != (0, -1):
+            if (levels[-1], directions[-1]) != (0, -1):
                 raise AssertionError("tour must end at the regeneration state (0, -1)")
-            for s in self.steps[1:-1]:
-                if (s.level, s.direction) == (0, -1):
-                    raise AssertionError("regeneration state visited before the end")
+            if any(i == 0 and e == -1 for i, e in zip(levels[1:-1], directions[1:-1])):
+                raise AssertionError("regeneration state visited before the end")
         else:
-            if last.level != 0:
+            if levels[-1] != 0:
                 raise AssertionError("reversible tour must end at level 0")
-            for s in self.steps[1:-1]:
-                if s.level == 0:
-                    raise AssertionError("level 0 visited before the end")
+            if 0 in levels[1:-1]:
+                raise AssertionError("level 0 visited before the end")
 
 
 def _explore(model, explorers, x, v, level, rng):
@@ -202,38 +194,33 @@ def run_tour(
 
     state = ChainState(model.sample_reference(rng), 0, 1)
     v = model.potential(state.x)
-    records = [StepRecord(0, 1, v)]
-    h_sums = np.zeros(len(h_funcs))
+    levels, directions, vs = array("i", [0]), array("b", [1]), array("d", [v])
+    h_sums = array("d", [0.0] * len(h_funcs))
 
     def trace():
-        return TourTrace(records, n, kernel_variant, v_evals=model.v_evals.value - evals0,
-                         cpu_seconds=time.thread_time() - t0, h_top_sums=h_sums)
+        return TourTrace(levels, directions, vs, n, kernel_variant, model.v_evals.value - evals0,
+                         time.thread_time() - t0, h_sums)
 
     for _ in range(max_steps):
         state, v = step(state, model, schedule, explorers, rng, v=v)
-        records.append(StepRecord(state.level, state.direction, v))
+        levels.append(state.level)
+        directions.append(state.direction)
+        vs.append(v)
         if state.level == n:
-            h_sums += [h(state.x) for h in h_funcs]
+            for m, h in enumerate(h_funcs):
+                h_sums[m] += h(state.x)
         elif state.level == 0 and (kernel_variant == ST or state.direction == -1):
             return trace()
     raise TourOverrunError(max_steps, trace())
 
 
 def write_traces_csv(traces, fileobj) -> None:
-    """One row per recorded state: tour_id, step, level, direction, v."""
+    """One row per state: tour_id, step, then the trace's three columns
+    level, direction and v (written with ``repr``, so it reads back exactly)."""
     fileobj.write("tour_id,step,level,direction,v\n")
     for tour_id, trace in enumerate(traces):
-        for step, rec in enumerate(trace.steps):
-            fileobj.write(f"{tour_id},{step},{rec.level},{rec.direction},{rec.v!r}\n")
-
-
-def trace_summary(trace: TourTrace) -> dict:
-    return {
-        "n_steps": trace.n_steps,
-        "visits_top": trace.visits_top,
-        "v_evals": trace.v_evals,
-        "cpu_seconds": trace.cpu_seconds,
-    }
+        for step, (level, direction, v) in enumerate(zip(trace.levels, trace.directions, trace.v)):
+            fileobj.write(f"{tour_id},{step},{level},{direction},{v!r}\n")
 
 
 # ---------------------------------------------------------------------------

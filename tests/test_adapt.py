@@ -11,6 +11,7 @@ from nrst.adapt import (
     VDataset,
     _batch_se,
     _carry_widths,
+    _kappa1_upper,
     _remap_states,
     _widths_from_moves,
     adapt,
@@ -522,7 +523,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, max_ro
     assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
     assert res.n_scan_final == n_scan
     n = res.schedule.n_levels
-    assert step_calls[0]["kappa1"] == [lag1_autocorrelation(ends[0, i], ends[1, i])
+    assert step_calls[0]["kappa1"] == [_kappa1_upper(ends[0, i], ends[1, i])
                                        for i in range(1, n + 1)]
     assert step_calls[0]["init_states"] is states
 
@@ -743,10 +744,22 @@ def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
 
 
 def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
+    module = importlib.import_module("nrst.adapt")
+    real, pairs = module._kappa1_upper, []
+
+    def spy(v_in, v_out):
+        pairs.append((v_in, v_out))
+        return real(v_in, v_out)
+
+    monkeypatch.setattr(module, "_kappa1_upper", spy)
     res, call, chain_res, _ = adapt_with_and_without_kappa1(
         monkeypatch, Ridge, 8, 6, "mean", seed=1)
+    # a level skips its chain only when kappa(1) + 2 SE <= 0.95
     slow = [i for i, k in enumerate(call["kappa1"], start=1) if k > 0.95]
     assert call["chain_levels"] == slow
+    # the noise decides at some level: its kappa(1) alone is <= 0.95
+    kappa1 = [lag1_autocorrelation(*p) for p in pairs[:res.schedule.n_levels]]
+    assert any(kappa1[i - 1] <= 0.95 for i in slow)
     # the top level is slow, and the others are not all slow
     assert slow and slow[-1] == res.schedule.n_levels and slow[0] > 1
     steps = res.schedule.explore_steps
@@ -755,6 +768,21 @@ def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
     assert all(steps[i - 1] == 1 for i in fast)
     for i in slow:
         assert steps[i - 1] == chain_res.schedule.explore_steps[i - 1]
+
+
+def test_kappa1_upper_adds_two_batch_means_ses():
+    # independent stationary pairs: the SE of the correlation estimate is
+    # (1 - rho^2) / sqrt(n)
+    rho, n = 0.9, 4096
+    rng = np.random.default_rng(8)
+    v_in = rng.standard_normal(n)
+    v_out = rho * v_in + math.sqrt(1 - rho**2) * rng.standard_normal(n)
+    kappa1 = lag1_autocorrelation(v_in, v_out)
+    se = (_kappa1_upper(v_in, v_out) - kappa1) / 2
+    assert abs(se / ((1 - rho**2) / math.sqrt(n)) - 1.0) <= 0.2
+    # too few scans to measure the noise: the level never skips its chain
+    assert _kappa1_upper(v_in[:31], v_out[:31]) == math.inf
+    assert _kappa1_upper(v_in[:32], v_out[:32]) < math.inf
 
 
 def test_lag1_from_final_pass_matches_the_chain_estimate():

@@ -1,4 +1,5 @@
 import math
+import pickle
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.explore import build_explorers
 from nrst.model import Schedule, acceptance_probability
 from nrst.planner import fit_cpu_model
-from nrst.runner import run_parallel
+from nrst.runner import CoordinateFunction, run_parallel
 from nrst.st_kernels import (
     ChainState,
     IdealIndexChain,
@@ -18,7 +19,6 @@ from nrst.st_kernels import (
     run_tour,
     simulate_index_tours,
     st_step,
-    trace_summary,
     write_traces_csv,
 )
 
@@ -151,10 +151,8 @@ def test_run_tour_full_sweep_hand_executed(toy):
         explorers=own_explorers(toy, sched, rng),
     )
     trace.validate()
-    levels = [s.level for s in trace.steps]
-    dirs = [s.direction for s in trace.steps]
-    assert levels == [0, 1, 1, 0]
-    assert dirs == [1, 1, -1, -1]
+    assert list(trace.levels) == [0, 1, 1, 0]
+    assert list(trace.directions) == [1, 1, -1, -1]
     assert trace.n_steps == 3
     assert trace.visits_top == 2
 
@@ -176,8 +174,37 @@ def test_run_tour_overrun_carries_partial_trace(toy):
         # direction up and accept, then up (off the grid: no acceptance draw) twice
         run_tour(toy, sched, "st", 3, ScriptedRng(rng, 0.1, 0.0, 0.1, 0.1),
                  explorers=own_explorers(toy, sched, rng))
-    assert err.value.trace is not None
-    assert err.value.trace.n_steps == 3
+    trace = err.value.trace
+    assert trace is not None
+    assert trace.n_steps == 3
+    # the start state and one state per step, in every column
+    assert len(trace.levels) == len(trace.directions) == len(trace.v) == 3 + 1
+
+
+def test_trace_pickle_round_trip_keeps_every_column(toy):
+    sched, h_funcs = exact_toy_schedule(4), (CoordinateFunction(0), CoordinateFunction(1))
+    tours = (run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]), h_funcs=h_funcs)
+             for i in range(100))
+    trace = next(t for t in tours if t.visits_top > 0)
+    back = pickle.loads(pickle.dumps(trace))
+    assert (back.levels, back.directions, back.v) == (trace.levels, trace.directions, trace.v)
+    assert back.h_top_sums == trace.h_top_sums and len(back.h_top_sums) == 2
+    assert (back.v_evals, back.cpu_seconds) == (trace.v_evals, trace.cpu_seconds)
+    assert (back.n_levels, back.variant) == (trace.n_levels, trace.variant)
+
+
+def test_pickled_trace_grows_by_at_most_16_bytes_per_state(toy):
+    # Traces cross the process boundary pickled: one int, one byte and one
+    # double per state is 13 bytes, where an object per state costs ~30.
+    sched = exact_toy_schedule(4)
+    traces = [run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]))
+              for i in range(20)]
+    short = min(traces, key=lambda t: t.tour_length)
+    long = max(traces, key=lambda t: t.tour_length)
+    extra = long.tour_length - short.tour_length
+    assert extra >= 40
+    growth = len(pickle.dumps(long)) - len(pickle.dumps(short))
+    assert growth <= 16 * extra
 
 
 def test_trace_serialization(toy, sched2, tmp_path):
@@ -190,8 +217,6 @@ def test_trace_serialization(toy, sched2, tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tour_id,step,level,direction,v"
     assert len(lines) == 1 + sum(t.tour_length for t in traces)
-    summary = trace_summary(traces[0])
-    assert set(summary) == {"n_steps", "visits_top", "v_evals", "cpu_seconds"}
 
 
 class SleepyModel(ToyGaussian):
