@@ -38,6 +38,13 @@ _MIN_SE_SCANS = 32
 # Starting slice width of a level and coordinate, per unit of the mean
 # |move| that the coordinate made in one explorer call of the last pass.
 _WIDTH_PER_MOVE = 2.0
+# Stopping thresholds of the four stability indicators: the tune converges
+# when every indicator is below its threshold (the asymmetry one only under
+# mean-energy affinities).
+_MAX_REJECTION_SPREAD = 0.1
+_MAX_AFFINITY_CHANGE = 0.005
+_MAX_BARRIER_CHANGE = 0.01
+_MAX_ASYMMETRY = 0.05
 
 
 @dataclass(frozen=True)
@@ -67,21 +74,6 @@ class VDataset:
 
     def __getitem__(self, i):
         return self.levels[i]
-
-
-@dataclass(frozen=True)
-class ConvergenceThresholds:
-    """Stopping thresholds for the four stability indicators."""
-
-    l_r: float = 0.1
-    l_c: float = 0.005
-    l_lambda: float = 0.01
-    l_d: float = 0.05
-
-    def __post_init__(self):
-        for name in ("l_r", "l_c", "l_lambda", "l_d"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def _finite_reference_draw(model, rng):
@@ -159,14 +151,9 @@ def run_nrpt(
         start = 0 if scan % 2 == 0 else 1
         for i in range(start, n, 2):
             j = i + 1
-            if vs[i] == vs[j]:
-                accept = True
-            else:
-                log_ratio = (betas[j] - betas[i]) * (vs[j] - vs[i])
-                accept = (not math.isnan(log_ratio)) and math.log(rng.random()) < min(
-                    0.0, log_ratio
-                )
-            if accept:
+            # Equal potentials swap without a draw (inf == inf included).
+            if vs[i] == vs[j] or rng.random() < acceptance_probability(
+                    vs[i] - vs[j], betas[i], betas[j], 0.0, 0.0):
                 xs[i], xs[j] = xs[j], xs[i]
                 vs[i], vs[j] = vs[j], vs[i]
         records[:, scan] = vs
@@ -283,12 +270,13 @@ class BarrierEstimate:
 
     knots_lambda holds the partial sums of the symmetrized rejections with a
     leading 0; ``total`` is the estimated total barrier.  The interpolant is
-    Fritsch-Carlson monotone cubic, which is linear below 3 knots.
+    the Fritsch-Carlson monotone cubic Hermite one.  On 2 knots both slopes
+    are the secant, so it is the line through them.
     """
 
     knots_beta: np.ndarray
     knots_lambda: np.ndarray
-    _slopes: np.ndarray = field(default=None, repr=False, compare=False)
+    _slopes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kb = np.asarray(self.knots_beta, dtype=float)
@@ -303,8 +291,7 @@ class BarrierEstimate:
             raise ValueError("knot ordinates must be non-decreasing")
         if kl[0] != 0.0:
             raise ValueError("barrier must start at 0")
-        if kb.size >= 3:
-            object.__setattr__(self, "_slopes", _fritsch_carlson_slopes(kb, kl))
+        object.__setattr__(self, "_slopes", _fritsch_carlson_slopes(kb, kl))
 
     @property
     def total(self) -> float:
@@ -314,21 +301,18 @@ class BarrierEstimate:
         beta = np.asarray(beta, dtype=float)
         scalar = beta.ndim == 0
         b = np.clip(np.atleast_1d(beta), self.knots_beta[0], self.knots_beta[-1])
-        if self._slopes is None:
-            out = np.interp(b, self.knots_beta, self.knots_lambda)
-        else:
-            kb, kl, m = self.knots_beta, self.knots_lambda, self._slopes
-            idx = np.clip(np.searchsorted(kb, b, side="right") - 1, 0, kb.size - 2)
-            h = kb[idx + 1] - kb[idx]
-            t = (b - kb[idx]) / h
-            t2 = t * t
-            t3 = t2 * t
-            out = (
-                (2 * t3 - 3 * t2 + 1) * kl[idx]
-                + (t3 - 2 * t2 + t) * h * m[idx]
-                + (-2 * t3 + 3 * t2) * kl[idx + 1]
-                + (t3 - t2) * h * m[idx + 1]
-            )
+        kb, kl, m = self.knots_beta, self.knots_lambda, self._slopes
+        idx = np.clip(np.searchsorted(kb, b, side="right") - 1, 0, kb.size - 2)
+        h = kb[idx + 1] - kb[idx]
+        t = (b - kb[idx]) / h
+        t2 = t * t
+        t3 = t2 * t
+        out = (
+            (2 * t3 - 3 * t2 + 1) * kl[idx]
+            + (t3 - 2 * t2 + t) * h * m[idx]
+            + (-2 * t3 + 3 * t2) * kl[idx + 1]
+            + (t3 - t2) * h * m[idx + 1]
+        )
         return float(out[0]) if scalar else out
 
 
@@ -414,16 +398,15 @@ def equi_rejection_indicators(r_up, r_down, r_sym) -> tuple:
     return spread, asym
 
 
-def check_convergence(
-    old: RoundState,
-    new: RoundState,
-    thresholds: ConvergenceThresholds,
-    affinity_mode: str,
-) -> tuple:
+def check_convergence(old: RoundState, new: RoundState, affinity_mode: str) -> tuple:
     """Joint stability check; returns (converged, indicator dict).
 
-    The directional-asymmetry indicator applies only under the mean-energy
-    affinity strategy, where up/down rejections should agree.
+    Converged means every indicator is below its module threshold: rejection
+    spread < ``_MAX_REJECTION_SPREAD``, relative change of the top affinity
+    < ``_MAX_AFFINITY_CHANGE`` and of the barrier < ``_MAX_BARRIER_CHANGE``,
+    and directional asymmetry < ``_MAX_ASYMMETRY``.  The asymmetry indicator
+    applies only under the mean-energy affinity strategy, where up/down
+    rejections should agree.
     """
     if old is None:
         raise ValueError("convergence is undefined on the first round")
@@ -437,10 +420,10 @@ def check_convergence(
     indicators = {"rejection_spread": ind_r, "affinity_change": ind_c,
                   "barrier_change": ind_l, "directional_asymmetry": ind_d}
     converged = (
-        ind_r < thresholds.l_r
-        and ind_c < thresholds.l_c
-        and ind_l < thresholds.l_lambda
-        and (affinity_mode != "mean" or ind_d < thresholds.l_d)
+        ind_r < _MAX_REJECTION_SPREAD
+        and ind_c < _MAX_AFFINITY_CHANGE
+        and ind_l < _MAX_BARRIER_CHANGE
+        and (affinity_mode != "mean" or ind_d < _MAX_ASYMMETRY)
     )
     return converged, indicators
 
@@ -554,7 +537,6 @@ def adapt(
     n_levels_initial: int,
     max_rounds: int,
     affinity_mode: str = "mean",
-    thresholds: ConvergenceThresholds | None = None,
     gamma: float = 2.0,
     kappa_bar: float = 0.95,
     rng: np.random.Generator | None = None,
@@ -565,10 +547,12 @@ def adapt(
     """Full tuning loop: doubling NRPT budget until the indicators stabilize.
 
     Starts from the uniform grid and doubles the scan count each round
-    until convergence or exhaustion of ``max_rounds``.  Each round records
-    batch-means standard errors of its ``lambda_hat`` (affinities held
-    fixed) and of its log Z(1) as ``lambda_se`` and ``logz_se`` (None below
-    ``_MIN_SE_SCANS`` scans).  The grid size N = ``optimal_grid_size``
+    until convergence or exhaustion of ``max_rounds``.  A round converges
+    when :func:`check_convergence` finds every stability indicator, against
+    the round before on the same grid, below its module threshold.  Each
+    round records batch-means standard errors of its ``lambda_hat``
+    (affinities held fixed) and of its log Z(1) as ``lambda_se`` and
+    ``logz_se`` (None below ``_MIN_SE_SCANS`` scans).  The grid size N = ``optimal_grid_size``
     (lambda_hat, gamma) is settled at the first round where it is the same
     at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE, or else at the last
     round (the cap binds or the round converged).  If a settled N differs
@@ -600,16 +584,16 @@ def adapt(
     Exploration step counts are tuned last.  In the schedule's passes every
     level's chain is stationary for its tempered law, so the pairs (V
     before, V after) of its explorer calls give its lag-1 autocorrelation
-    kappa(1).  A level whose kappa(1) plus 2 batch-means SEs is <=
-    ``kappa_bar`` gets 1 step at no V-eval cost; every other level runs the
-    chain of ``chain_len`` sweeps of :func:`tune_explore_steps`,
-    warm-started from the last pass's final states.
+    kappa(1).  :func:`tune_explore_steps` gets these bounds, kappa(1) plus 2
+    batch-means SEs per level, with the last pass's final states: a level
+    whose bound is <= ``kappa_bar`` gets 1 step at no V-eval cost, and every
+    other level runs a chain of ``chain_len`` sweeps warm-started from its
+    state.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if rng is None:
         rng = np.random.default_rng()
-    thresholds = thresholds if thresholds is not None else ConvergenceThresholds()
 
     n = int(n_levels_initial)
     betas = np.linspace(0.0, 1.0, n + 1)
@@ -633,7 +617,7 @@ def adapt(
         current = RoundState(affinities, barrier, rejections)
         indicators = None
         if prev is not None:
-            converged, indicators = check_convergence(prev, current, thresholds, affinity_mode)
+            converged, indicators = check_convergence(prev, current, affinity_mode)
         rounds_log.append({"round": round_idx, "n_scan": n_scan, "n_levels": n,
                            "lambda_hat": barrier.total, "lambda_se": lambda_se,
                            "logz_se": logz_se, "affinity_top": float(affinities[-1]),

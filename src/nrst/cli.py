@@ -11,7 +11,6 @@ import json
 import os
 import sys
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,46 +36,35 @@ class ConfigError(ValueError):
         self.field = field
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the pipeline subcommands."""
-
-    model: str = "toy_gaussian"
-    params: dict = None
-    affinity_mode: str = "mean"
-    gamma: float = 2.0
-    kappa_bar: float = 0.95
-    alpha: float = 0.95
-    delta: float = 0.5
-    seed: int = 1
-    workers: int = 1
-    out: str = "."
-
-    def __post_init__(self):
-        if self.params is None:
-            self.params = {}
-        if self.affinity_mode not in ("mean", "median"):
-            raise ConfigError("affinity_mode", "must be 'mean' or 'median'")
-        if not self.gamma >= 1:
-            raise ConfigError("gamma", "must be >= 1")
-        if not 0.0 < self.kappa_bar < 1.0:
-            raise ConfigError("kappa_bar", "must lie in (0, 1)")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha", "must lie in (0, 1)")
-        if not self.delta > 0:
-            raise ConfigError("delta", "must be > 0")
-        if self.workers < 1:
-            raise ConfigError("workers", "must be >= 1")
+# The flags that the subcommands check, each with its test and the message
+# of the ConfigError that names it.  The choice flags are checked too,
+# because a --config file bypasses argparse's `choices`.
+_CHECKS = {
+    "affinity_mode": (lambda v: v in ("mean", "median"), "must be 'mean' or 'median'"),
+    "gamma": (lambda v: v >= 1, "must be >= 1"),
+    "kappa_bar": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "levels": (lambda v: v >= 1, "must be >= 1"),
+    "max_rounds": (lambda v: v >= 1, "must be >= 1"),
+    "alpha": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    "delta": (lambda v: v > 0, "must be > 0"),
+    "workers": (lambda v: v >= 1, "must be >= 1"),
+    "variant": (lambda v: v in ("nrst", "st"), "must be 'nrst' or 'st'"),
+    "te_hat": (lambda v: v is None or 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "k_extra": (lambda v: v >= 1, "must be >= 1"),
+    "rho": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "n_levels": (lambda v: v >= 1, "must be >= 1"),
+}
 
 
-def _capped_workers(workers: int) -> int:
-    cap = os.environ.get("NRST_THREADS")
-    if cap:
+def _check(args, *names):
+    for name in names:
+        test, message = _CHECKS[name]
         try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError("NRST_THREADS", f"must be an integer, got {cap!r}")
-    return workers
+            ok = test(getattr(args, name))
+        except TypeError:  # e.g. a list or null for a number in a config file
+            ok = False
+        if not ok:
+            raise ConfigError(name, message)
 
 
 def _load_json(path):
@@ -97,26 +85,18 @@ def _parse_params(raw):
 
 
 def _cmd_tune(args) -> int:
-    cfg = RunConfig(
-        model=args.model, params=_parse_params(args.params),
-        affinity_mode=args.affinity_mode, gamma=args.gamma,
-        kappa_bar=args.kappa_bar, seed=args.seed, out=args.out,
-    )
-    if args.levels < 1:
-        raise ConfigError("levels", "must be >= 1")
-    if args.max_rounds < 1:
-        raise ConfigError("max_rounds", "must be >= 1")
-    model = make_model(ModelSpec(cfg.model, cfg.params))
-    rng = np.random.default_rng(cfg.seed)
+    params = _parse_params(args.params)
+    _check(args, "affinity_mode", "gamma", "kappa_bar", "levels", "max_rounds")
+    model = make_model(ModelSpec(args.model, params))
     result = run_adapt(
-        model, args.levels, args.max_rounds, cfg.affinity_mode,
-        gamma=cfg.gamma, kappa_bar=cfg.kappa_bar, rng=rng,
+        model, args.levels, args.max_rounds, args.affinity_mode,
+        gamma=args.gamma, kappa_bar=args.kappa_bar, rng=np.random.default_rng(args.seed),
         chain_len=args.chain_len,
     )
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     r_up, r_down, r_sym = result.rejections
     payload = {
-        "model": {"name": cfg.model, "params": cfg.params},
+        "model": {"name": args.model, "params": params},
         **result.schedule.to_dict(),
         "lambda_hat": result.lambda_hat,
         "converged": result.converged,
@@ -127,16 +107,16 @@ def _cmd_tune(args) -> int:
         },
         "final_indicators": result.final_indicators,
         "n_scan_final": result.n_scan_final,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
-    sched_path = os.path.join(cfg.out, "schedule.json")
+    sched_path = os.path.join(args.out, "schedule.json")
     with open(sched_path, "w") as f:
         json.dump(payload, f, indent=1)
-    with open(os.path.join(cfg.out, "barrier.csv"), "w") as f:
+    with open(os.path.join(args.out, "barrier.csv"), "w") as f:
         f.write("beta,lambda\n")
         for b, l in zip(result.barrier.knots_beta, result.barrier.knots_lambda):
             f.write(f"{float(b)!r},{float(l)!r}\n")
-    print(f"tuned {cfg.model}: N={result.schedule.n_levels} "
+    print(f"tuned {args.model}: N={result.schedule.n_levels} "
           f"lambda_hat={result.lambda_hat:.4f} converged={result.converged}")
     per_n = Counter(r["n_levels"] for r in result.rounds)
     print("rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items()))
@@ -160,19 +140,27 @@ def _require(args, *names):
             raise ConfigError(name, "is required (flag or config file)")
 
 
+def _model_of_payload(payload):
+    return make_model(ModelSpec(payload["model"]["name"], payload["model"].get("params", {})))
+
+
+def _check_run_flags(args):
+    """Check the flags that run and bench read, once NRST_THREADS caps --workers."""
+    cap = os.environ.get("NRST_THREADS")
+    if cap:
+        try:
+            args.workers = min(args.workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError("NRST_THREADS", f"must be an integer, got {cap!r}")
+    _check(args, "alpha", "delta", "workers")
+
+
 def _cmd_run(args) -> int:
     _require(args, "schedule")
     payload = _load_json(args.schedule)
-    cfg = RunConfig(
-        model=payload["model"]["name"], params=payload["model"].get("params", {}),
-        alpha=args.alpha, delta=args.delta, seed=args.seed,
-        workers=_capped_workers(args.workers), out=args.out,
-    )
-    if args.variant not in ("nrst", "st"):
-        raise ConfigError("variant", "must be 'nrst' or 'st'")
-    if args.te_hat is not None and not 0.0 < args.te_hat <= 1.0:
-        raise ConfigError("te_hat", "must lie in (0, 1]")
-    model = make_model(ModelSpec(cfg.model, cfg.params))
+    _check_run_flags(args)
+    _check(args, "variant", "te_hat")
+    model = _model_of_payload(payload)
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
     schedule = _schedule_from_payload(payload, model)
@@ -180,18 +168,18 @@ def _cmd_run(args) -> int:
     h_names = [f"x{i + 1}" for i in args.h_coords]
     if args.te_hat is not None:
         report = run_parallel(
-            model, schedule, args.variant, cfg.alpha, cfg.delta, args.te_hat,
-            cfg.workers, cfg.seed, h_funcs=h_funcs, h_names=h_names,
+            model, schedule, args.variant, args.alpha, args.delta, args.te_hat,
+            args.workers, args.seed, h_funcs=h_funcs, h_names=h_names,
         )
     else:
         report = pilot_then_run(
-            model, schedule, args.variant, cfg.alpha, cfg.delta,
-            payload.get("lambda_hat", 0.0), cfg.workers, cfg.seed,
+            model, schedule, args.variant, args.alpha, args.delta,
+            payload.get("lambda_hat", 0.0), args.workers, args.seed,
             h_funcs=h_funcs, h_names=h_names,
         )
-    os.makedirs(cfg.out, exist_ok=True)
-    report.write_json(os.path.join(cfg.out, "report.json"))
-    with open(os.path.join(cfg.out, "traces.csv"), "w") as f:
+    os.makedirs(args.out, exist_ok=True)
+    report.write_json(os.path.join(args.out, "report.json"))
+    with open(os.path.join(args.out, "traces.csv"), "w") as f:
         write_traces_csv(report.traces, f)
     print(f"{args.variant} run: k={report.k} te_hat={report.te_hat:.4f} "
           f"serial_cost={report.serial_cost} parallel_cost={report.parallel_cost}")
@@ -208,8 +196,7 @@ def _cmd_plan(args) -> int:
     pools = [int(p) for p in args.pools.split(",") if p]
     if not pools or any(p < 1 for p in pools):
         raise ConfigError("pools", "must be a comma list of positive integers")
-    if args.k_extra < 1:
-        raise ConfigError("k_extra", "must be >= 1")
+    _check(args, "k_extra")
     rng = np.random.default_rng(args.seed)
     try:
         model = planner.fit_cpu_model(np.asarray(times, dtype=float))
@@ -248,10 +235,7 @@ def _cmd_plan(args) -> int:
 
 def _cmd_index_sim(args) -> int:
     _require(args, "n_levels", "rho")
-    if not 0.0 <= args.rho < 1.0:
-        raise ConfigError("rho", "must lie in [0, 1)")
-    if args.n_levels < 1:
-        raise ConfigError("n_levels", "must be >= 1")
+    _check(args, "rho", "n_levels")
     chain = IdealIndexChain.symmetric(np.full(args.n_levels, args.rho))
     rng = np.random.default_rng(args.seed)
     variants = ["nrst", "st"] if args.variant == "both" else [args.variant]
@@ -268,37 +252,32 @@ def _cmd_index_sim(args) -> int:
 def _cmd_bench(args) -> int:
     _require(args, "schedule")
     payload = _load_json(args.schedule)
-    cfg = RunConfig(
-        model=payload["model"]["name"], params=payload["model"].get("params", {}),
-        alpha=args.alpha, delta=args.delta, seed=args.seed,
-        workers=_capped_workers(args.workers),
-    )
+    _check_run_flags(args)
     variants = ["nrst", "st"] if args.variant == "both" else [args.variant]
     if args.ideal:
         r_sym = np.asarray(payload["rejections"]["sym"], dtype=float)
         chain = IdealIndexChain.symmetric(np.clip(r_sym, 0.0, 1.0 - 1e-9))
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         print("variant  TE_closed  TE_mc")
         for variant in variants:
             closed = ideal_te(chain, variant)
             _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
             print(f"{variant:7s}  {closed:<9.5f}  {estimate_te(visits):<9.5f}")
         return 0
-    model_spec = ModelSpec(cfg.model, cfg.params)
-    schedule = _schedule_from_payload(payload, make_model(model_spec))
+    schedule = _schedule_from_payload(payload, _model_of_payload(payload))
     print("variant  k      te_hat    serial_cost  parallel_cost")
     for variant in variants:
-        model = make_model(model_spec)
         report = pilot_then_run(
-            model, schedule, variant, cfg.alpha, cfg.delta,
-            payload.get("lambda_hat", 0.0), cfg.workers, cfg.seed,
+            _model_of_payload(payload), schedule, variant, args.alpha, args.delta,
+            payload.get("lambda_hat", 0.0), args.workers, args.seed,
         )
         print(f"{variant:7s}  {report.k:<5d}  {report.te_hat:<8.4f}  "
               f"{report.serial_cost:<11d}  {report.parallel_cost}")
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple:
+    """The ``nrst`` parser and its subcommand parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="nrst",
         description="Non-reversible simulated tempering: tune, run, plan.",
@@ -372,18 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tours", type=int, default=10**5)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, subcommands = build_parser()
     args = parser.parse_args(argv)
     if args.config:
-        defaults = _load_json(args.config)
-        for key, value in defaults.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and parser.get_default(attr) == getattr(args, attr):
-                setattr(args, attr, value)
+        # The file's values for the subcommand's flags become its defaults,
+        # and the command line is parsed again, so the flags given still win.
+        flags = vars(args).keys() - {"config", "command", "func"}
+        config = {key.replace("-", "_"): value for key, value in _load_json(args.config).items()}
+        subcommands[args.command].set_defaults(**{k: v for k, v in config.items() if k in flags})
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

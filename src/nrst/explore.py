@@ -212,17 +212,17 @@ def lag1_autocorrelation(v_in, v_out) -> float:
     return float(np.dot(ca, cb)) / denom
 
 
-def steps_from_autocorrelation(kappas, kappa_bar: float,
-                               n_max: int = _MAX_EXPLORE_STEPS) -> int:
-    """Smallest lag n >= 1 with kappa(n) <= kappa_bar, capped at n_max.
+def steps_from_autocorrelation(kappas, kappa_bar: float) -> int:
+    """Smallest lag n >= 1 with kappa(n) <= kappa_bar, capped at
+    ``_MAX_EXPLORE_STEPS``.
 
     Negative estimates are truncated to 0 before thresholding.
     """
     kappas = np.maximum(np.asarray(kappas, dtype=float), 0.0)
-    for n in range(1, min(kappas.size - 1, n_max) + 1):
+    for n in range(1, min(kappas.size - 1, _MAX_EXPLORE_STEPS) + 1):
         if kappas[n] <= kappa_bar:
             return n
-    return n_max
+    return _MAX_EXPLORE_STEPS
 
 
 def tune_explore_steps(
@@ -232,25 +232,21 @@ def tune_explore_steps(
     chain_len: int,
     rng: np.random.Generator,
     *,
-    init_states=None,
-    kappa1=None,
+    init_states,
+    kappa1,
 ) -> np.ndarray:
     """Per-level exploration step counts from the V autocorrelation.
 
-    Runs a single-sweep slice chain of length ``chain_len``, at the
-    schedule's widths, at each level of the (final) grid, estimates the
-    lag-n autocorrelation of the V series and returns the smallest n that
+    ``kappa1`` holds, per level 1..N, an upper bound on the lag-1
+    autocorrelation kappa(1) of V from stationary draws (see
+    :func:`adapt.adapt`).  A level whose bound is <= ``kappa_bar`` gets 1
+    step and runs no chain.  Every other level runs a single-sweep slice
+    chain of length ``chain_len``, at the schedule's widths, from its warm
+    state in ``init_states`` (one (x, V(x)) per level 0..N), estimates the
+    lag-n autocorrelation of the V series and gets the smallest n that
     brings it at or below ``kappa_bar``, capped at ``_MAX_EXPLORE_STEPS``.
-    Levels use independent spawned rng streams, so results do not depend on
-    the order in which levels are processed.  ``init_states`` optionally
-    holds one (x, V(x)) warm start per level 0..N; otherwise each chain
-    starts from a reference draw.
-
-    ``kappa1`` optionally holds, per level 1..N, an upper bound on kappa(1)
-    from stationary draws (see :func:`adapt.adapt`).  A level whose bound is
-    <= ``kappa_bar`` gets 1 step, as the rule above would, and runs no
-    chain.  The other levels run their chain on the same stream as without
-    ``kappa1``, and get the same count.
+    Levels use independent spawned rng streams, so a level's count does not
+    depend on which other levels run their chain.
     """
     if not 0.0 < kappa_bar < 1.0:
         raise ValueError("kappa_bar must lie in (0, 1)")
@@ -260,22 +256,15 @@ def tune_explore_steps(
     streams = rng.spawn(n)
     steps = np.ones(n, dtype=int)
     for i in range(1, n + 1):
-        if kappa1 is not None and kappa1[i - 1] <= kappa_bar:
+        if kappa1[i - 1] <= kappa_bar:
             continue
         level_rng = streams[i - 1]
         kernel = ExplorationKernel(model, schedule.betas[i], 1, _level_widths(schedule, i))
-        if init_states is not None:
-            x, v = init_states[i]
-        else:
-            x = model.sample_reference(level_rng)
-            v = model.potential(x)
+        x, v = init_states[i]
         vs = np.empty(chain_len)
         for t in range(chain_len):
             x, v = kernel(x, v, level_rng)
             vs[t] = v
-        if np.var(vs) == 0.0:
-            steps[i - 1] = 1
-            continue
         kappas = autocorrelation(vs, _MAX_EXPLORE_STEPS)
         steps[i - 1] = steps_from_autocorrelation(kappas, kappa_bar)
     return steps

@@ -45,10 +45,6 @@ class EvalCounter:
         with self._lock:
             self._n += k
 
-    def reset(self) -> None:
-        with self._lock:
-            self._n = 0
-
     @property
     def value(self) -> int:
         return self._n

@@ -108,34 +108,28 @@ class PoolSimulation:
     makespan: float
     busy_times: np.ndarray   # event times
     busy_counts: np.ndarray  # active workers from each event time onward
-    assignments: list        # per worker, list of tour indices
 
 
-def simulate_pool(times, pool_size: int, *, longest_first: bool = False) -> PoolSimulation:
+def simulate_pool(times, pool_size: int) -> PoolSimulation:
     """Greedy list scheduling of tours onto a pool of identical workers.
 
     ``times`` is the sequence of tour durations.  Tours are dispatched in
-    order to the earliest-free worker, mirroring a live queue;
-    ``longest_first`` pre-sorts them descending instead.
+    the given order, each to the earliest-free worker, as a live queue
+    hands them out.
     """
     if pool_size < 1:
         raise ValueError("pool_size must be >= 1")
     durations = np.asarray(times, dtype=float)
     if durations.size < 1:
         raise ValueError("need at least one tour")
-    order = np.argsort(-durations, kind="stable") if longest_first else np.arange(durations.size)
 
-    free = [(0.0, w) for w in range(pool_size)]
-    heapq.heapify(free)
-    assignments = [[] for _ in range(pool_size)]
+    free = [0.0] * pool_size  # the time each worker next falls idle, as a heap
     starts = np.empty(durations.size)
     ends = np.empty(durations.size)
-    for tour in order:
-        t_free, w = heapq.heappop(free)
-        starts[tour] = t_free
-        ends[tour] = t_free + durations[tour]
-        assignments[w].append(int(tour))
-        heapq.heappush(free, (ends[tour], w))
+    for tour in range(durations.size):
+        starts[tour] = heapq.heappop(free)
+        ends[tour] = starts[tour] + durations[tour]
+        heapq.heappush(free, ends[tour])
     makespan = float(ends.max())
 
     events = np.concatenate([starts, ends])
@@ -143,18 +137,19 @@ def simulate_pool(times, pool_size: int, *, longest_first: bool = False) -> Pool
     idx = np.argsort(events, kind="stable")
     times_sorted = events[idx]
     counts = np.cumsum(deltas[idx])
-    return PoolSimulation(makespan, times_sorted, counts, assignments)
+    return PoolSimulation(makespan, times_sorted, counts)
 
 
 def cost_curves(model, k_tours: int, pool_sizes, replications: int,
-                rng: np.random.Generator, *, longest_first: bool = False) -> list:
+                rng: np.random.Generator) -> list:
     """Makespan and cost summaries for candidate pool sizes.
 
     Within each replication a single workload of ``k_tours`` durations is
     drawn by ``model.sample(k_tours, rng)`` (a :class:`CpuTimeModel`) and
     reused across every pool size, so the cloud cost (sum of CPU
     times) is exactly pool-invariant and only the HPC cost (makespan times
-    pool size) varies.  Bands are the 10th/90th replication quantiles.
+    pool size) varies.  Each workload goes through :func:`simulate_pool` in
+    the order it was drawn.  Bands are the 10th/90th replication quantiles.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
@@ -165,8 +160,7 @@ def cost_curves(model, k_tours: int, pool_sizes, replications: int,
         durations = model.sample(k_tours, rng)
         clouds[r] = float(durations.sum())
         for j, pool in enumerate(pool_sizes):
-            sim = simulate_pool(durations, pool, longest_first=longest_first)
-            makespans[r, j] = sim.makespan
+            makespans[r, j] = simulate_pool(durations, pool).makespan
     out = []
     for j, pool in enumerate(pool_sizes):
         ms = makespans[:, j]

@@ -7,12 +7,13 @@ make uniform; ``local_rejection_rates`` is the per-level rejection rate
 that the interval rejections approach as the grid refines;
 ``LinearBarrier`` is a piecewise-linear barrier whose grid
 ``optimize_grid`` places by hand-checkable arithmetic.  ``uniform_schedule``
-is the uniform-grid schedule that kernel and NRPT tests run on.
+is the uniform-grid schedule that kernel and NRPT tests run on, and
+``warm_states`` the warm starts that step-tuning tests give each level.
 """
 
 import numpy as np
 
-from nrst.adapt import VDataset
+from nrst.adapt import VDataset, run_nrpt
 from nrst.model import Schedule
 from nrst.st_kernels import _VARIANTS, NRST, IdealIndexChain
 
@@ -124,3 +125,9 @@ def uniform_schedule(n_levels: int, explore_steps: int = 1) -> Schedule:
     """Uniform grid {i/N} with zero affinities."""
     betas = np.linspace(0.0, 1.0, n_levels + 1)
     return Schedule(betas, np.zeros(n_levels + 1), np.full(n_levels, explore_steps))
+
+
+def warm_states(model, schedule: Schedule, rng, n_scan: int = 8) -> list:
+    """One (x, V(x)) per level 0..N, from a short NRPT pass on ``schedule``:
+    warm starts like those ``adapt`` gives ``tune_explore_steps``."""
+    return run_nrpt(model, schedule, n_scan, rng, full=True).states

@@ -6,7 +6,6 @@ import pytest
 
 from nrst.adapt import (
     BarrierEstimate,
-    ConvergenceThresholds,
     RoundState,
     VDataset,
     _batch_se,
@@ -92,6 +91,33 @@ def test_run_nrpt_constant_v_swaps_always_accept():
     data, states, _, _ = run_nrpt(model, sched, 8, np.random.default_rng(1), full=True)
     assert np.all(data[0] == 0.0)
     assert len(states) == 3
+
+
+class ZeroUniforms:
+    """A Generator whose uniforms ``random()`` are all exactly 0.0."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def random(self):
+        return 0.0
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_run_nrpt_swap_accepts_on_a_zero_uniform(monkeypatch):
+    # u = 0 lies below every positive acceptance probability; it used to
+    # reach math.log(0.0) and raise a bare ValueError
+    monkeypatch.setattr(importlib.import_module("nrst.adapt"), "build_explorers",
+                        lambda model, schedule: [None] + [lambda x, v, rng: (x, v)] * 3)
+    model = ToyGaussian()
+    states = [(np.zeros(3), math.nan)]
+    states += [(np.full(3, float(i)), model.potential(np.full(3, float(i)))) for i in (1, 2, 3)]
+    data = run_nrpt(model, uniform_schedule(3), 2, ZeroUniforms(np.random.default_rng(0)),
+                    init_states=states)
+    # scan 0 swaps the even pairs (0, 1) and (2, 3)
+    assert (data[0][0], data[2][0], data[3][0]) == (states[1][1], states[3][1], states[2][1])
 
 
 def test_run_nrpt_level_means_match_analytic():
@@ -239,6 +265,16 @@ def test_optimize_grid_linear_and_piecewise():
     np.testing.assert_allclose(optimize_grid(degenerate, 4), np.linspace(0, 1, 5))
 
 
+def test_two_knot_barrier_is_the_line_through_its_knots():
+    barrier = build_barrier([0.7], [0.0, 1.0])
+    mesh = np.linspace(0, 1, 101)
+    np.testing.assert_allclose(barrier(mesh), 0.7 * mesh, rtol=0, atol=1e-15)
+    oracle = LinearBarrier([0.0, 1.0], [0.0, 0.7])
+    for n in (2, 5, 9):
+        np.testing.assert_allclose(optimize_grid(barrier, n), optimize_grid(oracle, n),
+                                   rtol=0, atol=1e-12)
+
+
 def test_optimize_grid_round_trip():
     rng = np.random.default_rng(8)
     betas = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.05, 0.95, 5)]))
@@ -273,14 +309,14 @@ def _round_state(c_top, total, r_up, r_down):
 
 def test_check_convergence_fixed_point():
     state = _round_state(4.0, 0.8, [0.2, 0.2, 0.2, 0.2], [0.2, 0.2, 0.2, 0.2])
-    ok, ind = check_convergence(state, state, ConvergenceThresholds(), "mean")
+    ok, ind = check_convergence(state, state, "mean")
     assert ok
     assert all(v == 0.0 for v in ind.values())
 
 
 def test_check_convergence_spread_fails():
     state = _round_state(4.0, 0.4, [0.1, 0.3], [0.1, 0.3])
-    ok, ind = check_convergence(state, state, ConvergenceThresholds(), "mean")
+    ok, ind = check_convergence(state, state, "mean")
     assert not ok
     assert ind["rejection_spread"] == pytest.approx(0.5)
 
@@ -289,17 +325,17 @@ def test_check_convergence_median_ignores_asymmetry():
     # asymmetry indicator of 0.2 would fail in mean mode but not in median
     new = _round_state(4.0, 0.8, [0.22, 0.22, 0.22, 0.22], [0.18, 0.18, 0.18, 0.18])
     old = _round_state(4.0, 0.8, [0.22, 0.22, 0.22, 0.22], [0.18, 0.18, 0.18, 0.18])
-    ok_mean, ind = check_convergence(old, new, ConvergenceThresholds(), "mean")
+    ok_mean, ind = check_convergence(old, new, "mean")
     assert ind["directional_asymmetry"] == pytest.approx(0.2)
     assert not ok_mean
-    ok_median, _ = check_convergence(old, new, ConvergenceThresholds(), "median")
+    ok_median, _ = check_convergence(old, new, "median")
     assert ok_median
 
 
 def test_check_convergence_requires_history():
     state = _round_state(4.0, 0.8, [0.2], [0.2])
     with pytest.raises(ValueError):
-        check_convergence(None, state, ConvergenceThresholds(), "mean")
+        check_convergence(None, state, "mean")
 
 
 def test_local_rejection_rates_examples():
@@ -382,13 +418,23 @@ def test_remap_states_maps_levels_above_zero_onto_old_levels_above_zero():
     assert [v for _, v in new] == [0.0, 1.0, 1.0, 2.0, 3.0]
 
 
-# Loose thresholds converge at the first comparison, so on ToyGaussian at
-# seed 3 the restart (N 8 -> 5) fires with rounds left.
-LOOSE = ConvergenceThresholds(l_r=10.0, l_c=10.0, l_lambda=10.0, l_d=10.0)
+def loosen_thresholds(monkeypatch):
+    """Set every convergence threshold to 10: the tune then converges at the
+    first comparison, so on ToyGaussian at seed 3 the restart (N 8 -> 5)
+    fires with rounds left."""
+    module = importlib.import_module("nrst.adapt")
+    for name in ("_MAX_REJECTION_SPREAD", "_MAX_AFFINITY_CHANGE", "_MAX_BARRIER_CHANGE",
+                 "_MAX_ASYMMETRY"):
+        monkeypatch.setattr(module, name, 10.0)
 
 
-def test_adapt_restart_keeps_scan_budget_within_round_cap():
-    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3))
+@pytest.fixture
+def loose(monkeypatch):
+    loosen_thresholds(monkeypatch)
+
+
+def test_adapt_restart_keeps_scan_budget_within_round_cap(loose):
+    res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3))
     assert res.restarts == 1
     levels = [r["n_levels"] for r in res.rounds]
     assert levels[0] == 8 and levels[-1] == res.schedule.n_levels != 8
@@ -412,9 +458,9 @@ def spy_on_run_nrpt(monkeypatch):
     return calls
 
 
-def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch):
+def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch, loose):
     calls = spy_on_run_nrpt(monkeypatch)
-    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3))
+    res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3))
     assert res.restarts == 1
     first = [r for r in res.rounds if r["n_levels"] == 8]
     assert sum(1 for n_levels, _ in calls if n_levels == 8) == len(first)
@@ -426,9 +472,9 @@ def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch):
     assert res.schedule.n_levels == optimal_grid_size(first[-1]["lambda_hat"], 2.0)
 
 
-def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch):
+def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch, loose):
     calls = spy_on_run_nrpt(monkeypatch)
-    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3),
+    res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3),
                 max_restarts=0)
     assert res.restarts == 0
     assert calls == [(8, r["n_scan"]) for r in res.rounds]
@@ -462,12 +508,14 @@ def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(mon
 
 
 @pytest.mark.parametrize(
-    "mode, max_rounds, thresholds, max_restarts",
-    [("mean", 6, LOOSE, 1), ("median", 6, LOOSE, 1), ("mean", 2, LOOSE, 1),
-     ("mean", 4, None, 0), ("median", 4, None, 0)],
+    "mode, max_rounds, loose_thresholds, max_restarts",
+    [("mean", 6, True, 1), ("median", 6, True, 1), ("mean", 2, True, 1),
+     ("mean", 4, False, 0), ("median", 4, False, 0)],
     ids=["mean", "median", "restart-at-last-round", "pooled-mean", "pooled-median"])
 def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, max_rounds,
-                                                       thresholds, max_restarts):
+                                                       loose_thresholds, max_restarts):
+    if loose_thresholds:
+        loosen_thresholds(monkeypatch)
     module = importlib.import_module("nrst.adapt")
     passes = []
     real = module.run_nrpt
@@ -479,7 +527,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, max_ro
 
     monkeypatch.setattr(module, "run_nrpt", spy)
     step_calls = spy_on_step_tuning(monkeypatch)
-    res = adapt(ToyGaussian(), 8, max_rounds, mode, thresholds, rng=np.random.default_rng(3),
+    res = adapt(ToyGaussian(), 8, max_rounds, mode, rng=np.random.default_rng(3),
                 max_restarts=max_restarts)
     # one pass per round, plus one at the new size only when the last round
     # restarts: with 2 rounds, round 2 converges and restarts (N 8 -> 5)
@@ -577,7 +625,7 @@ def test_carry_widths_interpolates_linearly_in_beta():
                                [[4.0, 1.0], [3.5, 1.5], [2.0, 3.0], [1.0, 4.0]])
 
 
-def test_adapt_learns_widths_from_each_pass(monkeypatch):
+def test_adapt_learns_widths_from_each_pass(monkeypatch, loose):
     module = importlib.import_module("nrst.adapt")
     calls = []
     real = module.run_nrpt
@@ -588,7 +636,7 @@ def test_adapt_learns_widths_from_each_pass(monkeypatch):
         return out
 
     monkeypatch.setattr(module, "run_nrpt", spy)
-    res = adapt(ToyGaussian(), 8, 6, "mean", LOOSE, rng=np.random.default_rng(3))
+    res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3))
     assert res.restarts == 1
     # the first round explores at 1.0; every later pass at the widths the
     # pass before learned, carried onto its grid (the restart included)
@@ -689,7 +737,8 @@ class Ridge(TemperedModel):
 def spy_on_step_tuning(monkeypatch, drop_kappa1=False):
     """Record what each step tuning inside adapt is given and spends: its
     kappa1 and warm states, its V-evals, and the levels that ran a chain.
-    ``drop_kappa1`` withholds kappa1, so every level runs its chain."""
+    ``drop_kappa1`` replaces kappa1 by +inf at every level, so every level
+    runs its chain."""
     explore = importlib.import_module("nrst.explore")
     module = importlib.import_module("nrst.adapt")
     real_tune, real_kernel = explore.tune_explore_steps, explore.ExplorationKernel
@@ -699,7 +748,7 @@ def spy_on_step_tuning(monkeypatch, drop_kappa1=False):
         call = {"kappa1": kwargs.get("kappa1"), "init_states": kwargs.get("init_states"),
                 "chain_levels": []}
         if drop_kappa1:
-            kwargs["kappa1"] = None
+            kwargs["kappa1"] = [math.inf] * schedule.n_levels
 
         def kernel(model, beta, *k_args, **k_kwargs):
             call["chain_levels"].append(int(np.flatnonzero(schedule.betas == beta)[0]))

@@ -161,6 +161,44 @@ def test_config_file_supplies_defaults(tuned_dir, tmp_path):
     assert code == 0
 
 
+def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "nrst", "n_levels": 3, "rho": 0.2, "tours": 2000}))
+    assert run_cli(["--config", cfg, "index-sim"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["nrst"]
+    # a flag on the command line still wins
+    assert run_cli(["--config", cfg, "index-sim", "--variant", "st"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["st"]
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("tune", ["--gamma", 0.5], "gamma"),
+    ("tune", ["--kappa-bar", 1.5], "kappa_bar"),
+    ("tune", {"affinity_mode": "bogus"}, "affinity_mode"),
+    ("tune", {"gamma": [2]}, "gamma"),
+    ("run", ["--alpha", 1.5], "alpha"),
+    ("run", ["--delta", 0], "delta"),
+    ("run", ["--workers", 0], "workers"),
+    ("bench", ["--alpha", 1.5], "alpha"),
+    ("bench", ["--delta", 0], "delta"),
+    ("bench", ["--workers", 0], "workers"),
+])
+def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
+    argv = [command, "--out", tmp_path / "out"] if command != "bench" else [command]
+    if command != "tune":
+        argv += ["--schedule", tuned_dir / "schedule.json"]
+    if isinstance(flags, dict):  # a config file, which argparse's choices do not see
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(flags))
+        argv = ["--config", cfg] + argv
+    else:
+        argv += flags
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
 def test_workers_env_cap(tuned_dir, tmp_path, monkeypatch):
     monkeypatch.setenv("NRST_THREADS", "1")
     out = tmp_path / "capped"

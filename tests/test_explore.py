@@ -22,7 +22,7 @@ from nrst.model import DivergedPotentialError, Schedule, log_tempered_density
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.runner import run_parallel
 from nrst.st_kernels import write_traces_csv
-from oracles import uniform_schedule
+from oracles import uniform_schedule, warm_states
 
 FROZEN_TOY_SCHEDULE = (Path(__file__).resolve().parents[1]
                        / "perfbench" / "inputs" / "toy_gaussian.schedule.json")
@@ -148,9 +148,9 @@ def test_sweep_spends_no_v_eval_at_its_start_point():
     x0 = model.sample_reference(rng)
     v0 = model.potential(x0)
     model.points.clear()
-    model.v_evals.reset()
+    before = model.v_evals.value
     x1, v1 = kernel(x0, v0, rng)
-    assert model.v_evals.value == len(model.points) > 0
+    assert model.v_evals.value - before == len(model.points) > 0
     assert not any(np.array_equal(p, x0) for p in model.points)
     # the last evaluation is the accepted point, whose V is returned
     assert np.array_equal(model.points[-1], x1)
@@ -204,7 +204,6 @@ def test_compose_scales_fixed_cost_kernel_exactly():
     # budget of _MAX_DOUBLINGS - 1, and the first proposal is accepted:
     # exactly _MAX_DOUBLINGS V-evals per coordinate and sweep.
     model = FlatModel()
-    model.v_evals.reset()
     ExplorationKernel(model, 0.5, 5)(np.zeros(3), 7.0, np.random.default_rng(0))
     assert model.v_evals.value == 5 * model.dim * explore._MAX_DOUBLINGS
 
@@ -214,16 +213,16 @@ def test_compose_scales_v_evaluations():
     rng = np.random.default_rng(5)
     x = model.sample_reference(rng)
     v = model.potential(x)
-    model.v_evals.reset()
-    ExplorationKernel(model, 0.7, 1)(x.copy(), v, np.random.default_rng(11))
-    single = model.v_evals.value
-    model.v_evals.reset()
-    ExplorationKernel(model, 0.7, 3)(x.copy(), v, np.random.default_rng(11))
-    assert model.v_evals.value > single  # three sweeps cost more than one
+
+    def v_evals_of(n_steps):
+        before = model.v_evals.value
+        ExplorationKernel(model, 0.7, n_steps)(x.copy(), v, np.random.default_rng(11))
+        return model.v_evals.value - before
+
+    single = v_evals_of(1)
+    assert v_evals_of(3) > single  # three sweeps cost more than one
     # exact scaling on a fixed stream is draw-dependent; check the n=1 case exactly
-    model.v_evals.reset()
-    ExplorationKernel(model, 0.7, 1)(x.copy(), v, np.random.default_rng(11))
-    assert model.v_evals.value == single
+    assert v_evals_of(1) == single
 
 
 def test_composed_kernel_preserves_normal_invariance():
@@ -297,8 +296,10 @@ def test_autocorrelation_analytic_threshold():
     assert steps_from_autocorrelation(kappas, 0.95) == 6
     # negative estimates are truncated to zero first
     assert steps_from_autocorrelation(np.array([1.0, -0.2, 0.5]), 0.95) == 1
-    # nothing below the threshold: capped at n_max
-    assert steps_from_autocorrelation(np.ones(65), 0.95, n_max=64) == 64
+    # nothing below the threshold: capped at _MAX_EXPLORE_STEPS
+    assert explore._MAX_EXPLORE_STEPS == 64
+    assert steps_from_autocorrelation(np.ones(65), 0.95) == 64
+    assert steps_from_autocorrelation(np.ones(100), 0.95) == 64
 
 
 def test_autocorrelation_ar1_simulation():
@@ -325,11 +326,15 @@ def test_autocorrelation_iid_and_constant():
     assert np.all(const == 0.0)
 
 
+def tune_every_level(model, sched, kappa_bar, chain_len, seed):
+    """tune_explore_steps from warm states, with every level running its chain."""
+    states = warm_states(model, sched, np.random.default_rng(100 + seed))
+    return tune_explore_steps(model, sched, kappa_bar, chain_len, np.random.default_rng(seed),
+                              init_states=states, kappa1=[math.inf] * sched.n_levels)
+
+
 def test_tune_explore_steps_on_toy_gaussian():
-    model = ToyGaussian()
-    sched = uniform_schedule(3)
-    rng = np.random.default_rng(2)
-    steps = tune_explore_steps(model, sched, 0.95, 256, rng)
+    steps = tune_every_level(ToyGaussian(), uniform_schedule(3), 0.95, 256, 2)
     assert steps.shape == (3,)
     assert np.all(steps >= 1) and np.all(steps <= 64)
 
@@ -337,8 +342,8 @@ def test_tune_explore_steps_on_toy_gaussian():
 def test_tune_explore_steps_monotone_in_kappa_bar():
     model = ToyGaussian()
     sched = uniform_schedule(3)
-    loose = tune_explore_steps(model, sched, 0.95, 256, np.random.default_rng(4))
-    tight = tune_explore_steps(model, sched, 0.5, 256, np.random.default_rng(4))
+    loose = tune_every_level(model, sched, 0.95, 256, 4)
+    tight = tune_every_level(model, sched, 0.5, 256, 4)
     assert np.all(tight >= loose)
 
 
@@ -347,24 +352,23 @@ def test_tune_explore_steps_constant_series():
         def _potential(self, x):
             return 7.0
 
-    model = FlatModel()
-    sched = uniform_schedule(2)
-    steps = tune_explore_steps(model, sched, 0.95, 64, np.random.default_rng(1))
+    steps = tune_every_level(FlatModel(), uniform_schedule(2), 0.95, 64, 1)
     assert np.all(steps == 1)
 
 
 def test_tune_explore_steps_runs_chains_only_above_kappa_bar():
     model = ToyGaussian()
     sched = uniform_schedule(3)
-    full = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4))
+    states = warm_states(model, sched, np.random.default_rng(104))
+    full = tune_every_level(model, sched, 0.1, 256, 4)
     v0 = model.v_evals.value
     none_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),
-                                   kappa1=[0.05, 0.1, -0.2])
+                                   init_states=states, kappa1=[0.05, 0.1, -0.2])
     assert model.v_evals.value == v0
     assert np.all(none_slow == 1)
     one_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),
-                                  kappa1=[0.05, 0.9, 0.0])
+                                  init_states=states, kappa1=[0.05, 0.9, 0.0])
     assert model.v_evals.value > v0
     assert one_slow[0] == one_slow[2] == 1
-    # the slow level's chain runs on its own stream, as without kappa1
+    # the slow level's chain runs on its own stream, as when every level runs
     assert one_slow[1] == full[1] > 1

