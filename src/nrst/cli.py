@@ -53,6 +53,8 @@ _CHECKS = {
     "k_extra": (lambda v: v >= 1, "must be >= 1"),
     "rho": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "n_levels": (lambda v: v >= 1, "must be >= 1"),
+    "tours": (lambda v: v >= 1, "must be >= 1"),
+    "replications": (lambda v: v >= 1, "must be >= 1"),
 }
 
 
@@ -65,6 +67,13 @@ def _check(args, *names):
             ok = False
         if not ok:
             raise ConfigError(name, message)
+
+
+def _variants(args):
+    """The kernel variants that a --variant of 'both', 'nrst' or 'st' names."""
+    if args.variant not in ("both", "nrst", "st"):
+        raise ConfigError("variant", "must be 'both', 'nrst' or 'st'")
+    return ["nrst", "st"] if args.variant == "both" else [args.variant]
 
 
 def _load_json(path):
@@ -196,7 +205,7 @@ def _cmd_plan(args) -> int:
     pools = [int(p) for p in args.pools.split(",") if p]
     if not pools or any(p < 1 for p in pools):
         raise ConfigError("pools", "must be a comma list of positive integers")
-    _check(args, "k_extra")
+    _check(args, "k_extra", "replications")
     rng = np.random.default_rng(args.seed)
     try:
         model = planner.fit_cpu_model(np.asarray(times, dtype=float))
@@ -235,10 +244,10 @@ def _cmd_plan(args) -> int:
 
 def _cmd_index_sim(args) -> int:
     _require(args, "n_levels", "rho")
-    _check(args, "rho", "n_levels")
+    _check(args, "rho", "n_levels", "tours")
+    variants = _variants(args)
     chain = IdealIndexChain.symmetric(np.full(args.n_levels, args.rho))
     rng = np.random.default_rng(args.seed)
-    variants = ["nrst", "st"] if args.variant == "both" else [args.variant]
     print("variant  N  rho    TE_closed  TE_mc      mean_visits")
     for variant in variants:
         closed = ideal_te(chain, variant)
@@ -253,8 +262,9 @@ def _cmd_bench(args) -> int:
     _require(args, "schedule")
     payload = _load_json(args.schedule)
     _check_run_flags(args)
-    variants = ["nrst", "st"] if args.variant == "both" else [args.variant]
+    variants = _variants(args)
     if args.ideal:
+        _check(args, "tours")
         r_sym = np.asarray(payload["rejections"]["sym"], dtype=float)
         chain = IdealIndexChain.symmetric(np.clip(r_sym, 0.0, 1.0 - 1e-9))
         rng = np.random.default_rng(args.seed)

@@ -1,8 +1,10 @@
 """Tour-parallel regenerative execution with reproducible per-tour streams.
 
-Tours are i.i.d., so they are farmed out to a worker pool and aggregated by
-tour index.  Each tour draws its randomness from a stream keyed by
-(seed, tour_index): the results are bit-identical for any worker count.
+Tours are i.i.d., so they are farmed out to a worker pool in contiguous
+chunks of tour indices; each chunk comes back as one columnar table, and the
+tables are joined in index order.  Each tour draws its randomness from a
+stream keyed by (seed, tour_index): the results are bit-identical for any
+worker count.
 Costs are measured in potential evaluations, summed over tours for the
 serial cost and maximized over tours for the parallel cost.
 """
@@ -10,14 +12,13 @@ serial cost and maximized over tours for the parallel cost.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .model import Schedule, TemperedModel
 from .planner import te_infinity
-from .st_kernels import TourTrace, run_tour
+from .st_kernels import TourTable, run_tour
 from .stats import NoTopVisitsError, TourStatistics, diagnostics_report, estimate_te, min_tours
 
 
@@ -43,15 +44,18 @@ class RunReport:
     parallel_cost: int
     estimates: dict
     seed: int
+    traces: TourTable = field(repr=False)
     k_trial: int | None = None
-    traces: list = field(default_factory=list, repr=False)
 
     @property
     def tours(self) -> list:
-        """Per-tour summaries, in tour order, derived from ``traces``."""
-        return [{"tour": i, "n_steps": t.n_steps, "visits_top": t.visits_top,
-                 "v_evals": t.v_evals, "cpu_seconds": t.cpu_seconds}
-                for i, t in enumerate(self.traces)]
+        """Per-tour summaries, in tour order, read from the per-tour columns
+        of ``traces``."""
+        t = self.traces
+        return [{"tour": i, "n_steps": n, "visits_top": visits, "v_evals": evals,
+                 "cpu_seconds": cpu}
+                for i, (n, visits, evals, cpu) in enumerate(
+                    zip(t.n_steps.tolist(), t.visits_top, t.v_evals, t.cpu_seconds))]
 
     def to_dict(self) -> dict:
         d = {
@@ -76,32 +80,45 @@ class RunReport:
             json.dump(self.to_dict(), f, indent=1)
 
 
-def _tour_task(args) -> TourTrace:
-    model, schedule, variant, seed, index, h_funcs, max_steps = args
-    rng = np.random.default_rng([seed, index])
-    try:
-        return run_tour(model, schedule, variant, max_steps, rng, h_funcs=h_funcs)
-    except Exception as err:
-        # Name the failing tour by the key of its random stream.
-        err.tour_index = index
-        err.seed = seed
-        raise
+def _tour_chunk(args) -> TourTable:
+    """Run the tours of one contiguous range of indices into one table."""
+    model, schedule, variant, seed, indices, h_funcs, max_steps = args
+    table = TourTable(schedule.n_levels, variant, len(h_funcs))
+    for index in indices:
+        rng = np.random.default_rng([seed, index])
+        try:
+            table.append(run_tour(model, schedule, variant, max_steps, rng, h_funcs=h_funcs))
+        except Exception as err:
+            # Name the failing tour by the key of its random stream.
+            err.tour_index = index
+            err.seed = seed
+            raise
+    return table
 
 
 def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs, max_steps):
-    args = [(model, schedule, variant, seed, i, h_funcs, max_steps) for i in indices]
-    if workers <= 1 or len(args) <= 1:
-        return [_tour_task(a) for a in args]
-    chunk = max(1, len(args) // (workers * 8))
+    """The tours of the range ``indices``, as one table in index order."""
+    if workers <= 1 or len(indices) <= 1:
+        return _tour_chunk((model, schedule, variant, seed, indices, h_funcs, max_steps))
+    # Imported here, so that a run without a pool never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    size = max(1, len(indices) // (workers * 8))
+    chunks = [(model, schedule, variant, seed, indices[a:a + size], h_funcs, max_steps)
+              for a in range(0, len(indices), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_tour_task, args, chunksize=chunk))
+        tables = pool.map(_tour_chunk, chunks)
+        table = next(tables)
+        for more in tables:
+            table.extend(more)
+    return table
 
 
-def _aggregate(traces, variant, alpha, delta, te_input, seed, h_funcs, h_names,
+def _aggregate(traces, variant, alpha, delta, te_input, seed, h_names,
                k_trial=None) -> RunReport:
-    stats = TourStatistics.from_traces(traces, len(h_funcs))
+    stats = TourStatistics.from_traces(traces)
     diag = diagnostics_report(stats, alpha, h_names)
-    v_evals = np.array([t.v_evals for t in traces], dtype=np.int64)
+    v_evals = np.asarray(traces.v_evals)
     return RunReport(
         variant=variant,
         alpha=alpha,
@@ -134,8 +151,8 @@ def run_parallel(
 ) -> RunReport:
     """Run the number of tours implied by (alpha, delta, te_hat) on a pool.
 
-    The report aggregates the regenerative estimators over all tours; traces
-    are kept in memory for serialization.  Bit-identical for any worker
+    The report aggregates the regenerative estimators over all tours and
+    keeps their traces as one :class:`TourTable`.  Bit-identical for any worker
     count at a fixed seed.
     """
     if workers < 1:
@@ -143,8 +160,7 @@ def run_parallel(
     k = min_tours(alpha, delta, te_hat)
     traces = _run_tours(model, schedule, kernel_variant, range(k), workers, rng_seed,
                         tuple(h_funcs), max_steps)
-    return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed,
-                      h_funcs, h_names)
+    return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed, h_names)
 
 
 def pilot_then_run(
@@ -175,12 +191,12 @@ def pilot_then_run(
     k_trial = min_tours(alpha, delta, te_seed)
     traces = _run_tours(model, schedule, kernel_variant, range(k_trial), workers, rng_seed,
                         tuple(h_funcs), max_steps)
-    te_pilot = estimate_te(np.array([t.visits_top for t in traces]))
+    te_pilot = estimate_te(traces.visits_top)
     if te_pilot == 0.0:
         raise NoTopVisitsError("pilot tours never reached the target level")
     k = min_tours(alpha, delta, te_pilot)
     if k > k_trial:
-        traces += _run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,
-                             rng_seed, tuple(h_funcs), max_steps)
+        traces.extend(_run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,
+                                 rng_seed, tuple(h_funcs), max_steps))
     return _aggregate(traces, kernel_variant, alpha, delta, te_seed, rng_seed,
-                      h_funcs, h_names, k_trial=k_trial)
+                      h_names, k_trial=k_trial)

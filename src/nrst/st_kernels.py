@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,6 +112,71 @@ class TourTrace:
                 raise AssertionError("reversible tour must end at level 0")
             if 0 in levels[1:-1]:
                 raise AssertionError("level 0 visited before the end")
+
+
+@dataclass(slots=True)
+class TourTable:
+    """A run's tours in tour order, as flat columns.
+
+    ``levels``, ``directions`` and ``v`` hold the states of all tours back to
+    back, with :class:`TourTrace`'s typecodes; tour j's states run from
+    ``starts[j]`` up to the next tour's start (or the end).  ``v_evals``,
+    ``cpu_seconds`` and ``visits_top`` hold one entry per tour, and
+    ``h_top_sums`` holds ``n_h`` per tour, tour by tour.  That is ~13 bytes
+    per state and 32 + 8 ``n_h`` per tour, whatever the tour count.
+    Indexing or iterating builds a :class:`TourTrace` of one tour, with
+    copies of its slices.
+    """
+
+    n_levels: int
+    variant: str
+    n_h: int
+    levels: array = field(default_factory=lambda: array("i"))
+    directions: array = field(default_factory=lambda: array("b"))
+    v: array = field(default_factory=lambda: array("d"))
+    starts: array = field(default_factory=lambda: array("q"))
+    v_evals: array = field(default_factory=lambda: array("q"))
+    cpu_seconds: array = field(default_factory=lambda: array("d"))
+    visits_top: array = field(default_factory=lambda: array("q"))
+    h_top_sums: array = field(default_factory=lambda: array("d"))
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, j: int) -> TourTrace:
+        j = range(len(self))[j]
+        a = self.starts[j]
+        b = self.starts[j + 1] if j + 1 < len(self) else len(self.levels)
+        m = self.n_h
+        return TourTrace(self.levels[a:b], self.directions[a:b], self.v[a:b], self.n_levels,
+                         self.variant, self.v_evals[j], self.cpu_seconds[j],
+                         self.h_top_sums[j * m:(j + 1) * m])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    @property
+    def n_steps(self) -> np.ndarray:
+        """Kernel applications per tour (tour length in states minus 1)."""
+        return np.diff(np.asarray(self.starts), append=len(self.levels)) - 1
+
+    def append(self, trace: TourTrace) -> None:
+        self.starts.append(len(self.levels))
+        self.levels.extend(trace.levels)
+        self.directions.extend(trace.directions)
+        self.v.extend(trace.v)
+        self.v_evals.append(trace.v_evals)
+        self.cpu_seconds.append(trace.cpu_seconds)
+        self.visits_top.append(trace.visits_top)
+        self.h_top_sums.extend(trace.h_top_sums)
+
+    def extend(self, other: "TourTable") -> None:
+        """Append ``other``'s tours after this table's."""
+        offset = len(self.levels)
+        self.starts.extend(s + offset for s in other.starts)
+        for name in ("levels", "directions", "v", "v_evals", "cpu_seconds", "visits_top",
+                     "h_top_sums"):
+            getattr(self, name).extend(getattr(other, name))
 
 
 def _explore(model, explorers, x, v, level, rng):

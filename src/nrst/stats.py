@@ -53,11 +53,11 @@ class TourStatistics:
         return self.tau.size
 
     @classmethod
-    def from_traces(cls, traces, n_h: int) -> "TourStatistics":
-        tau = np.array([t.n_steps for t in traces], dtype=np.int64)
-        visits = np.array([t.visits_top for t in traces], dtype=np.int64)
-        h = np.array([t.h_top_sums for t in traces], dtype=float).reshape(len(traces), n_h)
-        return cls(tau, visits, h)
+    def from_traces(cls, traces) -> "TourStatistics":
+        """The statistics of a :class:`~nrst.st_kernels.TourTable`, read from
+        its per-tour columns."""
+        h = np.asarray(traces.h_top_sums).reshape(len(traces), traces.n_h)
+        return cls(traces.n_steps, traces.visits_top, h)
 
 
 def ratio_estimate(stats: TourStatistics, h_index: int = 0) -> float:

@@ -184,11 +184,22 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("bench", ["--alpha", 1.5], "alpha"),
     ("bench", ["--delta", 0], "delta"),
     ("bench", ["--workers", 0], "workers"),
+    ("bench", {"variant": "bogus"}, "variant"),
+    ("bench", ["--ideal", "--tours", 0], "tours"),
+    ("index-sim", {"variant": "bogus"}, "variant"),
+    ("index-sim", ["--tours", 0], "tours"),
+    ("plan", ["--replications", 0], "replications"),
 ])
 def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
-    argv = [command, "--out", tmp_path / "out"] if command != "bench" else [command]
-    if command != "tune":
-        argv += ["--schedule", tuned_dir / "schedule.json"]
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"tours": [{"cpu_seconds": 0.5}]}))
+    argv = [command] + {
+        "tune": ["--out", tmp_path / "out"],
+        "run": ["--out", tmp_path / "out", "--schedule", tuned_dir / "schedule.json"],
+        "bench": ["--schedule", tuned_dir / "schedule.json"],
+        "index-sim": ["--n-levels", 3, "--rho", 0.2],
+        "plan": ["--report", report, "--k-extra", 8, "--out", tmp_path / "plan.csv"],
+    }[command]
     if isinstance(flags, dict):  # a config file, which argparse's choices do not see
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(flags))

@@ -1,5 +1,7 @@
+import dataclasses
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.explore import SliceNumericalError
 from nrst.model import DivergedPotentialError, Schedule
 from nrst.runner import CoordinateFunction, pilot_then_run, run_parallel
-from nrst.st_kernels import TourOverrunError, write_traces_csv
+from nrst.st_kernels import TourOverrunError, run_tour, write_traces_csv
 from nrst.stats import min_tours
 
 
@@ -113,7 +115,8 @@ def test_pilot_combined_run_equals_single_run():
     flat = run_parallel(ToyGaussian(), sched, "nrst", 0.9, 1.0, 1.0, 1, 31)
     k = min(flat.k, pilot.k)
     assert k > 1
-    for a, b in zip(pilot.traces[:k], flat.traces[:k]):
+    for i in range(k):
+        a, b = pilot.traces[i], flat.traces[i]
         assert (a.levels, a.directions, a.v) == (b.levels, b.directions, b.v)
         assert a.h_top_sums == b.h_top_sums
         assert a.v_evals == b.v_evals
@@ -132,8 +135,6 @@ def test_posterior_mean_within_wide_interval():
 
 
 def test_coordinate_function_picklable():
-    import pickle
-
     f = CoordinateFunction(2)
     g = pickle.loads(pickle.dumps(f))
     assert g(np.array([1.0, 2.0, 3.0])) == 3.0
@@ -147,14 +148,72 @@ def test_coordinate_function_picklable():
     (DivergesAtReference(-math.inf), 10**6, DivergedPotentialError),
 ], ids=["diverged", "overrun", "slice", "reference-nan", "reference-neginf"])
 def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_steps, error):
+    # 62 tours, so 2 workers run chunks of 3 and a failure can come mid-chunk
+    # (at seed 5 the first three models fail first at tour 2).
+    sched = tuned_like_schedule()
+    first = next(i for i in range(62) if fails(model, sched, max_steps, [5, i]))
     named = []
     for workers in (1, 2):
         with pytest.raises(error) as info:
-            run_parallel(model, tuned_like_schedule(), "nrst", 0.9, 1.0, 1.0, workers, 5,
-                         max_steps=max_steps)
+            run_parallel(model, sched, "nrst", 0.95, 0.5, 1.0, workers, 5, max_steps=max_steps)
         named.append((info.value.tour_index, info.value.seed))
-    assert named[0] == named[1]
-    assert named[0][1] == 5
+    assert named == [(first, 5)] * 2
+
+
+def fails(model, sched, max_steps, key):
+    try:
+        run_tour(model, sched, "nrst", max_steps, np.random.default_rng(key))
+    except (DivergedPotentialError, SliceNumericalError, TourOverrunError):
+        return True
+    return False
+
+
+def columns(traces):
+    """The fields of a TourTable or TourTrace but the CPU times, which differ
+    from run to run."""
+    return {f.name: getattr(traces, f.name) for f in dataclasses.fields(traces)
+            if f.name != "cpu_seconds"}
+
+
+def test_chunked_tours_match_their_streams_at_any_worker_count():
+    # 62 tours: 2 workers run 20 chunks of 3 and one of 2.
+    sched = tuned_like_schedule()
+    h = (CoordinateFunction(0), CoordinateFunction(2))
+    reports = [run_parallel(ToyGaussian(), sched, "st", 0.95, 0.5, 1.0, w, 41, h_funcs=h)
+               for w in (1, 2)]
+    table = reports[0].traces
+    assert len(table) == 62 and table.n_h == 2
+    assert columns(table) == columns(reports[1].traces)
+    for i in (0, 2, 3, 59, 60, 61, -1):
+        tour = run_tour(ToyGaussian(), sched, "st", 10**6, np.random.default_rng([41, i % 62]),
+                        h_funcs=h)
+        assert columns(table[i]) == columns(tour)
+    assert [t.tour_length for t in table] == (table.n_steps + 1).tolist()
+    assert [t.visits_top for t in table] == table.visits_top.tolist()
+    with pytest.raises(IndexError):
+        table[62]
+
+
+def test_pilot_top_up_appends_after_the_pilot_tours():
+    sched = tuned_like_schedule()
+    report = pilot_then_run(ToyGaussian(), sched, "nrst", 0.95, 0.5, 0.0, 2, 17)
+    k_trial = report.k_trial
+    assert report.k > k_trial
+    assert len(report.traces) == report.k
+    for i in (k_trial - 1, k_trial, report.k - 1):
+        tour = run_tour(ToyGaussian(), sched, "nrst", 10**6, np.random.default_rng([17, i]),
+                        h_funcs=(CoordinateFunction(0),))
+        assert columns(report.traces[i]) == columns(tour)
+
+
+def test_traces_cost_a_few_bytes_per_state_and_tour():
+    # 2,459 short ST tours of ~5.6 states.  The table pickles to 13 bytes per
+    # state and 40 per tour (278 kB); a list of one TourTrace per tour takes
+    # 465 kB, about 190 bytes per tour.
+    report = run_parallel(ToyGaussian(), tuned_like_schedule(), "st", 0.95, 0.25, 0.1, 1, 3)
+    states = sum(t["n_steps"] + 1 for t in report.tours)
+    assert report.k == 2459 and states > 5 * report.k
+    assert len(pickle.dumps(report.traces)) <= 16 * states + 48 * report.k
 
 
 def test_h_runs_only_at_top_level_states():

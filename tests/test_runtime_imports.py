@@ -2,6 +2,8 @@
 standard library, numpy and the package itself."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,13 @@ def test_the_scan_sees_a_third_party_import(tmp_path):
     path.write_text("import os.path\nfrom . import model\n"
                     "def f():\n    from scipy import stats\n")
     assert list(top_level_imports(path)) == [(1, "os"), (4, "scipy")]
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # Only a run with more than one worker needs multiprocessing.
+    code = ("import sys, nrst; print(sorted(m for m in sys.modules "
+            "if m.startswith(('multiprocessing', 'concurrent'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(nrst.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
