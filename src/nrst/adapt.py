@@ -47,35 +47,6 @@ _MAX_BARRIER_CHANGE = 0.01
 _MAX_ASYMMETRY = 0.05
 
 
-@dataclass(frozen=True)
-class VDataset:
-    """Per-level sequences of potential samples {V_n^(i)}, i = 0..N.
-
-    Entries may be +inf at the reference level (zero-likelihood prior
-    draws); NaN and -inf are rejected.
-    """
-
-    levels: tuple
-
-    def __post_init__(self):
-        levels = tuple(np.asarray(v, dtype=float) for v in self.levels)
-        object.__setattr__(self, "levels", levels)
-        if len(levels) < 2:
-            raise ValueError("need at least two levels")
-        for i, v in enumerate(levels):
-            if v.ndim != 1 or v.size < 1:
-                raise ValueError(f"level {i} must hold at least one sample")
-            if np.any(np.isnan(v)) or np.any(v == -np.inf):
-                raise ValueError(f"level {i} contains NaN or -inf potentials")
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels) - 1
-
-    def __getitem__(self, i):
-        return self.levels[i]
-
-
 def _finite_reference_draw(model, rng):
     """(x, V(x)) for a reference draw with finite potential, for warm-starting
     level chains."""
@@ -90,7 +61,7 @@ def _finite_reference_draw(model, rng):
 class NrptPass(NamedTuple):
     """One NRPT pass in full (see :func:`run_nrpt`)."""
 
-    data: VDataset
+    data: np.ndarray
     states: list
     ends: np.ndarray
     moves: np.ndarray
@@ -105,17 +76,18 @@ def run_nrpt(
     init_states=None,
     full: bool = False,
 ):
-    """Non-reversible parallel tempering over the grid; returns the V dataset.
+    """Non-reversible parallel tempering over the grid; returns the V samples.
 
     One scan = an exploration pass on every chain (a fresh reference draw at
     level 0, slice sweeps elsewhere) followed by one swap round.  Swap rounds
     alternate deterministically between even pairs (0,1),(2,3),... and odd
     pairs (1,2),(3,4),...; the phase resets to even on every call.  The
-    potential of every level is recorded once per scan, after the swap round.
+    potential of every level is recorded once per scan, after the swap round,
+    into an array of shape (N+1, n_scan) whose row i holds level i.
 
     A state is the pair (x, V(x)) of one level.  ``init_states`` holds one
     per level 0..N (the level-0 state is redrawn before it is used).
-    ``full`` returns an :class:`NrptPass` instead of the bare dataset.  It
+    ``full`` returns an :class:`NrptPass` instead of the bare array.  It
     adds the final states, an array ``ends`` of shape (2, N+1, n_scan) and
     an array ``moves`` of shape (N, dim).  ``ends[0, i, s]`` is the V
     entering level i's exploration in scan s and ``ends[1, i, s]`` the V
@@ -157,10 +129,9 @@ def run_nrpt(
                 xs[i], xs[j] = xs[j], xs[i]
                 vs[i], vs[j] = vs[j], vs[i]
         records[:, scan] = vs
-    data = VDataset(tuple(records))
     if full:
-        return NrptPass(data, list(zip(xs, vs)), ends, moves)
-    return data
+        return NrptPass(records, list(zip(xs, vs)), ends, moves)
+    return records
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -170,8 +141,10 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(a - m))))
 
 
-def stepping_stone_logz(data: VDataset, betas) -> np.ndarray:
+def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
     """Log normalizing constants along the grid, anchored at 0 for beta = 0.
+
+    ``data`` has shape (N+1, n_scan); row i holds the potentials of level i.
 
     Averages the forward and backward stepping-stone estimators in log space
     and accumulates the per-interval log ratios in one pass over the data.
@@ -181,7 +154,7 @@ def stepping_stone_logz(data: VDataset, betas) -> np.ndarray:
     """
     betas = np.asarray(betas, dtype=float)
     n = betas.size - 1
-    if data.n_levels != n:
+    if len(data) != n + 1:
         raise ValueError("dataset and grid sizes disagree")
     logz = np.zeros(n + 1)
     for i in range(1, n + 1):
@@ -211,18 +184,20 @@ def _lower_median(values: np.ndarray) -> float:
     return float(finite[(finite.size - 1) // 2])
 
 
-def median_affinities(data: VDataset, betas) -> np.ndarray:
+def median_affinities(data: np.ndarray, betas) -> np.ndarray:
     """Trapezoid of per-level sample medians, anchored at c_0 = 0."""
     betas = np.asarray(betas, dtype=float)
-    meds = np.array([_lower_median(data[i]) for i in range(data.n_levels + 1)])
+    meds = np.array([_lower_median(row) for row in data])
     c = np.zeros(betas.size)
     for i in range(1, betas.size):
         c[i] = c[i - 1] + 0.5 * (meds[i - 1] + meds[i]) * (betas[i] - betas[i - 1])
     return c
 
 
-def estimate_rejections(data: VDataset, betas, affinities):
+def estimate_rejections(data: np.ndarray, betas, affinities):
     """Monte Carlo directional and symmetrized rejection probabilities.
+
+    ``data`` has shape (N+1, n_scan); row i holds the potentials of level i.
 
     r_up[i-1] estimates the rejection of the move beta_{i-1} -> beta_i using
     the level i-1 samples, r_down[i-1] the reverse move from the level i
@@ -459,31 +434,28 @@ def _carry_widths(widths, old_betas, new_betas):
     return np.column_stack([np.interp(new_betas[1:], old, w) for w in widths.T])
 
 
-def _batch_se(data: VDataset, stat):
+def _batch_se(data: np.ndarray, stat):
     """Batch-means standard error of ``stat`` over a pass's scans.
 
     Splits the scans into b = 2^floor(log2(n_scan) / 2) consecutive batches
     of equal length (every scan when n_scan is a power of two), evaluates
-    ``stat`` on each batch's dataset and returns sd(batch values) / sqrt(b)
+    ``stat`` on each batch's columns of ``data`` and returns sd(batch values) / sqrt(b)
     (Flegal & Jones, Ann. Statist. 2010).  None below ``_MIN_SE_SCANS``
     scans.
     """
-    n_scan = data[0].size
+    n_scan = data.shape[1]
     if n_scan < _MIN_SE_SCANS:
         return None
     b = 2 ** (int(math.log2(n_scan)) // 2)
     size = n_scan // b
-    values = [
-        stat(VDataset(tuple(level[k * size:(k + 1) * size] for level in data.levels)))
-        for k in range(b)
-    ]
+    values = [stat(data[:, k * size:(k + 1) * size]) for k in range(b)]
     return float(np.std(values, ddof=1)) / math.sqrt(b)
 
 
 def _kappa1_upper(v_in, v_out) -> float:
     """kappa(1) from a level's (V in, V out) pairs plus 2 batch-means SEs
     over its scans; +inf below ``_MIN_SE_SCANS`` scans."""
-    se = _batch_se(VDataset((v_in, v_out)), lambda d: lag1_autocorrelation(*d.levels))
+    se = _batch_se(np.array((v_in, v_out)), lambda d: lag1_autocorrelation(*d))
     return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
 
 
@@ -527,9 +499,8 @@ def _pass_estimates(data, betas, affinity_mode) -> tuple:
 def _pool(first: NrptPass, second: NrptPass) -> NrptPass:
     """Two passes on one grid, the second warm-started from the first, as
     one pass over the scans of both."""
-    data = VDataset(tuple(map(np.concatenate, zip(first.data.levels, second.data.levels))))
-    return NrptPass(data, second.states, np.concatenate([first.ends, second.ends], axis=2),
-                    first.moves + second.moves)
+    return NrptPass(np.concatenate([first.data, second.data], axis=1), second.states,
+                    np.concatenate([first.ends, second.ends], axis=2), first.moves + second.moves)
 
 
 def adapt(
@@ -654,7 +625,7 @@ def adapt(
 
     final = nrpt if held is None else _pool(held, nrpt)
     affinities, log_z, rejections, barrier = _pass_estimates(final.data, betas, affinity_mode)
-    widths = _widths_from_moves(final.moves, final.data[0].size)
+    widths = _widths_from_moves(final.moves, final.data.shape[1])
     spread, asym = equi_rejection_indicators(*rejections)
     kappa1 = [_kappa1_upper(final.ends[0, i], final.ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)

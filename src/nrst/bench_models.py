@@ -374,65 +374,50 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
-def generate_synthetic_data(spec: ModelSpec, rng: np.random.Generator):
-    """Synthetic dataset for the data-backed models; deterministic per rng."""
-    if spec.name == "hierarchical":
-        keys = {k: spec.params[k] for k in ("j_groups", "m_per_group") if k in spec.params}
-        return hierarchical_dataset(rng, **keys)
-    if spec.name == "threshold_weibull":
-        keys = {k: spec.params[k] for k in ("a", "b", "c", "n") if k in spec.params}
-        return weibull_dataset(rng, **keys)
-    if spec.name == "mrna":
-        return mrna_dataset(rng)
-    raise ValueError(f"model {spec.name!r} has no synthetic dataset")
-
-
 _MODEL_BUILDERS = {}
 
 
-def _builder(name):
+def _builder(name, *keys):
+    """Register a model builder under ``name``, with the parameter keys it reads."""
     def wrap(fn):
-        _MODEL_BUILDERS[name] = fn
+        _MODEL_BUILDERS[name] = (fn, keys)
         return fn
     return wrap
 
 
-@_builder("toy_gaussian")
-def _build_toy(spec, rng):
-    p = spec.params
+@_builder("toy_gaussian", "dim", "m", "sigma0")
+def _build_toy(p, rng):
     return ToyGaussian(int(p.get("dim", 3)), float(p.get("m", 2.0)),
                        float(p.get("sigma0", 2.0)))
 
 
 @_builder("banana")
-def _build_banana(spec, rng):
+def _build_banana(p, rng):
     return Banana()
 
 
-@_builder("funnel")
-def _build_funnel(spec, rng):
-    return Funnel(int(spec.params.get("dim", 20)))
+@_builder("funnel", "dim")
+def _build_funnel(p, rng):
+    return Funnel(int(p.get("dim", 20)))
 
 
-@_builder("hierarchical")
-def _build_hier(spec, rng):
-    return Hierarchical(generate_synthetic_data(spec, rng))
+@_builder("hierarchical", "j_groups", "m_per_group")
+def _build_hier(p, rng):
+    return Hierarchical(hierarchical_dataset(rng, **p))
 
 
 @_builder("mrna")
-def _build_mrna(spec, rng):
-    t, y = generate_synthetic_data(spec, rng)
-    return MRnaTransfection(t, y)
+def _build_mrna(p, rng):
+    return MRnaTransfection(*mrna_dataset(rng))
 
 
-@_builder("threshold_weibull")
-def _build_weibull(spec, rng):
-    return ThresholdWeibull(generate_synthetic_data(spec, rng))
+@_builder("threshold_weibull", "a", "b", "c", "n")
+def _build_weibull(p, rng):
+    return ThresholdWeibull(weibull_dataset(rng, **p))
 
 
-@_builder("xy")
-def _build_xy(spec, rng):
-    p = spec.params
+@_builder("xy", "n", "coupling")
+def _build_xy(p, rng):
     return XYModel(int(p.get("n", 8)), float(p.get("coupling", 2.0)))
 
 
@@ -441,10 +426,17 @@ def available_models():
 
 
 def make_model(spec: ModelSpec) -> TemperedModel:
-    """Instantiate a benchmark model by name; synthetic data is seeded."""
+    """Instantiate a benchmark model by name; synthetic data is seeded.
+
+    A parameter key that the model does not read raises ValueError.
+    """
     if spec.name not in _MODEL_BUILDERS:
         raise ValueError(
             f"unknown model {spec.name!r}; available: {', '.join(available_models())}"
         )
-    rng = np.random.default_rng(_DATA_SEED)
-    return _MODEL_BUILDERS[spec.name](spec, rng)
+    build, keys = _MODEL_BUILDERS[spec.name]
+    unknown = sorted(set(spec.params) - set(keys))
+    if unknown:
+        raise ValueError(f"model {spec.name!r} has no parameter {', '.join(map(repr, unknown))}; "
+                         f"it reads {', '.join(map(repr, keys)) or 'none'}")
+    return build(spec.params, np.random.default_rng(_DATA_SEED))

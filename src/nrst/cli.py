@@ -93,10 +93,20 @@ def _parse_params(raw):
     return parsed
 
 
+def _model_of(spec):
+    """The model that a schedule's ``model`` entry names, a bad name or
+    parameter failing as a config error."""
+    name, params = spec["name"], spec.get("params", {})
+    try:
+        return make_model(ModelSpec(name, params))
+    except (TypeError, ValueError) as err:
+        raise ConfigError("params" if name in available_models() else "model", str(err))
+
+
 def _cmd_tune(args) -> int:
-    params = _parse_params(args.params)
+    spec = {"name": args.model, "params": _parse_params(args.params)}
     _check(args, "affinity_mode", "gamma", "kappa_bar", "levels", "max_rounds")
-    model = make_model(ModelSpec(args.model, params))
+    model = _model_of(spec)
     result = run_adapt(
         model, args.levels, args.max_rounds, args.affinity_mode,
         gamma=args.gamma, kappa_bar=args.kappa_bar, rng=np.random.default_rng(args.seed),
@@ -105,7 +115,7 @@ def _cmd_tune(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     r_up, r_down, r_sym = result.rejections
     payload = {
-        "model": {"name": args.model, "params": params},
+        "model": spec,
         **result.schedule.to_dict(),
         "lambda_hat": result.lambda_hat,
         "converged": result.converged,
@@ -149,10 +159,6 @@ def _require(args, *names):
             raise ConfigError(name, "is required (flag or config file)")
 
 
-def _model_of_payload(payload):
-    return make_model(ModelSpec(payload["model"]["name"], payload["model"].get("params", {})))
-
-
 def _check_run_flags(args):
     """Check the flags that run and bench read, once NRST_THREADS caps --workers."""
     cap = os.environ.get("NRST_THREADS")
@@ -169,7 +175,7 @@ def _cmd_run(args) -> int:
     payload = _load_json(args.schedule)
     _check_run_flags(args)
     _check(args, "variant", "te_hat")
-    model = _model_of_payload(payload)
+    model = _model_of(payload["model"])
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
     schedule = _schedule_from_payload(payload, model)
@@ -202,7 +208,10 @@ def _cmd_plan(args) -> int:
     _require(args, "report", "k_extra")
     report = _load_json(args.report)
     times = [t["cpu_seconds"] for t in report["tours"]]
-    pools = [int(p) for p in args.pools.split(",") if p]
+    try:
+        pools = [int(p) for p in str(args.pools).split(",") if p]
+    except ValueError:
+        pools = []
     if not pools or any(p < 1 for p in pools):
         raise ConfigError("pools", "must be a comma list of positive integers")
     _check(args, "k_extra", "replications")
@@ -274,11 +283,12 @@ def _cmd_bench(args) -> int:
             _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
             print(f"{variant:7s}  {closed:<9.5f}  {estimate_te(visits):<9.5f}")
         return 0
-    schedule = _schedule_from_payload(payload, _model_of_payload(payload))
+    model = _model_of(payload["model"])
+    schedule = _schedule_from_payload(payload, model)
     print("variant  k      te_hat    serial_cost  parallel_cost")
     for variant in variants:
         report = pilot_then_run(
-            _model_of_payload(payload), schedule, variant, args.alpha, args.delta,
+            model, schedule, variant, args.alpha, args.delta,
             payload.get("lambda_hat", 0.0), args.workers, args.seed,
         )
         print(f"{variant:7s}  {report.k:<5d}  {report.te_hat:<8.4f}  "

@@ -10,7 +10,6 @@ sampler, reference log density, potential V) lives in :class:`TemperedModel`.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,28 +32,12 @@ class DivergedPotentialError(RuntimeError):
 
 
 class EvalCounter:
-    """Contention-safe accumulator for potential-evaluation counts."""
+    """Count of potential evaluations, read and bumped through ``value``."""
 
-    __slots__ = ("_lock", "_n")
+    __slots__ = ("value",)
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._n = 0
-
-    def add(self, k: int = 1) -> None:
-        with self._lock:
-            self._n += k
-
-    @property
-    def value(self) -> int:
-        return self._n
-
-    def __getstate__(self):
-        return self._n
-
-    def __setstate__(self, n):
-        self._lock = threading.Lock()
-        self._n = n
+        self.value = 0
 
 
 class TemperedModel:
@@ -68,9 +51,10 @@ class TemperedModel:
       density ratio target/reference (negative log likelihood in the
       Bayesian prior-reference case).
 
-    Every call to :meth:`potential` increments ``v_evals``, the per-run cost
-    accumulator.  The model object is shared read-only across concurrent
-    tours; the counter is the only mutable element.
+    Every call to :meth:`potential` increments ``v_evals.value``, a plain
+    count of the V-evals made through this object.  Worker processes each
+    get their own copy of the model, so a count never crosses processes;
+    the counter is the only mutable element.
     """
 
     dim: int
@@ -96,7 +80,7 @@ class TemperedModel:
         NaN or -inf raise :class:`DivergedPotentialError`, wherever V is
         evaluated: at reference draws as in exploration.
         """
-        self.v_evals.add()
+        self.v_evals.value += 1
         v = float(self._potential(x))
         if not v > -math.inf:
             raise DivergedPotentialError(x, v)
@@ -123,12 +107,13 @@ class Schedule:
     def __post_init__(self):
         betas = np.asarray(self.betas, dtype=float)
         affinities = np.asarray(self.affinities, dtype=float)
-        explore_steps = np.asarray(self.explore_steps, dtype=int)
+        explore_steps = np.asarray(self.explore_steps, dtype=float)
         object.__setattr__(self, "betas", betas)
         object.__setattr__(self, "affinities", affinities)
-        object.__setattr__(self, "explore_steps", explore_steps)
         if betas.ndim != 1 or betas.size < 2:
             raise ValueError("betas must be a 1-d grid with at least 2 points")
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("betas must be finite")
         if betas[0] != 0.0 or betas[-1] != 1.0:
             raise ValueError("betas must start at 0 and end at 1")
         if np.any(np.diff(betas) <= 0):
@@ -141,8 +126,11 @@ class Schedule:
             raise ValueError("affinities must be anchored at affinities[0] == 0")
         if explore_steps.shape != (betas.size - 1,):
             raise ValueError("explore_steps must have one entry per level 1..N")
-        if np.any(explore_steps < 1):
-            raise ValueError("explore_steps must be positive integers")
+        if not np.all(np.isfinite(explore_steps) & (explore_steps >= 1)
+                      & (explore_steps == np.floor(explore_steps))):
+            raise ValueError(f"explore_steps must be whole numbers >= 1, "
+                             f"got {explore_steps.tolist()}")
+        object.__setattr__(self, "explore_steps", explore_steps.astype(int))
         if self.widths is None:
             return
         n = betas.size - 1
@@ -177,12 +165,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
-        return cls(
-            np.asarray(d["betas"], dtype=float),
-            np.asarray(d["affinities"], dtype=float),
-            np.asarray(d["explore_steps"], dtype=int),
-            d.get("widths"),
-        )
+        return cls(d["betas"], d["affinities"], d["explore_steps"], d.get("widths"))
 
 
 def acceptance_probability(v, beta_from: float, beta_to: float, c_from: float, c_to: float):

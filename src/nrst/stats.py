@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -132,41 +133,8 @@ def diagnostics_report(stats: TourStatistics, alpha: float, h_names=None) -> dic
     return {"k": stats.k, "te_hat": estimate_te(stats.visits), "per_h": per_h}
 
 
-# Coefficients of Acklam's rational approximation to the standard normal
-# quantile, refined below with one Halley step to full double precision.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-
 def normal_quantile(p: float) -> float:
-    """Inverse standard normal CDF via a rational approximation.
-
-    Accurate to well below 1e-9 after one Halley refinement step.
-    """
+    """Inverse standard normal CDF."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie in (0, 1)")
-    p_low, p_high = 0.02425, 1 - 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= p_high:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # Halley refinement using the exact CDF via erfc.
-    err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    u = err / pdf
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(p)

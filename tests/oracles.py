@@ -13,7 +13,7 @@ is the uniform-grid schedule that kernel and NRPT tests run on, and
 
 import numpy as np
 
-from nrst.adapt import VDataset, run_nrpt
+from nrst.adapt import run_nrpt
 from nrst.model import Schedule
 from nrst.st_kernels import _VARIANTS, NRST, IdealIndexChain
 
@@ -89,7 +89,7 @@ def pseudo_prior(log_z, affinities) -> np.ndarray:
     return w / w.sum()
 
 
-def local_rejection_rates(data: VDataset, betas, affinities) -> np.ndarray:
+def local_rejection_rates(data: np.ndarray, betas, affinities) -> np.ndarray:
     """Per-level rejection rate estimate: mean of |V - c'| / 2.
 
     c' is approximated by finite differences of the affinity sequence.

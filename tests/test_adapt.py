@@ -7,7 +7,6 @@ import pytest
 from nrst.adapt import (
     BarrierEstimate,
     RoundState,
-    VDataset,
     _batch_se,
     _carry_widths,
     _kappa1_upper,
@@ -52,15 +51,14 @@ def exact_affinities(betas, d=3, m=2.0, sigma0=2.0):
 
 
 def exact_dataset(betas, size, rng):
-    return VDataset(tuple(exact_level_potentials(b, size, rng) for b in betas))
+    return np.array([exact_level_potentials(b, size, rng) for b in betas])
 
 
 def test_run_nrpt_shape_contract():
     model = ToyGaussian()
     sched = uniform_schedule(2)
     data = run_nrpt(model, sched, 4, np.random.default_rng(0))
-    assert data.n_levels == 2
-    assert all(data[i].shape == (4,) for i in range(3))
+    assert data.shape == (3, 4)
 
 
 def test_run_nrpt_sweep_ends_pair_each_sweep_with_its_records():
@@ -138,11 +136,11 @@ def test_run_nrpt_level_means_match_analytic():
 
 
 def test_stepping_stone_trivial_and_hand_example():
-    data = VDataset((np.zeros(5), np.zeros(5), np.zeros(5)))
+    data = np.array((np.zeros(5), np.zeros(5), np.zeros(5)))
     np.testing.assert_allclose(
         stepping_stone_logz(data, [0, 0.5, 1.0]), np.zeros(3), atol=1e-14
     )
-    tiny = VDataset((np.array([2.0]), np.array([4.0])))
+    tiny = np.array((np.array([2.0]), np.array([4.0])))
     logz = stepping_stone_logz(tiny, [0.0, 1.0])
     assert logz[1] == pytest.approx(-3.0, abs=1e-12)
     assert logz[0] == 0.0
@@ -154,7 +152,7 @@ def test_stepping_stone_shift_invariance():
     data = exact_dataset(betas, 500, rng)
     base = stepping_stone_logz(data, betas)
     shift = 11.5
-    shifted = VDataset(tuple(v + shift for v in data.levels))
+    shifted = data + shift
     moved = stepping_stone_logz(shifted, betas)
     np.testing.assert_allclose(moved, base - betas * shift, atol=1e-10)
 
@@ -184,11 +182,11 @@ def test_mean_energy_affinities_cancel_in_pseudo_prior():
 
 
 def test_median_affinities_examples():
-    data = VDataset((np.full(4, 5.0), np.full(4, 5.0), np.full(4, 5.0)))
+    data = np.array((np.full(4, 5.0), np.full(4, 5.0), np.full(4, 5.0)))
     np.testing.assert_allclose(
         median_affinities(data, [0.0, 0.5, 1.0]), [0.0, 2.5, 5.0], atol=1e-14
     )
-    zeros = VDataset((np.zeros(3), np.zeros(3)))
+    zeros = np.array((np.zeros(3), np.zeros(3)))
     np.testing.assert_array_equal(median_affinities(zeros, [0.0, 1.0]), [0.0, 0.0])
 
 
@@ -197,7 +195,7 @@ def test_median_matches_mean_for_symmetric_levels():
     betas = np.linspace(0, 1, 5)
     # symmetric (normal) level distributions: median = mean
     levels = tuple(rng.normal(3.0 + b, 0.5, 20_000) for b in betas)
-    data = VDataset(levels)
+    data = np.array(levels)
     med = median_affinities(data, betas)
     # trapezoid of the level means
     means = np.array([v.mean() for v in levels])
@@ -206,11 +204,11 @@ def test_median_matches_mean_for_symmetric_levels():
 
 
 def test_estimate_rejections_examples():
-    flat = VDataset((np.zeros(10), np.zeros(10)))
+    flat = np.array((np.zeros(10), np.zeros(10)))
     r_up, r_down, r_sym = estimate_rejections(flat, [0.0, 1.0], [0.0, 0.0])
     assert np.all(r_up == 0.0) and np.all(r_down == 0.0) and np.all(r_sym == 0.0)
 
-    single = VDataset((np.array([2.0]), np.array([0.0])))
+    single = np.array((np.array([2.0]), np.array([0.0])))
     r_up, r_down, r_sym = estimate_rejections(single, [0.0, 1.0], [0.0, 0.0])
     assert r_up[0] == pytest.approx(1 - math.exp(-2), abs=1e-9)
     assert r_down[0] == pytest.approx(0.0, abs=1e-12)
@@ -339,11 +337,11 @@ def test_check_convergence_requires_history():
 
 
 def test_local_rejection_rates_examples():
-    const = VDataset((np.full(5, 2.0), np.full(5, 2.0)))
+    const = np.array((np.full(5, 2.0), np.full(5, 2.0)))
     rates = local_rejection_rates(const, [0.0, 1.0], [0.0, 2.0])
     np.testing.assert_allclose(rates, [0.0, 0.0], atol=1e-14)
 
-    data = VDataset((np.array([0.0, 2.0]), np.array([0.0, 2.0])))
+    data = np.array((np.array([0.0, 2.0]), np.array([0.0, 2.0])))
     rates = local_rejection_rates(data, [0.0, 1.0], [0.0, 1.0])
     np.testing.assert_allclose(rates, [0.5, 0.5], atol=1e-14)
 
@@ -547,8 +545,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, max_ro
     if pooled:
         assert not res.converged and len(res.rounds) == max_rounds
         _, n_before, before = passes[-2]
-        data = VDataset(tuple(np.concatenate([a, b])
-                              for a, b in zip(before.data.levels, data.levels)))
+        data = np.concatenate([before.data, data], axis=1)
         ends = np.concatenate([before.ends, ends], axis=2)
         moves = before.moves + moves
         assert data[0].size == n_before + n_scan
@@ -577,7 +574,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, max_ro
 
 
 def _series_dataset(x):
-    return VDataset((x, x))
+    return np.array((x, x))
 
 
 def _mean_of_level_0(data):

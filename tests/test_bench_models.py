@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ from nrst.bench_models import (
     ToyGaussian,
     XYModel,
     analytic_gaussian_path,
-    generate_synthetic_data,
     hierarchical_dataset,
     make_model,
     mrna_dataset,
@@ -119,9 +119,8 @@ def test_weibull_dataset_support():
 
 
 def test_synthetic_data_deterministic_per_seed():
-    spec = ModelSpec("threshold_weibull")
-    a = generate_synthetic_data(spec, np.random.default_rng(5))
-    b = generate_synthetic_data(spec, np.random.default_rng(5))
+    a = weibull_dataset(np.random.default_rng(5))
+    b = weibull_dataset(np.random.default_rng(5))
     np.testing.assert_array_equal(a, b)
     t1, y1 = mrna_dataset(np.random.default_rng(6))
     t2, y2 = mrna_dataset(np.random.default_rng(6))
@@ -159,6 +158,17 @@ def test_reference_draws_have_finite_log_densities():
 def test_make_model_unknown_name():
     with pytest.raises(ValueError, match="toy_gaussian"):
         make_model(ModelSpec("does_not_exist"))
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("toy_gaussian", {"dimm": 7}, "has no parameter 'dimm'; it reads 'dim', 'm', 'sigma0'"),
+    ("banana", {"dim": 2}, "has no parameter 'dim'; it reads none"),
+    ("threshold_weibull", {"z": 2, "a": 9.0, "k": 1},
+     "has no parameter 'k', 'z'; it reads 'a', 'b', 'c', 'n'"),
+])
+def test_make_model_names_unknown_params_and_the_keys_it_reads(name, params, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_model(ModelSpec(name, params))
 
 
 def test_hierarchical_potential_matches_direct_sum():

@@ -189,6 +189,10 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("index-sim", {"variant": "bogus"}, "variant"),
     ("index-sim", ["--tours", 0], "tours"),
     ("plan", ["--replications", 0], "replications"),
+    ("plan", ["--pools", "1,x"], "pools"),
+    ("tune", ["--params", '{"dim": "abc"}'], "params"),
+    ("tune", ["--params", '{"dimm": 7}'], "params"),
+    ("tune", {"params": '{"dim": 0}'}, "params"),
 ])
 def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -256,6 +260,28 @@ def test_bad_widths_are_a_config_error(command, bad, message, tuned_dir, tmp_pat
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: schedule: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("key, value, message", [
+    ("betas", [0.0, math.nan, 1.0], "schedule: betas must be finite"),
+    ("explore_steps", [2.5, 1.0], "schedule: explore_steps must be whole numbers"),
+    ("model", {"name": "toy_gaussian", "params": {"dimm": 7}},
+     "params: model 'toy_gaussian' has no parameter 'dimm'"),
+    ("model", {"name": "toy_gaussian", "params": {"dim": "abc"}}, "params: "),
+    ("model", {"name": "nope"}, "model: unknown model 'nope'"),
+])
+def test_bad_schedule_file_entries_are_config_errors(command, key, value, message, tmp_path,
+                                                     capsys):
+    payload = {"model": {"name": "toy_gaussian", "params": {}}, "betas": [0.0, 0.5, 1.0],
+               "affinities": [0.0, 1.0, 2.0], "explore_steps": [1, 1], key: value}
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--schedule", path, "--seed", 5]
+    if command == "run":
+        argv += ["--out", tmp_path / "run"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 class BrokenReference(ToyGaussian):

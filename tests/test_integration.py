@@ -21,7 +21,7 @@ def test_nrpt_scans_run_clean(name):
     model = make_model(ModelSpec(name))
     sched = uniform_schedule(3)
     data = run_nrpt(model, sched, 4, np.random.default_rng(1))
-    assert data.n_levels == 3
+    assert data.shape == (4, 4)
     for i in range(1, 4):
         assert np.all(np.isfinite(data[i])), f"{name}: non-finite V above level 0"
 

@@ -146,6 +146,15 @@ def test_schedule_validation():
         Schedule(np.array([0.0, 1.0]), np.array([0.5, 0.0]), np.ones(1))  # anchor
     with pytest.raises(ValueError):
         Schedule(np.array([0.0, 1.0]), np.zeros(2), np.zeros(1))  # explore >= 1
+    with pytest.raises(ValueError, match="betas must be finite"):
+        Schedule(np.array([0.0, math.nan, 1.0]), np.zeros(3), np.ones(2))
+    with pytest.raises(ValueError, match="betas must be finite"):
+        Schedule(np.array([0.0, math.inf, 1.0]), np.zeros(3), np.ones(2))
+    for steps in ([1.7, 2.9], [2.5, 1.0], [math.nan, 1.0], [math.inf, 1.0]):
+        with pytest.raises(ValueError, match="explore_steps must be whole numbers"):
+            Schedule(np.linspace(0.0, 1.0, 3), np.zeros(3), steps)
+    whole = Schedule(np.linspace(0.0, 1.0, 3), np.zeros(3), [2.0, 3.0])
+    assert whole.explore_steps.tolist() == [2, 3]
     sched = uniform_schedule(4)
     assert sched.n_levels == 4
     round_trip = Schedule.from_dict(sched.to_dict())
