@@ -510,8 +510,8 @@ def adapt(
     affinity_mode: str = "mean",
     gamma: float = 2.0,
     kappa_bar: float = 0.95,
-    rng: np.random.Generator | None = None,
     *,
+    rng: np.random.Generator,
     chain_len: int = 512,
     max_restarts: int = 1,
 ) -> AdaptResult:
@@ -563,8 +563,6 @@ def adapt(
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng()
 
     n = int(n_levels_initial)
     betas = np.linspace(0.0, 1.0, n + 1)

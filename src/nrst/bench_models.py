@@ -385,9 +385,22 @@ def _builder(name, *keys):
     return wrap
 
 
+def _whole(p, key, default):
+    """``p[key]``, or ``default``, as an int; anything but a whole number
+    raises ValueError naming ``key``."""
+    value = p.get(key, default)
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not number.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(number)
+
+
 @_builder("toy_gaussian", "dim", "m", "sigma0")
 def _build_toy(p, rng):
-    return ToyGaussian(int(p.get("dim", 3)), float(p.get("m", 2.0)),
+    return ToyGaussian(_whole(p, "dim", 3), float(p.get("m", 2.0)),
                        float(p.get("sigma0", 2.0)))
 
 
@@ -398,7 +411,7 @@ def _build_banana(p, rng):
 
 @_builder("funnel", "dim")
 def _build_funnel(p, rng):
-    return Funnel(int(p.get("dim", 20)))
+    return Funnel(_whole(p, "dim", 20))
 
 
 @_builder("hierarchical", "j_groups", "m_per_group")
@@ -418,7 +431,7 @@ def _build_weibull(p, rng):
 
 @_builder("xy", "n", "coupling")
 def _build_xy(p, rng):
-    return XYModel(int(p.get("n", 8)), float(p.get("coupling", 2.0)))
+    return XYModel(_whole(p, "n", 8), float(p.get("coupling", 2.0)))
 
 
 def available_models():

@@ -94,9 +94,12 @@ def _parse_params(raw):
 
 
 def _model_of(spec):
-    """The model that a schedule's ``model`` entry names, a bad name or
-    parameter failing as a config error."""
-    name, params = spec["name"], spec.get("params", {})
+    """The model that a schedule's ``model`` entry names, a missing entry,
+    bad name or parameter failing as a config error."""
+    try:
+        name, params = spec["name"], spec.get("params", {})
+    except (AttributeError, KeyError, TypeError):
+        raise ConfigError("schedule", "needs a 'model' entry with a 'name'")
     try:
         return make_model(ModelSpec(name, params))
     except (TypeError, ValueError) as err:
@@ -175,7 +178,7 @@ def _cmd_run(args) -> int:
     payload = _load_json(args.schedule)
     _check_run_flags(args)
     _check(args, "variant", "te_hat")
-    model = _model_of(payload["model"])
+    model = _model_of(payload.get("model"))
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
     schedule = _schedule_from_payload(payload, model)
@@ -283,7 +286,7 @@ def _cmd_bench(args) -> int:
             _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
             print(f"{variant:7s}  {closed:<9.5f}  {estimate_te(visits):<9.5f}")
         return 0
-    model = _model_of(payload["model"])
+    model = _model_of(payload.get("model"))
     schedule = _schedule_from_payload(payload, model)
     print("variant  k      te_hat    serial_cost  parallel_cost")
     for variant in variants:

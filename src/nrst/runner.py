@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .explore import build_explorers
 from .model import Schedule, TemperedModel
 from .planner import te_infinity
 from .st_kernels import TourTable, run_tour
@@ -55,7 +56,7 @@ class RunReport:
         return [{"tour": i, "n_steps": n, "visits_top": visits, "v_evals": evals,
                  "cpu_seconds": cpu}
                 for i, (n, visits, evals, cpu) in enumerate(
-                    zip(t.n_steps.tolist(), t.visits_top, t.v_evals, t.cpu_seconds))]
+                    zip(t.tour_steps().tolist(), t.visits_top, t.v_evals, t.cpu_seconds))]
 
     def to_dict(self) -> dict:
         d = {
@@ -81,13 +82,16 @@ class RunReport:
 
 
 def _tour_chunk(args) -> TourTable:
-    """Run the tours of one contiguous range of indices into one table."""
+    """Run the tours of one contiguous range of indices into one table, with
+    one set of explorers."""
     model, schedule, variant, seed, indices, h_funcs, max_steps = args
+    explorers = build_explorers(model, schedule)
     table = TourTable(schedule.n_levels, variant, len(h_funcs))
     for index in indices:
         rng = np.random.default_rng([seed, index])
         try:
-            table.append(run_tour(model, schedule, variant, max_steps, rng, h_funcs=h_funcs))
+            table.extend(run_tour(model, schedule, variant, max_steps, rng, explorers,
+                                  h_funcs=h_funcs))
         except Exception as err:
             # Name the failing tour by the key of its random stream.
             err.tour_index = index

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .explore import build_explorers
 from .model import Schedule, TemperedModel, acceptance_probability
 
 NRST = "nrst"
@@ -36,7 +35,7 @@ _INDEX_MAX_STEPS = 10**6
 class TourOverrunError(RuntimeError):
     """A tour failed to reach the regeneration set within max_steps.
 
-    The partial trace is attached as ``.trace``.
+    The partial tour, a one-tour :class:`TourTable`, is attached as ``.trace``.
     """
 
     def __init__(self, max_steps, trace):
@@ -49,83 +48,22 @@ class TourOverrunError(RuntimeError):
         return (TourOverrunError, (self.max_steps, self.trace), self.__dict__)
 
 
-@dataclass(frozen=True)
-class ChainState:
-    """Lifted chain state (x, level, direction)."""
-
-    x: np.ndarray
-    level: int
-    direction: int
-
-    def __post_init__(self):
-        if self.direction not in (-1, 1):
-            raise ValueError(f"direction must be -1 or +1, got {self.direction}")
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-
-
-@dataclass(slots=True)
-class TourTrace:
-    """One regeneration tour, as three columns with one entry per state:
-    ``levels`` (``array('i')``), ``directions`` (``array('b')``) and ``v``
-    (``array('d')``, the potential).  The first state is the fresh reference
-    draw at (level 0, direction +1), the last the regeneration state.
-    ``n_steps`` is the number of kernel applications, one less than the tour
-    length in states, ``tour_length``.  ``h_top_sums[m]`` (``array('d')``)
-    sums the m-th test function over the states at the top level, the only
-    states where the tour evaluates it.  ``cpu_seconds`` is the CPU time of
-    the thread that ran the tour (``time.thread_time``), not wall time.
-    """
-
-    levels: array
-    directions: array
-    v: array
-    n_levels: int
-    variant: str
-    v_evals: int
-    cpu_seconds: float
-    h_top_sums: array
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.levels) - 1
-
-    @property
-    def tour_length(self) -> int:
-        return len(self.levels)
-
-    @property
-    def visits_top(self) -> int:
-        return self.levels.count(self.n_levels)
-
-    def validate(self) -> None:
-        levels, directions = self.levels, self.directions
-        if (levels[0], directions[0]) != (0, 1):
-            raise AssertionError("tour must start at (level 0, direction +1)")
-        if self.variant == NRST:
-            if (levels[-1], directions[-1]) != (0, -1):
-                raise AssertionError("tour must end at the regeneration state (0, -1)")
-            if any(i == 0 and e == -1 for i, e in zip(levels[1:-1], directions[1:-1])):
-                raise AssertionError("regeneration state visited before the end")
-        else:
-            if levels[-1] != 0:
-                raise AssertionError("reversible tour must end at level 0")
-            if 0 in levels[1:-1]:
-                raise AssertionError("level 0 visited before the end")
-
-
 @dataclass(slots=True)
 class TourTable:
-    """A run's tours in tour order, as flat columns.
+    """Tours in tour order, as flat columns: a run's tours, or one tour.
 
-    ``levels``, ``directions`` and ``v`` hold the states of all tours back to
-    back, with :class:`TourTrace`'s typecodes; tour j's states run from
-    ``starts[j]`` up to the next tour's start (or the end).  ``v_evals``,
+    ``levels`` (``array('i')``), ``directions`` (``array('b')``) and ``v``
+    (``array('d')``, the potential) hold the states of all tours back to
+    back; tour j's states run from ``starts[j]`` up to the next tour's start
+    (or the end).  Each tour's first state is its fresh reference draw at
+    (level 0, direction +1), its last the regeneration state.  ``v_evals``,
     ``cpu_seconds`` and ``visits_top`` hold one entry per tour, and
-    ``h_top_sums`` holds ``n_h`` per tour, tour by tour.  That is ~13 bytes
-    per state and 32 + 8 ``n_h`` per tour, whatever the tour count.
-    Indexing or iterating builds a :class:`TourTrace` of one tour, with
-    copies of its slices.
+    ``h_top_sums`` holds ``n_h`` per tour, tour by tour: the m-th sums the
+    m-th test function over the tour's states at the top level, the only
+    states where it is evaluated.  ``cpu_seconds`` is the CPU time of the
+    thread that ran the tour (``time.thread_time``), not wall time.  That is
+    ~13 bytes per state and 32 + 8 ``n_h`` per tour, whatever the tour count.
+    Indexing or iterating gives one-tour tables, with copies of the slices.
     """
 
     n_levels: int
@@ -143,32 +81,28 @@ class TourTable:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __getitem__(self, j: int) -> TourTrace:
+    def __getitem__(self, j: int) -> "TourTable":
         j = range(len(self))[j]
         a = self.starts[j]
         b = self.starts[j + 1] if j + 1 < len(self) else len(self.levels)
         m = self.n_h
-        return TourTrace(self.levels[a:b], self.directions[a:b], self.v[a:b], self.n_levels,
-                         self.variant, self.v_evals[j], self.cpu_seconds[j],
+        return TourTable(self.n_levels, self.variant, m, self.levels[a:b], self.directions[a:b],
+                         self.v[a:b], array("q", [0]), self.v_evals[j:j + 1],
+                         self.cpu_seconds[j:j + 1], self.visits_top[j:j + 1],
                          self.h_top_sums[j * m:(j + 1) * m])
 
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
     @property
-    def n_steps(self) -> np.ndarray:
-        """Kernel applications per tour (tour length in states minus 1)."""
-        return np.diff(np.asarray(self.starts), append=len(self.levels)) - 1
+    def n_steps(self) -> int:
+        """Kernel applications over all tours: each tour's length in states
+        minus 1."""
+        return len(self.levels) - len(self.starts)
 
-    def append(self, trace: TourTrace) -> None:
-        self.starts.append(len(self.levels))
-        self.levels.extend(trace.levels)
-        self.directions.extend(trace.directions)
-        self.v.extend(trace.v)
-        self.v_evals.append(trace.v_evals)
-        self.cpu_seconds.append(trace.cpu_seconds)
-        self.visits_top.append(trace.visits_top)
-        self.h_top_sums.extend(trace.h_top_sums)
+    def tour_steps(self) -> np.ndarray:
+        """Kernel applications per tour."""
+        return np.diff(np.asarray(self.starts), append=len(self.levels)) - 1
 
     def extend(self, other: "TourTable") -> None:
         """Append ``other``'s tours after this table's."""
@@ -178,31 +112,41 @@ class TourTable:
                      "h_top_sums"):
             getattr(self, name).extend(getattr(other, name))
 
+    def validate(self) -> None:
+        """Raise AssertionError unless every tour starts at (0, +1), ends in
+        the regeneration set and enters it nowhere else."""
+        for a, b in zip(self.starts, [*self.starts[1:], len(self.levels)]):
+            levels, directions = self.levels[a:b], self.directions[a:b]
+            if (levels[0], directions[0]) != (0, 1):
+                raise AssertionError("tour must start at (level 0, direction +1)")
+            if self.variant == NRST:
+                if (levels[-1], directions[-1]) != (0, -1):
+                    raise AssertionError("tour must end at the regeneration state (0, -1)")
+                if any(i == 0 and e == -1 for i, e in zip(levels[1:-1], directions[1:-1])):
+                    raise AssertionError("regeneration state visited before the end")
+            else:
+                if levels[-1] != 0:
+                    raise AssertionError("reversible tour must end at level 0")
+                if 0 in levels[1:-1]:
+                    raise AssertionError("level 0 visited before the end")
 
-def _explore(model, explorers, x, v, level, rng):
-    """Exploration at ``level``: a fresh reference draw at level 0, else the
-    level's explorer.  Returns the new point and its potential."""
-    if level > 0:
-        return explorers[level](x, v, rng)
-    x = model.sample_reference(rng)
-    return x, model.potential(x)
 
-
-def _step(state, model, schedule, explorers, rng, v, reversible):
-    """One step of either kernel: a tempering move, then exploration.
+def _step(x, level, direction, v, model, schedule, explorers, rng, reversible):
+    """One step of either kernel on the lifted state (x, level, direction),
+    with ``v`` the potential at x: a tempering move, then exploration.
 
     The reversible kernel first draws its direction (up if
-    ``rng.random() < 0.5``); the non-reversible one keeps ``state.direction``.
+    ``rng.random() < 0.5``); the non-reversible one keeps ``direction``.
     A proposal inside the grid draws one uniform and is accepted if it falls
     below :func:`acceptance_probability`; a proposal off the grid draws
     nothing and is rejected.  On rejection the non-reversible kernel flips
     its direction; the reversible one records the drawn direction either way
-    (bookkeeping only).  ``v`` is the potential of state.x; the step returns
-    the new state and the potential of its point, so a driver chains steps
-    without re-evaluating V.
+    (bookkeeping only).  Exploration is a fresh reference draw at level 0,
+    else the level's explorer.  Returns the new (x, level, direction, v), so
+    a driver chains steps without re-evaluating V.
     """
-    i = state.level
-    eps = (1 if rng.random() < 0.5 else -1) if reversible else state.direction
+    i = level
+    eps = (1 if rng.random() < 0.5 else -1) if reversible else direction
     j = i + eps
     if 0 <= j <= schedule.n_levels and rng.random() < acceptance_probability(
         v, schedule.betas[i], schedule.betas[j], schedule.affinities[i], schedule.affinities[j]
@@ -210,20 +154,24 @@ def _step(state, model, schedule, explorers, rng, v, reversible):
         i = j
     elif not reversible:
         eps = -eps
-    x, v = _explore(model, explorers, state.x, v, i, rng)
-    return ChainState(x, i, eps), v
+    if i > 0:
+        x, v = explorers[i](x, v, rng)
+    else:
+        x = model.sample_reference(rng)
+        v = model.potential(x)
+    return x, i, eps, v
 
 
-def nrst_step(state: ChainState, model: TemperedModel, schedule: Schedule, explorers,
-              rng: np.random.Generator, *, v: float):
+def nrst_step(x, level: int, direction: int, v: float, model: TemperedModel,
+              schedule: Schedule, explorers, rng: np.random.Generator):
     """One non-reversible step; see :func:`_step`."""
-    return _step(state, model, schedule, explorers, rng, v, False)
+    return _step(x, level, direction, v, model, schedule, explorers, rng, False)
 
 
-def st_step(state: ChainState, model: TemperedModel, schedule: Schedule, explorers,
-            rng: np.random.Generator, *, v: float):
+def st_step(x, level: int, direction: int, v: float, model: TemperedModel,
+            schedule: Schedule, explorers, rng: np.random.Generator):
     """One reversible step; see :func:`_step`."""
-    return _step(state, model, schedule, explorers, rng, v, True)
+    return _step(x, level, direction, v, model, schedule, explorers, rng, True)
 
 
 def run_tour(
@@ -232,15 +180,16 @@ def run_tour(
     kernel_variant: str,
     max_steps: int,
     rng: np.random.Generator,
+    explorers,
     *,
-    explorers=None,
     h_funcs=(),
-) -> TourTrace:
-    """Run one regeneration tour and record its trace.
+) -> TourTable:
+    """Run one regeneration tour and record it as a one-tour table.
 
     Starts from a fresh reference draw at (level 0, direction +1), iterates
-    kernel steps until the regeneration set is reached, and raises
-    :class:`TourOverrunError` (carrying the partial trace) if that takes more
+    kernel steps with ``explorers`` (as :func:`~nrst.explore.build_explorers`
+    gives them) until the regeneration set is reached, and raises
+    :class:`TourOverrunError` (carrying the partial tour) if that takes more
     than ``max_steps`` steps.  Each of ``h_funcs`` is evaluated at the
     top-level states only and summed into ``h_top_sums``.
     """
@@ -248,8 +197,6 @@ def run_tour(
         raise ValueError(f"kernel_variant must be one of {_VARIANTS}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if explorers is None:
-        explorers = build_explorers(model, schedule)
     n = schedule.n_levels
     t0 = time.thread_time()
     evals0 = model.v_evals.value
@@ -257,26 +204,28 @@ def run_tour(
     # name sees every step.
     step = st_step if kernel_variant == ST else nrst_step
 
-    state = ChainState(model.sample_reference(rng), 0, 1)
-    v = model.potential(state.x)
+    x, i, e = model.sample_reference(rng), 0, 1
+    v = model.potential(x)
     levels, directions, vs = array("i", [0]), array("b", [1]), array("d", [v])
     h_sums = array("d", [0.0] * len(h_funcs))
 
-    def trace():
-        return TourTrace(levels, directions, vs, n, kernel_variant, model.v_evals.value - evals0,
-                         time.thread_time() - t0, h_sums)
+    def table():
+        return TourTable(n, kernel_variant, len(h_funcs), levels, directions, vs,
+                         array("q", [0]), array("q", [model.v_evals.value - evals0]),
+                         array("d", [time.thread_time() - t0]), array("q", [levels.count(n)]),
+                         h_sums)
 
     for _ in range(max_steps):
-        state, v = step(state, model, schedule, explorers, rng, v=v)
-        levels.append(state.level)
-        directions.append(state.direction)
+        x, i, e, v = step(x, i, e, v, model, schedule, explorers, rng)
+        levels.append(i)
+        directions.append(e)
         vs.append(v)
-        if state.level == n:
+        if i == n:
             for m, h in enumerate(h_funcs):
-                h_sums[m] += h(state.x)
-        elif state.level == 0 and (kernel_variant == ST or state.direction == -1):
-            return trace()
-    raise TourOverrunError(max_steps, trace())
+                h_sums[m] += h(x)
+        elif i == 0 and (kernel_variant == ST or e == -1):
+            return table()
+    raise TourOverrunError(max_steps, table())
 
 
 def write_traces_csv(traces, fileobj) -> None:
@@ -296,52 +245,41 @@ def write_traces_csv(traces, fileobj) -> None:
 class IdealIndexChain:
     """Rejection probabilities of the idealized (perfectly mixing) index chain.
 
-    rej_up[i] is the rejection probability of the move i -> i+1 for
-    i = 0..N-1; rej_down[i-1] that of i -> i-1 for i = 1..N.  Boundary
-    bounces are implicit forced rejections.
+    ``rho[i-1]`` is the rejection probability of both moves between levels
+    i-1 and i, for i = 1..N.  Boundary bounces are implicit forced
+    rejections.
     """
 
-    rej_up: np.ndarray
-    rej_down: np.ndarray
+    rho: np.ndarray
 
     def __post_init__(self):
-        up = np.asarray(self.rej_up, dtype=float)
-        down = np.asarray(self.rej_down, dtype=float)
-        object.__setattr__(self, "rej_up", up)
-        object.__setattr__(self, "rej_down", down)
-        if up.shape != down.shape or up.ndim != 1 or up.size < 1:
-            raise ValueError("rej_up and rej_down must be 1-d arrays of equal length >= 1")
-        for name, arr in (("rej_up", up), ("rej_down", down)):
-            if np.any(arr < 0) or np.any(arr >= 1) or not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} entries must lie in [0, 1)")
+        rho = np.asarray(self.rho, dtype=float)
+        object.__setattr__(self, "rho", rho)
+        if rho.ndim != 1 or rho.size < 1:
+            raise ValueError("rho must be a 1-d array of length >= 1")
+        if np.any(rho < 0) or np.any(rho >= 1) or not np.all(np.isfinite(rho)):
+            raise ValueError("rho entries must lie in [0, 1)")
 
     @property
     def n_levels(self) -> int:
-        return self.rej_up.size
+        return self.rho.size
 
     @classmethod
     def symmetric(cls, rhos) -> "IdealIndexChain":
-        """Chain with symmetric per-interval rejections rho_1..rho_N."""
-        rhos = np.asarray(rhos, dtype=float)
-        return cls(rhos.copy(), rhos.copy())
-
-    def symmetrized(self) -> np.ndarray:
-        """rho_i = (rho_{i-1,i} + rho_{i,i-1}) / 2 for i = 1..N."""
-        return 0.5 * (self.rej_up + self.rej_down)
+        """Chain with per-interval rejections rho_1..rho_N (copied)."""
+        return cls(np.array(rhos, dtype=float))
 
 
 def ideal_te(chain: IdealIndexChain, variant: str) -> float:
     """Closed-form tour effectiveness of the idealized chain.
 
-    With symmetric rejections rho_i, the non-reversible kernel attains
+    With rejections rho_i, the non-reversible kernel attains
     1 / (1 + 2 sum rho_i/(1-rho_i)) while the reversible one attains
     1 / (4N - 1 + 4 sum rho_i/(1-rho_i)).
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    rho = chain.symmetrized()
-    if np.any(rho >= 1):
-        raise ValueError("symmetrized rejections must be < 1")
+    rho = chain.rho
     s = float(np.sum(rho / (1.0 - rho)))
     n = chain.n_levels
     if variant == NRST:
@@ -368,9 +306,9 @@ def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
         raise ValueError("n_tours must be >= 1")
     n = chain.n_levels
     alpha_up = np.zeros(n + 1)
-    alpha_up[:n] = 1.0 - chain.rej_up
+    alpha_up[:n] = 1.0 - chain.rho
     alpha_dn = np.zeros(n + 1)
-    alpha_dn[1:] = 1.0 - chain.rej_down
+    alpha_dn[1:] = 1.0 - chain.rho
 
     i = np.zeros(n_tours, dtype=np.int64)
     e = np.ones(n_tours, dtype=np.int64)

@@ -58,7 +58,7 @@ class TourStatistics:
         """The statistics of a :class:`~nrst.st_kernels.TourTable`, read from
         its per-tour columns."""
         h = np.asarray(traces.h_top_sums).reshape(len(traces), traces.n_h)
-        return cls(traces.n_steps, traces.visits_top, h)
+        return cls(traces.tour_steps(), traces.visits_top, h)
 
 
 def ratio_estimate(stats: TourStatistics, h_index: int = 0) -> float:

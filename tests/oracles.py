@@ -38,9 +38,9 @@ def index_kernel(chain: IdealIndexChain, variant: str) -> np.ndarray:
     n = chain.n_levels
     size = 2 * (n + 1)
     alpha_up = np.zeros(n + 1)
-    alpha_up[:n] = 1.0 - chain.rej_up
+    alpha_up[:n] = 1.0 - chain.rho
     alpha_dn = np.zeros(n + 1)
-    alpha_dn[1:] = 1.0 - chain.rej_down
+    alpha_dn[1:] = 1.0 - chain.rho
     kernel = np.zeros((size, size))
     for i in range(n + 1):
         if variant == NRST:

@@ -201,3 +201,20 @@ def test_mrna_overflowing_residual_gives_inf_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert model.potential(np.zeros(5)) == math.inf
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("toy_gaussian", "dim", 2.7),
+    ("toy_gaussian", "dim", math.inf),
+    ("toy_gaussian", "dim", "abc"),
+    ("funnel", "dim", 20.5),
+    ("xy", "n", 3.5),
+])
+def test_make_model_rejects_sizes_that_are_not_whole_numbers(name, key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be a whole number, got "):
+        make_model(ModelSpec(name, {key: value}))
+
+
+def test_make_model_takes_whole_sizes_given_as_floats():
+    assert make_model(ModelSpec("toy_gaussian", {"dim": 4.0})).dim == 4
+    assert make_model(ModelSpec("xy", {"n": 3.0})).dim == 9

@@ -3,11 +3,13 @@ import io
 import json
 import math
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from nrst.bench_models import ToyGaussian
-from nrst.cli import main
+from nrst.cli import build_parser, main
 
 
 def run_cli(argv):
@@ -193,6 +195,7 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("tune", ["--params", '{"dim": "abc"}'], "params"),
     ("tune", ["--params", '{"dimm": 7}'], "params"),
     ("tune", {"params": '{"dim": 0}'}, "params"),
+    ("tune", ["--params", '{"dim": 2.7}'], "params"),
 ])
 def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -270,11 +273,13 @@ def test_bad_widths_are_a_config_error(command, bad, message, tuned_dir, tmp_pat
      "params: model 'toy_gaussian' has no parameter 'dimm'"),
     ("model", {"name": "toy_gaussian", "params": {"dim": "abc"}}, "params: "),
     ("model", {"name": "nope"}, "model: unknown model 'nope'"),
+    ("model", None, "schedule: needs a 'model' entry"),
 ])
 def test_bad_schedule_file_entries_are_config_errors(command, key, value, message, tmp_path,
                                                      capsys):
     payload = {"model": {"name": "toy_gaussian", "params": {}}, "betas": [0.0, 0.5, 1.0],
                "affinities": [0.0, 1.0, 2.0], "explore_steps": [1, 1], key: value}
+    payload = {k: v for k, v in payload.items() if v is not None}  # None drops the entry
     path = tmp_path / "schedule.json"
     path.write_text(json.dumps(payload))
     argv = [command, "--schedule", path, "--seed", 5]
@@ -302,3 +307,16 @@ def test_runtime_error_names_the_failing_tour(command, tuned_dir, tmp_path, monk
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert re.search(r"runtime error: tour \d+ \(seed 5\): log density not finite", err)
+
+
+def test_readme_cli_commands_parse():
+    # Every `nrst ...` line of README's CLI block is a valid command line.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [argv for argv in lines if argv[:1] == ["nrst"]]
+    assert [argv[1] for argv in commands] == ["tune", "run", "plan", "index-sim", "bench",
+                                              "bench"]
+    parser, _ = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]

@@ -9,6 +9,7 @@ import pytest
 import nrst
 from nrst.adapt import run_nrpt
 from nrst.bench_models import ModelSpec, make_model
+from nrst.explore import build_explorers
 from nrst.st_kernels import run_tour
 from oracles import uniform_schedule
 
@@ -44,12 +45,13 @@ def test_tours_run_clean(name):
         for seed in range(5):
             rng = np.random.default_rng([seed, v_idx, ALL_MODELS.index(name)])
             try:
-                trace = run_tour(model, sched, variant, max_steps, rng)
+                trace = run_tour(model, sched, variant, max_steps, rng,
+                                 build_explorers(model, sched))
             except TourOverrunError as err:
                 assert err.trace.n_steps == max_steps
                 continue
             trace.validate()
-            assert trace.v_evals > 0
+            assert trace.v_evals[0] > 0
 
 
 def test_package_exports_only_the_pipeline_api():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
-from nrst.explore import SliceNumericalError
+from nrst.explore import ExplorationKernel, SliceNumericalError, build_explorers
 from nrst.model import DivergedPotentialError, Schedule
 from nrst.runner import CoordinateFunction, pilot_then_run, run_parallel
 from nrst.st_kernels import TourOverrunError, run_tour, write_traces_csv
@@ -162,15 +162,16 @@ def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_st
 
 def fails(model, sched, max_steps, key):
     try:
-        run_tour(model, sched, "nrst", max_steps, np.random.default_rng(key))
+        run_tour(model, sched, "nrst", max_steps, np.random.default_rng(key),
+                 build_explorers(model, sched))
     except (DivergedPotentialError, SliceNumericalError, TourOverrunError):
         return True
     return False
 
 
 def columns(traces):
-    """The fields of a TourTable or TourTrace but the CPU times, which differ
-    from run to run."""
+    """The fields of a TourTable but the CPU times, which differ from run to
+    run."""
     return {f.name: getattr(traces, f.name) for f in dataclasses.fields(traces)
             if f.name != "cpu_seconds"}
 
@@ -184,12 +185,15 @@ def test_chunked_tours_match_their_streams_at_any_worker_count():
     table = reports[0].traces
     assert len(table) == 62 and table.n_h == 2
     assert columns(table) == columns(reports[1].traces)
+    model = ToyGaussian()
     for i in (0, 2, 3, 59, 60, 61, -1):
-        tour = run_tour(ToyGaussian(), sched, "st", 10**6, np.random.default_rng([41, i % 62]),
-                        h_funcs=h)
+        tour = run_tour(model, sched, "st", 10**6, np.random.default_rng([41, i % 62]),
+                        build_explorers(model, sched), h_funcs=h)
         assert columns(table[i]) == columns(tour)
-    assert [t.tour_length for t in table] == (table.n_steps + 1).tolist()
-    assert [t.visits_top for t in table] == table.visits_top.tolist()
+    assert [len(t.levels) for t in table] == (table.tour_steps() + 1).tolist()
+    assert [t.n_steps for t in table] == table.tour_steps().tolist()
+    assert sum(t.n_steps for t in table) == table.n_steps
+    assert [t.visits_top[0] for t in table] == table.visits_top.tolist()
     with pytest.raises(IndexError):
         table[62]
 
@@ -200,16 +204,17 @@ def test_pilot_top_up_appends_after_the_pilot_tours():
     k_trial = report.k_trial
     assert report.k > k_trial
     assert len(report.traces) == report.k
+    model = ToyGaussian()
     for i in (k_trial - 1, k_trial, report.k - 1):
-        tour = run_tour(ToyGaussian(), sched, "nrst", 10**6, np.random.default_rng([17, i]),
-                        h_funcs=(CoordinateFunction(0),))
+        tour = run_tour(model, sched, "nrst", 10**6, np.random.default_rng([17, i]),
+                        build_explorers(model, sched), h_funcs=(CoordinateFunction(0),))
         assert columns(report.traces[i]) == columns(tour)
 
 
 def test_traces_cost_a_few_bytes_per_state_and_tour():
     # 2,459 short ST tours of ~5.6 states.  The table pickles to 13 bytes per
-    # state and 40 per tour (278 kB); a list of one TourTrace per tour takes
-    # 465 kB, about 190 bytes per tour.
+    # state and 40 per tour (278 kB), where an object per tour would cost
+    # about 190 bytes per tour.
     report = run_parallel(ToyGaussian(), tuned_like_schedule(), "st", 0.95, 0.25, 0.1, 1, 3)
     states = sum(t["n_steps"] + 1 for t in report.tours)
     assert report.k == 2459 and states > 5 * report.k
@@ -228,3 +233,19 @@ def test_h_runs_only_at_top_level_states():
     visits_top = sum(t["visits_top"] for t in report.tours)
     assert visits_top > 0
     assert len(calls) == visits_top
+
+
+def test_a_chunk_builds_its_explorers_once(monkeypatch):
+    # One explorer per level for the whole chunk, not one set per tour.
+    built = []
+    init = ExplorationKernel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExplorationKernel, "__init__", counting_init)
+    sched = tuned_like_schedule()
+    report = run_parallel(ToyGaussian(), sched, "nrst", 0.95, 0.5, 1.0, 1, 5)
+    assert report.k == 62
+    assert len(built) == sched.n_levels

@@ -11,9 +11,9 @@ from nrst.model import Schedule, acceptance_probability
 from nrst.planner import fit_cpu_model
 from nrst.runner import CoordinateFunction, run_parallel
 from nrst.st_kernels import (
-    ChainState,
     IdealIndexChain,
     TourOverrunError,
+    TourTable,
     ideal_te,
     nrst_step,
     run_tour,
@@ -70,26 +70,26 @@ def exact_toy_schedule(n):
 
 def test_nrst_step_forced_rejection(toy, sched2):
     rng = np.random.default_rng(0)
-    state = ChainState(toy.sample_reference(rng), 0, 1)
-    new, _ = nrst_step(state, toy, sched2, None, ScriptedRng(rng, 0.999999),
-                       v=toy.potential(state.x))
-    assert (new.level, new.direction) == (0, -1)
-    assert not np.array_equal(new.x, state.x)  # level 0 resamples the reference
+    x = toy.sample_reference(rng)
+    new_x, level, direction, _ = nrst_step(x, 0, 1, toy.potential(x), toy, sched2, None,
+                                           ScriptedRng(rng, 0.999999))
+    assert (level, direction) == (0, -1)
+    assert not np.array_equal(new_x, x)  # level 0 resamples the reference
 
 
 def test_nrst_step_bounce_above_no_draw(toy):
     sched = uniform_schedule(1)
     rng = np.random.default_rng(1)
-    state = ChainState(toy.sample_reference(rng), 1, 1)
+    x = toy.sample_reference(rng)
 
     def no_draw():
         raise AssertionError("boundary bounce must not consume an acceptance draw")
 
     stub = ScriptedRng(rng)
     stub.random = no_draw
-    new, _ = nrst_step(state, toy, sched, own_explorers(toy, sched, rng), stub,
-                       v=toy.potential(state.x))
-    assert (new.level, new.direction) == (1, -1)
+    _, level, direction, _ = nrst_step(x, 1, 1, toy.potential(x), toy, sched,
+                                       own_explorers(toy, sched, rng), stub)
+    assert (level, direction) == (1, -1)
 
 
 def test_nrst_step_interior_acceptance_frequency(toy, sched2):
@@ -101,46 +101,47 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
     prob = acceptance_probability(
         v, sched2.betas[0], sched2.betas[1], 0.0, 0.0
     )
-    state = ChainState(x, 0, 1)
     explorers = build_explorers(toy, sched2)
     accepted = 0
     for _ in range(n):
-        new, _ = nrst_step(state, toy, sched2, explorers, rng, v=v)
-        accepted += new.level == 1
+        _, level, _, _ = nrst_step(x, 0, 1, v, toy, sched2, explorers, rng)
+        accepted += level == 1
     freq = accepted / n
     assert abs(freq - prob) <= 3.0 * math.sqrt(prob * (1 - prob) / n)
 
 
 def test_st_step_boundary_rejection(toy, sched2):
     rng = np.random.default_rng(4)
-    state = ChainState(toy.sample_reference(rng), 0, 1)
-    new, _ = st_step(state, toy, sched2, None, ScriptedRng(rng, 0.9),
-                     v=toy.potential(state.x))
-    assert new.level == 0 and new.direction == -1
+    x = toy.sample_reference(rng)
+    _, level, direction, _ = st_step(x, 0, 1, toy.potential(x), toy, sched2, None,
+                                     ScriptedRng(rng, 0.9))
+    assert level == 0 and direction == -1
 
 
 def test_st_step_absorbing_when_all_rejected(toy):
     # u = 1.0 forces rejection even of sure-accept (downhill) moves
     sched = uniform_schedule(1)
     rng = np.random.default_rng(5)
-    state = ChainState(toy.sample_reference(rng), 1, 1)
+    x, level, direction = toy.sample_reference(rng), 1, 1
     explorers = own_explorers(toy, sched, rng)
-    v = toy.potential(state.x)
+    v = toy.potential(x)
     for _ in range(20):
         # a random direction, then u = 1.0 if the proposal is in range
-        state, v = st_step(
-            state, toy, sched, explorers, ScriptedRng(rng, rng.random(), 1.0), v=v
+        x, level, direction, v = st_step(
+            x, level, direction, v, toy, sched, explorers, ScriptedRng(rng, rng.random(), 1.0)
         )
-        assert state.level == 1
+        assert level == 1
 
 
 def test_run_tour_minimal(toy, sched2):
     rng = np.random.default_rng(6)
-    trace = run_tour(toy, sched2, "nrst", 100, ScriptedRng(rng, 0.999999))
+    trace = run_tour(toy, sched2, "nrst", 100, ScriptedRng(rng, 0.999999),
+                     build_explorers(toy, sched2))
     trace.validate()
+    assert len(trace) == 1 and list(trace.starts) == [0]
     assert trace.n_steps == 1
-    assert trace.visits_top == 0
-    assert trace.tour_length == 2
+    assert list(trace.visits_top) == [0]
+    assert len(trace.levels) == 2
 
 
 def test_run_tour_full_sweep_hand_executed(toy):
@@ -154,13 +155,14 @@ def test_run_tour_full_sweep_hand_executed(toy):
     assert list(trace.levels) == [0, 1, 1, 0]
     assert list(trace.directions) == [1, 1, -1, -1]
     assert trace.n_steps == 3
-    assert trace.visits_top == 2
+    assert list(trace.visits_top) == [2]
 
 
 def test_run_tour_rejection_at_zero_is_not_overrun(toy, sched2):
     # upward rejections at level 0 land in the regeneration set immediately
     rng = np.random.default_rng(8)
-    trace = run_tour(toy, sched2, "nrst", 5, ScriptedRng(rng, *([0.999999] * 5)))
+    trace = run_tour(toy, sched2, "nrst", 5, ScriptedRng(rng, *([0.999999] * 5)),
+                     build_explorers(toy, sched2))
     trace.validate()
     assert trace.n_steps == 1
 
@@ -175,7 +177,7 @@ def test_run_tour_overrun_carries_partial_trace(toy):
         run_tour(toy, sched, "st", 3, ScriptedRng(rng, 0.1, 0.0, 0.1, 0.1),
                  explorers=own_explorers(toy, sched, rng))
     trace = err.value.trace
-    assert trace is not None
+    assert len(trace) == 1
     assert trace.n_steps == 3
     # the start state and one state per step, in every column
     assert len(trace.levels) == len(trace.directions) == len(trace.v) == 3 + 1
@@ -183,25 +185,29 @@ def test_run_tour_overrun_carries_partial_trace(toy):
 
 def test_trace_pickle_round_trip_keeps_every_column(toy):
     sched, h_funcs = exact_toy_schedule(4), (CoordinateFunction(0), CoordinateFunction(1))
-    tours = (run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]), h_funcs=h_funcs)
+    explorers = build_explorers(toy, sched)
+    tours = (run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]), explorers,
+                      h_funcs=h_funcs)
              for i in range(100))
-    trace = next(t for t in tours if t.visits_top > 0)
+    trace = next(t for t in tours if t.visits_top[0] > 0)
     back = pickle.loads(pickle.dumps(trace))
     assert (back.levels, back.directions, back.v) == (trace.levels, trace.directions, trace.v)
     assert back.h_top_sums == trace.h_top_sums and len(back.h_top_sums) == 2
     assert (back.v_evals, back.cpu_seconds) == (trace.v_evals, trace.cpu_seconds)
-    assert (back.n_levels, back.variant) == (trace.n_levels, trace.variant)
+    assert (back.starts, back.visits_top) == (trace.starts, trace.visits_top)
+    assert (back.n_levels, back.variant, back.n_h) == (trace.n_levels, trace.variant, 2)
 
 
 def test_pickled_trace_grows_by_at_most_16_bytes_per_state(toy):
     # Traces cross the process boundary pickled: one int, one byte and one
     # double per state is 13 bytes, where an object per state costs ~30.
     sched = exact_toy_schedule(4)
-    traces = [run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]))
+    explorers = build_explorers(toy, sched)
+    traces = [run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]), explorers)
               for i in range(20)]
-    short = min(traces, key=lambda t: t.tour_length)
-    long = max(traces, key=lambda t: t.tour_length)
-    extra = long.tour_length - short.tour_length
+    short = min(traces, key=lambda t: t.n_steps)
+    long = max(traces, key=lambda t: t.n_steps)
+    extra = long.n_steps - short.n_steps
     assert extra >= 40
     growth = len(pickle.dumps(long)) - len(pickle.dumps(short))
     assert growth <= 16 * extra
@@ -209,14 +215,31 @@ def test_pickled_trace_grows_by_at_most_16_bytes_per_state(toy):
 
 def test_trace_serialization(toy, sched2, tmp_path):
     rng = np.random.default_rng(10)
-    traces = [run_tour(toy, sched2, "nrst", 10**4, np.random.default_rng([3, i]))
-              for i in range(3)]
+    explorers = build_explorers(toy, sched2)
+    table = TourTable(sched2.n_levels, "nrst", 0)
+    for i in range(3):
+        table.extend(run_tour(toy, sched2, "nrst", 10**4, np.random.default_rng([3, i]),
+                              explorers))
     path = tmp_path / "traces.csv"
     with open(path, "w") as f:
-        write_traces_csv(traces, f)
+        write_traces_csv(table, f)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "tour_id,step,level,direction,v"
-    assert len(lines) == 1 + sum(t.tour_length for t in traces)
+    assert len(lines) == 1 + len(table.levels) == 1 + table.n_steps + 3
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [
+        j for j, steps in enumerate(table.tour_steps()) for _ in range(steps + 1)]
+
+
+def test_validate_checks_every_tour_of_a_table(toy, sched2):
+    explorers = build_explorers(toy, sched2)
+    table = TourTable(sched2.n_levels, "nrst", 0)
+    for i in range(3):
+        table.extend(run_tour(toy, sched2, "nrst", 10**4, np.random.default_rng([3, i]),
+                              explorers))
+    table.validate()
+    table.directions[table.starts[2] - 1] = 1  # the middle tour now ends at (0, +1)
+    with pytest.raises(AssertionError, match="must end at the regeneration state"):
+        table.validate()
 
 
 class SleepyModel(ToyGaussian):
@@ -234,8 +257,8 @@ def test_tour_cpu_seconds_is_cpu_time_not_wall_time():
     trace = run_tour(model, sched, "nrst", 10, ScriptedRng(rng, 0.0, 0.0),
                      explorers=own_explorers(model, sched, rng))
     wall = time.perf_counter() - t0
-    assert trace.n_steps == 3 and wall >= 0.002 * trace.v_evals >= 0.01
-    assert 0.0 < trace.cpu_seconds < 0.5 * wall
+    assert trace.n_steps == 3 and wall >= 0.002 * trace.v_evals[0] >= 0.01
+    assert 0.0 < trace.cpu_seconds[0] < 0.5 * wall
 
 
 def test_every_tour_of_a_short_run_has_positive_cpu_seconds(toy):
@@ -289,9 +312,9 @@ def test_step_kernels_match_ideal_index_chain():
     for i in range(n + 1):
         for di, d in enumerate((1, -1)):
             for u in grid:
-                new, _ = nrst_step(ChainState(np.zeros(1), i, d), model, sched,
-                                   explorers, ScriptedRng(rng, u), v=v)
-                empirical[2 * i + di, 2 * new.level + (0 if new.direction > 0 else 1)] += 1
+                _, level, direction, _ = nrst_step(np.zeros(1), i, d, v, model, sched,
+                                                   explorers, ScriptedRng(rng, u))
+                empirical[2 * i + di, 2 * level + (0 if direction > 0 else 1)] += 1
     empirical /= grid.size
     np.testing.assert_allclose(empirical, ideal, atol=1e-3)
 
@@ -303,9 +326,9 @@ def test_step_kernels_match_ideal_index_chain():
     for i in range(n + 1):
         for u in (np.arange(50) + 0.5) / 50:
             for ud in (0.25, 0.75):
-                new, _ = st_step(ChainState(np.zeros(1), i, +1), model, sched,
-                                 explorers, ScriptedRng(rng, ud, u), v=v)
-                level_counts[new.level] += 1
+                _, level, _, _ = st_step(np.zeros(1), i, +1, v, model, sched,
+                                         explorers, ScriptedRng(rng, ud, u))
+                level_counts[level] += 1
     level_counts /= level_counts.sum()
     np.testing.assert_allclose(level_counts, np.full(n + 1, 1 / (n + 1)), atol=0.02)
 
@@ -414,7 +437,7 @@ def test_ele_stubbed_tour_length(toy):
     n_tours = 20_000
     lengths = np.empty(n_tours)
     for k in range(n_tours):
-        trace = run_tour(toy, sched, "nrst", 10**5, rng, explorers=explorers)
-        lengths[k] = trace.tour_length
+        trace = run_tour(toy, sched, "nrst", 10**5, rng, explorers)
+        lengths[k] = len(trace.levels)
     se = lengths.std() / math.sqrt(n_tours)
     assert abs(lengths.mean() - 2 * (n + 1)) <= 3 * se
