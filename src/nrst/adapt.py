@@ -488,10 +488,8 @@ def _pass_estimates(data, betas, affinity_mode) -> tuple:
     if affinity_mode == "mean":
         log_z = stepping_stone_logz(data, betas)
         affinities = mean_energy_affinities(log_z)
-    elif affinity_mode == "median":
-        log_z, affinities = None, median_affinities(data, betas)
     else:
-        raise ValueError("affinity_mode must be 'mean' or 'median'")
+        log_z, affinities = None, median_affinities(data, betas)
     rejections = estimate_rejections(data, betas, affinities)
     return affinities, log_z, rejections, build_barrier(rejections[2], betas)
 
@@ -559,10 +557,18 @@ def adapt(
     batch-means SEs per level, with the last pass's final states: a level
     whose bound is <= ``kappa_bar`` gets 1 step at no V-eval cost, and every
     other level runs a chain of ``chain_len`` sweeps warm-started from its
-    state.
+    state.  Every argument is checked before the first pass.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if affinity_mode not in ("mean", "median"):
+        raise ValueError("affinity_mode must be 'mean' or 'median'")
+    if not gamma >= 1:
+        raise ValueError("gamma must be >= 1")
+    if not 0.0 < kappa_bar < 1.0:
+        raise ValueError("kappa_bar must lie in (0, 1)")
+    if chain_len < 2:
+        raise ValueError("chain_len must be >= 2")
 
     n = int(n_levels_initial)
     betas = np.linspace(0.0, 1.0, n + 1)

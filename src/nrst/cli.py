@@ -76,9 +76,17 @@ def _variants(args):
     return ["nrst", "st"] if args.variant == "both" else [args.variant]
 
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
+def _load_json(path, flag):
+    """The JSON object in the file that ``flag`` names; a missing file, bad
+    JSON or a value that is not an object fails as a config error."""
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except (OSError, ValueError) as err:
+        raise ConfigError(flag, str(err))
+    if not isinstance(payload, dict):
+        raise ConfigError(flag, "must hold a JSON object")
+    return payload
 
 
 def _parse_params(raw):
@@ -175,7 +183,7 @@ def _check_run_flags(args):
 
 def _cmd_run(args) -> int:
     _require(args, "schedule")
-    payload = _load_json(args.schedule)
+    payload = _load_json(args.schedule, "schedule")
     _check_run_flags(args)
     _check(args, "variant", "te_hat")
     model = _model_of(payload.get("model"))
@@ -209,8 +217,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_plan(args) -> int:
     _require(args, "report", "k_extra")
-    report = _load_json(args.report)
-    times = [t["cpu_seconds"] for t in report["tours"]]
+    report = _load_json(args.report, "report")
+    try:
+        times = np.asarray([t["cpu_seconds"] for t in report["tours"]], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ConfigError("report", "needs a 'tours' list of entries with 'cpu_seconds'")
     try:
         pools = [int(p) for p in str(args.pools).split(",") if p]
     except ValueError:
@@ -220,8 +231,8 @@ def _cmd_plan(args) -> int:
     _check(args, "k_extra", "replications")
     rng = np.random.default_rng(args.seed)
     try:
-        model = planner.fit_cpu_model(np.asarray(times, dtype=float))
-    except planner.InsufficientDataError as err:
+        model = planner.fit_cpu_model(times)
+    except ValueError as err:  # too few times, or some not positive and finite
         raise ConfigError("report", str(err))
     curves = planner.cost_curves(model, args.k_extra, pools, args.replications, rng)
     sample = model.sample(args.k_extra, np.random.default_rng(args.seed + 1))
@@ -272,13 +283,16 @@ def _cmd_index_sim(args) -> int:
 
 def _cmd_bench(args) -> int:
     _require(args, "schedule")
-    payload = _load_json(args.schedule)
+    payload = _load_json(args.schedule, "schedule")
     _check_run_flags(args)
     variants = _variants(args)
     if args.ideal:
         _check(args, "tours")
-        r_sym = np.asarray(payload["rejections"]["sym"], dtype=float)
-        chain = IdealIndexChain.symmetric(np.clip(r_sym, 0.0, 1.0 - 1e-9))
+        try:
+            r_sym = np.asarray(payload["rejections"]["sym"], dtype=float)
+            chain = IdealIndexChain.symmetric(np.clip(r_sym, 0.0, 1.0 - 1e-9))
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError("schedule", "needs a 'rejections' entry with a 'sym' list")
         rng = np.random.default_rng(args.seed)
         print("variant  TE_closed  TE_mc")
         for variant in variants:
@@ -380,14 +394,16 @@ def build_parser() -> tuple:
 def main(argv=None) -> int:
     parser, subcommands = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        # The file's values for the subcommand's flags become its defaults,
-        # and the command line is parsed again, so the flags given still win.
-        flags = vars(args).keys() - {"config", "command", "func"}
-        config = {key.replace("-", "_"): value for key, value in _load_json(args.config).items()}
-        subcommands[args.command].set_defaults(**{k: v for k, v in config.items() if k in flags})
-        args = parser.parse_args(argv)
     try:
+        if args.config:
+            # The file's values for the subcommand's flags become its defaults,
+            # and the command line is parsed again, so the flags given still win.
+            flags = vars(args).keys() - {"config", "command", "func"}
+            config = {key.replace("-", "_"): value
+                      for key, value in _load_json(args.config, "config").items()}
+            subcommands[args.command].set_defaults(
+                **{k: v for k, v in config.items() if k in flags})
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

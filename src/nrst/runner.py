@@ -86,7 +86,7 @@ def _tour_chunk(args) -> TourTable:
     one set of explorers."""
     model, schedule, variant, seed, indices, h_funcs, max_steps = args
     explorers = build_explorers(model, schedule)
-    table = TourTable(schedule.n_levels, variant, len(h_funcs))
+    table = TourTable(variant, len(h_funcs))
     for index in indices:
         rng = np.random.default_rng([seed, index])
         try:
@@ -102,7 +102,9 @@ def _tour_chunk(args) -> TourTable:
 
 def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs, max_steps):
     """The tours of the range ``indices``, as one table in index order."""
-    if workers <= 1 or len(indices) <= 1:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    if workers == 1 or len(indices) <= 1:
         return _tour_chunk((model, schedule, variant, seed, indices, h_funcs, max_steps))
     # Imported here, so that a run without a pool never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
@@ -159,8 +161,6 @@ def run_parallel(
     keeps their traces as one :class:`TourTable`.  Bit-identical for any worker
     count at a fixed seed.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     k = min_tours(alpha, delta, te_hat)
     traces = _run_tours(model, schedule, kernel_variant, range(k), workers, rng_seed,
                         tuple(h_funcs), max_steps)

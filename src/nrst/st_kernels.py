@@ -6,12 +6,14 @@ reversible baseline draws a fresh direction at every step.  One step routine
 runs both.  Both share the regeneration structure: tours start from a fresh
 reference draw and end at the regeneration set (level 0 moving down for the
 non-reversible kernel, any return to level 0 for the reversible one), so
-tours are i.i.d. and trivially parallel.
+tours are i.i.d. and trivially parallel.  :func:`_regenerates` is the one
+test of that set.
 
 The module also implements the idealized index process: the finite Markov
 chain obtained when the potential mixes perfectly within one exploration
 step.  Its closed-form tour effectiveness and a fast vectorized tour
-simulator serve as oracles for each other.
+simulator, which steps both variants with the same rule as the kernels,
+serve as oracles for each other.
 """
 
 from __future__ import annotations
@@ -30,6 +32,12 @@ _VARIANTS = (NRST, ST)
 # Bound on the steps of the index-process simulator, which steps all its
 # tours together until the last one regenerates.
 _INDEX_MAX_STEPS = 10**6
+
+
+def _regenerates(level, direction, reversible):
+    """Whether (level, direction) lies in the regeneration set: level 0 moving
+    down, or level 0 at all for the reversible kernel.  Takes ints or arrays."""
+    return (level == 0) & ((direction == -1) | reversible)
 
 
 class TourOverrunError(RuntimeError):
@@ -66,7 +74,6 @@ class TourTable:
     Indexing or iterating gives one-tour tables, with copies of the slices.
     """
 
-    n_levels: int
     variant: str
     n_h: int
     levels: array = field(default_factory=lambda: array("i"))
@@ -86,7 +93,7 @@ class TourTable:
         a = self.starts[j]
         b = self.starts[j + 1] if j + 1 < len(self) else len(self.levels)
         m = self.n_h
-        return TourTable(self.n_levels, self.variant, m, self.levels[a:b], self.directions[a:b],
+        return TourTable(self.variant, m, self.levels[a:b], self.directions[a:b],
                          self.v[a:b], array("q", [0]), self.v_evals[j:j + 1],
                          self.cpu_seconds[j:j + 1], self.visits_top[j:j + 1],
                          self.h_top_sums[j * m:(j + 1) * m])
@@ -115,20 +122,16 @@ class TourTable:
     def validate(self) -> None:
         """Raise AssertionError unless every tour starts at (0, +1), ends in
         the regeneration set and enters it nowhere else."""
+        reversible = self.variant == ST
         for a, b in zip(self.starts, [*self.starts[1:], len(self.levels)]):
             levels, directions = self.levels[a:b], self.directions[a:b]
             if (levels[0], directions[0]) != (0, 1):
                 raise AssertionError("tour must start at (level 0, direction +1)")
-            if self.variant == NRST:
-                if (levels[-1], directions[-1]) != (0, -1):
-                    raise AssertionError("tour must end at the regeneration state (0, -1)")
-                if any(i == 0 and e == -1 for i, e in zip(levels[1:-1], directions[1:-1])):
-                    raise AssertionError("regeneration state visited before the end")
-            else:
-                if levels[-1] != 0:
-                    raise AssertionError("reversible tour must end at level 0")
-                if 0 in levels[1:-1]:
-                    raise AssertionError("level 0 visited before the end")
+            regen = [_regenerates(i, e, reversible) for i, e in zip(levels, directions)]
+            if not regen[-1]:
+                raise AssertionError("tour must end at the regeneration state")
+            if any(regen[1:-1]):
+                raise AssertionError("regeneration state visited before the end")
 
 
 def _step(x, level, direction, v, model, schedule, explorers, rng, reversible):
@@ -197,12 +200,12 @@ def run_tour(
         raise ValueError(f"kernel_variant must be one of {_VARIANTS}")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    n = schedule.n_levels
+    n, reversible = schedule.n_levels, kernel_variant == ST
     t0 = time.thread_time()
     evals0 = model.v_evals.value
     # Looked up from the module at call time, so a wrapper bound to either
     # name sees every step.
-    step = st_step if kernel_variant == ST else nrst_step
+    step = st_step if reversible else nrst_step
 
     x, i, e = model.sample_reference(rng), 0, 1
     v = model.potential(x)
@@ -210,7 +213,7 @@ def run_tour(
     h_sums = array("d", [0.0] * len(h_funcs))
 
     def table():
-        return TourTable(n, kernel_variant, len(h_funcs), levels, directions, vs,
+        return TourTable(kernel_variant, len(h_funcs), levels, directions, vs,
                          array("q", [0]), array("q", [model.v_evals.value - evals0]),
                          array("d", [time.thread_time() - t0]), array("q", [levels.count(n)]),
                          h_sums)
@@ -223,7 +226,7 @@ def run_tour(
         if i == n:
             for m, h in enumerate(h_funcs):
                 h_sums[m] += h(x)
-        elif i == 0 and (kernel_variant == ST or e == -1):
+        elif _regenerates(i, e, reversible):
             return table()
     raise TourOverrunError(max_steps, table())
 
@@ -304,59 +307,32 @@ def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
         raise ValueError(f"variant must be one of {_VARIANTS}")
     if n_tours < 1:
         raise ValueError("n_tours must be >= 1")
-    n = chain.n_levels
-    alpha_up = np.zeros(n + 1)
-    alpha_up[:n] = 1.0 - chain.rho
-    alpha_dn = np.zeros(n + 1)
-    alpha_dn[1:] = 1.0 - chain.rho
+    reversible, n = variant == ST, chain.n_levels
+    alpha_up = np.append(1.0 - chain.rho, 0.0)  # accepting a move up from level i
+    alpha_dn = np.append(0.0, 1.0 - chain.rho)  # and a move down
 
-    i = np.zeros(n_tours, dtype=np.int64)
+    i, visits, sodd = np.zeros((3, n_tours), dtype=np.int64)
     e = np.ones(n_tours, dtype=np.int64)
-    steps = np.zeros(n_tours, dtype=np.int64)
-    visits = np.zeros(n_tours, dtype=np.int64)
-    sodd = np.zeros(n_tours, dtype=np.int64)
-    out_steps = np.zeros(n_tours, dtype=np.int64)
-    out_visits = np.zeros(n_tours, dtype=np.int64)
-    out_sodd = np.zeros(n_tours, dtype=np.int64)
+    out_steps, out_visits, out_sodd = (np.zeros(n_tours, dtype=np.int64) for _ in range(3))
     alive = np.arange(n_tours)
 
-    it = 0
-    while alive.size:
-        it += 1
-        if it > _INDEX_MAX_STEPS:
-            raise TourOverrunError(_INDEX_MAX_STEPS, None)
-        m = alive.size
-        u = rng.random(m)
-        if variant == NRST:
-            p = np.where(e > 0, alpha_up[i], alpha_dn[i])
-            acc = u < p
-            i = i + np.where(acc, e, 0)
-            e = np.where(acc, e, -e)
-        else:
-            d = np.where(rng.random(m) < 0.5, 1, -1)
-            p = np.where(d > 0, alpha_up[i], alpha_dn[i])
-            acc = u < p
-            i = i + np.where(acc, d, 0)
-            e = d
-        steps += 1
+    # Every tour still alive has taken ``it`` steps.  Each step draws the
+    # acceptance uniforms, then the reversible variant's directions.
+    for it in range(1, _INDEX_MAX_STEPS + 1):
+        u = rng.random(alive.size)
+        d = np.where(rng.random(alive.size) < 0.5, 1, -1) if reversible else e
+        acc = u < np.where(d > 0, alpha_up[i], alpha_dn[i])
+        i = i + np.where(acc, d, 0)
+        e = d if reversible else np.where(acc, d, -d)
         at_top = i == n
         visits += at_top
         sodd += at_top & (visits % 2 == 1)
-        if variant == NRST:
-            done = (i == 0) & (e == -1)
-        else:
-            done = i == 0
+        done = _regenerates(i, e, reversible)
         if np.any(done):
             idx = alive[done]
-            out_steps[idx] = steps[done]
-            out_visits[idx] = visits[done]
-            out_sodd[idx] = sodd[done]
+            out_steps[idx], out_visits[idx], out_sodd[idx] = it, visits[done], sodd[done]
             keep = ~done
-            alive = alive[keep]
-            i = i[keep]
-            e = e[keep]
-            steps = steps[keep]
-            visits = visits[keep]
-            sodd = sodd[keep]
-
-    return out_steps, out_visits, out_sodd
+            alive, i, e, visits, sodd = alive[keep], i[keep], e[keep], visits[keep], sodd[keep]
+            if not alive.size:
+                return out_steps, out_visits, out_sodd
+    raise TourOverrunError(_INDEX_MAX_STEPS, None)

@@ -843,3 +843,16 @@ def test_lag1_from_final_pass_matches_the_chain_estimate():
     assert abs(pairs - autocorrelation(v, 1)[1]) < 1e-3
     assert abs(pairs - 0.9) < 0.02
     assert lag1_autocorrelation(np.full(5, 2.0), np.full(5, 2.0)) == 0.0
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"affinity_mode": "bogus"}, "affinity_mode must be 'mean' or 'median'"),
+    ({"gamma": 0.5}, "gamma must be >= 1"),
+    ({"kappa_bar": 1.5}, "kappa_bar must lie in \\(0, 1\\)"),
+    ({"chain_len": 1}, "chain_len must be >= 2"),
+], ids=["affinity_mode", "gamma", "kappa_bar", "chain_len"])
+def test_adapt_checks_its_arguments_before_any_pass(kwargs, message):
+    model = ToyGaussian()
+    with pytest.raises(ValueError, match=message):
+        adapt(model, 8, 6, rng=np.random.default_rng(3), **kwargs)
+    assert model.v_evals.value == 0

@@ -289,6 +289,47 @@ def test_bad_schedule_file_entries_are_config_errors(command, key, value, messag
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+_NO_REJECTIONS = json.dumps({"model": {"name": "toy_gaussian"}, "betas": [0, 1],
+                             "affinities": [0, 0], "explore_steps": [1]})
+
+
+@pytest.mark.parametrize("command, flag, content", [
+    ("run", "schedule", None),
+    ("run", "schedule", "{"),
+    ("run", "schedule", "[1, 2]"),
+    ("bench", "schedule", None),
+    ("bench", "schedule", "[1, 2]"),
+    ("bench", "schedule", _NO_REJECTIONS),
+    ("bench", "schedule", json.dumps({"rejections": {"up": [0.5]}})),
+    ("plan", "report", None),
+    ("plan", "report", "not json"),
+    ("plan", "report", "[1, 2]"),
+    ("plan", "report", "{}"),
+    ("plan", "report", json.dumps({"tours": [1, 2]})),
+    ("plan", "report", json.dumps({"tours": [{"n_steps": 3}]})),
+    ("plan", "report", json.dumps({"tours": [{"cpu_seconds": -1.0}] * 12})),
+    ("config", "config", None),
+    ("config", "config", "{"),
+    ("config", "config", "[1, 2]"),
+], ids=["run-missing", "run-bad-json", "run-not-object", "bench-missing", "bench-not-object",
+        "ideal-no-rejections", "ideal-no-sym", "plan-missing", "plan-bad-json",
+        "plan-not-object", "plan-no-tours", "plan-tours-not-objects", "plan-no-cpu-seconds",
+        "plan-negative-cpu-seconds", "config-missing", "config-bad-json", "config-not-object"])
+def test_json_files_the_cli_reads_are_config_errors(command, flag, content, tmp_path, capsys):
+    # content None: the file is missing
+    path = tmp_path / "input.json"
+    if content is not None:
+        path.write_text(content)
+    argv = {
+        "run": ["run", "--schedule", path, "--out", tmp_path / "out"],
+        "bench": ["bench", "--schedule", path, "--ideal", "--tours", 10],
+        "plan": ["plan", "--report", path, "--k-extra", 8, "--out", tmp_path / "plan.csv"],
+        "config": ["--config", path, "index-sim", "--n-levels", 2, "--rho", 0.2],
+    }[command]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag}: ")
+
+
 class BrokenReference(ToyGaussian):
     """log_reference is -inf on part of the reference's support, so a slice
     sweep started from a reference draw there raises SliceNumericalError."""

@@ -249,3 +249,12 @@ def test_a_chunk_builds_its_explorers_once(monkeypatch):
     report = run_parallel(ToyGaussian(), sched, "nrst", 0.95, 0.5, 1.0, 1, 5)
     assert report.k == 62
     assert len(built) == sched.n_levels
+
+
+@pytest.mark.parametrize("entry", [pilot_then_run, run_parallel])
+@pytest.mark.parametrize("workers", [0, -3])
+def test_both_entry_points_reject_fewer_than_one_worker(entry, workers):
+    model = ToyGaussian()
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        entry(model, tuned_like_schedule(), "nrst", 0.95, 0.5, 0.5, workers, 5)
+    assert model.v_evals.value == 0

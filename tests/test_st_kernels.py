@@ -1,6 +1,7 @@
 import math
 import pickle
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_trace_pickle_round_trip_keeps_every_column(toy):
     assert back.h_top_sums == trace.h_top_sums and len(back.h_top_sums) == 2
     assert (back.v_evals, back.cpu_seconds) == (trace.v_evals, trace.cpu_seconds)
     assert (back.starts, back.visits_top) == (trace.starts, trace.visits_top)
-    assert (back.n_levels, back.variant, back.n_h) == (trace.n_levels, trace.variant, 2)
+    assert (back.variant, back.n_h) == (trace.variant, 2)
 
 
 def test_pickled_trace_grows_by_at_most_16_bytes_per_state(toy):
@@ -216,7 +217,7 @@ def test_pickled_trace_grows_by_at_most_16_bytes_per_state(toy):
 def test_trace_serialization(toy, sched2, tmp_path):
     rng = np.random.default_rng(10)
     explorers = build_explorers(toy, sched2)
-    table = TourTable(sched2.n_levels, "nrst", 0)
+    table = TourTable("nrst", 0)
     for i in range(3):
         table.extend(run_tour(toy, sched2, "nrst", 10**4, np.random.default_rng([3, i]),
                               explorers))
@@ -232,7 +233,7 @@ def test_trace_serialization(toy, sched2, tmp_path):
 
 def test_validate_checks_every_tour_of_a_table(toy, sched2):
     explorers = build_explorers(toy, sched2)
-    table = TourTable(sched2.n_levels, "nrst", 0)
+    table = TourTable("nrst", 0)
     for i in range(3):
         table.extend(run_tour(toy, sched2, "nrst", 10**4, np.random.default_rng([3, i]),
                               explorers))
@@ -402,6 +403,52 @@ def test_simulate_zero_rejection_deterministic():
     from nrst.stats import estimate_te
 
     assert estimate_te(visits) == 1.0
+
+
+def test_simulate_index_tours_stream_is_pinned():
+    # Hard-coded (steps, visits_top, parity_sums): a change to the order of
+    # the draws, or to the step rule, changes these.
+    chain = IdealIndexChain.symmetric([0.3, 0.5])
+    expected = {
+        "nrst": ([7, 7, 1, 15, 3], [4, 4, 0, 12, 0], [2, 2, 0, 6, 0]),
+        "st": ([2, 2, 1, 1, 2], [0] * 5, [0] * 5),
+    }
+    for variant, want in expected.items():
+        got = simulate_index_tours(chain, variant, 5, np.random.default_rng(3))
+        assert tuple(a.tolist() for a in got) == want
+
+
+def test_simulate_raises_overrun_after_the_step_bound(monkeypatch):
+    import nrst.st_kernels as st_kernels
+
+    # With no rejections every tour on 2 levels takes 2 * 3 - 1 = 5 steps.
+    monkeypatch.setattr(st_kernels, "_INDEX_MAX_STEPS", 3)
+    with pytest.raises(TourOverrunError, match="within 3 steps"):
+        simulate_index_tours(IdealIndexChain.symmetric([0.0, 0.0]), "nrst", 10,
+                             np.random.default_rng(0))
+
+
+def test_regeneration_predicate_on_ints_and_arrays():
+    from nrst.st_kernels import _regenerates
+
+    states = [(0, -1), (0, 1), (1, -1), (2, 1)]
+    assert [_regenerates(i, e, False) for i, e in states] == [True, False, False, False]
+    assert [_regenerates(i, e, True) for i, e in states] == [True, True, False, False]
+    levels, directions = (np.array(col) for col in zip(*states))
+    assert _regenerates(levels, directions, False).tolist() == [True, False, False, False]
+    assert _regenerates(levels, directions, True).tolist() == [True, True, False, False]
+
+
+def test_validate_checks_a_reversible_tour_against_the_same_set():
+    def tour(levels, directions):
+        return TourTable("st", 0, array("i", levels), array("b", directions),
+                         array("d", [0.0] * len(levels)), array("q", [0]))
+
+    tour([0, 1, 2, 1, 0], [1, 1, 1, -1, 1]).validate()  # any direction at level 0
+    with pytest.raises(AssertionError, match="must end at the regeneration state"):
+        tour([0, 1, 2, 1], [1, 1, 1, -1]).validate()
+    with pytest.raises(AssertionError, match="regeneration state visited before the end"):
+        tour([0, 1, 0, 1, 0], [1, 1, 1, 1, -1]).validate()
 
 
 def test_simulate_matches_closed_form():
