@@ -13,7 +13,7 @@ from .adapt import AdaptResult, adapt
 from .bench_models import ModelSpec, make_model
 from .explore import SliceNumericalError
 from .model import DivergedPotentialError, Schedule, TemperedModel
-from .planner import InsufficientDataError, cost_curves, fit_cpu_model, simulate_pool
+from .planner import cost_curves, fit_cpu_model, simulate_pool
 from .runner import CoordinateFunction, RunReport, pilot_then_run, run_parallel
 from .st_kernels import TourOverrunError
 from .stats import NoTopVisitsError

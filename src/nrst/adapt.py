@@ -346,13 +346,14 @@ def optimal_grid_size(lambda_total: float, gamma: float) -> int:
     return max(2, math.ceil(gamma * n_star(lambda_total)))
 
 
-@dataclass(frozen=True)
-class RoundState:
-    """Quantities compared across rounds by the convergence check."""
+class PassEstimates(NamedTuple):
+    """What one pass (or two pooled) gives; the convergence check compares
+    two of these."""
 
     affinities: np.ndarray
-    barrier: BarrierEstimate
+    log_z: np.ndarray | None  # None under median affinities
     rejections: tuple  # (r_up, r_down, r_sym)
+    barrier: BarrierEstimate
 
 
 def _safe_ratio(num: float, denom: float) -> float:
@@ -373,7 +374,7 @@ def equi_rejection_indicators(r_up, r_down, r_sym) -> tuple:
     return spread, asym
 
 
-def check_convergence(old: RoundState, new: RoundState, affinity_mode: str) -> tuple:
+def check_convergence(old: PassEstimates, new: PassEstimates, affinity_mode: str) -> tuple:
     """Joint stability check; returns (converged, indicator dict).
 
     Converged means every indicator is below its module threshold: rejection
@@ -412,7 +413,6 @@ class AdaptResult:
     rounds: list
     rejections: tuple
     final_indicators: dict
-    affinity_mode: str
     n_scan_final: int
     restarts: int
     log_z: np.ndarray | None = None
@@ -483,15 +483,15 @@ def _tuning_pass(model, betas, widths, n_scan, rng, states) -> NrptPass:
     return run_nrpt(model, sched, n_scan, rng, init_states=states, full=True)
 
 
-def _pass_estimates(data, betas, affinity_mode) -> tuple:
-    """(affinities, log Z or None, rejections, barrier) from a pass's data."""
+def _pass_estimates(data, betas, affinity_mode) -> PassEstimates:
+    """A pass's estimates, from its data."""
     if affinity_mode == "mean":
         log_z = stepping_stone_logz(data, betas)
         affinities = mean_energy_affinities(log_z)
     else:
         log_z, affinities = None, median_affinities(data, betas)
     rejections = estimate_rejections(data, betas, affinities)
-    return affinities, log_z, rejections, build_barrier(rejections[2], betas)
+    return PassEstimates(affinities, log_z, rejections, build_barrier(rejections[2], betas))
 
 
 def _pool(first: NrptPass, second: NrptPass) -> NrptPass:
@@ -583,13 +583,13 @@ def adapt(
         n_scan *= 2
         nrpt = _tuning_pass(model, betas, widths, n_scan, rng, states)
         states = nrpt.states
-        affinities, _, rejections, barrier = _pass_estimates(nrpt.data, betas, affinity_mode)
+        current = _pass_estimates(nrpt.data, betas, affinity_mode)
+        affinities, barrier = current.affinities, current.barrier
         # With the affinities held fixed, lambda_hat is the mean of per-scan
         # sums, so batch means applies to it directly.
         lambda_se = _batch_se(
             nrpt.data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
         logz_se = _batch_se(nrpt.data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
-        current = RoundState(affinities, barrier, rejections)
         indicators = None
         if prev is not None:
             converged, indicators = check_convergence(prev, current, affinity_mode)
@@ -640,6 +640,5 @@ def adapt(
         barrier=barrier, lambda_hat=barrier.total, converged=converged,
         rounds=rounds_log, rejections=rejections,
         final_indicators={"rejection_spread": spread, "directional_asymmetry": asym},
-        affinity_mode=affinity_mode, n_scan_final=n_scan, restarts=restarts,
-        log_z=log_z,
+        n_scan_final=n_scan, restarts=restarts, log_z=log_z,
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -33,24 +34,25 @@ from .stats import NoTopVisitsError, estimate_te
 class ConfigError(ValueError):
     def __init__(self, field, message):
         super().__init__(f"{field}: {message}")
-        self.field = field
 
 
-# The flags that the subcommands check, each with its test and the message
-# of the ConfigError that names it.  The choice flags are checked too,
-# because a --config file bypasses argparse's `choices`.
+# The rule of each flag that has one: a test of the flag's value, after its
+# type and choices, and the message of the ConfigError that names the flag.
+# A flag left at None is required unless its test takes None.
 _CHECKS = {
-    "affinity_mode": (lambda v: v in ("mean", "median"), "must be 'mean' or 'median'"),
-    "gamma": (lambda v: v >= 1, "must be >= 1"),
+    "chain_len": (lambda v: v >= 2, "must be >= 2"),
+    "gamma": (lambda v: math.isfinite(v) and v >= 1, "must be finite and >= 1"),
     "kappa_bar": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "levels": (lambda v: v >= 1, "must be >= 1"),
     "max_rounds": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
     "alpha": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    "delta": (lambda v: v > 0, "must be > 0"),
+    "delta": (lambda v: math.isfinite(v) and v > 0, "must be finite and > 0"),
     "workers": (lambda v: v >= 1, "must be >= 1"),
-    "variant": (lambda v: v in ("nrst", "st"), "must be 'nrst' or 'st'"),
     "te_hat": (lambda v: v is None or 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "k_extra": (lambda v: v >= 1, "must be >= 1"),
+    "pools": (lambda v: min(int(p) for p in str(v).split(",") if p) >= 1,
+              "must be a comma list of positive integers"),
     "rho": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     "n_levels": (lambda v: v >= 1, "must be >= 1"),
     "tours": (lambda v: v >= 1, "must be >= 1"),
@@ -58,22 +60,44 @@ _CHECKS = {
 }
 
 
-def _check(args, *names):
-    for name in names:
-        test, message = _CHECKS[name]
-        try:
-            ok = test(getattr(args, name))
-        except TypeError:  # e.g. a list or null for a number in a config file
-            ok = False
-        if not ok:
-            raise ConfigError(name, message)
+def _passes(test, value) -> bool:
+    try:
+        return bool(test(value))
+    except (TypeError, ValueError):  # e.g. a list or text for a number in a config file
+        return False
 
 
-def _variants(args):
-    """The kernel variants that a --variant of 'both', 'nrst' or 'st' names."""
-    if args.variant not in ("both", "nrst", "st"):
-        raise ConfigError("variant", "must be 'both', 'nrst' or 'st'")
-    return ["nrst", "st"] if args.variant == "both" else [args.variant]
+def _check_flags(parser, args):
+    """Check every flag of the subcommand ``parser`` in ``args``, from the
+    command line and from a config file alike.  A flag left at None is
+    required unless its rule takes None.  Any other value goes through the
+    flag's type (each element, for a list), must be one of its choices and
+    must pass its rule in ``_CHECKS``; ``args`` keeps the typed value."""
+    for action in parser._actions:
+        name = action.dest
+        if name == "help":
+            continue
+        test, message = _CHECKS.get(name, (lambda v: v is not None, ""))
+        value = getattr(args, name)
+        if value is not None:
+            try:
+                items = list(value) if action.nargs == "*" else [value]
+                if action.type is not None:
+                    items = [action.type(str(v)) for v in items]
+            except (TypeError, ValueError):
+                raise ConfigError(name, f"must be of type {action.type.__name__}")
+            # A tuple of the choices, since a JSON list or object is not hashable.
+            if action.choices and any(v not in tuple(action.choices) for v in items):
+                raise ConfigError(name, "must be one of " + ", ".join(map(repr, action.choices)))
+            value = items if action.nargs == "*" else items[0]
+        if not _passes(test, value):
+            raise ConfigError(name, message if value is not None
+                              else "is required (flag or config file)")
+        setattr(args, name, value)
+
+
+# The kernel variants that each value of index-sim's and bench's --variant names.
+_VARIANTS = {"both": ("nrst", "st"), "nrst": ("nrst",), "st": ("st",)}
 
 
 def _load_json(path, flag):
@@ -89,16 +113,17 @@ def _load_json(path, flag):
     return payload
 
 
-def _parse_params(raw):
-    if not raw:
-        return {}
-    try:
-        parsed = json.loads(raw)
-    except json.JSONDecodeError as err:
-        raise ConfigError("params", f"invalid JSON: {err}")
-    if not isinstance(parsed, dict):
+def _parse_params(params):
+    """--params as a dict: JSON text from the command line, or an object
+    from a config file."""
+    if isinstance(params, str):
+        try:
+            params = json.loads(params or "{}")
+        except json.JSONDecodeError as err:
+            raise ConfigError("params", f"invalid JSON: {err}")
+    if not isinstance(params, dict):
         raise ConfigError("params", "must be a JSON object")
-    return parsed
+    return params
 
 
 def _model_of(spec):
@@ -114,9 +139,45 @@ def _model_of(spec):
         raise ConfigError("params" if name in available_models() else "model", str(err))
 
 
+def _schedule_file(args) -> tuple:
+    """(model, schedule, lambda_hat) from the --schedule file, the schedule
+    checked against the model before any tour runs."""
+    payload = _load_json(args.schedule, "schedule")
+    model = _model_of(payload.get("model"))
+    try:
+        schedule = Schedule.from_dict(payload)
+        build_explorers(model, schedule)
+    except (KeyError, TypeError, ValueError) as err:
+        raise ConfigError("schedule", str(err))
+    lambda_hat = payload.get("lambda_hat", 0.0)
+    if not _passes(lambda v: math.isfinite(v) and v >= 0, lambda_hat):
+        raise ConfigError("schedule", f"lambda_hat must be a finite number >= 0, "
+                                      f"got {lambda_hat!r}")
+    return model, schedule, lambda_hat
+
+
+def _cap_workers(args):
+    """Cap --workers at NRST_THREADS, when it is set."""
+    cap = os.environ.get("NRST_THREADS")
+    if cap:
+        try:
+            args.workers = min(args.workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigError("NRST_THREADS", f"must be an integer, got {cap!r}")
+
+
+def _te_table(chain, args):
+    """Print the closed-form and simulated TE of ``chain`` for each --variant."""
+    rng = np.random.default_rng(args.seed)
+    print("variant  TE_closed  TE_mc      mean_visits")
+    for variant in _VARIANTS[args.variant]:
+        _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
+        print(f"{variant:7s}  {ideal_te(chain, variant):<9.5f}  "
+              f"{estimate_te(visits):<9.5f}  {visits.mean():.4f}")
+
+
 def _cmd_tune(args) -> int:
     spec = {"name": args.model, "params": _parse_params(args.params)}
-    _check(args, "affinity_mode", "gamma", "kappa_bar", "levels", "max_rounds")
     model = _model_of(spec)
     result = run_adapt(
         model, args.levels, args.max_rounds, args.affinity_mode,
@@ -124,17 +185,14 @@ def _cmd_tune(args) -> int:
         chain_len=args.chain_len,
     )
     os.makedirs(args.out, exist_ok=True)
-    r_up, r_down, r_sym = result.rejections
     payload = {
         "model": spec,
         **result.schedule.to_dict(),
         "lambda_hat": result.lambda_hat,
         "converged": result.converged,
-        "affinity_mode": result.affinity_mode,
+        "affinity_mode": args.affinity_mode,
         "rounds": result.rounds,
-        "rejections": {
-            "up": r_up.tolist(), "down": r_down.tolist(), "sym": r_sym.tolist(),
-        },
+        "rejections": dict(zip(("up", "down", "sym"), (r.tolist() for r in result.rejections))),
         "final_indicators": result.final_indicators,
         "n_scan_final": result.n_scan_final,
         "seed": args.seed,
@@ -154,55 +212,18 @@ def _cmd_tune(args) -> int:
     return 0
 
 
-def _schedule_from_payload(payload, model) -> Schedule:
-    """The payload's schedule, checked against ``model`` before any tour runs."""
-    try:
-        schedule = Schedule.from_dict(payload)
-        build_explorers(model, schedule)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError("schedule", str(err))
-    return schedule
-
-
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ConfigError(name, "is required (flag or config file)")
-
-
-def _check_run_flags(args):
-    """Check the flags that run and bench read, once NRST_THREADS caps --workers."""
-    cap = os.environ.get("NRST_THREADS")
-    if cap:
-        try:
-            args.workers = min(args.workers, max(1, int(cap)))
-        except ValueError:
-            raise ConfigError("NRST_THREADS", f"must be an integer, got {cap!r}")
-    _check(args, "alpha", "delta", "workers")
-
-
 def _cmd_run(args) -> int:
-    _require(args, "schedule")
-    payload = _load_json(args.schedule, "schedule")
-    _check_run_flags(args)
-    _check(args, "variant", "te_hat")
-    model = _model_of(payload.get("model"))
+    _cap_workers(args)
+    model, schedule, lambda_hat = _schedule_file(args)
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
-    schedule = _schedule_from_payload(payload, model)
     h_funcs = tuple(CoordinateFunction(i) for i in args.h_coords)
     h_names = [f"x{i + 1}" for i in args.h_coords]
-    if args.te_hat is not None:
-        report = run_parallel(
-            model, schedule, args.variant, args.alpha, args.delta, args.te_hat,
-            args.workers, args.seed, h_funcs=h_funcs, h_names=h_names,
-        )
-    else:
-        report = pilot_then_run(
-            model, schedule, args.variant, args.alpha, args.delta,
-            payload.get("lambda_hat", 0.0), args.workers, args.seed,
-            h_funcs=h_funcs, h_names=h_names,
-        )
+    # A --te-hat skips the pilot, which the schedule's lambda_hat sizes.
+    run, te_or_lambda = ((pilot_then_run, lambda_hat) if args.te_hat is None
+                         else (run_parallel, args.te_hat))
+    report = run(model, schedule, args.variant, args.alpha, args.delta, te_or_lambda,
+                 args.workers, args.seed, h_funcs=h_funcs, h_names=h_names)
     os.makedirs(args.out, exist_ok=True)
     report.write_json(os.path.join(args.out, "report.json"))
     with open(os.path.join(args.out, "traces.csv"), "w") as f:
@@ -216,19 +237,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    _require(args, "report", "k_extra")
     report = _load_json(args.report, "report")
     try:
         times = np.asarray([t["cpu_seconds"] for t in report["tours"]], dtype=float)
     except (KeyError, TypeError, ValueError):
         raise ConfigError("report", "needs a 'tours' list of entries with 'cpu_seconds'")
-    try:
-        pools = [int(p) for p in str(args.pools).split(",") if p]
-    except ValueError:
-        pools = []
-    if not pools or any(p < 1 for p in pools):
-        raise ConfigError("pools", "must be a comma list of positive integers")
-    _check(args, "k_extra", "replications")
+    pools = [int(p) for p in str(args.pools).split(",") if p]
     rng = np.random.default_rng(args.seed)
     try:
         model = planner.fit_cpu_model(times)
@@ -247,18 +261,10 @@ def _cmd_plan(args) -> int:
         for t, c in zip(sim.busy_times, sim.busy_counts):
             rows.append(f"busy,{pool},{float(t)!r},{int(c)},,")
     for c in curves:
-        rows.append(
-            f"time,{c['pool_size']},,{c['makespan_mean']!r},"
-            f"{c['makespan_q10']!r},{c['makespan_q90']!r}"
-        )
-        rows.append(
-            f"cost_hpc,{c['pool_size']},,{c['hpc_cost_mean']!r},"
-            f"{c['hpc_cost_q10']!r},{c['hpc_cost_q90']!r}"
-        )
-        rows.append(
-            f"cost_cloud,{c['pool_size']},,{c['cloud_cost_mean']!r},"
-            f"{c['cloud_cost_q10']!r},{c['cloud_cost_q90']!r}"
-        )
+        for panel, key in (("time", "makespan"), ("cost_hpc", "hpc_cost"),
+                           ("cost_cloud", "cloud_cost")):
+            rows.append(f"{panel},{c['pool_size']},,{c[key + '_mean']!r},"
+                        f"{c[key + '_q10']!r},{c[key + '_q90']!r}")
     with open(args.out, "w") as f:
         f.write("\n".join(rows) + "\n")
     print(f"plan for {args.k_extra} tours over pools {pools} written to {args.out}")
@@ -266,47 +272,28 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_index_sim(args) -> int:
-    _require(args, "n_levels", "rho")
-    _check(args, "rho", "n_levels", "tours")
-    variants = _variants(args)
     chain = IdealIndexChain.symmetric(np.full(args.n_levels, args.rho))
-    rng = np.random.default_rng(args.seed)
-    print("variant  N  rho    TE_closed  TE_mc      mean_visits")
-    for variant in variants:
-        closed = ideal_te(chain, variant)
-        steps, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
-        mc = estimate_te(visits)
-        print(f"{variant:7s}  {args.n_levels}  {args.rho:<5g}  "
-              f"{closed:<9.5f}  {mc:<9.5f}  {visits.mean():.4f}")
+    _te_table(chain, args)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    _require(args, "schedule")
-    payload = _load_json(args.schedule, "schedule")
-    _check_run_flags(args)
-    variants = _variants(args)
+    _cap_workers(args)
     if args.ideal:
-        _check(args, "tours")
+        payload = _load_json(args.schedule, "schedule")
         try:
             r_sym = np.asarray(payload["rejections"]["sym"], dtype=float)
             chain = IdealIndexChain.symmetric(np.clip(r_sym, 0.0, 1.0 - 1e-9))
         except (KeyError, TypeError, ValueError):
             raise ConfigError("schedule", "needs a 'rejections' entry with a 'sym' list")
-        rng = np.random.default_rng(args.seed)
-        print("variant  TE_closed  TE_mc")
-        for variant in variants:
-            closed = ideal_te(chain, variant)
-            _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
-            print(f"{variant:7s}  {closed:<9.5f}  {estimate_te(visits):<9.5f}")
+        _te_table(chain, args)
         return 0
-    model = _model_of(payload.get("model"))
-    schedule = _schedule_from_payload(payload, model)
+    model, schedule, lambda_hat = _schedule_file(args)
     print("variant  k      te_hat    serial_cost  parallel_cost")
-    for variant in variants:
+    for variant in _VARIANTS[args.variant]:
         report = pilot_then_run(
-            model, schedule, variant, args.alpha, args.delta,
-            payload.get("lambda_hat", 0.0), args.workers, args.seed,
+            model, schedule, variant, args.alpha, args.delta, lambda_hat,
+            args.workers, args.seed,
         )
         print(f"{variant:7s}  {report.k:<5d}  {report.te_hat:<8.4f}  "
               f"{report.serial_cost:<11d}  {report.parallel_cost}")
@@ -321,8 +308,20 @@ def build_parser() -> tuple:
     )
     parser.add_argument("--config", help="JSON file with default flag values")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags that several subcommands share.  They are built per parser, since
+    # a config file's set_defaults changes their actions.
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=1)
+    tours = argparse.ArgumentParser(add_help=False)
+    tours.add_argument("--tours", type=int, default=10**5)
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--schedule", default=None, help="schedule.json from tune")
+    runs.add_argument("--alpha", type=float, default=0.95)
+    runs.add_argument("--delta", type=float, default=0.5)
+    runs.add_argument("--workers", type=int, default=1)
 
-    p = sub.add_parser("tune", help="adapt grid, affinities, and exploration budget")
+    p = sub.add_parser("tune", parents=[seed],
+                       help="adapt grid, affinities, and exploration budget")
     p.add_argument("--model", default="toy_gaussian", choices=available_models())
     p.add_argument("--params", default="", help="JSON object of model parameters")
     p.add_argument("--levels", type=int, default=8)
@@ -342,51 +341,39 @@ def build_parser() -> tuple:
                         "steps; it runs only at levels whose lag-1 V "
                         "autocorrelation in the passes the schedule comes from "
                         "exceeds --kappa-bar")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_tune)
 
-    p = sub.add_parser("run", help="parallel regenerative run from a tuned schedule")
-    p.add_argument("--schedule", default=None, help="schedule.json from tune")
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--delta", type=float, default=0.5)
+    p = sub.add_parser("run", parents=[runs, seed],
+                       help="parallel regenerative run from a tuned schedule")
     p.add_argument("--variant", default="nrst", choices=("nrst", "st"))
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--te-hat", type=float, default=None,
                    help="skip the pilot and run min_tours(alpha, delta, te_hat) tours")
     p.add_argument("--h-coords", type=int, nargs="*", default=[0],
                    help="coordinate indices reported as test functions")
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("plan", help="pool-size planning from a pilot report")
+    p = sub.add_parser("plan", parents=[seed], help="pool-size planning from a pilot report")
     p.add_argument("--report", default=None, help="report.json from run")
     p.add_argument("--k-extra", type=int, default=None)
     p.add_argument("--pools", default="1,2,4,8,16,32,64")
     p.add_argument("--replications", type=int, default=30)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default="plan.csv")
     p.set_defaults(func=_cmd_plan)
 
-    p = sub.add_parser("index-sim", help="closed-form vs simulated tour effectiveness")
+    p = sub.add_parser("index-sim", parents=[tours, seed],
+                       help="closed-form vs simulated tour effectiveness")
     p.add_argument("--n-levels", "--N", dest="n_levels", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--tours", type=int, default=10**5)
-    p.add_argument("--variant", default="both", choices=("both", "nrst", "st"))
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--variant", default="both", choices=_VARIANTS)
     p.set_defaults(func=_cmd_index_sim)
 
-    p = sub.add_parser("bench", help="quality-consistent NRST vs ST cost comparison")
-    p.add_argument("--schedule", default=None)
-    p.add_argument("--variant", default="both", choices=("both", "nrst", "st"))
-    p.add_argument("--alpha", type=float, default=0.95)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--workers", type=int, default=1)
+    p = sub.add_parser("bench", parents=[runs, tours, seed],
+                       help="quality-consistent NRST vs ST cost comparison")
+    p.add_argument("--variant", default="both", choices=_VARIANTS)
     p.add_argument("--ideal", action="store_true",
                    help="simulate the idealized index chain from stored rejections")
-    p.add_argument("--tours", type=int, default=10**5)
-    p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=_cmd_bench)
     return parser, sub.choices
 
@@ -404,6 +391,7 @@ def main(argv=None) -> int:
             subcommands[args.command].set_defaults(
                 **{k: v for k, v in config.items() if k in flags})
             args = parser.parse_args(argv)
+        _check_flags(subcommands[args.command], args)
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -17,10 +17,6 @@ import numpy as np
 _TAIL_PERCENT = 20
 
 
-class InsufficientDataError(ValueError):
-    """Too few CPU-time samples to fit the bulk-tail model."""
-
-
 @dataclass(frozen=True)
 class CpuTimeModel:
     """Bulk-tail mixture of tour CPU times.
@@ -88,7 +84,7 @@ def fit_cpu_model(times) -> CpuTimeModel:
     """
     times = np.asarray(times, dtype=float)
     if times.size < 10:
-        raise InsufficientDataError(f"need >= 10 samples, got {times.size}")
+        raise ValueError(f"need >= 10 samples, got {times.size}")
     if np.any(times <= 0) or not np.all(np.isfinite(times)):
         raise ValueError("times must be positive and finite")
     threshold = float(np.percentile(times, 100 - _TAIL_PERCENT))

@@ -6,7 +6,7 @@ import pytest
 
 from nrst.adapt import (
     BarrierEstimate,
-    RoundState,
+    PassEstimates,
     _batch_se,
     _carry_widths,
     _kappa1_upper,
@@ -302,7 +302,7 @@ def _round_state(c_top, total, r_up, r_down):
     betas = np.linspace(0, 1, r_up.size + 1)
     barrier = BarrierEstimate(betas, np.linspace(0.0, total, betas.size))
     aff = np.linspace(0.0, c_top, betas.size)
-    return RoundState(aff, barrier, (r_up, r_down, r_sym))
+    return PassEstimates(aff, None, (r_up, r_down, r_sym), barrier)
 
 
 def test_check_convergence_fixed_point():

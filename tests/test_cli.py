@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nrst.bench_models import ToyGaussian
-from nrst.cli import build_parser, main
+from nrst.cli import _CHECKS, build_parser, main
 
 
 def run_cli(argv):
@@ -125,7 +125,7 @@ def test_index_sim_table(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 3  # header + both variants
     nrst_row = lines[1].split()
-    closed, mc = float(nrst_row[3]), float(nrst_row[4])
+    closed, mc = float(nrst_row[1]), float(nrst_row[2])
     assert closed == pytest.approx(0.25)
     assert mc == pytest.approx(closed, abs=0.02)
 
@@ -154,6 +154,17 @@ def test_config_error_names_field(capsys):
     code = run_cli(["index-sim", "--n-levels", 3, "--rho", 1.5])
     assert code == 1
     assert "rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["index-sim", "--n-levels", 3], "rho"),
+    (["plan", "--report", "report.json"], "k_extra"),
+    (["run"], "schedule"),
+    (["bench", "--ideal"], "schedule"),
+])
+def test_flags_left_unset_are_required(argv, field, capsys):
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"config error: {field}: is required (flag or config file)\n"
 
 
 def test_config_file_supplies_defaults(tuned_dir, tmp_path):
@@ -196,6 +207,23 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("tune", ["--params", '{"dimm": 7}'], "params"),
     ("tune", {"params": '{"dim": 0}'}, "params"),
     ("tune", ["--params", '{"dim": 2.7}'], "params"),
+    ("tune", ["--chain-len", 1], "chain_len"),
+    ("tune", {"chain_len": 1}, "chain_len"),
+    ("tune", ["--gamma", "inf"], "gamma"),
+    ("tune", {"gamma": math.inf}, "gamma"),
+    ("run", ["--delta", "inf"], "delta"),
+    ("run", {"delta": math.inf}, "delta"),
+    ("tune", ["--seed", -1], "seed"),
+    ("tune", {"seed": -1}, "seed"),
+    ("run", ["--seed", -1], "seed"),
+    ("index-sim", ["--seed", -1], "seed"),
+    ("index-sim", {"seed": -1}, "seed"),
+    ("plan", ["--seed", -1], "seed"),
+    ("plan", {"seed": -1}, "seed"),
+    ("bench", ["--seed", -1], "seed"),
+    ("run", {"h_coords": 0}, "h_coords"),
+    ("bench", {"variant": ["nrst"]}, "variant"),
+    ("tune", {"levels": 2.5}, "levels"),
 ])
 def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -215,6 +243,42 @@ def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp
         argv += flags
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith(f"config error: {field}")
+
+
+def test_every_number_flag_has_a_rule():
+    # --h-coords has none: run checks it against the model's dim, which only
+    # the schedule file gives.
+    _, subcommands = build_parser()
+    unchecked = {(command, action.dest) for command, parser in subcommands.items()
+                 for action in parser._actions
+                 if action.type in (int, float) and action.dest not in _CHECKS}
+    assert unchecked == {("run", "h_coords")}
+
+
+def test_config_file_gives_params_as_an_object(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"dim": 4}}))
+    out = tmp_path / "out"
+    assert run_cli(["--config", cfg, "tune", "--levels", 3, "--max-rounds", 2,
+                    "--out", out]) == 0
+    payload = json.loads((out / "schedule.json").read_text())
+    assert payload["model"] == {"name": "toy_gaussian", "params": {"dim": 4}}
+    assert all(len(row) == 4 for row in payload["widths"])
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("lambda_hat", [-1.0, "abc", None])
+def test_schedule_lambda_hat_must_be_a_finite_number(command, lambda_hat, tuned_dir, tmp_path,
+                                                     capsys):
+    payload = json.loads((tuned_dir / "schedule.json").read_text())
+    payload["lambda_hat"] = lambda_hat
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, "--schedule", path, "--seed", 5]
+    if command == "run":
+        argv += ["--out", tmp_path / "run"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("config error: schedule: lambda_hat")
 
 
 def test_workers_env_cap(tuned_dir, tmp_path, monkeypatch):

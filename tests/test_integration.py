@@ -61,6 +61,6 @@ def test_package_exports_only_the_pipeline_api():
         "TemperedModel", "Schedule", "ModelSpec", "make_model", "adapt", "AdaptResult",
         "run_parallel", "pilot_then_run", "RunReport", "CoordinateFunction",
         "fit_cpu_model", "cost_curves", "simulate_pool", "DivergedPotentialError",
-        "SliceNumericalError", "InsufficientDataError", "TourOverrunError",
+        "SliceNumericalError", "TourOverrunError",
         "NoTopVisitsError",
     }

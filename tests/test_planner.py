@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nrst.planner import (
-    InsufficientDataError,
     cost_curves,
     fit_cpu_model,
     simulate_pool,
@@ -16,7 +15,7 @@ def test_percentile_threshold_example():
 
 
 def test_fit_requires_ten_samples():
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(ValueError, match="need >= 10 samples"):
         fit_cpu_model(np.ones(9))
 
 
