@@ -35,9 +35,9 @@ _RESTART_MISMATCH = 0.25
 # with fewer, a handful of short batches gives SEs small enough to settle
 # the grid size on noise (2-4 scan rounds settled the toy at N=3 or 4).
 _MIN_SE_SCANS = 32
-# Starting slice width of a level and coordinate, per unit of the mean
-# |move| that the coordinate made in one explorer call of the last pass.
-_WIDTH_PER_MOVE = 2.0
+# Slice bracket width of a level and coordinate, per unit of the mean |move|
+# that the coordinate made in one explorer call of the last pass.
+_WIDTH_PER_MOVE = 16.0
 # Stopping thresholds of the four stability indicators: the tune converges
 # when every indicator is below its threshold (the asymmetry one only under
 # mean-energy affinities).
@@ -419,7 +419,7 @@ class AdaptResult:
 
 
 def _widths_from_moves(moves, n_scan):
-    """Starting slice widths from a pass's summed moves: ``_WIDTH_PER_MOVE``
+    """Slice bracket widths from a pass's summed moves: ``_WIDTH_PER_MOVE``
     times each level's and coordinate's mean |move| per explorer call, and
     ``_INITIAL_WIDTH`` where that mean is 0 or not finite."""
     widths = _WIDTH_PER_MOVE * (np.asarray(moves, dtype=float) / n_scan)
@@ -477,7 +477,7 @@ def _remap_states(states, old_betas, new_betas):
 
 
 def _tuning_pass(model, betas, widths, n_scan, rng, states) -> NrptPass:
-    """One NRPT pass on ``betas`` from the starting ``widths`` and warm ``states``."""
+    """One NRPT pass on ``betas`` at the slice ``widths`` and from warm ``states``."""
     n = betas.size - 1
     sched = Schedule(betas, np.zeros(n + 1), np.ones(n, dtype=int), widths)
     return run_nrpt(model, sched, n_scan, rng, init_states=states, full=True)
@@ -541,9 +541,11 @@ def adapt(
     round restarts does one more pass, of as many scans, run on the new
     grid for them to come from.
 
-    Every pass also learns each level's starting slice width per coordinate:
+    Every pass also learns each level's slice bracket width per coordinate:
     ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
-    explorer call, 1.0 where that mean is 0 or not finite.  The move is the
+    explorer call, 1.0 where that mean is 0 or not finite.  A bracket much
+    narrower than the slice moves x by a third of its width on average, so
+    it grows ~5x per round until it covers the slice.  The move is the
     conditional scale the sampler sees; the spread of the states is not
     used, since a heavy-tailed marginal (e.g. a Cauchy mean) makes it far
     wider than the slice.  The first round explores at 1.0 everywhere.

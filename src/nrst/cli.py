@@ -96,6 +96,20 @@ def _check_flags(parser, args):
         setattr(args, name, value)
 
 
+def _check_config_types(parser, config):
+    """Check each ``config`` value's JSON type against its flag before it
+    becomes a default: argparse would itself convert text for a number flag,
+    and open() would take a number for a path flag as a file descriptor."""
+    for action in parser._actions:
+        value, kind = config.get(action.dest), action.type
+        items = value if action.nargs == "*" and isinstance(value, list) else [value]
+        if value is not None and kind in (int, float, str) and any(
+                isinstance(v, bool) or not isinstance(v, str if kind is str else (int, float))
+                for v in items):
+            raise ConfigError(action.dest, f"must be {'text' if kind is str else 'a number'} "
+                                           f"in a config file, got {value!r}")
+
+
 # The kernel variants that each value of index-sim's and bench's --variant names.
 _VARIANTS = {"both": ("nrst", "st"), "nrst": ("nrst",), "st": ("st",)}
 
@@ -315,7 +329,7 @@ def build_parser() -> tuple:
     tours = argparse.ArgumentParser(add_help=False)
     tours.add_argument("--tours", type=int, default=10**5)
     runs = argparse.ArgumentParser(add_help=False)
-    runs.add_argument("--schedule", default=None, help="schedule.json from tune")
+    runs.add_argument("--schedule", type=str, default=None, help="schedule.json from tune")
     runs.add_argument("--alpha", type=float, default=0.95)
     runs.add_argument("--delta", type=float, default=0.5)
     runs.add_argument("--workers", type=int, default=1)
@@ -341,7 +355,7 @@ def build_parser() -> tuple:
                         "steps; it runs only at levels whose lag-1 V "
                         "autocorrelation in the passes the schedule comes from "
                         "exceeds --kappa-bar")
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", type=str, default=".")
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("run", parents=[runs, seed],
@@ -351,15 +365,15 @@ def build_parser() -> tuple:
                    help="skip the pilot and run min_tours(alpha, delta, te_hat) tours")
     p.add_argument("--h-coords", type=int, nargs="*", default=[0],
                    help="coordinate indices reported as test functions")
-    p.add_argument("--out", default=".")
+    p.add_argument("--out", type=str, default=".")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("plan", parents=[seed], help="pool-size planning from a pilot report")
-    p.add_argument("--report", default=None, help="report.json from run")
+    p.add_argument("--report", type=str, default=None, help="report.json from run")
     p.add_argument("--k-extra", type=int, default=None)
     p.add_argument("--pools", default="1,2,4,8,16,32,64")
     p.add_argument("--replications", type=int, default=30)
-    p.add_argument("--out", default="plan.csv")
+    p.add_argument("--out", type=str, default="plan.csv")
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("index-sim", parents=[tours, seed],
@@ -388,8 +402,9 @@ def main(argv=None) -> int:
             flags = vars(args).keys() - {"config", "command", "func"}
             config = {key.replace("-", "_"): value
                       for key, value in _load_json(args.config, "config").items()}
-            subcommands[args.command].set_defaults(
-                **{k: v for k, v in config.items() if k in flags})
+            config = {k: v for k, v in config.items() if k in flags}
+            _check_config_types(subcommands[args.command], config)
+            subcommands[args.command].set_defaults(**config)
             args = parser.parse_args(argv)
         _check_flags(subcommands[args.command], args)
         return args.func(args)

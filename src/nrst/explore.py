@@ -1,12 +1,13 @@
 """Exploration kernels: slice sampling within Gibbs and step-count tuning.
 
 One exploration kernel per tempering level, each leaving its tempered
-distribution invariant.  Slice sampling is valid at any bracket width, which
-is what makes it usable inside a tuning loop whose grid moves every round;
-the width only sets the cost.  Each level has its own starting width per
-coordinate, from ``Schedule.widths`` (the tuner learns them from its NRPT
-passes), and 1.0 where a schedule carries none.  The step-out budget is a
-module constant.  The number of self-compositions per level is chosen from
+distribution invariant.  Each coordinate update shrinks one bracket of its
+level's width, placed at random around the current point and never stepped
+out, so each proposal costs one V-eval.  That is valid at any width, which
+makes it usable inside a tuning loop whose grid moves every round: a bracket
+too narrow for the slice costs mixing, one too wide costs shrinks.  Widths
+come from ``Schedule.widths`` (the tuner learns them), 1.0 where a schedule
+carries none.  The number of self-compositions per level is chosen from
 the lag-n autocorrelation of the potential series.  Kernels take the
 potential V of their start point and return V of their end point with it,
 so no caller spends a V-eval where a sweep already holds the value.
@@ -24,12 +25,9 @@ from .model import Schedule, TemperedModel, log_tempered_density_from_v
 # Shrinkage intervals narrower than this indicate a numerically degenerate
 # target (e.g. a point mass) rather than a slice that is still being located.
 _MIN_SLICE_WIDTH = 1e-300
-# Starting bracket width of a coordinate that has no learned width: every
-# level of a schedule without widths, and the first round of a tune.
+# Bracket width of a coordinate that has no learned width: every level of
+# a schedule without widths, and the first round of a tune.
 _INITIAL_WIDTH = 1.0
-# Stepping-out budget: _MAX_DOUBLINGS - 1 step-outs of the starting width
-# per coordinate, split at random between the two sides.
-_MAX_DOUBLINGS = 20
 # Cap on the exploration steps a level can be given.
 _MAX_EXPLORE_STEPS = 64
 
@@ -39,7 +37,7 @@ class SliceNumericalError(RuntimeError):
 
 
 def _slice_coordinate(x, d, logp, density, rng, w):
-    """One slice update of coordinate d in place, from a bracket of width w.
+    """One slice update of coordinate d in place, in a bracket of width w.
 
     Returns the (log density, V) pair that ``density`` gave at the new point.
     """
@@ -48,24 +46,12 @@ def _slice_coordinate(x, d, logp, density, rng, w):
     while u <= 0.0:
         u = rng.random()
     y = logp + math.log(u)
-
-    r = rng.random()
-    left = x0 - w * r
+    # Neal's (2003, section 4) stepping out with a budget of m = 1: no step,
+    # so no endpoint is evaluated.  The draw V of the budget's split
+    # J = floor(m V) = 0 is kept: the seeded acceptance checks use its stream.
+    left = x0 - w * rng.random()
     right = left + w
-    # Randomized step-out budget keeps the truncated interval reversible.
-    j = int(math.floor(_MAX_DOUBLINGS * rng.random()))
-    k = (_MAX_DOUBLINGS - 1) - j
-    x[d] = left
-    while j > 0 and density(x)[0] > y:
-        left -= w
-        x[d] = left
-        j -= 1
-    x[d] = right
-    while k > 0 and density(x)[0] > y:
-        right += w
-        x[d] = right
-        k -= 1
-
+    rng.random()
     while True:
         if right - left < _MIN_SLICE_WIDTH:
             raise SliceNumericalError(
@@ -103,10 +89,10 @@ def slice_step(x, logp: float, density, rng: np.random.Generator, widths) -> Swe
 
     ``density(x)`` returns the pair (log density, V) at x, and ``logp`` is the
     log density at the start point, which the caller already holds: the
-    sweep evaluates nothing there.  ``widths[d]`` is the starting bracket
-    width of coordinate d.  The returned V is the one ``density`` gave at
-    the accepted point of the last coordinate, i.e. at the new point.  The
-    sweep leaves the log density invariant, whatever the widths.
+    sweep evaluates nothing there.  ``widths[d]`` is the bracket width of
+    coordinate d; every V-eval is at a proposal.  The returned V is the one
+    ``density`` gave at the new point (the last coordinate's accepted one).
+    The sweep leaves the log density invariant, whatever the widths.
     """
     x = np.array(x, dtype=float, copy=True)
     if not math.isfinite(logp):
@@ -122,9 +108,8 @@ class ExplorationKernel:
     Immutable configuration; callable as kernel(x, v, rng) -> (x', v'),
     where v = V(x) is carried in and v' = V(x') comes out of the last sweep,
     so neither end point costs a V-eval.  Applies ``n_steps`` full sweeps
-    per call.  ``widths`` holds the starting bracket width of each of the
-    model's coordinates (``_INITIAL_WIDTH`` for all when None); the step-out
-    budget is the module constant ``_MAX_DOUBLINGS``.
+    per call.  ``widths`` holds the bracket width of each of the model's
+    coordinates (``_INITIAL_WIDTH`` for all when None).
     """
 
     def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1, widths=None):
@@ -156,7 +141,7 @@ class ExplorationKernel:
 
 
 def _level_widths(schedule: Schedule, i: int):
-    """Row of starting widths of level i >= 1, or None for the default."""
+    """Row of bracket widths of level i >= 1, or None for the default."""
     return None if schedule.widths is None else schedule.widths[i - 1]
 
 

@@ -95,7 +95,7 @@ class Schedule:
     betas[N] = 1.  ``affinities`` are the level affinities, normalized so the
     first entry is 0.  ``explore_steps`` holds the number of exploration
     sweeps per tempering step for levels 1..N.  ``widths``, of shape
-    (N, dim), optionally holds the starting slice width of every coordinate
+    (N, dim), optionally holds the slice bracket width of every coordinate
     at levels 1..N (finite and > 0); None means 1.0 everywhere.
     """
 

@@ -245,6 +245,24 @@ def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp
     assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
+def test_text_in_a_config_file_for_a_number_flag_is_a_config_error(tmp_path, capsys):
+    # argparse would convert the text default itself and exit 2 with its usage error
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"levels": "x"}))
+    assert run_cli(["--config", cfg, "tune", "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: levels: must be a number in a config file, got 'x'\n")
+
+
+def test_a_number_in_a_config_file_for_a_path_flag_is_a_config_error(tmp_path, capsys):
+    # open(0) would read the schedule from stdin
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"schedule": 0}))
+    assert run_cli(["--config", cfg, "run", "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: schedule: must be text in a config file, got 0\n")
+
+
 def test_every_number_flag_has_a_rule():
     # --h-coords has none: run checks it against the model's dim, which only
     # the schedule file gives.

@@ -46,8 +46,10 @@ def test_slice_step_standard_normal_ks():
     for i in range(n):
         x = sweep(x, std_normal_logpdf, rng)
         out[i] = x[0]
-    # thin to reduce serial correlation before the KS test
-    stat, pvalue = sps.kstest(out[::10], "norm")
+    # A bracket of 1.0 moves x by ~1/3 per sweep: the integrated
+    # autocorrelation time of x is ~27 sweeps, so thin at ~2x that before
+    # the KS test, which takes independent draws.
+    stat, pvalue = sps.kstest(out[::60], "norm")
     assert pvalue > 0.01
 
 
@@ -56,15 +58,17 @@ def test_slice_step_uniform_slice():
         return 0.0 if 0.0 <= x[0] <= 1.0 else -math.inf
 
     rng = np.random.default_rng(7)
-    n = 100_000
+    n = 300_000
+    thin = 6  # ~2x the integrated autocorrelation time of x, ~2.8 sweeps
     total = 0.0
     x = np.array([0.5])
-    for _ in range(n):
+    for i in range(n):
         x = sweep(x, logdensity, rng)
-        total += x[0]
-    mean = total / n
-    # 3 sigma band for the mean of Uniform(0, 1) draws
-    assert abs(mean - 0.5) <= 3.0 * math.sqrt(1 / 12 / n)
+        if i % thin == 0:
+            total += x[0]
+    mean = total / (n // thin)
+    # 3 sigma band for the mean of independent Uniform(0, 1) draws
+    assert abs(mean - 0.5) <= 3.0 * math.sqrt(1 / 12 / (n // thin))
 
 
 def test_slice_step_asymmetric_target_ks():
@@ -75,12 +79,14 @@ def test_slice_step_asymmetric_target_ks():
 
     rng = np.random.default_rng(77)
     x = np.array([2.5])
-    n = 60_000
+    n = 250_000
     out = np.empty(n)
     for i in range(n):
         x = sweep(x, loggamma3, rng)
         out[i] = x[0]
-    stat, pvalue = sps.kstest(out[::10], "gamma", args=(3.0,))
+    # thinned at ~2x the integrated autocorrelation time of x at a bracket
+    # of 1.0 against the sd of 1.7, ~114 sweeps
+    stat, pvalue = sps.kstest(out[::250], "gamma", args=(3.0,))
     assert pvalue > 0.01
 
 
@@ -107,7 +113,7 @@ def test_slice_step_raises_where_the_slice_level_rounds_to_the_density():
 
     with pytest.raises(SliceNumericalError, match="at coordinate 0 can no longer shrink"):
         slice_step(np.array([1.0]), -1e20, plateau, np.random.default_rng(0), (1.0,))
-    # 19 step-outs at most, then about 53 halvings to the float spacing at 1.0
+    # about 53 halvings of a bracket of width 1.0 to the float spacing at 1.0
     assert len(evals) <= 200
 
 
@@ -200,12 +206,37 @@ def test_compose_scales_fixed_cost_kernel_exactly():
         def _potential(self, x):
             return 7.0
 
-    # On a flat density every step-out succeeds, so it spends its whole
-    # budget of _MAX_DOUBLINGS - 1, and the first proposal is accepted:
-    # exactly _MAX_DOUBLINGS V-evals per coordinate and sweep.
+    # On a flat density the first proposal is accepted, and no bracket
+    # endpoint is evaluated: exactly one V-eval per coordinate and sweep.
     model = FlatModel()
     ExplorationKernel(model, 0.5, 5)(np.zeros(3), 7.0, np.random.default_rng(0))
-    assert model.v_evals.value == 5 * model.dim * explore._MAX_DOUBLINGS
+    assert model.v_evals.value == 5 * model.dim
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator whose random() returns the given draws."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+def test_sweep_evaluates_no_bracket_endpoint():
+    # Slice level log(0.5) from x0 = 0, the bracket [-0.25, 0.75] of width 1
+    # (r = 0.25), the step-out split draw, then proposals at 0.65, outside
+    # the slice |x| < 0.1, and at -0.25 + 0.9 * 0.2 = -0.07, inside it.
+    evaluated = []
+
+    def slab(x):
+        evaluated.append(float(x[0]))
+        return (0.0 if abs(x[0]) < 0.1 else -math.inf), None
+
+    rng = ScriptedUniforms(0.5, 0.25, 0.5, 0.9, 0.2)
+    end = slice_step(np.array([0.0]), 0.0, slab, rng, (1.0,))
+    assert rng.draws == []
+    assert evaluated == pytest.approx([0.65, -0.07]) and end.x[0] == evaluated[-1]
 
 
 def test_compose_scales_v_evaluations():
@@ -238,26 +269,30 @@ def test_composed_kernel_preserves_normal_invariance():
     for i in range(n):
         x, v = k3(x, v, rng)
         out[i] = x[0]
-    stat, pvalue = sps.kstest(out[::5], "norm", args=(mu, math.sqrt(var)))
+    # thinned at ~2x the integrated autocorrelation time of x, ~7 calls
+    stat, pvalue = sps.kstest(out[::15], "norm", args=(mu, math.sqrt(var)))
     assert pvalue > 0.01
 
 
 @pytest.mark.parametrize("width", [0.1, 10.0])
 def test_kernel_preserves_normal_invariance_at_any_width(width):
-    # The starting width sets the cost of a sweep, not its law: here it is
-    # 9x below and 11x above the target's sd of 0.89.
+    # The bracket width sets the cost and the mixing of a sweep, not its
+    # law: here it is 9x below and 11x above the target's sd of 0.89.  At
+    # 0.1 each update moves x by ~0.03, and the integrated autocorrelation
+    # time of x is ~720 calls (measured over 2 * 10^5 calls), so the chain
+    # is thinned at ~2x that for the KS test's independent draws.
+    n, thin = {0.1: (300_000, 1_500), 10.0: (20_000, 5)}[width]
     model = ToyGaussian(dim=1)
     mu, var, _ = analytic_gaussian_path(1, model.m, model.sigma0, 1.0)
     rng = np.random.default_rng(22)
     k3 = ExplorationKernel(model, 1.0, 3, [width])
     x = np.array([mu])
     v = model.potential(x)
-    n = 20_000
     out = np.empty(n)
     for i in range(n):
         x, v = k3(x, v, rng)
         out[i] = x[0]
-    stat, pvalue = sps.kstest(out[::5], "norm", args=(mu, math.sqrt(var)))
+    stat, pvalue = sps.kstest(out[::thin], "norm", args=(mu, math.sqrt(var)))
     assert pvalue > 0.01
 
 
@@ -275,19 +310,19 @@ def test_build_explorers_gives_each_level_its_widths():
 
 def test_schedule_without_widths_explores_at_width_one():
     # The frozen toy schedule has no widths: its NRST tours at seed 7 give
-    # the traces.csv of the code from before per-level widths (sha256 below),
-    # and so does the same schedule with every width spelled out as 1.0.
+    # the same traces.csv (sha256 below) as the same schedule with every
+    # width spelled out as 1.0.
     sched = Schedule.from_dict(json.loads(FROZEN_TOY_SCHEDULE.read_text()))
     assert sched.widths is None
     ones = Schedule(sched.betas, sched.affinities, sched.explore_steps,
                     np.ones((sched.n_levels, 3)))
     for schedule in (sched, ones):
         report = run_parallel(ToyGaussian(), schedule, "nrst", 0.95, 1.0, 0.3, 1, 7)
-        assert (report.k, report.serial_cost) == (52, 13348)
+        assert (report.k, report.serial_cost) == (52, 1534)
         buf = io.StringIO()
         write_traces_csv(report.traces, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
-            "bfa36aaa2e64d152d333e5b363fa8be59190bd23be17c446583fc1fbece548a8")
+            "e2ba477d62b8e90371b3bf594fe7bf7384392e0f85c6a02a560cee3b77a8ec23")
 
 
 def test_autocorrelation_analytic_threshold():

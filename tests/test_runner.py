@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import math
 import pickle
 
@@ -76,6 +77,14 @@ def test_cost_identities_and_report_shape():
     assert [t["tour"] for t in report.tours] == list(range(report.k))
     assert set(report.tours[0]) == {"tour", "n_steps", "visits_top", "v_evals", "cpu_seconds"}
     assert [t["n_steps"] for t in report.tours] == [t.n_steps for t in report.traces]
+
+
+def test_write_json_streams_the_tours_as_json_dump_writes_them(tmp_path):
+    report = pilot_then_run(ToyGaussian(), tuned_like_schedule(), "nrst", 0.9, 1.0, 0.0, 1, 5)
+    path = tmp_path / "report.json"
+    report.write_json(path)
+    assert json.loads(path.read_text()) == report.to_dict()
+    assert path.read_text() == json.dumps(report.to_dict(), indent=1)
 
 
 def test_determinism_across_worker_counts():

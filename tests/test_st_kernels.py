@@ -202,10 +202,12 @@ def test_trace_pickle_round_trip_keeps_every_column(toy):
 def test_pickled_trace_grows_by_at_most_16_bytes_per_state(toy):
     # Traces cross the process boundary pickled: one int, one byte and one
     # double per state is 13 bytes, where an object per state costs ~30.
+    # Most tours at this schedule's width of 1.0 end within 7 steps, so it
+    # takes 40 tours to see one long enough to measure the growth.
     sched = exact_toy_schedule(4)
     explorers = build_explorers(toy, sched)
     traces = [run_tour(toy, sched, "nrst", 10**4, np.random.default_rng([3, i]), explorers)
-              for i in range(20)]
+              for i in range(40)]
     short = min(traces, key=lambda t: t.n_steps)
     long = max(traces, key=lambda t: t.n_steps)
     extra = long.n_steps - short.n_steps
