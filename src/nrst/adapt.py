@@ -11,9 +11,9 @@ heuristic stability indicators are jointly satisfied.  The grid-size
 restart is decided inside that loop, at the first round whose batch-means
 standard error of the barrier pins the implied grid size down, so the rounds
 after it run on the grid that is kept.  The last two rounds share a grid,
-and the schedule comes from their two passes pooled.  Each pass also learns
-per-level slice widths from the moves of its explorers, for the next pass
-and for the schedule.
+and their two passes pooled decide the last round's restart and give the
+schedule.  Each pass also learns per-level slice widths from the moves of
+its explorers, for the next pass and for the schedule.
 """
 
 from __future__ import annotations
@@ -532,14 +532,16 @@ def adapt(
     the whole tune, across restarts.
 
     Every round but the last two re-places the grid from its barrier, so
-    the last two share a grid.  The schedule (betas, affinities, widths)
-    comes from the last round's pass pooled with the pass before it when
-    that one ran on the same grid (a round that converges before the cap,
-    or follows a restart, is used alone), as do ``barrier``,
-    ``lambda_hat``, ``log_z``, ``rejections`` and ``final_indicators``.
-    ``n_scan_final`` is the last round's scan count.  Only if the last
-    round restarts does one more pass, of as many scans, run on the new
-    grid for them to come from.
+    the last two share a grid.  The last round's pass is pooled with the
+    pass before it when that one ran on the same grid (a round that
+    converges before the cap, or follows a restart, is used alone), and
+    the pooled pass decides the last round's restart, so that one round's
+    noise does not place the kept grid.  The schedule (betas, affinities,
+    widths) comes from it, as do ``barrier``, ``lambda_hat``, ``log_z``,
+    ``rejections`` and ``final_indicators``.  Only if the last round
+    restarts does one more pass run, on the new grid, for them to come
+    from; it has no pass to be pooled with, so it runs twice the scans, as
+    a next round would.  ``n_scan_final`` is the last pass's scan count.
 
     Every pass also learns each level's slice bracket width per coordinate:
     ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
@@ -605,6 +607,11 @@ def adapt(
         # the round's noise pins the implied size down, or at the last
         # round: no NRPT pass is spent at a size about to go.
         last_round = converged or round_idx == max_rounds
+        if last_round and held is not None:
+            # The last two rounds share a grid: their passes pooled decide
+            # the restart and, if there is none, give the schedule.
+            nrpt = _pool(held, nrpt)
+            barrier = _pass_estimates(nrpt.data, betas, affinity_mode).barrier
         n_target = n
         if (restarts < max_restarts and barrier.total > 0.0
                 and (last_round or _grid_size_settled(barrier.total, lambda_se, gamma))):
@@ -623,20 +630,21 @@ def adapt(
             # The last two rounds share a grid, so that the schedule comes
             # from the passes of both.
             betas = optimize_grid(barrier, n)
-        widths = _carry_widths(_widths_from_moves(nrpt.moves, n_scan), old_betas, betas)
+        widths = _carry_widths(_widths_from_moves(nrpt.moves, nrpt.data.shape[1]),
+                               old_betas, betas)
         held = nrpt if betas is old_betas else None
     else:
         # The last round restarted, so no pass has run at the new size.
+        n_scan *= 2
         nrpt = _tuning_pass(model, betas, widths, n_scan, rng, states)
 
-    final = nrpt if held is None else _pool(held, nrpt)
-    affinities, log_z, rejections, barrier = _pass_estimates(final.data, betas, affinity_mode)
-    widths = _widths_from_moves(final.moves, final.data.shape[1])
+    affinities, log_z, rejections, barrier = _pass_estimates(nrpt.data, betas, affinity_mode)
+    widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1])
     spread, asym = equi_rejection_indicators(*rejections)
-    kappa1 = [_kappa1_upper(final.ends[0, i], final.ends[1, i]) for i in range(1, n + 1)]
+    kappa1 = [_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps = tune_explore_steps(model, tuning_sched, kappa_bar, chain_len, rng,
-                                       init_states=final.states, kappa1=kappa1)
+                                       init_states=nrpt.states, kappa1=kappa1)
     return AdaptResult(
         schedule=Schedule(betas, affinities, explore_steps, widths),
         barrier=barrier, lambda_hat=barrier.total, converged=converged,

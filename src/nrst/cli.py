@@ -60,6 +60,12 @@ _CHECKS = {
 }
 
 
+# The JSON types a value may have for a flag of each type.  Text converts
+# as it does on the command line; a path flag takes no number, which open()
+# would take for a file descriptor.
+_JSON_TYPES = {int: (str, int), float: (str, int, float), str: (str,)}
+
+
 def _passes(test, value) -> bool:
     try:
         return bool(test(value))
@@ -83,7 +89,9 @@ def _check_flags(parser, args):
             try:
                 items = list(value) if action.nargs == "*" else [value]
                 if action.type is not None:
-                    items = [action.type(str(v)) for v in items]
+                    if any(type(v) not in _JSON_TYPES[action.type] for v in items):
+                        raise TypeError(name)
+                    items = [action.type(v) for v in items]
             except (TypeError, ValueError):
                 raise ConfigError(name, f"must be of type {action.type.__name__}")
             # A tuple of the choices, since a JSON list or object is not hashable.
@@ -94,20 +102,6 @@ def _check_flags(parser, args):
             raise ConfigError(name, message if value is not None
                               else "is required (flag or config file)")
         setattr(args, name, value)
-
-
-def _check_config_types(parser, config):
-    """Check each ``config`` value's JSON type against its flag before it
-    becomes a default: argparse would itself convert text for a number flag,
-    and open() would take a number for a path flag as a file descriptor."""
-    for action in parser._actions:
-        value, kind = config.get(action.dest), action.type
-        items = value if action.nargs == "*" and isinstance(value, list) else [value]
-        if value is not None and kind in (int, float, str) and any(
-                isinstance(v, bool) or not isinstance(v, str if kind is str else (int, float))
-                for v in items):
-            raise ConfigError(action.dest, f"must be {'text' if kind is str else 'a number'} "
-                                           f"in a config file, got {value!r}")
 
 
 # The kernel variants that each value of index-sim's and bench's --variant names.
@@ -397,15 +391,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            # The file's values for the subcommand's flags become its defaults,
-            # and the command line is parsed again, so the flags given still win.
+            # The file's values fill the subcommand's flags that the command
+            # line leaves out: parsed again with those flags' defaults
+            # suppressed, it returns only the flags it gives, which win.
             flags = vars(args).keys() - {"config", "command", "func"}
             config = {key.replace("-", "_"): value
                       for key, value in _load_json(args.config, "config").items()}
             config = {k: v for k, v in config.items() if k in flags}
-            _check_config_types(subcommands[args.command], config)
-            subcommands[args.command].set_defaults(**config)
-            args = parser.parse_args(argv)
+            for action in subcommands[args.command]._actions:
+                if action.dest in config:
+                    action.default = argparse.SUPPRESS
+            vars(args).update(config, **vars(parser.parse_args(argv)))
         _check_flags(subcommands[args.command], args)
         return args.func(args)
     except ConfigError as err:

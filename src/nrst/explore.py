@@ -47,11 +47,9 @@ def _slice_coordinate(x, d, logp, density, rng, w):
         u = rng.random()
     y = logp + math.log(u)
     # Neal's (2003, section 4) stepping out with a budget of m = 1: no step,
-    # so no endpoint is evaluated.  The draw V of the budget's split
-    # J = floor(m V) = 0 is kept: the seeded acceptance checks use its stream.
+    # so no endpoint is evaluated.
     left = x0 - w * rng.random()
     right = left + w
-    rng.random()
     while True:
         if right - left < _MIN_SLICE_WIDTH:
             raise SliceNumericalError(

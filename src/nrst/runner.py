@@ -33,13 +33,6 @@ class CoordinateFunction:
         return float(x[self.index])
 
 
-# The keys of a report's JSON, in order (k_trial only when set), and of each
-# entry of its "tours".
-_REPORT_KEYS = ("variant", "alpha", "delta", "te_hat_input", "k", "te_hat", "serial_cost",
-                "parallel_cost", "tours", "estimates", "seed", "k_trial")
-_TOUR_KEYS = ("tour", "n_steps", "visits_top", "v_evals", "cpu_seconds")
-
-
 @dataclass
 class RunReport:
     variant: str
@@ -55,36 +48,37 @@ class RunReport:
     traces: TourTable = field(repr=False)
     k_trial: int | None = None
 
-    def _tour_rows(self):
-        """One tuple of ``_TOUR_KEYS`` values per tour, in tour order, read
-        from the per-tour columns of ``traces``."""
-        t = self.traces
-        return zip(range(len(t)), t.tour_steps().tolist(), t.visits_top, t.v_evals,
-                   t.cpu_seconds)
-
     @property
     def tours(self) -> list:
-        """Per-tour summaries, in tour order."""
-        return [dict(zip(_TOUR_KEYS, row)) for row in self._tour_rows()]
+        """Per-tour summaries, in tour order, read from the per-tour columns
+        of ``traces``."""
+        t = self.traces
+        return [{"tour": i, "n_steps": n, "visits_top": visits, "v_evals": evals,
+                 "cpu_seconds": cpu}
+                for i, (n, visits, evals, cpu) in enumerate(
+                    zip(t.tour_steps().tolist(), t.visits_top, t.v_evals, t.cpu_seconds))]
 
     def to_dict(self) -> dict:
-        return self._dict(self.tours)
-
-    def _dict(self, tours) -> dict:
-        keys = _REPORT_KEYS if self.k_trial is not None else _REPORT_KEYS[:-1]
-        return {key: tours if key == "tours" else getattr(self, key) for key in keys}
+        d = {
+            "variant": self.variant,
+            "alpha": self.alpha,
+            "delta": self.delta,
+            "te_hat_input": self.te_hat_input,
+            "k": self.k,
+            "te_hat": self.te_hat,
+            "serial_cost": self.serial_cost,
+            "parallel_cost": self.parallel_cost,
+            "tours": self.tours,
+            "estimates": self.estimates,
+            "seed": self.seed,
+        }
+        if self.k_trial is not None:
+            d["k_trial"] = self.k_trial
+        return d
 
     def write_json(self, path) -> None:
-        """Write :meth:`to_dict` as ``json.dump(..., indent=1)`` does, each
-        tour formatted straight from the columns, so no dict per tour is built."""
-        # Only a top-level key is indented by one space.
-        head, tail = json.dumps(self._dict(0), indent=1).split('\n "tours": 0', 1)
         with open(path, "w") as f:
-            f.write(head + '\n "tours": [')
-            for row in self._tour_rows():
-                f.write(("," if row[0] else "") + "\n  {" + ",".join(
-                    f'\n   "{key}": {value!r}' for key, value in zip(_TOUR_KEYS, row)) + "\n  }")
-            f.write(("\n ]" if len(self.traces) else "]") + tail)
+            json.dump(self.to_dict(), f, indent=1)
 
 
 def _tour_chunk(args) -> TourTable:

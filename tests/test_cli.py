@@ -246,12 +246,13 @@ def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp
 
 
 def test_text_in_a_config_file_for_a_number_flag_is_a_config_error(tmp_path, capsys):
-    # argparse would convert the text default itself and exit 2 with its usage error
+    # as a parser default, argparse would convert the text itself and exit 2
+    # with its usage error
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"levels": "x"}))
     assert run_cli(["--config", cfg, "tune", "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == (
-        "config error: levels: must be a number in a config file, got 'x'\n")
+        "config error: levels: must be of type int\n")
 
 
 def test_a_number_in_a_config_file_for_a_path_flag_is_a_config_error(tmp_path, capsys):
@@ -260,7 +261,7 @@ def test_a_number_in_a_config_file_for_a_path_flag_is_a_config_error(tmp_path, c
     cfg.write_text(json.dumps({"schedule": 0}))
     assert run_cli(["--config", cfg, "run", "--out", tmp_path / "out"]) == 1
     assert capsys.readouterr().err == (
-        "config error: schedule: must be text in a config file, got 0\n")
+        "config error: schedule: must be of type str\n")
 
 
 def test_every_number_flag_has_a_rule():

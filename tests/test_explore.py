@@ -225,15 +225,15 @@ class ScriptedUniforms:
 
 def test_sweep_evaluates_no_bracket_endpoint():
     # Slice level log(0.5) from x0 = 0, the bracket [-0.25, 0.75] of width 1
-    # (r = 0.25), the step-out split draw, then proposals at 0.65, outside
-    # the slice |x| < 0.1, and at -0.25 + 0.9 * 0.2 = -0.07, inside it.
+    # (r = 0.25), then proposals at 0.65, outside the slice |x| < 0.1, and
+    # at -0.25 + 0.9 * 0.2 = -0.07, inside it.
     evaluated = []
 
     def slab(x):
         evaluated.append(float(x[0]))
         return (0.0 if abs(x[0]) < 0.1 else -math.inf), None
 
-    rng = ScriptedUniforms(0.5, 0.25, 0.5, 0.9, 0.2)
+    rng = ScriptedUniforms(0.5, 0.25, 0.9, 0.2)
     end = slice_step(np.array([0.0]), 0.0, slab, rng, (1.0,))
     assert rng.draws == []
     assert evaluated == pytest.approx([0.65, -0.07]) and end.x[0] == evaluated[-1]
@@ -318,11 +318,11 @@ def test_schedule_without_widths_explores_at_width_one():
                     np.ones((sched.n_levels, 3)))
     for schedule in (sched, ones):
         report = run_parallel(ToyGaussian(), schedule, "nrst", 0.95, 1.0, 0.3, 1, 7)
-        assert (report.k, report.serial_cost) == (52, 1534)
+        assert (report.k, report.serial_cost) == (52, 2296)
         buf = io.StringIO()
         write_traces_csv(report.traces, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
-            "e2ba477d62b8e90371b3bf594fe7bf7384392e0f85c6a02a560cee3b77a8ec23")
+            "c6449df699bb68cf0244138a9c58d7cbe5f13b98b5bcc825d8814fe01553b1a3")
 
 
 def test_autocorrelation_analytic_threshold():

@@ -1,6 +1,5 @@
 import dataclasses
 import io
-import json
 import math
 import pickle
 
@@ -79,19 +78,15 @@ def test_cost_identities_and_report_shape():
     assert [t["n_steps"] for t in report.tours] == [t.n_steps for t in report.traces]
 
 
-def test_write_json_streams_the_tours_as_json_dump_writes_them(tmp_path):
-    report = pilot_then_run(ToyGaussian(), tuned_like_schedule(), "nrst", 0.9, 1.0, 0.0, 1, 5)
-    path = tmp_path / "report.json"
-    report.write_json(path)
-    assert json.loads(path.read_text()) == report.to_dict()
-    assert path.read_text() == json.dumps(report.to_dict(), indent=1)
-
-
 def test_determinism_across_worker_counts():
     model = ToyGaussian()
     sched = tuned_like_schedule()
+    # te_hat 0.2 runs 55 tours.  About 1 tour in 5 reaches the top at this
+    # schedule's width of 1.0, so the TE estimate has a top visit to come
+    # from at all but ~5e-6 of seeds (0.8^11 = 9% of seeds miss it in the
+    # 11 tours of te_hat 1).
     reports = [
-        run_parallel(ToyGaussian(), sched, "nrst", 0.9, 1.0, 1.0, w, 777)
+        run_parallel(ToyGaussian(), sched, "nrst", 0.9, 1.0, 0.2, w, 777)
         for w in (1, 3)
     ]
     assert traces_csv(reports[0]) == traces_csv(reports[1])
