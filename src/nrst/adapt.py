@@ -28,6 +28,10 @@ from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune
 from .model import DivergedPotentialError, Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
+# Grid size as a multiple of the cost-optimal N-star (see optimal_grid_size).
+_GAMMA = 2.0
+# Grid-size restarts a tune may make.
+_MAX_RESTARTS = 1
 # Relative gap between the current grid size and the one a settled round's
 # barrier implies above which the tune restarts at the implied size.
 _RESTART_MISMATCH = 0.25
@@ -459,12 +463,12 @@ def _kappa1_upper(v_in, v_out) -> float:
     return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
 
 
-def _grid_size_settled(lambda_hat, lambda_se, gamma) -> bool:
+def _grid_size_settled(lambda_hat, lambda_se) -> bool:
     """Whether ``optimal_grid_size`` gives one N across lambda_hat +- 2 SE."""
     if lambda_se is None or not lambda_hat - 2.0 * lambda_se > 0.0:
         return False
-    return (optimal_grid_size(lambda_hat - 2.0 * lambda_se, gamma)
-            == optimal_grid_size(lambda_hat + 2.0 * lambda_se, gamma))
+    return (optimal_grid_size(lambda_hat - 2.0 * lambda_se, _GAMMA)
+            == optimal_grid_size(lambda_hat + 2.0 * lambda_se, _GAMMA))
 
 
 def _remap_states(states, old_betas, new_betas):
@@ -506,12 +510,8 @@ def adapt(
     n_levels_initial: int,
     max_rounds: int,
     affinity_mode: str = "mean",
-    gamma: float = 2.0,
-    kappa_bar: float = 0.95,
     *,
     rng: np.random.Generator,
-    chain_len: int = 512,
-    max_restarts: int = 1,
 ) -> AdaptResult:
     """Full tuning loop: doubling NRPT budget until the indicators stabilize.
 
@@ -521,15 +521,16 @@ def adapt(
     the round before on the same grid, below its module threshold.  Each
     round records batch-means standard errors of its ``lambda_hat``
     (affinities held fixed) and of its log Z(1) as ``lambda_se`` and
-    ``logz_se`` (None below ``_MIN_SE_SCANS`` scans).  The grid size N = ``optimal_grid_size``
-    (lambda_hat, gamma) is settled at the first round where it is the same
-    at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE, or else at the last
-    round (the cap binds or the round converged).  If a settled N differs
-    from the current one by more than 25% (relative), the tune restarts at
-    N (at most ``max_restarts`` times).  A restart keeps the scan count and
-    the warm chain states, remapped from the grid that round ran on, and
-    goes on with the rounds that are left: ``max_rounds`` caps the rounds of
-    the whole tune, across restarts.
+    ``logz_se`` (None below ``_MIN_SE_SCANS`` scans).  The grid size N =
+    ``optimal_grid_size(lambda_hat, _GAMMA)`` is settled at the first round
+    where it is the same at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE,
+    or else at the last round (the cap binds or the round converged).  If a
+    settled N differs from the current one by more than
+    ``_RESTART_MISMATCH`` (relative), the tune restarts at N, at most
+    ``_MAX_RESTARTS`` times.  A restart keeps the scan count and the warm
+    chain states, remapped from the grid that round ran on, and goes on
+    with the rounds that are left: ``max_rounds`` caps the rounds of the
+    whole tune, across restarts.
 
     Every round but the last two re-places the grid from its barrier, so
     the last two share a grid.  The last round's pass is pooled with the
@@ -559,20 +560,18 @@ def adapt(
     before, V after) of its explorer calls give its lag-1 autocorrelation
     kappa(1).  :func:`tune_explore_steps` gets these bounds, kappa(1) plus 2
     batch-means SEs per level, with the last pass's final states: a level
-    whose bound is <= ``kappa_bar`` gets 1 step at no V-eval cost, and every
-    other level runs a chain of ``chain_len`` sweeps warm-started from its
-    state.  Every argument is checked before the first pass.
+    whose bound is <= ``explore._KAPPA_BAR`` gets 1 step at no V-eval cost,
+    and every other level runs a chain of ``explore._CHAIN_LEN`` sweeps
+    warm-started from its state.  Every argument is checked before the
+    first pass; ``n_levels_initial`` must be a whole number >= 1.
     """
+    if not (n_levels_initial >= 1 and float(n_levels_initial).is_integer()):
+        raise ValueError(f"n_levels_initial must be a whole number >= 1, "
+                         f"got {n_levels_initial!r}")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     if affinity_mode not in ("mean", "median"):
         raise ValueError("affinity_mode must be 'mean' or 'median'")
-    if not gamma >= 1:
-        raise ValueError("gamma must be >= 1")
-    if not 0.0 < kappa_bar < 1.0:
-        raise ValueError("kappa_bar must lie in (0, 1)")
-    if chain_len < 2:
-        raise ValueError("chain_len must be >= 2")
 
     n = int(n_levels_initial)
     betas = np.linspace(0.0, 1.0, n + 1)
@@ -613,9 +612,9 @@ def adapt(
             nrpt = _pool(held, nrpt)
             barrier = _pass_estimates(nrpt.data, betas, affinity_mode).barrier
         n_target = n
-        if (restarts < max_restarts and barrier.total > 0.0
-                and (last_round or _grid_size_settled(barrier.total, lambda_se, gamma))):
-            n_target = optimal_grid_size(barrier.total, gamma)
+        if (restarts < _MAX_RESTARTS and barrier.total > 0.0
+                and (last_round or _grid_size_settled(barrier.total, lambda_se))):
+            n_target = optimal_grid_size(barrier.total, _GAMMA)
         old_betas = betas
         if abs(n - n_target) / n > _RESTART_MISMATCH:
             restarts += 1
@@ -643,7 +642,7 @@ def adapt(
     spread, asym = equi_rejection_indicators(*rejections)
     kappa1 = [_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
-    explore_steps = tune_explore_steps(model, tuning_sched, kappa_bar, chain_len, rng,
+    explore_steps = tune_explore_steps(model, tuning_sched, rng,
                                        init_states=nrpt.states, kappa1=kappa1)
     return AdaptResult(
         schedule=Schedule(betas, affinities, explore_steps, widths),

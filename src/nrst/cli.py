@@ -40,9 +40,6 @@ class ConfigError(ValueError):
 # type and choices, and the message of the ConfigError that names the flag.
 # A flag left at None is required unless its test takes None.
 _CHECKS = {
-    "chain_len": (lambda v: v >= 2, "must be >= 2"),
-    "gamma": (lambda v: math.isfinite(v) and v >= 1, "must be finite and >= 1"),
-    "kappa_bar": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
     "levels": (lambda v: v >= 1, "must be >= 1"),
     "max_rounds": (lambda v: v >= 1, "must be >= 1"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
@@ -187,11 +184,8 @@ def _te_table(chain, args):
 def _cmd_tune(args) -> int:
     spec = {"name": args.model, "params": _parse_params(args.params)}
     model = _model_of(spec)
-    result = run_adapt(
-        model, args.levels, args.max_rounds, args.affinity_mode,
-        gamma=args.gamma, kappa_bar=args.kappa_bar, rng=np.random.default_rng(args.seed),
-        chain_len=args.chain_len,
-    )
+    result = run_adapt(model, args.levels, args.max_rounds, args.affinity_mode,
+                       rng=np.random.default_rng(args.seed))
     os.makedirs(args.out, exist_ok=True)
     payload = {
         "model": spec,
@@ -254,7 +248,7 @@ def _cmd_plan(args) -> int:
     rng = np.random.default_rng(args.seed)
     try:
         model = planner.fit_cpu_model(times)
-    except ValueError as err:  # too few times, or some not positive and finite
+    except ValueError as err:  # too few times, some negative or not finite, or all 0
         raise ConfigError("report", str(err))
     curves = planner.cost_curves(model, args.k_extra, pools, args.replications, rng)
     sample = model.sample(args.k_extra, np.random.default_rng(args.seed + 1))
@@ -342,13 +336,6 @@ def build_parser() -> tuple:
                         "share a grid and the schedule comes from their passes "
                         "(one more pass runs only when the last round restarts)")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--kappa-bar", type=float, default=0.95)
-    p.add_argument("--chain-len", type=int, default=512,
-                   help="sweeps of the chain that sets a level's exploration "
-                        "steps; it runs only at levels whose lag-1 V "
-                        "autocorrelation in the passes the schedule comes from "
-                        "exceeds --kappa-bar")
     p.add_argument("--out", type=str, default=".")
     p.set_defaults(func=_cmd_tune)
 
@@ -393,10 +380,16 @@ def main(argv=None) -> int:
         if args.config:
             # The file's values fill the subcommand's flags that the command
             # line leaves out: parsed again with those flags' defaults
-            # suppressed, it returns only the flags it gives, which win.
-            flags = vars(args).keys() - {"config", "command", "func"}
+            # suppressed, it returns only the flags it gives, which win.  A
+            # key may name a flag of another subcommand, so that one file
+            # serves several, but it must name a flag.
             config = {key.replace("-", "_"): value
                       for key, value in _load_json(args.config, "config").items()}
+            known = {action.dest for p in subcommands.values() for action in p._actions}
+            unknown = sorted(config.keys() - known - {"help"})
+            if unknown:
+                raise ConfigError(unknown[0], "names no flag of any subcommand")
+            flags = vars(args).keys() - {"config", "command", "func"}
             config = {k: v for k, v in config.items() if k in flags}
             for action in subcommands[args.command]._actions:
                 if action.dest in config:

@@ -7,10 +7,12 @@ out, so each proposal costs one V-eval.  That is valid at any width, which
 makes it usable inside a tuning loop whose grid moves every round: a bracket
 too narrow for the slice costs mixing, one too wide costs shrinks.  Widths
 come from ``Schedule.widths`` (the tuner learns them), 1.0 where a schedule
-carries none.  The number of self-compositions per level is chosen from
-the lag-n autocorrelation of the potential series.  Kernels take the
-potential V of their start point and return V of their end point with it,
-so no caller spends a V-eval where a sweep already holds the value.
+carries none.  The number of self-compositions per level is the smallest
+lag n at which the autocorrelation of the potential series falls to
+``_KAPPA_BAR``, read from a chain of ``_CHAIN_LEN`` sweeps at the levels
+that need one.  Kernels take the potential V of their start point and
+return V of their end point with it, so no caller spends a V-eval where a
+sweep already holds the value.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ _MIN_SLICE_WIDTH = 1e-300
 _INITIAL_WIDTH = 1.0
 # Cap on the exploration steps a level can be given.
 _MAX_EXPLORE_STEPS = 64
+# Largest lag-n autocorrelation of V that n exploration steps may leave.
+_KAPPA_BAR = 0.95
+# Sweeps of the chain that sets a level's exploration steps.
+_CHAIN_LEN = 512
 
 
 class SliceNumericalError(RuntimeError):
@@ -211,8 +217,6 @@ def steps_from_autocorrelation(kappas, kappa_bar: float) -> int:
 def tune_explore_steps(
     model: TemperedModel,
     schedule: Schedule,
-    kappa_bar: float,
-    chain_len: int,
     rng: np.random.Generator,
     *,
     init_states,
@@ -222,32 +226,28 @@ def tune_explore_steps(
 
     ``kappa1`` holds, per level 1..N, an upper bound on the lag-1
     autocorrelation kappa(1) of V from stationary draws (see
-    :func:`adapt.adapt`).  A level whose bound is <= ``kappa_bar`` gets 1
+    :func:`adapt.adapt`).  A level whose bound is <= ``_KAPPA_BAR`` gets 1
     step and runs no chain.  Every other level runs a single-sweep slice
-    chain of length ``chain_len``, at the schedule's widths, from its warm
+    chain of length ``_CHAIN_LEN``, at the schedule's widths, from its warm
     state in ``init_states`` (one (x, V(x)) per level 0..N), estimates the
     lag-n autocorrelation of the V series and gets the smallest n that
-    brings it at or below ``kappa_bar``, capped at ``_MAX_EXPLORE_STEPS``.
+    brings it at or below ``_KAPPA_BAR``, capped at ``_MAX_EXPLORE_STEPS``.
     Levels use independent spawned rng streams, so a level's count does not
     depend on which other levels run their chain.
     """
-    if not 0.0 < kappa_bar < 1.0:
-        raise ValueError("kappa_bar must lie in (0, 1)")
-    if chain_len < 2:
-        raise ValueError("chain_len must be >= 2")
     n = schedule.n_levels
     streams = rng.spawn(n)
     steps = np.ones(n, dtype=int)
     for i in range(1, n + 1):
-        if kappa1[i - 1] <= kappa_bar:
+        if kappa1[i - 1] <= _KAPPA_BAR:
             continue
         level_rng = streams[i - 1]
         kernel = ExplorationKernel(model, schedule.betas[i], 1, _level_widths(schedule, i))
         x, v = init_states[i]
-        vs = np.empty(chain_len)
-        for t in range(chain_len):
+        vs = np.empty(_CHAIN_LEN)
+        for t in range(_CHAIN_LEN):
             x, v = kernel(x, v, level_rng)
             vs[t] = v
         kappas = autocorrelation(vs, _MAX_EXPLORE_STEPS)
-        steps[i - 1] = steps_from_autocorrelation(kappas, kappa_bar)
+        steps[i - 1] = steps_from_autocorrelation(kappas, _KAPPA_BAR)
     return steps

@@ -33,12 +33,12 @@ class CpuTimeModel:
 
     def __post_init__(self):
         object.__setattr__(self, "bulk", np.asarray(self.bulk, dtype=float))
-        if not self.threshold > 0:
-            raise ValueError("threshold must be positive")
+        if not self.threshold >= 0:
+            raise ValueError("threshold must be non-negative")
         if not (self.tail_shape > 0 and self.tail_scale > 0):
             raise ValueError("tail parameters must be positive")
-        if self.bulk.size < 1 or np.any(self.bulk <= 0):
-            raise ValueError("bulk must hold positive samples")
+        if self.bulk.size < 1 or np.any(self.bulk < 0):
+            raise ValueError("bulk must hold non-negative samples")
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         tail = rng.random(n) < _TAIL_PERCENT / 100
@@ -80,13 +80,14 @@ def fit_cpu_model(times) -> CpuTimeModel:
     The threshold is the linearly interpolated 80th percentile (100 -
     ``_TAIL_PERCENT``); the tail is a maximum-likelihood Weibull over the
     exceedances, falling back to an exponential (shape 1) when the
-    exceedances are degenerate.
+    exceedances are degenerate.  A time may be 0 (a tour shorter than the
+    clock's resolution), but not every time.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 10:
         raise ValueError(f"need >= 10 samples, got {times.size}")
-    if np.any(times <= 0) or not np.all(np.isfinite(times)):
-        raise ValueError("times must be positive and finite")
+    if np.any(times < 0) or not np.all(np.isfinite(times)) or not np.any(times > 0):
+        raise ValueError("times must be non-negative and finite, and not all 0")
     threshold = float(np.percentile(times, 100 - _TAIL_PERCENT))
     bulk = times[times <= threshold]
     exceed = times[times > threshold] - threshold

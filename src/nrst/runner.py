@@ -197,7 +197,8 @@ def pilot_then_run(
                         tuple(h_funcs), max_steps)
     te_pilot = estimate_te(traces.visits_top)
     if te_pilot == 0.0:
-        raise NoTopVisitsError("pilot tours never reached the target level")
+        raise NoTopVisitsError(f"pilot tours 0..{k_trial - 1} (seed {rng_seed}) "
+                               f"never reached the target level")
     k = min_tours(alpha, delta, te_pilot)
     if k > k_trial:
         traces.extend(_run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,

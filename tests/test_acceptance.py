@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  Tuned schedules are built once per session and shared.
 """
 
+import importlib
 import io
 import math
 import time
@@ -44,8 +45,11 @@ def tuned_toy():
 
 @pytest.fixture(scope="module")
 def tuned_toy_n8():
+    # no grid-size restart, so the tune keeps N = 8
     rng = np.random.default_rng(20250809)
-    return adapt(ToyGaussian(), 8, 12, "mean", rng=rng, max_restarts=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("nrst.adapt"), "_MAX_RESTARTS", 0)
+        return adapt(ToyGaussian(), 8, 12, "mean", rng=rng)
 
 
 @pytest.fixture(scope="module")

@@ -472,8 +472,8 @@ def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch, loos
 
 def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch, loose):
     calls = spy_on_run_nrpt(monkeypatch)
-    res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3),
-                max_restarts=0)
+    monkeypatch.setattr(importlib.import_module("nrst.adapt"), "_MAX_RESTARTS", 0)
+    res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3))
     assert res.restarts == 0
     assert calls == [(8, r["n_scan"]) for r in res.rounds]
     assert calls[-1] == (8, res.n_scan_final)
@@ -515,6 +515,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     if loose_thresholds:
         loosen_thresholds(monkeypatch)
     module = importlib.import_module("nrst.adapt")
+    monkeypatch.setattr(module, "_MAX_RESTARTS", max_restarts)
     passes = []
     real = module.run_nrpt
 
@@ -525,8 +526,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
 
     monkeypatch.setattr(module, "run_nrpt", spy)
     step_calls = spy_on_step_tuning(monkeypatch)
-    res = adapt(ToyGaussian(), n_levels, max_rounds, mode, rng=np.random.default_rng(3),
-                max_restarts=max_restarts)
+    res = adapt(ToyGaussian(), n_levels, max_rounds, mode, rng=np.random.default_rng(3))
     # one pass per round, plus one of twice the scans at the new size only
     # when the last round restarts: with 2 rounds, round 2 converges and
     # restarts (N 16 -> 9; the toy's lambda of ~1 calls for 5)
@@ -852,14 +852,13 @@ def test_lag1_from_final_pass_matches_the_chain_estimate():
     assert lag1_autocorrelation(np.full(5, 2.0), np.full(5, 2.0)) == 0.0
 
 
-@pytest.mark.parametrize("kwargs, message", [
-    ({"affinity_mode": "bogus"}, "affinity_mode must be 'mean' or 'median'"),
-    ({"gamma": 0.5}, "gamma must be >= 1"),
-    ({"kappa_bar": 1.5}, "kappa_bar must lie in \\(0, 1\\)"),
-    ({"chain_len": 1}, "chain_len must be >= 2"),
-], ids=["affinity_mode", "gamma", "kappa_bar", "chain_len"])
-def test_adapt_checks_its_arguments_before_any_pass(kwargs, message):
+@pytest.mark.parametrize("args, message", [
+    ((8, 6, "bogus"), "affinity_mode must be 'mean' or 'median'"),
+    ((2.7, 2), "n_levels_initial must be a whole number >= 1, got 2.7"),
+    ((0, 2), "n_levels_initial must be a whole number >= 1, got 0"),
+], ids=["affinity_mode", "n_levels_initial-fraction", "n_levels_initial-zero"])
+def test_adapt_checks_its_arguments_before_any_pass(args, message):
     model = ToyGaussian()
     with pytest.raises(ValueError, match=message):
-        adapt(model, 8, 6, rng=np.random.default_rng(3), **kwargs)
+        adapt(model, *args, rng=np.random.default_rng(3))
     assert model.v_evals.value == 0

@@ -187,10 +187,10 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, flags, field", [
-    ("tune", ["--gamma", 0.5], "gamma"),
-    ("tune", ["--kappa-bar", 1.5], "kappa_bar"),
+    ("tune", {"gamma": 0.5}, "gamma"),  # keys that name no flag any more
+    ("tune", {"kappa_bar": 0.95}, "kappa_bar"),
     ("tune", {"affinity_mode": "bogus"}, "affinity_mode"),
-    ("tune", {"gamma": [2]}, "gamma"),
+    ("run", {"alpha": [0.5]}, "alpha"),
     ("run", ["--alpha", 1.5], "alpha"),
     ("run", ["--delta", 0], "delta"),
     ("run", ["--workers", 0], "workers"),
@@ -207,10 +207,10 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("tune", ["--params", '{"dimm": 7}'], "params"),
     ("tune", {"params": '{"dim": 0}'}, "params"),
     ("tune", ["--params", '{"dim": 2.7}'], "params"),
-    ("tune", ["--chain-len", 1], "chain_len"),
-    ("tune", {"chain_len": 1}, "chain_len"),
-    ("tune", ["--gamma", "inf"], "gamma"),
-    ("tune", {"gamma": math.inf}, "gamma"),
+    ("tune", {"chain_len": 512}, "chain_len"),
+    ("tune", {"chain-len": 512}, "chain_len"),
+    ("bench", ["--delta", "inf"], "delta"),
+    ("bench", {"delta": math.inf}, "delta"),
     ("run", ["--delta", "inf"], "delta"),
     ("run", {"delta": math.inf}, "delta"),
     ("tune", ["--seed", -1], "seed"),
@@ -272,6 +272,25 @@ def test_every_number_flag_has_a_rule():
                  for action in parser._actions
                  if action.type in (int, float) and action.dest not in _CHECKS}
     assert unchecked == {("run", "h_coords")}
+
+
+def test_every_rule_checks_a_flag():
+    # a flag removed without its rule leaves a rule that checks nothing
+    _, subcommands = build_parser()
+    dests = {action.dest for parser in subcommands.values() for action in parser._actions}
+    assert _CHECKS.keys() <= dests
+
+
+def test_a_config_key_that_names_no_flag_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_round": 1, "gamma": 5}))
+    assert run_cli(["--config", cfg, "index-sim", "--n-levels", 2, "--rho", 0.2]) == 1
+    assert capsys.readouterr().err == (
+        "config error: gamma: names no flag of any subcommand\n")
+    # a flag of another subcommand is not one of index-sim's, but one file
+    # may serve several subcommands
+    cfg.write_text(json.dumps({"max_rounds": 1, "tours": 100}))
+    assert run_cli(["--config", cfg, "index-sim", "--n-levels", 2, "--rho", 0.2]) == 0
 
 
 def test_config_file_gives_params_as_an_object(tmp_path):

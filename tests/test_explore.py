@@ -361,47 +361,50 @@ def test_autocorrelation_iid_and_constant():
     assert np.all(const == 0.0)
 
 
-def tune_every_level(model, sched, kappa_bar, chain_len, seed):
-    """tune_explore_steps from warm states, with every level running its chain."""
+def tune_every_level(monkeypatch, model, sched, kappa_bar, chain_len, seed):
+    """tune_explore_steps from warm states at ``kappa_bar`` and ``chain_len``,
+    with every level running its chain."""
+    monkeypatch.setattr(explore, "_KAPPA_BAR", kappa_bar)
+    monkeypatch.setattr(explore, "_CHAIN_LEN", chain_len)
     states = warm_states(model, sched, np.random.default_rng(100 + seed))
-    return tune_explore_steps(model, sched, kappa_bar, chain_len, np.random.default_rng(seed),
+    return tune_explore_steps(model, sched, np.random.default_rng(seed),
                               init_states=states, kappa1=[math.inf] * sched.n_levels)
 
 
-def test_tune_explore_steps_on_toy_gaussian():
-    steps = tune_every_level(ToyGaussian(), uniform_schedule(3), 0.95, 256, 2)
+def test_tune_explore_steps_on_toy_gaussian(monkeypatch):
+    steps = tune_every_level(monkeypatch, ToyGaussian(), uniform_schedule(3), 0.95, 256, 2)
     assert steps.shape == (3,)
     assert np.all(steps >= 1) and np.all(steps <= 64)
 
 
-def test_tune_explore_steps_monotone_in_kappa_bar():
+def test_tune_explore_steps_monotone_in_kappa_bar(monkeypatch):
     model = ToyGaussian()
     sched = uniform_schedule(3)
-    loose = tune_every_level(model, sched, 0.95, 256, 4)
-    tight = tune_every_level(model, sched, 0.5, 256, 4)
+    loose = tune_every_level(monkeypatch, model, sched, 0.95, 256, 4)
+    tight = tune_every_level(monkeypatch, model, sched, 0.5, 256, 4)
     assert np.all(tight >= loose)
 
 
-def test_tune_explore_steps_constant_series():
+def test_tune_explore_steps_constant_series(monkeypatch):
     class FlatModel(ToyGaussian):
         def _potential(self, x):
             return 7.0
 
-    steps = tune_every_level(FlatModel(), uniform_schedule(2), 0.95, 64, 1)
+    steps = tune_every_level(monkeypatch, FlatModel(), uniform_schedule(2), 0.95, 64, 1)
     assert np.all(steps == 1)
 
 
-def test_tune_explore_steps_runs_chains_only_above_kappa_bar():
+def test_tune_explore_steps_runs_chains_only_above_kappa_bar(monkeypatch):
     model = ToyGaussian()
     sched = uniform_schedule(3)
     states = warm_states(model, sched, np.random.default_rng(104))
-    full = tune_every_level(model, sched, 0.1, 256, 4)
+    full = tune_every_level(monkeypatch, model, sched, 0.1, 256, 4)
     v0 = model.v_evals.value
-    none_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),
+    none_slow = tune_explore_steps(model, sched, np.random.default_rng(4),
                                    init_states=states, kappa1=[0.05, 0.1, -0.2])
     assert model.v_evals.value == v0
     assert np.all(none_slow == 1)
-    one_slow = tune_explore_steps(model, sched, 0.1, 256, np.random.default_rng(4),
+    one_slow = tune_explore_steps(model, sched, np.random.default_rng(4),
                                   init_states=states, kappa1=[0.05, 0.9, 0.0])
     assert model.v_evals.value > v0
     assert one_slow[0] == one_slow[2] == 1

@@ -19,6 +19,23 @@ def test_fit_requires_ten_samples():
         fit_cpu_model(np.ones(9))
 
 
+def test_a_zero_time_fits_and_samples():
+    # a tour shorter than the thread clock's resolution reads 0.0
+    times = np.concatenate([[0.0], np.linspace(0.001, 0.02, 49)])
+    model = fit_cpu_model(times)
+    assert model.bulk.min() == 0.0
+    draws = model.sample(1000, np.random.default_rng(1))
+    assert np.all(np.isfinite(draws)) and draws.min() >= 0.0
+
+
+@pytest.mark.parametrize("times", [
+    np.zeros(12), np.r_[-1.0, np.ones(11)], np.r_[np.inf, np.ones(11)],
+    np.r_[np.nan, np.ones(11)]], ids=["all-zero", "negative", "inf", "nan"])
+def test_fit_rejects_negative_non_finite_and_all_zero_times(times):
+    with pytest.raises(ValueError, match="times must be non-negative and finite"):
+        fit_cpu_model(times)
+
+
 def test_constant_times_degenerate_fit():
     model = fit_cpu_model(np.full(50, 5.0))
     assert model.threshold == pytest.approx(5.0)

@@ -9,9 +9,10 @@ import pytest
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.explore import ExplorationKernel, SliceNumericalError, build_explorers
 from nrst.model import DivergedPotentialError, Schedule
+from nrst.planner import te_infinity
 from nrst.runner import CoordinateFunction, pilot_then_run, run_parallel
 from nrst.st_kernels import TourOverrunError, run_tour, write_traces_csv
-from nrst.stats import min_tours
+from nrst.stats import NoTopVisitsError, min_tours
 
 
 class DivergesFarOut(ToyGaussian):
@@ -124,6 +125,16 @@ def test_pilot_combined_run_equals_single_run():
         assert (a.levels, a.directions, a.v) == (b.levels, b.directions, b.v)
         assert a.h_top_sums == b.h_top_sums
         assert a.v_evals == b.v_evals
+
+
+def test_a_pilot_that_never_reaches_the_top_names_its_seed_and_tours():
+    # the top affinity rejects every move up into level 2
+    sched = Schedule(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, -1e6]), np.ones(2, dtype=int))
+    k_trial = min_tours(0.9, 1.0, te_infinity(1.0))
+    with pytest.raises(NoTopVisitsError) as err:
+        pilot_then_run(ToyGaussian(), sched, "nrst", 0.9, 1.0, 1.0, 1, 77)
+    assert str(err.value) == (f"pilot tours 0..{k_trial - 1} (seed 77) "
+                              f"never reached the target level")
 
 
 def test_posterior_mean_within_wide_interval():

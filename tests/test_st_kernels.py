@@ -266,8 +266,8 @@ def test_tour_cpu_seconds_is_cpu_time_not_wall_time():
 
 
 def test_every_tour_of_a_short_run_has_positive_cpu_seconds(toy):
-    # fit_cpu_model rejects non-positive times, and most reversible tours
-    # here are a single step
+    # most reversible tours here are a single step, yet each reads a
+    # measurable thread CPU time
     report = run_parallel(toy, exact_toy_schedule(4), "st", 0.95, 0.5, 0.5, 1, 5)
     times = [t["cpu_seconds"] for t in report.tours]
     assert len(times) >= 10 and min(times) > 0.0
