@@ -49,6 +49,8 @@ _MAX_REJECTION_SPREAD = 0.1
 _MAX_AFFINITY_CHANGE = 0.005
 _MAX_BARRIER_CHANGE = 0.01
 _MAX_ASYMMETRY = 0.05
+# Halvings of [0, 1] that place a grid point, to within 2^-40 <= 1e-12.
+_BISECTIONS = 40
 
 
 def _finite_reference_draw(model, rng):
@@ -138,11 +140,13 @@ def run_nrpt(
     return records
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if m == -np.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp of each row of the 2-d ``a``; -inf for a row that is all -inf."""
+    m = np.max(a, axis=1)
+    out = np.full(m.shape, -np.inf)
+    some = m > -np.inf
+    out[some] = m[some] + np.log(np.sum(np.exp(a[some] - m[some, None]), axis=1))
+    return out
 
 
 def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
@@ -151,24 +155,19 @@ def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
     ``data`` has shape (N+1, n_scan); row i holds the potentials of level i.
 
     Averages the forward and backward stepping-stone estimators in log space
-    and accumulates the per-interval log ratios in one pass over the data.
+    and accumulates the per-interval log ratios, all intervals at once.
     When every lower-level sample of an interval is V = +inf (reference
     draws of zero likelihood), the forward estimate is -inf and carries no
     information: the interval then takes the backward estimate alone.
     """
     betas = np.asarray(betas, dtype=float)
-    n = betas.size - 1
-    if len(data) != n + 1:
+    if len(data) != betas.size:
         raise ValueError("dataset and grid sizes disagree")
-    logz = np.zeros(n + 1)
-    for i in range(1, n + 1):
-        db = betas[i] - betas[i - 1]
-        lo, hi = data[i - 1], data[i]
-        forward = -math.log(lo.size) + _logsumexp(-db * lo)
-        backward = math.log(hi.size) - _logsumexp(db * hi)
-        step = 0.5 * (forward + backward) if math.isfinite(forward) else backward
-        logz[i] = logz[i - 1] + step
-    return logz
+    db = np.diff(betas)[:, None]
+    forward = -math.log(data.shape[1]) + _logsumexp(-db * data[:-1])
+    backward = math.log(data.shape[1]) - _logsumexp(db * data[1:])
+    step = np.where(np.isfinite(forward), 0.5 * (forward + backward), backward)
+    return np.cumsum(np.concatenate(([0.0], step)))
 
 
 def mean_energy_affinities(log_z) -> np.ndarray:
@@ -179,23 +178,21 @@ def mean_energy_affinities(log_z) -> np.ndarray:
     return c
 
 
-def _lower_median(values: np.ndarray) -> float:
-    """Lower sample median of the finite entries (even counts take the lower)."""
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
-        raise ValueError("no finite potential samples at some level")
-    finite = np.sort(finite)
-    return float(finite[(finite.size - 1) // 2])
-
-
 def median_affinities(data: np.ndarray, betas) -> np.ndarray:
-    """Trapezoid of per-level sample medians, anchored at c_0 = 0."""
-    betas = np.asarray(betas, dtype=float)
-    meds = np.array([_lower_median(row) for row in data])
-    c = np.zeros(betas.size)
-    for i in range(1, betas.size):
-        c[i] = c[i - 1] + 0.5 * (meds[i - 1] + meds[i]) * (betas[i] - betas[i - 1])
-    return c
+    """Trapezoid of per-level sample medians, anchored at c_0 = 0.
+
+    Row i of ``data``, of shape (N+1, n_scan), holds the potentials of level
+    i; its median is the lower median of its finite entries (an even count
+    takes the lower middle one).  All rows are sorted at once.
+    """
+    finite = np.isfinite(data)
+    counts = finite.sum(axis=1)
+    if np.any(counts == 0):
+        raise ValueError("no finite potential samples at some level")
+    ordered = np.sort(np.where(finite, data, np.inf), axis=1)
+    meds = ordered[np.arange(len(data)), (counts - 1) // 2]
+    steps = 0.5 * (meds[:-1] + meds[1:]) * np.diff(np.asarray(betas, dtype=float))
+    return np.cumsum(np.concatenate(([0.0], steps)))
 
 
 def estimate_rejections(data: np.ndarray, betas, affinities):
@@ -205,18 +202,16 @@ def estimate_rejections(data: np.ndarray, betas, affinities):
 
     r_up[i-1] estimates the rejection of the move beta_{i-1} -> beta_i using
     the level i-1 samples, r_down[i-1] the reverse move from the level i
-    samples, and r_sym their average.
+    samples, and r_sym their average.  Each direction is one
+    :func:`acceptance_probability` call on an (N, n_scan) block of samples
+    with (N, 1) columns of betas and affinities.
     """
-    betas = np.asarray(betas, dtype=float)
-    c = np.asarray(affinities, dtype=float)
-    n = betas.size - 1
-    r_up = np.empty(n)
-    r_down = np.empty(n)
-    for i in range(1, n + 1):
-        acc_up = acceptance_probability(data[i - 1], betas[i - 1], betas[i], c[i - 1], c[i])
-        acc_dn = acceptance_probability(data[i], betas[i], betas[i - 1], c[i], c[i - 1])
-        r_up[i - 1] = 1.0 - float(np.mean(acc_up))
-        r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
+    b = np.asarray(betas, dtype=float)[:, None]
+    c = np.asarray(affinities, dtype=float)[:, None]
+    acc_up = acceptance_probability(data[:-1], b[:-1], b[1:], c[:-1], c[1:])
+    acc_dn = acceptance_probability(data[1:], b[1:], b[:-1], c[1:], c[:-1])
+    r_up = 1.0 - np.mean(acc_up, axis=1)
+    r_down = 1.0 - np.mean(acc_dn, axis=1)
     r_sym = 0.5 * (r_up + r_down)
     return r_up, r_down, r_sym
 
@@ -250,7 +245,8 @@ class BarrierEstimate:
     knots_lambda holds the partial sums of the symmetrized rejections with a
     leading 0; ``total`` is the estimated total barrier.  The interpolant is
     the Fritsch-Carlson monotone cubic Hermite one.  On 2 knots both slopes
-    are the secant, so it is the line through them.
+    are the secant, so it is the line through them.  Called on an array of
+    betas, it gives the barrier at each, held constant beyond the knots.
     """
 
     knots_beta: np.ndarray
@@ -277,22 +273,19 @@ class BarrierEstimate:
         return float(self.knots_lambda[-1])
 
     def __call__(self, beta):
-        beta = np.asarray(beta, dtype=float)
-        scalar = beta.ndim == 0
-        b = np.clip(np.atleast_1d(beta), self.knots_beta[0], self.knots_beta[-1])
         kb, kl, m = self.knots_beta, self.knots_lambda, self._slopes
+        b = np.clip(np.asarray(beta, dtype=float), kb[0], kb[-1])
         idx = np.clip(np.searchsorted(kb, b, side="right") - 1, 0, kb.size - 2)
         h = kb[idx + 1] - kb[idx]
         t = (b - kb[idx]) / h
         t2 = t * t
         t3 = t2 * t
-        out = (
+        return (
             (2 * t3 - 3 * t2 + 1) * kl[idx]
             + (t3 - 2 * t2 + t) * h * m[idx]
             + (-2 * t3 + 3 * t2) * kl[idx + 1]
             + (t3 - t2) * h * m[idx + 1]
         )
-        return float(out[0]) if scalar else out
 
 
 def build_barrier(r_sym, betas) -> BarrierEstimate:
@@ -308,26 +301,21 @@ def build_barrier(r_sym, betas) -> BarrierEstimate:
 def optimize_grid(barrier: BarrierEstimate, n_levels: int) -> np.ndarray:
     """Grid placing equal barrier increments: beta_i solves L(beta) = (i/N) L.
 
-    Interior points are found by bisection; a zero barrier degenerates to the
-    uniform grid.
+    One bisection of [0, 1], ``_BISECTIONS`` halvings long, places all
+    interior points at once; a zero barrier degenerates to the uniform grid.
     """
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
     if barrier.total <= 0.0:
         return np.linspace(0.0, 1.0, n_levels + 1)
-    betas = np.empty(n_levels + 1)
-    betas[0] = 0.0
-    betas[n_levels] = 1.0
-    for i in range(1, n_levels):
-        target = (i / n_levels) * barrier.total
-        lo, hi = 0.0, 1.0
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if barrier(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        betas[i] = 0.5 * (lo + hi)
+    targets = (np.arange(1, n_levels) / n_levels) * barrier.total
+    lo = np.zeros(n_levels - 1)
+    # After k halvings the bracket is [lo, lo + 2^-k]; every value here is a
+    # multiple of 2^-41 in [0, 1], so each sum is exact.
+    for k in range(1, _BISECTIONS + 1):
+        mid = lo + 0.5**k
+        lo = np.where(barrier(mid) < targets, mid, lo)
+    betas = np.concatenate(([0.0], lo + 0.5 ** (_BISECTIONS + 1), [1.0]))
     # Plateaus in the interpolant can collide interior points; keep the grid
     # strictly increasing.
     for i in range(1, n_levels):

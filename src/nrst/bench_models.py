@@ -30,6 +30,10 @@ _QUAD_NODES = 200
 # dataset (nominal 16), and the rejection-sampling budget for hitting it.
 _RATIO_BAND = (12.0, 20.0)
 _MAX_DATASET_TRIES = 200000
+# The synthetic mRNA data: (t0, kappa, beta, delta) of its mean, its sd, its size.
+_MRNA_MEAN_PARAMS = (0.2, 1.0, 0.8, 1.2)
+_MRNA_SIGMA = 0.1
+_MRNA_N_OBS = 30
 
 
 def _norm_lpdf(x, mean, var):
@@ -359,10 +363,9 @@ def weibull_dataset(rng, a: float = 10.0, b: float = 2.0, c: float = 1.5,
     return a + b * rng.weibull(c, n)
 
 
-def mrna_dataset(rng, t0: float = 0.2, kappa: float = 1.0, beta: float = 0.8,
-                 delta: float = 1.2, sigma: float = 0.1, n_obs: int = 30):
-    t = np.linspace(0.0, 10.0, n_obs)
-    y = _mrna_mean(t, t0, kappa, beta, delta) + sigma * rng.normal(size=n_obs)
+def mrna_dataset(rng):
+    t = np.linspace(0.0, 10.0, _MRNA_N_OBS)
+    y = _mrna_mean(t, *_MRNA_MEAN_PARAMS) + _MRNA_SIGMA * rng.normal(size=_MRNA_N_OBS)
     return t, y
 
 
@@ -385,9 +388,9 @@ def _builder(name, *keys):
     return wrap
 
 
-def _whole(p, key, default):
+def _whole(p, key, default, least=1):
     """``p[key]``, or ``default``, as an int; anything but a whole number
-    raises ValueError naming ``key``."""
+    >= ``least`` raises ValueError naming ``key``."""
     value = p.get(key, default)
     try:
         number = float(value)
@@ -395,6 +398,8 @@ def _whole(p, key, default):
         number = math.nan
     if not number.is_integer():
         raise ValueError(f"{key} must be a whole number, got {value!r}")
+    if number < least:
+        raise ValueError(f"{key} must be >= {least}, got {value!r}")
     return int(number)
 
 
@@ -416,7 +421,9 @@ def _build_funnel(p, rng):
 
 @_builder("hierarchical", "j_groups", "m_per_group")
 def _build_hier(p, rng):
-    return Hierarchical(hierarchical_dataset(rng, **p))
+    # The dataset's ratio test takes ddof=1 variances across and within groups.
+    return Hierarchical(hierarchical_dataset(rng, _whole(p, "j_groups", 8, 2),
+                                             _whole(p, "m_per_group", 20, 2)))
 
 
 @_builder("mrna")
@@ -426,7 +433,7 @@ def _build_mrna(p, rng):
 
 @_builder("threshold_weibull", "a", "b", "c", "n")
 def _build_weibull(p, rng):
-    return ThresholdWeibull(weibull_dataset(rng, **p))
+    return ThresholdWeibull(weibull_dataset(rng, **{**p, "n": _whole(p, "n", 50)}))
 
 
 @_builder("xy", "n", "coupling")

@@ -359,7 +359,7 @@ def build_parser() -> tuple:
 
     p = sub.add_parser("index-sim", parents=[tours, seed],
                        help="closed-form vs simulated tour effectiveness")
-    p.add_argument("--n-levels", "--N", dest="n_levels", type=int, default=None)
+    p.add_argument("--n-levels", type=int, default=None)
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--variant", default="both", choices=_VARIANTS)
     p.set_defaults(func=_cmd_index_sim)

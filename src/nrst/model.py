@@ -168,24 +168,27 @@ class Schedule:
         return cls(d["betas"], d["affinities"], d["explore_steps"], d.get("widths"))
 
 
-def acceptance_probability(v, beta_from: float, beta_to: float, c_from: float, c_to: float):
+def acceptance_probability(v, beta_from, beta_to, c_from, c_to):
     """Probability of accepting the tempering move beta_from -> beta_to.
 
     Equals exp(-max{0, (beta_to - beta_from) v - (c_to - c_from)}), so it can
     be evaluated without any normalizing constants.  ``v`` is one potential
-    (a float in, a float out) or an array of them.  V = +inf is a point of
-    zero density: the arithmetic rejects the move up surely and accepts the
-    move down surely.  NaN or -inf V, and non-finite betas, raise
-    ValueError.
+    (a float in, a float out) or an array of them, against which the betas
+    and affinities may be arrays that broadcast (e.g. (N, 1) against (N, n)).
+    V = +inf is a point of zero density: the arithmetic rejects the move up
+    surely and accepts the move down surely.  NaN or -inf V, and non-finite
+    betas, raise ValueError.
     """
-    if not (math.isfinite(beta_from) and math.isfinite(beta_to)):
-        raise ValueError(f"acceptance_probability requires finite betas, "
-                         f"got {(beta_from, beta_to)}")
     if isinstance(v, float):
+        finite = math.isfinite(beta_from) and math.isfinite(beta_to)
         diverged = not v > -math.inf
     else:
         v = np.asarray(v, dtype=float)
+        finite = np.all(np.isfinite(beta_from)) and np.all(np.isfinite(beta_to))
         diverged = not np.all(v > -np.inf)
+    if not finite:
+        raise ValueError(f"acceptance_probability requires finite betas, "
+                         f"got {(beta_from, beta_to)}")
     if diverged:
         raise ValueError("acceptance_probability requires potentials that are not NaN or -inf")
     return np.exp(-np.maximum(0.0, (beta_to - beta_from) * v - (c_to - c_from)))

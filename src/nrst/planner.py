@@ -15,6 +15,9 @@ import numpy as np
 
 # Share of tour CPU times, in percent, that the Weibull tail models.
 _TAIL_PERCENT = 20
+# Newton solve of the tail's Weibull shape: step tolerance and iteration cap.
+_MLE_TOL = 1e-8
+_MLE_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -52,12 +55,12 @@ class CpuTimeModel:
         return out
 
 
-def _weibull_mle_shape(y: np.ndarray, tol: float = 1e-8, max_iter: int = 200) -> float:
+def _weibull_mle_shape(y: np.ndarray) -> float:
     """Newton solve of the Weibull shape profile-likelihood equation."""
     log_y = np.log(y)
     mean_log = float(np.mean(log_y))
     k = 1.0
-    for _ in range(max_iter):
+    for _ in range(_MLE_MAX_ITER):
         yk = y**k
         s0 = float(np.sum(yk))
         s1 = float(np.sum(yk * log_y))
@@ -68,7 +71,7 @@ def _weibull_mle_shape(y: np.ndarray, tol: float = 1e-8, max_iter: int = 200) ->
         k_new = k - step
         if k_new <= 0:
             k_new = k / 2.0
-        if abs(k_new - k) < tol:
+        if abs(k_new - k) < _MLE_TOL:
             return k_new
         k = k_new
     return k

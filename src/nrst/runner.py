@@ -189,8 +189,6 @@ def pilot_then_run(
     indices are contiguous so the combined run equals a single-phase run
     with the same seed.
     """
-    if lambda_hat < 0:
-        raise ValueError("lambda_hat must be >= 0")
     te_seed = te_infinity(lambda_hat)
     k_trial = min_tours(alpha, delta, te_seed)
     traces = _run_tours(model, schedule, kernel_variant, range(k_trial), workers, rng_seed,

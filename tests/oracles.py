@@ -9,12 +9,19 @@ that the interval rejections approach as the grid refines;
 ``optimize_grid`` places by hand-checkable arithmetic.  ``uniform_schedule``
 is the uniform-grid schedule that kernel and NRPT tests run on, and
 ``warm_states`` the warm starts that step-tuning tests give each level.
+
+``grid_per_target``, ``logz_per_interval``, ``median_affinities_per_level``
+and ``rejections_per_interval`` are the tuner's estimators written one
+level or interval at a time, as loops of scalar steps: the array estimators
+must equal them bit for bit.
 """
+
+import math
 
 import numpy as np
 
 from nrst.adapt import run_nrpt
-from nrst.model import Schedule
+from nrst.model import Schedule, acceptance_probability
 from nrst.st_kernels import _VARIANTS, NRST, IdealIndexChain
 
 
@@ -131,3 +138,81 @@ def warm_states(model, schedule: Schedule, rng, n_scan: int = 8) -> list:
     """One (x, V(x)) per level 0..N, from a short NRPT pass on ``schedule``:
     warm starts like those ``adapt`` gives ``tune_explore_steps``."""
     return run_nrpt(model, schedule, n_scan, rng, full=True).states
+
+
+def grid_per_target(barrier, n_levels: int) -> np.ndarray:
+    """``optimize_grid`` as one scalar bisection per interior point, each
+    halving [lo, hi] until hi - lo <= 1e-12."""
+    if barrier.total <= 0.0:
+        return np.linspace(0.0, 1.0, n_levels + 1)
+    betas = np.empty(n_levels + 1)
+    betas[0] = 0.0
+    betas[n_levels] = 1.0
+    for i in range(1, n_levels):
+        target = (i / n_levels) * barrier.total
+        lo, hi = 0.0, 1.0
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if barrier(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        betas[i] = 0.5 * (lo + hi)
+    for i in range(1, n_levels):
+        if betas[i] <= betas[i - 1]:
+            betas[i] = betas[i - 1] + 1e-12
+    return betas
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    m = np.max(a)
+    if m == -np.inf:
+        return -math.inf
+    return float(m + np.log(np.sum(np.exp(a - m))))
+
+
+def logz_per_interval(data: np.ndarray, betas) -> np.ndarray:
+    """``stepping_stone_logz`` one interval at a time."""
+    betas = np.asarray(betas, dtype=float)
+    logz = np.zeros(betas.size)
+    for i in range(1, betas.size):
+        db = betas[i] - betas[i - 1]
+        lo, hi = data[i - 1], data[i]
+        forward = -math.log(lo.size) + _logsumexp(-db * lo)
+        backward = math.log(hi.size) - _logsumexp(db * hi)
+        step = 0.5 * (forward + backward) if math.isfinite(forward) else backward
+        logz[i] = logz[i - 1] + step
+    return logz
+
+
+def _lower_median(values: np.ndarray) -> float:
+    finite = values[np.isfinite(values)]
+    if finite.size == 0:
+        raise ValueError("no finite potential samples at some level")
+    finite = np.sort(finite)
+    return float(finite[(finite.size - 1) // 2])
+
+
+def median_affinities_per_level(data: np.ndarray, betas) -> np.ndarray:
+    """``median_affinities`` one level's median and one trapezoid at a time."""
+    betas = np.asarray(betas, dtype=float)
+    meds = np.array([_lower_median(row) for row in data])
+    c = np.zeros(betas.size)
+    for i in range(1, betas.size):
+        c[i] = c[i - 1] + 0.5 * (meds[i - 1] + meds[i]) * (betas[i] - betas[i - 1])
+    return c
+
+
+def rejections_per_interval(data: np.ndarray, betas, affinities) -> tuple:
+    """``estimate_rejections`` one interval, with scalar betas, at a time."""
+    betas = np.asarray(betas, dtype=float)
+    c = np.asarray(affinities, dtype=float)
+    n = betas.size - 1
+    r_up = np.empty(n)
+    r_down = np.empty(n)
+    for i in range(1, n + 1):
+        acc_up = acceptance_probability(data[i - 1], betas[i - 1], betas[i], c[i - 1], c[i])
+        acc_dn = acceptance_probability(data[i], betas[i], betas[i - 1], c[i], c[i - 1])
+        r_up[i - 1] = 1.0 - float(np.mean(acc_up))
+        r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
+    return r_up, r_down, 0.5 * (r_up + r_down)

@@ -28,7 +28,15 @@ from nrst.adapt import (
 from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
 from nrst.explore import autocorrelation, lag1_autocorrelation
 from nrst.model import Schedule, TemperedModel
-from oracles import LinearBarrier, local_rejection_rates, uniform_schedule
+from oracles import (
+    LinearBarrier,
+    grid_per_target,
+    local_rejection_rates,
+    logz_per_interval,
+    median_affinities_per_level,
+    rejections_per_interval,
+    uniform_schedule,
+)
 
 
 class FlatModel(ToyGaussian):
@@ -285,6 +293,73 @@ def test_optimize_grid_round_trip():
             assert barrier(grid[i]) == pytest.approx(
                 (i / n) * barrier.total, abs=1e-8
             )
+
+
+def _plateau_barriers():
+    """Barriers whose knots include zero-rejection plateaus: random ones, one
+    whose plateau sits at a target, and one so steep that interior points
+    collide."""
+    rng = np.random.default_rng(10)
+    for _ in range(6):
+        n = int(rng.integers(2, 12))
+        betas = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n - 1)), [1.0]))
+        r = rng.uniform(0.0, 0.5, n)
+        r[rng.random(n) < 0.4] = 0.0
+        yield build_barrier(r, betas)
+    yield build_barrier([0.25, 0.0, 0.0, 0.25], np.linspace(0.0, 1.0, 5))
+    yield build_barrier([0.0, 1.0, 0.0], [0.0, 0.5, 0.5 + 1e-13, 1.0])
+    yield LinearBarrier([0.0, 0.3, 0.6, 1.0], [0.0, 0.4, 0.4, 1.1])
+
+
+@pytest.mark.parametrize("barrier", _plateau_barriers())
+def test_optimize_grid_equals_the_per_target_bisection(barrier):
+    for n in range(1, 21):
+        np.testing.assert_array_equal(optimize_grid(barrier, n), grid_per_target(barrier, n))
+
+
+def _random_pass(n_levels, n_scan, seed, all_inf_lower):
+    """(data, betas, affinities) like a pass's: each level's potentials at
+    their own location and scale, some level-0 V = +inf (all of them when
+    ``all_inf_lower``), on a random grid.  ``data`` is a column slice of a
+    wider array, as the batch-means SE passes."""
+    rng = np.random.default_rng(seed)
+    rows = n_levels + 1
+    wide = rng.normal(rng.uniform(-5.0, 60.0, (rows, 1)), rng.uniform(0.1, 25.0, (rows, 1)),
+                      (rows, n_scan + 3))
+    data = wide[:, 2:2 + n_scan]
+    data[0, rng.random(n_scan) < 0.3] = np.inf
+    if all_inf_lower:
+        data[0] = np.inf
+    betas = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, n_levels - 1)), [1.0]))
+    return data, betas, np.cumsum(rng.normal(0.0, 10.0, rows)) * (np.arange(rows) > 0)
+
+
+_PASS_SHAPES = [(2, 1), (2, 2), (3, 7), (5, 64), (8, 129), (12, 1000), (16, 1025), (16, 4096)]
+
+
+@pytest.mark.parametrize("all_inf_lower", [False, True])
+@pytest.mark.parametrize("n_levels, n_scan", _PASS_SHAPES)
+def test_array_logz_and_rejections_equal_the_per_interval_loops(n_levels, n_scan,
+                                                                all_inf_lower):
+    data, betas, c = _random_pass(n_levels, n_scan, n_levels * n_scan, all_inf_lower)
+    for d in (data, np.ascontiguousarray(data)):
+        np.testing.assert_array_equal(stepping_stone_logz(d, betas),
+                                      logz_per_interval(d, betas))
+        for got, want in zip(estimate_rejections(d, betas, c),
+                             rejections_per_interval(d, betas, c)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_levels, n_scan", _PASS_SHAPES)
+def test_array_medians_equal_the_per_level_loop(n_levels, n_scan):
+    data, betas, _ = _random_pass(n_levels, n_scan, n_levels * n_scan, False)
+    if np.isfinite(data[0]).any():
+        np.testing.assert_array_equal(median_affinities(data, betas),
+                                      median_affinities_per_level(data, betas))
+    data[0] = np.inf
+    for median in (median_affinities, median_affinities_per_level):
+        with pytest.raises(ValueError, match="^no finite potential samples at some level$"):
+            median(data, betas)
 
 
 def test_optimal_grid_size_examples():

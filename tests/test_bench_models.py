@@ -209,9 +209,26 @@ def test_mrna_overflowing_residual_gives_inf_without_warning():
     ("toy_gaussian", "dim", "abc"),
     ("funnel", "dim", 20.5),
     ("xy", "n", 3.5),
+    ("hierarchical", "j_groups", 2.5),
+    ("hierarchical", "m_per_group", "abc"),
+    ("threshold_weibull", "n", 2.5),
 ])
 def test_make_model_rejects_sizes_that_are_not_whole_numbers(name, key, value):
     with pytest.raises(ValueError, match=f"^{key} must be a whole number, got "):
+        make_model(ModelSpec(name, {key: value}))
+
+
+@pytest.mark.parametrize("name, key, value, least", [
+    ("hierarchical", "j_groups", 0, 2),
+    ("hierarchical", "j_groups", 1, 2),
+    ("hierarchical", "m_per_group", 1, 2),
+    ("threshold_weibull", "n", 0, 1),
+    ("threshold_weibull", "n", -3, 1),
+])
+def test_make_model_rejects_sizes_that_are_too_small(name, key, value, least):
+    # before any data is drawn: a hierarchical dataset of 1 group or 1
+    # member per group ran all its rejection draws and failed
+    with pytest.raises(ValueError, match=f"^{key} must be >= {least}, got {value}$"):
         make_model(ModelSpec(name, {key: value}))
 
 

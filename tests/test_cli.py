@@ -224,6 +224,7 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("run", {"h_coords": 0}, "h_coords"),
     ("bench", {"variant": ["nrst"]}, "variant"),
     ("tune", {"levels": 2.5}, "levels"),
+    ("tune", ["--model", "hierarchical", "--params", '{"j_groups": 1}'], "params"),
 ])
 def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
     report = tmp_path / "report.json"

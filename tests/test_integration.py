@@ -27,7 +27,8 @@ def test_nrpt_scans_run_clean(name):
         assert np.all(np.isfinite(data[i])), f"{name}: non-finite V above level 0"
 
 
-@pytest.mark.parametrize("name", ALL_MODELS)
+# The xy tours take ~9 s.
+@pytest.mark.parametrize("name", [*ALL_MODELS[:-1], pytest.param("xy", marks=pytest.mark.slow)])
 def test_tours_run_clean(name):
     """Tours either regenerate or hit the step budget with a coherent trace.
 

@@ -48,6 +48,29 @@ def test_acceptance_probability_rejects_nonfinite(bad):
         acceptance_probability(1.0, bad, 1.0, 0.0, 0.0)
 
 
+def test_acceptance_probability_takes_a_column_of_betas_per_row():
+    rng = np.random.default_rng(9)
+    v = rng.normal(3.0, 4.0, (6, 11))
+    v[0, :4] = math.inf
+    b = np.sort(rng.uniform(0.0, 1.0, (7, 1)), axis=0)
+    c = rng.normal(0.0, 2.0, (7, 1))
+    for lo, hi in ((slice(None, -1), slice(1, None)), (slice(1, None), slice(None, -1))):
+        block = acceptance_probability(v, b[lo], b[hi], c[lo], c[hi])
+        rows = [acceptance_probability(v[i], b[lo][i, 0], b[hi][i, 0], c[lo][i, 0], c[hi][i, 0])
+                for i in range(6)]
+        np.testing.assert_array_equal(block, rows)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_non_finite_beta_in_an_array_fails_as_a_scalar_one_does(bad):
+    with pytest.raises(ValueError, match="^acceptance_probability requires finite betas"):
+        acceptance_probability(1.0, bad, 1.0, 0.0, 0.0)
+    column = np.array([[0.0], [bad], [0.5]])
+    for betas in ((column, np.ones((3, 1))), (np.zeros((3, 1)), column)):
+        with pytest.raises(ValueError, match="^acceptance_probability requires finite betas"):
+            acceptance_probability(np.ones((3, 4)), *betas, 0.0, 0.0)
+
+
 @given(v=finite, a=finite, b=finite, ca=finite, cb=finite)
 @settings(max_examples=200)
 def test_acceptance_detailed_balance_factorization(v, a, b, ca, cb):
