@@ -377,86 +377,75 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
-_MODEL_BUILDERS = {}
-
-
-def _builder(name, *keys):
-    """Register a model builder under ``name``, with the parameter keys it reads."""
-    def wrap(fn):
-        _MODEL_BUILDERS[name] = (fn, keys)
-        return fn
-    return wrap
-
-
-def _whole(p, key, default, least=1):
-    """``p[key]``, or ``default``, as an int; anything but a whole number
-    >= ``least`` raises ValueError naming ``key``."""
-    value = p.get(key, default)
+def _float(value) -> float:
+    """``value`` as a float; NaN for a bool (``float(True)`` is 1.0) or for
+    anything that ``float`` refuses."""
     try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
-    if not number.is_integer():
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    if number < least:
-        raise ValueError(f"{key} must be >= {least}, got {value!r}")
-    return int(number)
+        return math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
 
-@_builder("toy_gaussian", "dim", "m", "sigma0")
-def _build_toy(p, rng):
-    return ToyGaussian(_whole(p, "dim", 3), float(p.get("m", 2.0)),
-                       float(p.get("sigma0", 2.0)))
+def _whole(least=1):
+    """Reader of a whole number >= ``least``, as an int."""
+    def read(key, value):
+        number = _float(value)
+        if not number.is_integer():
+            raise ValueError(f"{key} must be a whole number, got {value!r}")
+        if number < least:
+            raise ValueError(f"{key} must be >= {least}, got {value!r}")
+        return int(number)
+    return read
 
 
-@_builder("banana")
-def _build_banana(p, rng):
-    return Banana()
+def _real(positive=False):
+    """Reader of a finite number, > 0 if ``positive``, as a float."""
+    def read(key, value):
+        number = _float(value)
+        if not math.isfinite(number) or (positive and number <= 0):
+            raise ValueError(f"{key} must be a finite number{' > 0' if positive else ''}, "
+                             f"got {value!r}")
+        return number
+    return read
 
 
-@_builder("funnel", "dim")
-def _build_funnel(p, rng):
-    return Funnel(_whole(p, "dim", 20))
-
-
-@_builder("hierarchical", "j_groups", "m_per_group")
-def _build_hier(p, rng):
+# Each model's builder, called as build(rng, **params) with the data rng, and
+# the reader of each parameter it takes.  A parameter left out takes the
+# default of the class or dataset function that reads it.
+_MODELS = {
+    "toy_gaussian": (lambda rng, **p: ToyGaussian(**p),
+                     {"dim": _whole(), "m": _real(), "sigma0": _real(positive=True)}),
+    "banana": (lambda rng: Banana(), {}),
+    "funnel": (lambda rng, **p: Funnel(**p), {"dim": _whole()}),
     # The dataset's ratio test takes ddof=1 variances across and within groups.
-    return Hierarchical(hierarchical_dataset(rng, _whole(p, "j_groups", 8, 2),
-                                             _whole(p, "m_per_group", 20, 2)))
-
-
-@_builder("mrna")
-def _build_mrna(p, rng):
-    return MRnaTransfection(*mrna_dataset(rng))
-
-
-@_builder("threshold_weibull", "a", "b", "c", "n")
-def _build_weibull(p, rng):
-    return ThresholdWeibull(weibull_dataset(rng, **{**p, "n": _whole(p, "n", 50)}))
-
-
-@_builder("xy", "n", "coupling")
-def _build_xy(p, rng):
-    return XYModel(_whole(p, "n", 8), float(p.get("coupling", 2.0)))
+    "hierarchical": (lambda rng, **p: Hierarchical(hierarchical_dataset(rng, **p)),
+                     {"j_groups": _whole(2), "m_per_group": _whole(2)}),
+    "mrna": (lambda rng: MRnaTransfection(*mrna_dataset(rng)), {}),
+    "threshold_weibull": (lambda rng, **p: ThresholdWeibull(weibull_dataset(rng, **p)),
+                          {"a": _real(), "b": _real(positive=True),
+                           "c": _real(positive=True), "n": _whole()}),
+    "xy": (lambda rng, **p: XYModel(**p), {"n": _whole(), "coupling": _real()}),
+}
 
 
 def available_models():
-    return sorted(_MODEL_BUILDERS)
+    return sorted(_MODELS)
 
 
 def make_model(spec: ModelSpec) -> TemperedModel:
     """Instantiate a benchmark model by name; synthetic data is seeded.
 
-    A parameter key that the model does not read raises ValueError.
+    A parameter key that the model does not read, or a value that its reader
+    refuses, raises ValueError before any data is drawn.
     """
-    if spec.name not in _MODEL_BUILDERS:
+    if spec.name not in _MODELS:
         raise ValueError(
             f"unknown model {spec.name!r}; available: {', '.join(available_models())}"
         )
-    build, keys = _MODEL_BUILDERS[spec.name]
-    unknown = sorted(set(spec.params) - set(keys))
+    build, readers = _MODELS[spec.name]
+    unknown = sorted(set(spec.params) - set(readers))
     if unknown:
         raise ValueError(f"model {spec.name!r} has no parameter {', '.join(map(repr, unknown))}; "
-                         f"it reads {', '.join(map(repr, keys)) or 'none'}")
-    return build(spec.params, np.random.default_rng(_DATA_SEED))
+                         f"it reads {', '.join(map(repr, readers)) or 'none'}")
+    params = {key: readers[key](key, value) for key, value in spec.params.items()}
+    return build(np.random.default_rng(_DATA_SEED), **params)

@@ -219,6 +219,8 @@ def _cmd_run(args) -> int:
     model, schedule, lambda_hat = _schedule_file(args)
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
+    if len(set(args.h_coords)) < len(args.h_coords):
+        raise ConfigError("h_coords", f"indices must not repeat, got {args.h_coords}")
     h_funcs = tuple(CoordinateFunction(i) for i in args.h_coords)
     h_names = [f"x{i + 1}" for i in args.h_coords]
     # A --te-hat skips the pilot, which the schedule's lambda_hat sizes.

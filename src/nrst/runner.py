@@ -22,6 +22,9 @@ from .planner import te_infinity
 from .st_kernels import TourTable, run_tour
 from .stats import NoTopVisitsError, TourStatistics, diagnostics_report, estimate_te, min_tours
 
+# Steps after which a tour that has not regenerated fails; _run_tours reads it in the parent.
+_MAX_TOUR_STEPS = 10**6
+
 
 @dataclass(frozen=True)
 class CoordinateFunction:
@@ -100,17 +103,17 @@ def _tour_chunk(args) -> TourTable:
     return table
 
 
-def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs, max_steps):
+def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs):
     """The tours of the range ``indices``, as one table in index order."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if workers == 1 or len(indices) <= 1:
-        return _tour_chunk((model, schedule, variant, seed, indices, h_funcs, max_steps))
+        return _tour_chunk((model, schedule, variant, seed, indices, h_funcs, _MAX_TOUR_STEPS))
     # Imported here, so that a run without a pool never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
     size = max(1, len(indices) // (workers * 8))
-    chunks = [(model, schedule, variant, seed, indices[a:a + size], h_funcs, max_steps)
+    chunks = [(model, schedule, variant, seed, indices[a:a + size], h_funcs, _MAX_TOUR_STEPS)
               for a in range(0, len(indices), size)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         tables = pool.map(_tour_chunk, chunks)
@@ -153,7 +156,6 @@ def run_parallel(
     *,
     h_funcs=(CoordinateFunction(0),),
     h_names=None,
-    max_steps: int = 10**6,
 ) -> RunReport:
     """Run the number of tours implied by (alpha, delta, te_hat) on a pool.
 
@@ -163,7 +165,7 @@ def run_parallel(
     """
     k = min_tours(alpha, delta, te_hat)
     traces = _run_tours(model, schedule, kernel_variant, range(k), workers, rng_seed,
-                        tuple(h_funcs), max_steps)
+                        tuple(h_funcs))
     return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed, h_names)
 
 
@@ -179,7 +181,6 @@ def pilot_then_run(
     *,
     h_funcs=(CoordinateFunction(0),),
     h_names=None,
-    max_steps: int = 10**6,
 ) -> RunReport:
     """Two-phase run: pilot sized by the barrier-limit TE, then a top-up.
 
@@ -192,7 +193,7 @@ def pilot_then_run(
     te_seed = te_infinity(lambda_hat)
     k_trial = min_tours(alpha, delta, te_seed)
     traces = _run_tours(model, schedule, kernel_variant, range(k_trial), workers, rng_seed,
-                        tuple(h_funcs), max_steps)
+                        tuple(h_funcs))
     te_pilot = estimate_te(traces.visits_top)
     if te_pilot == 0.0:
         raise NoTopVisitsError(f"pilot tours 0..{k_trial - 1} (seed {rng_seed}) "
@@ -200,6 +201,6 @@ def pilot_then_run(
     k = min_tours(alpha, delta, te_pilot)
     if k > k_trial:
         traces.extend(_run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,
-                                 rng_seed, tuple(h_funcs), max_steps))
+                                 rng_seed, tuple(h_funcs)))
     return _aggregate(traces, kernel_variant, alpha, delta, te_seed, rng_seed,
                       h_names, k_trial=k_trial)

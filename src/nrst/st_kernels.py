@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -231,12 +232,13 @@ def run_tour(
     raise TourOverrunError(max_steps, table())
 
 
-def write_traces_csv(traces, fileobj) -> None:
-    """One row per state: tour_id, step, then the trace's three columns
+def write_traces_csv(traces: TourTable, fileobj) -> None:
+    """One row per state: tour_id, step, then the table's three state columns
     level, direction and v (written with ``repr``, so it reads back exactly)."""
     fileobj.write("tour_id,step,level,direction,v\n")
-    for tour_id, trace in enumerate(traces):
-        for step, (level, direction, v) in enumerate(zip(trace.levels, trace.directions, trace.v)):
+    states = zip(traces.levels, traces.directions, traces.v)
+    for tour_id, length in enumerate((traces.tour_steps() + 1).tolist()):
+        for step, (level, direction, v) in enumerate(islice(states, length)):
             fileobj.write(f"{tour_id},{step},{level},{direction},{v!r}\n")
 
 

@@ -9,6 +9,9 @@ that the interval rejections approach as the grid refines;
 ``optimize_grid`` places by hand-checkable arithmetic.  ``uniform_schedule``
 is the uniform-grid schedule that kernel and NRPT tests run on, and
 ``warm_states`` the warm starts that step-tuning tests give each level.
+``write_traces_csv_per_tour`` writes ``traces.csv`` one tour at a time,
+from the one-tour tables that indexing a ``TourTable`` gives: the column
+writer must match it byte for byte.
 
 ``grid_per_target``, ``logz_per_interval``, ``median_affinities_per_level``
 and ``rejections_per_interval`` are the tuner's estimators written one
@@ -216,3 +219,12 @@ def rejections_per_interval(data: np.ndarray, betas, affinities) -> tuple:
         r_up[i - 1] = 1.0 - float(np.mean(acc_up))
         r_down[i - 1] = 1.0 - float(np.mean(acc_dn))
     return r_up, r_down, 0.5 * (r_up + r_down)
+
+
+def write_traces_csv_per_tour(traces, fileobj) -> None:
+    """``write_traces_csv`` from the one-tour tables that iterating a
+    ``TourTable`` gives."""
+    fileobj.write("tour_id,step,level,direction,v\n")
+    for tour_id, trace in enumerate(traces):
+        for step, (level, direction, v) in enumerate(zip(trace.levels, trace.directions, trace.v)):
+            fileobj.write(f"{tour_id},{step},{level},{direction},{v!r}\n")

@@ -235,3 +235,39 @@ def test_make_model_rejects_sizes_that_are_too_small(name, key, value, least):
 def test_make_model_takes_whole_sizes_given_as_floats():
     assert make_model(ModelSpec("toy_gaussian", {"dim": 4.0})).dim == 4
     assert make_model(ModelSpec("xy", {"n": 3.0})).dim == 9
+
+
+@pytest.mark.parametrize("name, key, value", [
+    ("threshold_weibull", "c", -1),
+    ("threshold_weibull", "b", 0),
+    ("threshold_weibull", "a", math.inf),
+    ("toy_gaussian", "sigma0", 0),
+    ("toy_gaussian", "m", "nan"),
+    ("toy_gaussian", "dim", True),
+    ("xy", "coupling", "abc"),
+])
+def test_make_model_rejects_values_its_readers_refuse(name, key, value):
+    # before any data is drawn: c < 0 reached numpy as its argument a, and
+    # float(True) is 1.0
+    with pytest.raises(ValueError, match=f"^{key} must be "):
+        make_model(ModelSpec(name, {key: value}))
+
+
+@pytest.mark.parametrize("name, defaults", [
+    ("toy_gaussian", {"dim": 3, "m": 2.0, "sigma0": 2.0}),
+    ("funnel", {"dim": 20}),
+    ("hierarchical", {"j_groups": 8, "m_per_group": 20}),
+    ("threshold_weibull", {"a": 10.0, "b": 2.0, "c": 1.5, "n": 50}),
+    ("xy", {"n": 8, "coupling": 2.0}),
+])
+def test_every_default_given_explicitly_builds_the_model_of_no_params(name, defaults):
+    given, default = make_model(ModelSpec(name, defaults)), make_model(ModelSpec(name))
+    for attr in ("dim", "m", "sigma0", "n", "coupling"):
+        assert getattr(given, attr, None) == getattr(default, attr, None)
+    np.testing.assert_array_equal(getattr(given, "y", ()), getattr(default, "y", ()))
+
+
+def test_make_model_takes_numbers_given_as_text():
+    model = make_model(ModelSpec("threshold_weibull", {"a": "10", "b": "2", "c": "1.5"}))
+    np.testing.assert_array_equal(model.y, make_model(ModelSpec("threshold_weibull")).y)
+    assert make_model(ModelSpec("toy_gaussian", {"m": "2.5"})).m == 2.5

@@ -246,6 +246,32 @@ def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp
     assert capsys.readouterr().err.startswith(f"config error: {field}")
 
 
+@pytest.mark.parametrize("model, params, key", [
+    ("threshold_weibull", {"c": -1}, "c"),
+    ("threshold_weibull", {"b": 0}, "b"),
+    ("toy_gaussian", {"sigma0": 0}, "sigma0"),
+    ("toy_gaussian", {"m": "nan"}, "m"),
+])
+def test_a_model_parameter_its_reader_refuses_is_a_config_error(model, params, key, tmp_path,
+                                                                 capsys):
+    # threshold_weibull's c < 0 reached numpy, which named it a; b = 0 made all
+    # observations equal and tuned; sigma0 = 0 and m = nan failed in the math
+    argv = ["tune", "--model", model, "--params", json.dumps(params), "--out", tmp_path / "out"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith(f"config error: params: {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_h_coords_are_a_config_error(tuned_dir, tmp_path, capsys):
+    # the second x1 column overwrote the first in the report
+    argv = ["run", "--schedule", tuned_dir / "schedule.json", "--h-coords", 0, 0,
+            "--out", tmp_path / "out"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == (
+        "config error: h_coords: indices must not repeat, got [0, 0]\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_text_in_a_config_file_for_a_number_flag_is_a_config_error(tmp_path, capsys):
     # as a parser default, argparse would convert the text itself and exit 2
     # with its usage error

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from nrst import runner
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.explore import ExplorationKernel, SliceNumericalError, build_explorers
 from nrst.model import DivergedPotentialError, Schedule
@@ -162,15 +163,17 @@ def test_coordinate_function_picklable():
     (DivergesAtReference(math.nan), 10**6, DivergedPotentialError),
     (DivergesAtReference(-math.inf), 10**6, DivergedPotentialError),
 ], ids=["diverged", "overrun", "slice", "reference-nan", "reference-neginf"])
-def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_steps, error):
+def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_steps, error,
+                                                                   monkeypatch):
     # 62 tours, so 2 workers run chunks of 3 and a failure can come mid-chunk
     # (at seed 5 the first three models fail first at tour 2).
     sched = tuned_like_schedule()
     first = next(i for i in range(62) if fails(model, sched, max_steps, [5, i]))
+    monkeypatch.setattr(runner, "_MAX_TOUR_STEPS", max_steps)
     named = []
     for workers in (1, 2):
         with pytest.raises(error) as info:
-            run_parallel(model, sched, "nrst", 0.95, 0.5, 1.0, workers, 5, max_steps=max_steps)
+            run_parallel(model, sched, "nrst", 0.95, 0.5, 1.0, workers, 5)
         named.append((info.value.tour_index, info.value.seed))
     assert named == [(first, 5)] * 2
 

@@ -1,3 +1,4 @@
+import io
 import math
 import pickle
 import time
@@ -23,7 +24,7 @@ from nrst.st_kernels import (
     write_traces_csv,
 )
 
-from oracles import index_kernel, uniform_schedule
+from oracles import index_kernel, uniform_schedule, write_traces_csv_per_tour
 
 
 class ScriptedRng:
@@ -232,6 +233,23 @@ def test_trace_serialization(toy, sched2, tmp_path):
     assert len(lines) == 1 + len(table.levels) == 1 + table.n_steps + 3
     assert [int(line.split(",")[0]) for line in lines[1:]] == [
         j for j, steps in enumerate(table.tour_steps()) for _ in range(steps + 1)]
+
+
+@pytest.mark.parametrize("n_h", [0, 2])
+@pytest.mark.parametrize("variant", ["nrst", "st"])
+def test_traces_csv_from_the_columns_matches_the_per_tour_writer(toy, sched2, variant, n_h):
+    explorers = build_explorers(toy, sched2)
+    h_funcs = (CoordinateFunction(0), CoordinateFunction(2))[:n_h]
+    table = TourTable(variant, n_h)
+    for i in range(40):
+        table.extend(run_tour(toy, sched2, variant, 10**4, np.random.default_rng([4, i]),
+                              explorers, h_funcs=h_funcs))
+    assert 1 in table.tour_steps() and len(table.h_top_sums) == 40 * n_h
+    for tours in (table, TourTable(variant, n_h)):
+        ours, reference = io.StringIO(), io.StringIO()
+        write_traces_csv(tours, ours)
+        write_traces_csv_per_tour(tours, reference)
+        assert ours.getvalue() == reference.getvalue()
 
 
 def test_validate_checks_every_tour_of_a_table(toy, sched2):
