@@ -9,12 +9,12 @@ The package exports the pipeline API (tune -> run -> plan); the building
 blocks are imported from the submodules.
 """
 
-from .adapt import AdaptResult, adapt
+from .adapt import adapt
 from .bench_models import ModelSpec, make_model
 from .explore import SliceNumericalError
 from .model import DivergedPotentialError, Schedule, TemperedModel
-from .planner import cost_curves, fit_cpu_model, simulate_pool
-from .runner import CoordinateFunction, RunReport, pilot_then_run, run_parallel
+from .planner import cost_curves, fit_cpu_model
+from .runner import CoordinateFunction, pilot_then_run, run_parallel
 from .st_kernels import TourOverrunError
 from .stats import NoTopVisitsError
 

@@ -84,15 +84,16 @@ def run_nrpt(
 ):
     """Non-reversible parallel tempering over the grid; returns the V samples.
 
-    One scan = an exploration pass on every chain (a fresh reference draw at
-    level 0, slice sweeps elsewhere) followed by one swap round.  Swap rounds
+    One scan = one call of every level's kernel from
+    :func:`~nrst.explore.build_explorers` (a fresh reference draw at level 0,
+    slice sweeps elsewhere) followed by one swap round.  Swap rounds
     alternate deterministically between even pairs (0,1),(2,3),... and odd
     pairs (1,2),(3,4),...; the phase resets to even on every call.  The
     potential of every level is recorded once per scan, after the swap round,
     into an array of shape (N+1, n_scan) whose row i holds level i.
 
     A state is the pair (x, V(x)) of one level.  ``init_states`` holds one
-    per level 0..N (the level-0 state is redrawn before it is used).
+    per level 0..N (level 0's kernel draws afresh, so its state is never read).
     ``full`` returns an :class:`NrptPass` instead of the bare array.  It
     adds the final states, an array ``ends`` of shape (2, N+1, n_scan) and
     an array ``moves`` of shape (N, dim).  ``ends[0, i, s]`` is the V
@@ -106,7 +107,7 @@ def run_nrpt(
     n = schedule.n_levels
     explorers = build_explorers(model, schedule)
     if init_states is None:
-        # Level 0 is redrawn at the start of every scan; its V is never read.
+        # Level 0's kernel ignores its state, so its V is left unevaluated.
         init_states = [(model.sample_reference(rng), math.nan)]
         init_states += [_finite_reference_draw(model, rng) for _ in range(n)]
     xs = [np.array(x, dtype=float, copy=True) for x, _ in init_states]
@@ -116,8 +117,7 @@ def run_nrpt(
     moves = np.zeros((n, model.dim))
     betas = schedule.betas
     for scan in range(n_scan):
-        xs[0] = model.sample_reference(rng)
-        vs[0] = model.potential(xs[0])
+        xs[0], vs[0] = explorers[0](xs[0], vs[0], rng)
         if full:
             ends[0, :, scan] = vs
         for i in range(1, n + 1):

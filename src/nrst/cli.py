@@ -75,16 +75,21 @@ def _check_flags(parser, args):
     command line and from a config file alike.  A flag left at None is
     required unless its rule takes None.  Any other value goes through the
     flag's type (each element, for a list), must be one of its choices and
-    must pass its rule in ``_CHECKS``; ``args`` keeps the typed value."""
+    must pass its rule in ``_CHECKS``; ``args`` keeps the typed value.  A
+    list flag takes a list and a switch takes true or false."""
     for action in parser._actions:
         name = action.dest
         if name == "help":
             continue
         test, message = _CHECKS.get(name, (lambda v: v is not None, ""))
         value = getattr(args, name)
+        if action.nargs == 0 and type(value) is not bool:  # a switch, e.g. --ideal
+            raise ConfigError(name, "must be true or false")
+        if action.nargs == "*" and type(value) is not list:
+            raise ConfigError(name, f"must be a list of {action.type.__name__}")
         if value is not None:
             try:
-                items = list(value) if action.nargs == "*" else [value]
+                items = value if action.nargs == "*" else [value]
                 if action.type is not None:
                     if any(type(v) not in _JSON_TYPES[action.type] for v in items):
                         raise TypeError(name)
@@ -155,7 +160,7 @@ def _schedule_file(args) -> tuple:
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError("schedule", str(err))
     lambda_hat = payload.get("lambda_hat", 0.0)
-    if not _passes(lambda v: math.isfinite(v) and v >= 0, lambda_hat):
+    if not _passes(lambda v: type(v) is not bool and math.isfinite(v) and v >= 0, lambda_hat):
         raise ConfigError("schedule", f"lambda_hat must be a finite number >= 0, "
                                       f"got {lambda_hat!r}")
     return model, schedule, lambda_hat
@@ -243,9 +248,12 @@ def _cmd_run(args) -> int:
 def _cmd_plan(args) -> int:
     report = _load_json(args.report, "report")
     try:
-        times = np.asarray([t["cpu_seconds"] for t in report["tours"]], dtype=float)
+        cpu = [t["cpu_seconds"] for t in report["tours"]]
+        times = np.asarray(cpu, dtype=float)
     except (KeyError, TypeError, ValueError):
         raise ConfigError("report", "needs a 'tours' list of entries with 'cpu_seconds'")
+    if any(isinstance(t, bool) for t in cpu):
+        raise ConfigError("report", "cpu_seconds must be numbers, not true or false")
     pools = [int(p) for p in str(args.pools).split(",") if p]
     rng = np.random.default_rng(args.seed)
     try:

@@ -1,9 +1,11 @@
 """Exploration kernels: slice sampling within Gibbs and step-count tuning.
 
-One exploration kernel per tempering level, each leaving its tempered
-distribution invariant.  Each coordinate update shrinks one bracket of its
-level's width, placed at random around the current point and never stepped
-out, so each proposal costs one V-eval.  That is valid at any width, which
+One exploration kernel per tempering level 0..N, each leaving its tempered
+distribution invariant.  Level 0's is a fresh i.i.d. reference draw, which
+is what makes tours regenerate; every other level's is slice sampling within
+Gibbs.  Each coordinate update shrinks one bracket of its level's width,
+placed at random around the current point and never stepped out, so each
+proposal costs one V-eval.  That is valid at any width, which
 makes it usable inside a tuning loop whose grid moves every round: a bracket
 too narrow for the slice costs mixing, one too wide costs shrinks.  Widths
 come from ``Schedule.widths`` (the tuner learns them), 1.0 where a schedule
@@ -144,18 +146,31 @@ class ExplorationKernel:
         return x, v
 
 
+class ReferenceDraw:
+    """Level 0's kernel, callable as kernel(x, v, rng) -> (x', v'): a fresh
+    reference draw and its V (one V-eval), whatever x and v it is given."""
+
+    def __init__(self, model: TemperedModel):
+        self.model = model
+
+    def __call__(self, x, v, rng):
+        x = self.model.sample_reference(rng)
+        return x, self.model.potential(x)
+
+
 def _level_widths(schedule: Schedule, i: int):
     """Row of bracket widths of level i >= 1, or None for the default."""
     return None if schedule.widths is None else schedule.widths[i - 1]
 
 
 def build_explorers(model: TemperedModel, schedule: Schedule) -> list:
-    """Kernels for levels 1..N (index 0 unused: the reference is drawn i.i.d.).
+    """Kernels for levels 0..N: a :class:`ReferenceDraw` at level 0, an
+    :class:`ExplorationKernel` at each level i >= 1.
 
     Raises ValueError when a row of ``schedule.widths`` does not hold one
     width per coordinate of ``model``.
     """
-    kernels = [None]
+    kernels = [ReferenceDraw(model)]
     for i in range(1, schedule.n_levels + 1):
         kernels.append(ExplorationKernel(
             model, schedule.betas[i], int(schedule.explore_steps[i - 1]),

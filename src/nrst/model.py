@@ -165,7 +165,19 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Schedule":
+        """The schedule that :meth:`to_dict` gave.  A JSON true or false,
+        which numpy would read as 1 or 0, raises ValueError naming its key."""
+        for key in ("betas", "affinities", "explore_steps", "widths"):
+            if _holds_bool(d.get(key)):
+                raise ValueError(f"{key} must be numbers, not true or false")
         return cls(d["betas"], d["affinities"], d["explore_steps"], d.get("widths"))
+
+
+def _holds_bool(value) -> bool:
+    """Whether ``value`` is a bool or a list (of lists) holding one."""
+    if isinstance(value, list):
+        return any(map(_holds_bool, value))
+    return isinstance(value, bool)
 
 
 def acceptance_probability(v, beta_from, beta_to, c_from, c_to):

@@ -3,11 +3,12 @@
 The two kernels differ in two rules only.  The non-reversible kernel keeps
 its direction and flips it when a move is rejected or leaves the grid; the
 reversible baseline draws a fresh direction at every step.  One step routine
-runs both.  Both share the regeneration structure: tours start from a fresh
-reference draw and end at the regeneration set (level 0 moving down for the
-non-reversible kernel, any return to level 0 for the reversible one), so
-tours are i.i.d. and trivially parallel.  :func:`_regenerates` is the one
-test of that set.
+runs both: a tempering move, then the new level's exploration kernel, which
+at level 0 is a fresh reference draw.  Both share the regeneration
+structure: tours start from a fresh reference draw and end at the
+regeneration set (level 0 moving down for the non-reversible kernel, any
+return to level 0 for the reversible one), so tours are i.i.d. and
+trivially parallel.  :func:`_regenerates` is the one test of that set.
 
 The module also implements the idealized index process: the finite Markov
 chain obtained when the potential mixes perfectly within one exploration
@@ -33,6 +34,14 @@ _VARIANTS = (NRST, ST)
 # Bound on the steps of the index-process simulator, which steps all its
 # tours together until the last one regenerates.
 _INDEX_MAX_STEPS = 10**6
+
+
+def _reversible(variant) -> bool:
+    """Whether ``variant`` names the reversible kernel; ValueError unless it
+    is one of ``_VARIANTS``."""
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}")
+    return variant == ST
 
 
 def _regenerates(level, direction, reversible):
@@ -135,9 +144,10 @@ class TourTable:
                 raise AssertionError("regeneration state visited before the end")
 
 
-def _step(x, level, direction, v, model, schedule, explorers, rng, reversible):
+def _step(x, level, direction, v, schedule, explorers, rng, reversible):
     """One step of either kernel on the lifted state (x, level, direction),
-    with ``v`` the potential at x: a tempering move, then exploration.
+    with ``v`` the potential at x: a tempering move to a level i, then
+    ``explorers[i]``.
 
     The reversible kernel first draws its direction (up if
     ``rng.random() < 0.5``); the non-reversible one keeps ``direction``.
@@ -145,9 +155,10 @@ def _step(x, level, direction, v, model, schedule, explorers, rng, reversible):
     below :func:`acceptance_probability`; a proposal off the grid draws
     nothing and is rejected.  On rejection the non-reversible kernel flips
     its direction; the reversible one records the drawn direction either way
-    (bookkeeping only).  Exploration is a fresh reference draw at level 0,
-    else the level's explorer.  Returns the new (x, level, direction, v), so
-    a driver chains steps without re-evaluating V.
+    (bookkeeping only).  ``explorers`` holds one kernel per level 0..N, as
+    :func:`~nrst.explore.build_explorers` gives them (level 0's draws afresh
+    from the reference).  Returns the new (x, level, direction, v), so a
+    driver chains steps without re-evaluating V.
     """
     i = level
     eps = (1 if rng.random() < 0.5 else -1) if reversible else direction
@@ -158,24 +169,20 @@ def _step(x, level, direction, v, model, schedule, explorers, rng, reversible):
         i = j
     elif not reversible:
         eps = -eps
-    if i > 0:
-        x, v = explorers[i](x, v, rng)
-    else:
-        x = model.sample_reference(rng)
-        v = model.potential(x)
+    x, v = explorers[i](x, v, rng)
     return x, i, eps, v
 
 
-def nrst_step(x, level: int, direction: int, v: float, model: TemperedModel,
-              schedule: Schedule, explorers, rng: np.random.Generator):
+def nrst_step(x, level: int, direction: int, v: float, schedule: Schedule, explorers,
+              rng: np.random.Generator):
     """One non-reversible step; see :func:`_step`."""
-    return _step(x, level, direction, v, model, schedule, explorers, rng, False)
+    return _step(x, level, direction, v, schedule, explorers, rng, False)
 
 
-def st_step(x, level: int, direction: int, v: float, model: TemperedModel,
-            schedule: Schedule, explorers, rng: np.random.Generator):
+def st_step(x, level: int, direction: int, v: float, schedule: Schedule, explorers,
+            rng: np.random.Generator):
     """One reversible step; see :func:`_step`."""
-    return _step(x, level, direction, v, model, schedule, explorers, rng, True)
+    return _step(x, level, direction, v, schedule, explorers, rng, True)
 
 
 def run_tour(
@@ -190,26 +197,26 @@ def run_tour(
 ) -> TourTable:
     """Run one regeneration tour and record it as a one-tour table.
 
-    Starts from a fresh reference draw at (level 0, direction +1), iterates
-    kernel steps with ``explorers`` (as :func:`~nrst.explore.build_explorers`
-    gives them) until the regeneration set is reached, and raises
-    :class:`TourOverrunError` (carrying the partial tour) if that takes more
-    than ``max_steps`` steps.  Each of ``h_funcs`` is evaluated at the
-    top-level states only and summed into ``h_top_sums``.
+    Starts at (level 0, direction +1) from a call of ``explorers[0]``, the
+    fresh reference draw, and iterates kernel steps with ``explorers`` (as
+    :func:`~nrst.explore.build_explorers` gives them) until the regeneration
+    set is reached.  Raises :class:`TourOverrunError` (carrying the partial
+    tour) if that takes more than ``max_steps`` steps.  Each of ``h_funcs``
+    is evaluated at the top-level states only and summed into
+    ``h_top_sums``.
     """
-    if kernel_variant not in _VARIANTS:
-        raise ValueError(f"kernel_variant must be one of {_VARIANTS}")
+    reversible = _reversible(kernel_variant)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    n, reversible = schedule.n_levels, kernel_variant == ST
+    n = schedule.n_levels
     t0 = time.thread_time()
     evals0 = model.v_evals.value
     # Looked up from the module at call time, so a wrapper bound to either
     # name sees every step.
     step = st_step if reversible else nrst_step
 
-    x, i, e = model.sample_reference(rng), 0, 1
-    v = model.potential(x)
+    i, e = 0, 1
+    x, v = explorers[0](None, None, rng)
     levels, directions, vs = array("i", [0]), array("b", [1]), array("d", [v])
     h_sums = array("d", [0.0] * len(h_funcs))
 
@@ -220,7 +227,7 @@ def run_tour(
                          h_sums)
 
     for _ in range(max_steps):
-        x, i, e, v = step(x, i, e, v, model, schedule, explorers, rng)
+        x, i, e, v = step(x, i, e, v, schedule, explorers, rng)
         levels.append(i)
         directions.append(e)
         vs.append(v)
@@ -282,12 +289,11 @@ def ideal_te(chain: IdealIndexChain, variant: str) -> float:
     1 / (1 + 2 sum rho_i/(1-rho_i)) while the reversible one attains
     1 / (4N - 1 + 4 sum rho_i/(1-rho_i)).
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+    reversible = _reversible(variant)
     rho = chain.rho
     s = float(np.sum(rho / (1.0 - rho)))
     n = chain.n_levels
-    if variant == NRST:
+    if not reversible:
         return 1.0 / (1.0 + 2.0 * s)
     return 1.0 / (4.0 * n - 1.0 + 4.0 * s)
 
@@ -305,11 +311,10 @@ def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
     estimators.  A tour still running after ``_INDEX_MAX_STEPS`` steps
     raises :class:`TourOverrunError`.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+    reversible = _reversible(variant)
     if n_tours < 1:
         raise ValueError("n_tours must be >= 1")
-    reversible, n = variant == ST, chain.n_levels
+    n = chain.n_levels
     alpha_up = np.append(1.0 - chain.rho, 0.0)  # accepting a move up from level i
     alpha_dn = np.append(0.0, 1.0 - chain.rho)  # and a move down
 

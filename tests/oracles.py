@@ -137,6 +137,19 @@ def uniform_schedule(n_levels: int, explore_steps: int = 1) -> Schedule:
     return Schedule(betas, np.zeros(n_levels + 1), np.full(n_levels, explore_steps))
 
 
+class CountingDraw:
+    """Stand-in for level 0's kernel: returns one fixed state whatever it is
+    given, and counts its calls."""
+
+    def __init__(self, x, v):
+        self.state = (x, v)
+        self.calls = 0
+
+    def __call__(self, x, v, rng):
+        self.calls += 1
+        return self.state
+
+
 def warm_states(model, schedule: Schedule, rng, n_scan: int = 8) -> list:
     """One (x, V(x)) per level 0..N, from a short NRPT pass on ``schedule``:
     warm starts like those ``adapt`` gives ``tune_explore_steps``."""

@@ -26,9 +26,10 @@ from nrst.adapt import (
     stepping_stone_logz,
 )
 from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
-from nrst.explore import autocorrelation, lag1_autocorrelation
+from nrst.explore import autocorrelation, build_explorers, lag1_autocorrelation
 from nrst.model import Schedule, TemperedModel
 from oracles import (
+    CountingDraw,
     LinearBarrier,
     grid_per_target,
     local_rejection_rates,
@@ -116,7 +117,8 @@ def test_run_nrpt_swap_accepts_on_a_zero_uniform(monkeypatch):
     # u = 0 lies below every positive acceptance probability; it used to
     # reach math.log(0.0) and raise a bare ValueError
     monkeypatch.setattr(importlib.import_module("nrst.adapt"), "build_explorers",
-                        lambda model, schedule: [None] + [lambda x, v, rng: (x, v)] * 3)
+                        lambda model, schedule: build_explorers(model, schedule)[:1]
+                        + [lambda x, v, rng: (x, v)] * 3)
     model = ToyGaussian()
     states = [(np.zeros(3), math.nan)]
     states += [(np.full(3, float(i)), model.potential(np.full(3, float(i)))) for i in (1, 2, 3)]
@@ -124,6 +126,18 @@ def test_run_nrpt_swap_accepts_on_a_zero_uniform(monkeypatch):
                     init_states=states)
     # scan 0 swaps the even pairs (0, 1) and (2, 3)
     assert (data[0][0], data[2][0], data[3][0]) == (states[1][1], states[3][1], states[2][1])
+
+
+def test_run_nrpt_calls_level_zeros_kernel_once_per_scan(monkeypatch):
+    model = ToyGaussian()
+    x = np.full(3, 2.0)
+    draw = CountingDraw(x, model.potential(x))
+    monkeypatch.setattr(importlib.import_module("nrst.adapt"), "build_explorers",
+                        lambda model, schedule: [draw] + build_explorers(model, schedule)[1:])
+    nrpt = run_nrpt(model, uniform_schedule(3), 5, np.random.default_rng(0), full=True)
+    assert draw.calls == 5
+    # level 0's V entering and leaving exploration is its kernel's
+    assert np.all(nrpt.ends[:, 0, :] == draw.state[1])
 
 
 def test_run_nrpt_level_means_match_analytic():

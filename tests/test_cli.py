@@ -282,6 +282,27 @@ def test_text_in_a_config_file_for_a_number_flag_is_a_config_error(tmp_path, cap
         "config error: levels: must be of type int\n")
 
 
+@pytest.mark.parametrize("command, flags, message", [
+    ("run", {"h_coords": "12"}, "h_coords: must be a list of int"),
+    ("run", {"h_coords": 12}, "h_coords: must be a list of int"),
+    ("bench", {"ideal": "no"}, "ideal: must be true or false"),
+    ("bench", {"ideal": 1}, "ideal: must be true or false"),
+])
+def test_a_config_file_gives_a_list_flag_a_list_and_a_switch_a_boolean(command, flags, message,
+                                                                        tuned_dir, tmp_path,
+                                                                        capsys):
+    # "12" was split into the coordinates 1 and 2, and "no" and 1 switched
+    # --ideal on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(flags))
+    argv = ["--config", cfg, command, "--schedule", tuned_dir / "schedule.json"]
+    if command == "run":
+        argv += ["--out", tmp_path / "out"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_number_in_a_config_file_for_a_path_flag_is_a_config_error(tmp_path, capsys):
     # open(0) would read the schedule from stdin
     cfg = tmp_path / "cfg.json"
@@ -332,7 +353,7 @@ def test_config_file_gives_params_as_an_object(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["run", "bench"])
-@pytest.mark.parametrize("lambda_hat", [-1.0, "abc", None])
+@pytest.mark.parametrize("lambda_hat", [-1.0, "abc", None, True])
 def test_schedule_lambda_hat_must_be_a_finite_number(command, lambda_hat, tuned_dir, tmp_path,
                                                      capsys):
     payload = json.loads((tuned_dir / "schedule.json").read_text())
@@ -398,6 +419,10 @@ def test_bad_widths_are_a_config_error(command, bad, message, tuned_dir, tmp_pat
 @pytest.mark.parametrize("key, value, message", [
     ("betas", [0.0, math.nan, 1.0], "schedule: betas must be finite"),
     ("explore_steps", [2.5, 1.0], "schedule: explore_steps must be whole numbers"),
+    ("betas", [0.0, True, 1.0], "schedule: betas must be numbers, not true or false"),
+    ("affinities", [0.0, 1.0, False], "schedule: affinities must be numbers, not true or false"),
+    ("explore_steps", [True, 1], "schedule: explore_steps must be numbers, not true or false"),
+    ("widths", [[True, 1, 1], [1, 1, 1]], "schedule: widths must be numbers, not true or false"),
     ("model", {"name": "toy_gaussian", "params": {"dimm": 7}},
      "params: model 'toy_gaussian' has no parameter 'dimm'"),
     ("model", {"name": "toy_gaussian", "params": {"dim": "abc"}}, "params: "),
@@ -437,13 +462,15 @@ _NO_REJECTIONS = json.dumps({"model": {"name": "toy_gaussian"}, "betas": [0, 1],
     ("plan", "report", json.dumps({"tours": [1, 2]})),
     ("plan", "report", json.dumps({"tours": [{"n_steps": 3}]})),
     ("plan", "report", json.dumps({"tours": [{"cpu_seconds": -1.0}] * 12})),
+    ("plan", "report", json.dumps({"tours": [{"cpu_seconds": True}] * 12})),
     ("config", "config", None),
     ("config", "config", "{"),
     ("config", "config", "[1, 2]"),
 ], ids=["run-missing", "run-bad-json", "run-not-object", "bench-missing", "bench-not-object",
         "ideal-no-rejections", "ideal-no-sym", "plan-missing", "plan-bad-json",
         "plan-not-object", "plan-no-tours", "plan-tours-not-objects", "plan-no-cpu-seconds",
-        "plan-negative-cpu-seconds", "config-missing", "config-bad-json", "config-not-object"])
+        "plan-negative-cpu-seconds", "plan-boolean-cpu-seconds", "config-missing",
+        "config-bad-json", "config-not-object"])
 def test_json_files_the_cli_reads_are_config_errors(command, flag, content, tmp_path, capsys):
     # content None: the file is missing
     path = tmp_path / "input.json"

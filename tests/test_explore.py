@@ -297,6 +297,23 @@ def test_kernel_preserves_normal_invariance_at_any_width(width):
     assert pvalue > 0.01
 
 
+def test_level_zero_explorer_is_a_fresh_reference_draw():
+    model = ToyGaussian()
+    sched = uniform_schedule(2)
+    explorers = build_explorers(model, sched)
+    assert len(explorers) == sched.n_levels + 1
+    before = model.v_evals.value
+    x, v = explorers[0](np.full(3, 1e6), math.nan, np.random.default_rng(5))
+    assert model.v_evals.value - before == 1
+    expected = model.sample_reference(np.random.default_rng(5))
+    np.testing.assert_array_equal(x, expected)
+    assert v == model.potential(expected)
+    # whatever state it is handed, the same stream gives the same draw
+    again = explorers[0](np.zeros(3), 0.0, np.random.default_rng(5))
+    np.testing.assert_array_equal(again[0], x)
+    assert again[1] == v
+
+
 def test_build_explorers_gives_each_level_its_widths():
     model = ToyGaussian()
     sched = uniform_schedule(2)

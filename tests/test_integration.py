@@ -59,9 +59,9 @@ def test_package_exports_only_the_pipeline_api():
     public = {name for name, value in vars(nrst).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {
-        "TemperedModel", "Schedule", "ModelSpec", "make_model", "adapt", "AdaptResult",
-        "run_parallel", "pilot_then_run", "RunReport", "CoordinateFunction",
-        "fit_cpu_model", "cost_curves", "simulate_pool", "DivergedPotentialError",
+        "TemperedModel", "Schedule", "ModelSpec", "make_model", "adapt",
+        "run_parallel", "pilot_then_run", "CoordinateFunction",
+        "fit_cpu_model", "cost_curves", "DivergedPotentialError",
         "SliceNumericalError", "TourOverrunError",
         "NoTopVisitsError",
     }

@@ -196,6 +196,20 @@ def test_schedule_round_trips_widths():
     assert Schedule.from_dict(sched.to_dict()).widths is None
 
 
+@pytest.mark.parametrize("key, value", [
+    ("betas", [0, True]),
+    ("affinities", [0, False]),
+    ("explore_steps", [True]),
+    ("widths", [[True, 1, 1]]),
+])
+def test_schedule_from_dict_refuses_booleans_naming_the_key(key, value):
+    # numpy reads true as 1 and false as 0, so each built a schedule
+    d = {"betas": [0, 1], "affinities": [0, 0.5], "explore_steps": [1], "widths": [[1, 1, 1]],
+         key: value}
+    with pytest.raises(ValueError, match=f"^{key} must be numbers, not true or false$"):
+        Schedule.from_dict(d)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
 def test_schedule_rejects_bad_widths_naming_the_level(bad):
     sched = uniform_schedule(3)

@@ -24,7 +24,7 @@ from nrst.st_kernels import (
     write_traces_csv,
 )
 
-from oracles import index_kernel, uniform_schedule, write_traces_csv_per_tour
+from oracles import CountingDraw, index_kernel, uniform_schedule, write_traces_csv_per_tour
 
 
 class ScriptedRng:
@@ -49,8 +49,8 @@ class ScriptedRng:
 def own_explorers(model, sched, rng):
     """Slice explorers that draw from ``rng`` whatever Generator they are
     handed, so their draws do not consume a script."""
-    return [None] + [lambda x, v, _, e=e: e(x, v, rng)
-                     for e in build_explorers(model, sched)[1:]]
+    explorers = build_explorers(model, sched)
+    return explorers[:1] + [lambda x, v, _, e=e: e(x, v, rng) for e in explorers[1:]]
 
 
 @pytest.fixture
@@ -73,7 +73,8 @@ def exact_toy_schedule(n):
 def test_nrst_step_forced_rejection(toy, sched2):
     rng = np.random.default_rng(0)
     x = toy.sample_reference(rng)
-    new_x, level, direction, _ = nrst_step(x, 0, 1, toy.potential(x), toy, sched2, None,
+    new_x, level, direction, _ = nrst_step(x, 0, 1, toy.potential(x), sched2,
+                                           build_explorers(toy, sched2),
                                            ScriptedRng(rng, 0.999999))
     assert (level, direction) == (0, -1)
     assert not np.array_equal(new_x, x)  # level 0 resamples the reference
@@ -89,7 +90,7 @@ def test_nrst_step_bounce_above_no_draw(toy):
 
     stub = ScriptedRng(rng)
     stub.random = no_draw
-    _, level, direction, _ = nrst_step(x, 1, 1, toy.potential(x), toy, sched,
+    _, level, direction, _ = nrst_step(x, 1, 1, toy.potential(x), sched,
                                        own_explorers(toy, sched, rng), stub)
     assert (level, direction) == (1, -1)
 
@@ -106,7 +107,7 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
     explorers = build_explorers(toy, sched2)
     accepted = 0
     for _ in range(n):
-        _, level, _, _ = nrst_step(x, 0, 1, v, toy, sched2, explorers, rng)
+        _, level, _, _ = nrst_step(x, 0, 1, v, sched2, explorers, rng)
         accepted += level == 1
     freq = accepted / n
     assert abs(freq - prob) <= 3.0 * math.sqrt(prob * (1 - prob) / n)
@@ -115,8 +116,8 @@ def test_nrst_step_interior_acceptance_frequency(toy, sched2):
 def test_st_step_boundary_rejection(toy, sched2):
     rng = np.random.default_rng(4)
     x = toy.sample_reference(rng)
-    _, level, direction, _ = st_step(x, 0, 1, toy.potential(x), toy, sched2, None,
-                                     ScriptedRng(rng, 0.9))
+    _, level, direction, _ = st_step(x, 0, 1, toy.potential(x), sched2,
+                                     build_explorers(toy, sched2), ScriptedRng(rng, 0.9))
     assert level == 0 and direction == -1
 
 
@@ -130,9 +131,37 @@ def test_st_step_absorbing_when_all_rejected(toy):
     for _ in range(20):
         # a random direction, then u = 1.0 if the proposal is in range
         x, level, direction, v = st_step(
-            x, level, direction, v, toy, sched, explorers, ScriptedRng(rng, rng.random(), 1.0)
+            x, level, direction, v, sched, explorers, ScriptedRng(rng, rng.random(), 1.0)
         )
         assert level == 1
+
+
+def test_a_step_that_lands_at_level_zero_calls_level_zeros_kernel(toy, sched2):
+    x0 = np.zeros(3)
+    v0 = toy.potential(x0)
+    explorers = build_explorers(toy, sched2)
+    explorers[0] = draw = CountingDraw(np.full(3, 7.0), 7.0)
+    rng = np.random.default_rng(0)
+    # rejected up from level 0: the step stays there and explores with the stub
+    x, level, _, v = nrst_step(x0, 0, 1, v0, sched2, explorers, ScriptedRng(rng, 0.999999))
+    assert (level, v, draw.calls) == (0, 7.0, 1) and x is draw.state[0]
+    # down from level 1 (u = 0.9 picks -1) and accepted
+    x, level, _, v = st_step(x0, 1, 1, v0, sched2, explorers, ScriptedRng(rng, 0.9, 0.0))
+    assert (level, v, draw.calls) == (0, 7.0, 2) and x is draw.state[0]
+    # a step that lands at level 1 leaves the stub alone
+    _, level, _, _ = nrst_step(x0, 0, 1, v0, sched2, explorers, ScriptedRng(rng, 0.0))
+    assert (level, draw.calls) == (1, 2)
+
+
+def test_run_tour_starts_from_level_zeros_kernel(toy, sched2):
+    explorers = build_explorers(toy, sched2)
+    explorers[0] = draw = CountingDraw(np.full(3, 2.0), 1.25)
+    # rejected up from level 0: the start state and the one step both come
+    # from the stub
+    trace = run_tour(toy, sched2, "nrst", 10, ScriptedRng(np.random.default_rng(1), 0.999999),
+                     explorers)
+    assert draw.calls == 2
+    assert list(trace.levels) == [0, 0] and list(trace.v) == [1.25, 1.25]
 
 
 def test_run_tour_minimal(toy, sched2):
@@ -329,13 +358,13 @@ def test_step_kernels_match_ideal_index_chain():
     grid = (np.arange(2000) + 0.5) / 2000
     size = 2 * (n + 1)
     empirical = np.zeros((size, size))
-    explorers = [None] + [lambda x, v, r: (x, v)] * n
+    explorers = build_explorers(model, sched)[:1] + [lambda x, v, r: (x, v)] * n
     rng = np.random.default_rng(11)
     for i in range(n + 1):
         for di, d in enumerate((1, -1)):
             for u in grid:
-                _, level, direction, _ = nrst_step(np.zeros(1), i, d, v, model, sched,
-                                                   explorers, ScriptedRng(rng, u))
+                _, level, direction, _ = nrst_step(np.zeros(1), i, d, v, sched, explorers,
+                                                   ScriptedRng(rng, u))
                 empirical[2 * i + di, 2 * level + (0 if direction > 0 else 1)] += 1
     empirical /= grid.size
     np.testing.assert_allclose(empirical, ideal, atol=1e-3)
@@ -348,8 +377,8 @@ def test_step_kernels_match_ideal_index_chain():
     for i in range(n + 1):
         for u in (np.arange(50) + 0.5) / 50:
             for ud in (0.25, 0.75):
-                _, level, _, _ = st_step(np.zeros(1), i, +1, v, model, sched,
-                                         explorers, ScriptedRng(rng, ud, u))
+                _, level, _, _ = st_step(np.zeros(1), i, +1, v, sched, explorers,
+                                         ScriptedRng(rng, ud, u))
                 level_counts[level] += 1
     level_counts /= level_counts.sum()
     np.testing.assert_allclose(level_counts, np.full(n + 1, 1 / (n + 1)), atol=0.02)
@@ -500,7 +529,7 @@ def test_ele_stubbed_tour_length(toy):
 
         return draw
 
-    explorers = [None] + [exact_sampler(b) for b in sched.betas[1:]]
+    explorers = build_explorers(toy, sched)[:1] + [exact_sampler(b) for b in sched.betas[1:]]
     rng = np.random.default_rng(16)
     n_tours = 20_000
     lengths = np.empty(n_tours)
