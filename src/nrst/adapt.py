@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune_explore_steps
-from .model import DivergedPotentialError, Schedule, TemperedModel, acceptance_probability
+from .model import Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
 # Grid size as a multiple of the cost-optimal N-star (see optimal_grid_size).
@@ -53,15 +53,21 @@ _MAX_ASYMMETRY = 0.05
 _BISECTIONS = 40
 
 
+class InfiniteReferenceError(RuntimeError):
+    """No reference draw of a cold start had a finite potential."""
+
+
 def _finite_reference_draw(model, rng):
     """(x, V(x)) for a reference draw with finite potential, for warm-starting
-    level chains."""
+    level chains; InfiniteReferenceError after ``_INIT_DRAW_TRIES`` draws
+    with V = +inf."""
     for _ in range(_INIT_DRAW_TRIES):
         x = model.sample_reference(rng)
         v = model.potential(x)
         if math.isfinite(v):
             return x, v
-    raise DivergedPotentialError(x, v)
+    raise InfiniteReferenceError(f"all {_INIT_DRAW_TRIES} reference draws had V = +inf, so "
+                                 f"no tempered level has a state to start from")
 
 
 class NrptPass(NamedTuple):
@@ -408,6 +414,17 @@ class AdaptResult:
     n_scan_final: int
     restarts: int
     log_z: np.ndarray | None = None
+    # V-evals of the pass that runs only when the last round restarts, and
+    # of the step-tuning chains; with the rounds' they sum to the tune's.
+    final_pass_v_evals: int = 0
+    step_tuning_v_evals: int = 0
+
+
+def _counting_v_evals(model, call, *args, **kwargs):
+    """(call(*args, **kwargs), the V-evals it made through ``model``)."""
+    evals0 = model.v_evals.value
+    out = call(*args, **kwargs)
+    return out, model.v_evals.value - evals0
 
 
 def _widths_from_moves(moves, n_scan):
@@ -507,9 +524,10 @@ def adapt(
     until convergence or exhaustion of ``max_rounds``.  A round converges
     when :func:`check_convergence` finds every stability indicator, against
     the round before on the same grid, below its module threshold.  Each
-    round records batch-means standard errors of its ``lambda_hat``
-    (affinities held fixed) and of its log Z(1) as ``lambda_se`` and
-    ``logz_se`` (None below ``_MIN_SE_SCANS`` scans).  The grid size N =
+    round records its pass's V-evals as ``v_evals`` and batch-means
+    standard errors of its ``lambda_hat`` (affinities held fixed) and of its
+    log Z(1) as ``lambda_se`` and ``logz_se`` (None below ``_MIN_SE_SCANS``
+    scans).  The grid size N =
     ``optimal_grid_size(lambda_hat, _GAMMA)`` is settled at the first round
     where it is the same at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE,
     or else at the last round (the cap binds or the round converged).  If a
@@ -550,8 +568,10 @@ def adapt(
     batch-means SEs per level, with the last pass's final states: a level
     whose bound is <= ``explore._KAPPA_BAR`` gets 1 step at no V-eval cost,
     and every other level runs a chain of ``explore._CHAIN_LEN`` sweeps
-    warm-started from its state.  Every argument is checked before the
-    first pass; ``n_levels_initial`` must be a whole number >= 1.
+    warm-started from its state.  The result's ``final_pass_v_evals`` and
+    ``step_tuning_v_evals`` count the V-evals spent outside the rounds'
+    passes.  Every argument is checked before the first pass;
+    ``n_levels_initial`` must be a whole number >= 1.
     """
     if not (n_levels_initial >= 1 and float(n_levels_initial).is_integer()):
         raise ValueError(f"n_levels_initial must be a whole number >= 1, "
@@ -569,10 +589,12 @@ def adapt(
     restarts = 0
     n_scan = 1
     converged = False
+    final_pass_v_evals = 0
 
     for round_idx in range(1, max_rounds + 1):
         n_scan *= 2
-        nrpt = _tuning_pass(model, betas, widths, n_scan, rng, states)
+        nrpt, pass_v_evals = _counting_v_evals(model, _tuning_pass, model, betas, widths,
+                                               n_scan, rng, states)
         states = nrpt.states
         current = _pass_estimates(nrpt.data, betas, affinity_mode)
         affinities, barrier = current.affinities, current.barrier
@@ -585,8 +607,9 @@ def adapt(
         if prev is not None:
             converged, indicators = check_convergence(prev, current, affinity_mode)
         rounds_log.append({"round": round_idx, "n_scan": n_scan, "n_levels": n,
-                           "lambda_hat": barrier.total, "lambda_se": lambda_se,
-                           "logz_se": logz_se, "affinity_top": float(affinities[-1]),
+                           "v_evals": pass_v_evals, "lambda_hat": barrier.total,
+                           "lambda_se": lambda_se, "logz_se": logz_se,
+                           "affinity_top": float(affinities[-1]),
                            "indicators": indicators, "converged": converged})
         prev = current
 
@@ -623,19 +646,22 @@ def adapt(
     else:
         # The last round restarted, so no pass has run at the new size.
         n_scan *= 2
-        nrpt = _tuning_pass(model, betas, widths, n_scan, rng, states)
+        nrpt, final_pass_v_evals = _counting_v_evals(model, _tuning_pass, model, betas,
+                                                     widths, n_scan, rng, states)
 
     affinities, log_z, rejections, barrier = _pass_estimates(nrpt.data, betas, affinity_mode)
     widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1])
     spread, asym = equi_rejection_indicators(*rejections)
     kappa1 = [_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
-    explore_steps = tune_explore_steps(model, tuning_sched, rng,
-                                       init_states=nrpt.states, kappa1=kappa1)
+    explore_steps, step_tuning_v_evals = _counting_v_evals(
+        model, tune_explore_steps, model, tuning_sched, rng,
+        init_states=nrpt.states, kappa1=kappa1)
     return AdaptResult(
         schedule=Schedule(betas, affinities, explore_steps, widths),
         barrier=barrier, lambda_hat=barrier.total, converged=converged,
         rounds=rounds_log, rejections=rejections,
         final_indicators={"rejection_spread": spread, "directional_asymmetry": asym},
         n_scan_final=n_scan, restarts=restarts, log_z=log_z,
+        final_pass_v_evals=final_pass_v_evals, step_tuning_v_evals=step_tuning_v_evals,
     )

@@ -16,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from . import planner
+from .adapt import InfiniteReferenceError
 from .adapt import adapt as run_adapt
 from .bench_models import ModelSpec, available_models, make_model
 from .explore import SliceNumericalError, build_explorers
@@ -202,6 +203,8 @@ def _cmd_tune(args) -> int:
         "rejections": dict(zip(("up", "down", "sym"), (r.tolist() for r in result.rejections))),
         "final_indicators": result.final_indicators,
         "n_scan_final": result.n_scan_final,
+        "final_pass_v_evals": result.final_pass_v_evals,
+        "step_tuning_v_evals": result.step_tuning_v_evals,
         "seed": args.seed,
     }
     sched_path = os.path.join(args.out, "schedule.json")
@@ -215,6 +218,13 @@ def _cmd_tune(args) -> int:
           f"lambda_hat={result.lambda_hat:.4f} converged={result.converged}")
     per_n = Counter(r["n_levels"] for r in result.rounds)
     print("rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items()))
+    # The final pass and the step-tuning chains run at the kept N.
+    evals = Counter()
+    for r in result.rounds:
+        evals[r["n_levels"]] += r["v_evals"]
+    evals[result.schedule.n_levels] += result.final_pass_v_evals + result.step_tuning_v_evals
+    print("V-evals per N: " + " ".join(f"{n}:{k}" for n, k in evals.items())
+          + f" (step tuning {result.step_tuning_v_evals})")
     print(f"schedule written to {sched_path}")
     return 0
 
@@ -411,7 +421,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (TourOverrunError, DivergedPotentialError, SliceNumericalError,
-            NoTopVisitsError) as err:
+            NoTopVisitsError, InfiniteReferenceError) as err:
         where = ""
         if hasattr(err, "tour_index"):
             where = f"tour {err.tour_index} (seed {err.seed}): "

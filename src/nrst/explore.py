@@ -2,14 +2,16 @@
 
 One exploration kernel per tempering level 0..N, each leaving its tempered
 distribution invariant.  Level 0's is a fresh i.i.d. reference draw, which
-is what makes tours regenerate; every other level's is slice sampling within
-Gibbs.  Each coordinate update shrinks one bracket of its level's width,
-placed at random around the current point and never stepped out, so each
-proposal costs one V-eval.  That is valid at any width, which
-makes it usable inside a tuning loop whose grid moves every round: a bracket
-too narrow for the slice costs mixing, one too wide costs shrinks.  Widths
-come from ``Schedule.widths`` (the tuner learns them), 1.0 where a schedule
-carries none.  The number of self-compositions per level is the smallest
+is what makes tours regenerate: it runs once per tour, at its start (a tour
+ends at the move into the regeneration set, with no kernel after it), and
+once per NRPT scan.  Every other level's is slice sampling within Gibbs.
+Each coordinate update shrinks one bracket of its level's width, placed at
+random around the current point and never stepped out, so each proposal
+costs one V-eval.  That is valid at any width, which makes it usable
+inside a tuning loop whose grid moves every round: a bracket too narrow for
+the slice costs mixing, one too wide costs shrinks.  Widths come from
+``Schedule.widths`` (the tuner learns them), 1.0 where a schedule carries
+none.  The number of self-compositions per level is the smallest
 lag n at which the autocorrelation of the potential series falls to
 ``_KAPPA_BAR``, read from a chain of ``_CHAIN_LEN`` sweeps at the levels
 that need one.  Kernels take the potential V of their start point and
@@ -148,7 +150,10 @@ class ExplorationKernel:
 
 class ReferenceDraw:
     """Level 0's kernel, callable as kernel(x, v, rng) -> (x', v'): a fresh
-    reference draw and its V (one V-eval), whatever x and v it is given."""
+    reference draw and its V (one V-eval), whatever x and v it is given.
+
+    A tour calls it once, for its first state; the step that returns to
+    level 0 ends the tour without it.  An NRPT scan calls it once."""
 
     def __init__(self, model: TemperedModel):
         self.model = model

@@ -3,12 +3,14 @@
 The two kernels differ in two rules only.  The non-reversible kernel keeps
 its direction and flips it when a move is rejected or leaves the grid; the
 reversible baseline draws a fresh direction at every step.  One step routine
-runs both: a tempering move, then the new level's exploration kernel, which
-at level 0 is a fresh reference draw.  Both share the regeneration
-structure: tours start from a fresh reference draw and end at the
-regeneration set (level 0 moving down for the non-reversible kernel, any
-return to level 0 for the reversible one), so tours are i.i.d. and
-trivially parallel.  :func:`_regenerates` is the one test of that set.
+runs both: a tempering move, then the new level's exploration kernel.  Both
+share the regeneration structure: tours start from a fresh reference draw
+(level 0's kernel) and end at the move that enters the regeneration set
+(level 0 moving down for the non-reversible kernel, any return to level 0
+for the reversible one), so tours are i.i.d. and trivially parallel.  No
+kernel runs after that move: the next tour's first draw is the fresh state,
+so each tour draws from the reference once.  :func:`_regenerates` is the
+one test of that set.
 
 The module also implements the idealized index process: the finite Markov
 chain obtained when the potential mixes perfectly within one exploration
@@ -74,7 +76,8 @@ class TourTable:
     (``array('d')``, the potential) hold the states of all tours back to
     back; tour j's states run from ``starts[j]`` up to the next tour's start
     (or the end).  Each tour's first state is its fresh reference draw at
-    (level 0, direction +1), its last the regeneration state.  ``v_evals``,
+    (level 0, direction +1), its last the regeneration state, which keeps
+    the V that the move into it carried (no kernel runs there).  ``v_evals``,
     ``cpu_seconds`` and ``visits_top`` hold one entry per tour, and
     ``h_top_sums`` holds ``n_h`` per tour, tour by tour: the m-th sums the
     m-th test function over the tour's states at the top level, the only
@@ -147,7 +150,9 @@ class TourTable:
 def _step(x, level, direction, v, schedule, explorers, rng, reversible):
     """One step of either kernel on the lifted state (x, level, direction),
     with ``v`` the potential at x: a tempering move to a level i, then
-    ``explorers[i]``.
+    ``explorers[i]``, unless the move lands in the regeneration set.  There
+    the tour ends, so the state keeps the (x, v) the move carried and no
+    kernel runs: level 0's, a fresh reference draw, would be read by nobody.
 
     The reversible kernel first draws its direction (up if
     ``rng.random() < 0.5``); the non-reversible one keeps ``direction``.
@@ -157,8 +162,8 @@ def _step(x, level, direction, v, schedule, explorers, rng, reversible):
     its direction; the reversible one records the drawn direction either way
     (bookkeeping only).  ``explorers`` holds one kernel per level 0..N, as
     :func:`~nrst.explore.build_explorers` gives them (level 0's draws afresh
-    from the reference).  Returns the new (x, level, direction, v), so a
-    driver chains steps without re-evaluating V.
+    from the reference; no step of a tour runs it).  Returns the new (x,
+    level, direction, v), so a driver chains steps without re-evaluating V.
     """
     i = level
     eps = (1 if rng.random() < 0.5 else -1) if reversible else direction
@@ -169,7 +174,8 @@ def _step(x, level, direction, v, schedule, explorers, rng, reversible):
         i = j
     elif not reversible:
         eps = -eps
-    x, v = explorers[i](x, v, rng)
+    if not _regenerates(i, eps, reversible):
+        x, v = explorers[i](x, v, rng)
     return x, i, eps, v
 
 
@@ -199,9 +205,11 @@ def run_tour(
 
     Starts at (level 0, direction +1) from a call of ``explorers[0]``, the
     fresh reference draw, and iterates kernel steps with ``explorers`` (as
-    :func:`~nrst.explore.build_explorers` gives them) until the regeneration
-    set is reached.  Raises :class:`TourOverrunError` (carrying the partial
-    tour) if that takes more than ``max_steps`` steps.  Each of ``h_funcs``
+    :func:`~nrst.explore.build_explorers` gives them) until a move enters
+    the regeneration set.  That move runs no kernel, so the start is the
+    tour's only reference draw and a one-step tour costs one V-eval.
+    Raises :class:`TourOverrunError` (carrying the partial tour) if that
+    takes more than ``max_steps`` steps.  Each of ``h_funcs``
     is evaluated at the top-level states only and summed into
     ``h_top_sums``.
     """

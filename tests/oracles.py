@@ -11,7 +11,10 @@ is the uniform-grid schedule that kernel and NRPT tests run on, and
 ``warm_states`` the warm starts that step-tuning tests give each level.
 ``write_traces_csv_per_tour`` writes ``traces.csv`` one tour at a time,
 from the one-tour tables that indexing a ``TourTable`` gives: the column
-writer must match it byte for byte.
+writer must match it byte for byte.  ``run_tour_exploring_regeneration``
+is the tour that runs level 0's kernel after the move into the regeneration
+set too, a second reference draw that nothing reads: ``run_tour`` must match
+it in every column but ``cpu_seconds``, the last ``v`` and ``v_evals``.
 
 ``grid_per_target``, ``logz_per_interval``, ``median_affinities_per_level``
 and ``rejections_per_interval`` are the tuner's estimators written one
@@ -20,12 +23,14 @@ must equal them bit for bit.
 """
 
 import math
+import time
+from array import array
 
 import numpy as np
 
 from nrst.adapt import run_nrpt
 from nrst.model import Schedule, acceptance_probability
-from nrst.st_kernels import _VARIANTS, NRST, IdealIndexChain
+from nrst.st_kernels import _VARIANTS, NRST, ST, IdealIndexChain, TourOverrunError, TourTable
 
 
 def _state_index(i, direction):
@@ -241,3 +246,38 @@ def write_traces_csv_per_tour(traces, fileobj) -> None:
     for tour_id, trace in enumerate(traces):
         for step, (level, direction, v) in enumerate(zip(trace.levels, trace.directions, trace.v)):
             fileobj.write(f"{tour_id},{step},{level},{direction},{v!r}\n")
+
+
+def run_tour_exploring_regeneration(model, schedule, variant, max_steps, rng, explorers, *,
+                                    h_funcs=()):
+    """``run_tour`` with every step, the one into the regeneration set
+    included, followed by the new level's kernel."""
+    reversible = variant == ST
+    n = schedule.n_levels
+    betas, c = schedule.betas, schedule.affinities
+    t0 = time.thread_time()
+    evals0 = model.v_evals.value
+    i, e = 0, 1
+    x, v = explorers[0](None, None, rng)
+    levels, directions, vs = array("i", [0]), array("b", [1]), array("d", [v])
+    h_sums = array("d", [0.0] * len(h_funcs))
+    for _ in range(max_steps):
+        e = (1 if rng.random() < 0.5 else -1) if reversible else e
+        j = i + e
+        if 0 <= j <= n and rng.random() < acceptance_probability(v, betas[i], betas[j], c[i], c[j]):
+            i = j
+        elif not reversible:
+            e = -e
+        x, v = explorers[i](x, v, rng)
+        levels.append(i)
+        directions.append(e)
+        vs.append(v)
+        if i == n:
+            for m, h in enumerate(h_funcs):
+                h_sums[m] += h(x)
+        elif i == 0 and (e == -1 or reversible):
+            return TourTable(variant, len(h_funcs), levels, directions, vs, array("q", [0]),
+                             array("q", [model.v_evals.value - evals0]),
+                             array("d", [time.thread_time() - t0]),
+                             array("q", [levels.count(n)]), h_sums)
+    raise TourOverrunError(max_steps, None)

@@ -6,6 +6,7 @@ import pytest
 
 from nrst.adapt import (
     BarrierEstimate,
+    InfiniteReferenceError,
     PassEstimates,
     _batch_se,
     _carry_widths,
@@ -782,6 +783,34 @@ def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier():
     res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
     assert len(res.rounds) == 6
     assert all(math.isfinite(r["lambda_hat"]) for r in res.rounds)
+
+
+def test_adapt_v_evals_by_part_sum_to_the_tune():
+    # Round 2 is the last and restarts (N 16 -> 5), so one more pass runs;
+    # below 32 scans every level's kappa(1) bound is +inf, so every level
+    # runs a step-tuning chain.
+    model = ToyGaussian()
+    res = adapt(model, 16, 2, rng=np.random.default_rng(3))
+    parts = [r["v_evals"] for r in res.rounds]
+    parts += [res.final_pass_v_evals, res.step_tuning_v_evals]
+    assert min(parts) > 0
+    assert sum(parts) == model.v_evals.value
+
+
+class InfiniteModel(ToyGaussian):
+    """V identically +inf: no reference draw has a finite potential."""
+
+    def _potential(self, x):
+        return math.inf
+
+
+def test_adapt_cold_start_without_a_finite_reference_draw_says_so():
+    # V = +inf is a valid potential, so this is not DivergedPotentialError.
+    model = InfiniteModel()
+    with pytest.raises(InfiniteReferenceError, match=r"all 1000 reference draws had V = \+inf"):
+        adapt(model, 2, 3, rng=np.random.default_rng(0))
+    # the first level's warm start gave up after 1000 draws
+    assert model.v_evals.value == 1000
 
 
 @pytest.mark.slow

@@ -65,6 +65,16 @@ def test_tune_outputs(tune_run):
         per_n[r["n_levels"]] = per_n.get(r["n_levels"], 0) + 1
     expected = "rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items())
     assert expected in stdout.splitlines()
+    # and the V-evals spent at each, the kept N's with the step tuning's
+    evals = {}
+    for r in rounds:
+        evals[r["n_levels"]] = evals.get(r["n_levels"], 0) + r["v_evals"]
+    step = payload["step_tuning_v_evals"]
+    kept = len(betas) - 1
+    evals[kept] = evals.get(kept, 0) + payload["final_pass_v_evals"] + step
+    expected = ("V-evals per N: " + " ".join(f"{n}:{k}" for n, k in evals.items())
+                + f" (step tuning {step})")
+    assert expected in stdout.splitlines()
 
 
 def test_run_and_plan_pipeline(tuned_dir, tmp_path, capsys):
@@ -504,6 +514,18 @@ def test_runtime_error_names_the_failing_tour(command, tuned_dir, tmp_path, monk
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert re.search(r"runtime error: tour \d+ \(seed 5\): log density not finite", err)
+
+
+def test_tune_without_a_finite_reference_draw_is_a_runtime_error(tmp_path, monkeypatch,
+                                                                 capsys):
+    class InfiniteModel(ToyGaussian):
+        def _potential(self, x):
+            return math.inf
+
+    monkeypatch.setattr("nrst.cli.make_model", lambda spec: InfiniteModel())
+    assert run_cli(["tune", "--levels", 2, "--max-rounds", 2, "--out", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: all 1000 reference draws had V = +inf")
 
 
 def test_readme_cli_commands_parse():

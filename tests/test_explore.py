@@ -336,11 +336,11 @@ def test_schedule_without_widths_explores_at_width_one():
                     np.ones((sched.n_levels, 3)))
     for schedule in (sched, ones):
         report = run_parallel(ToyGaussian(), schedule, "nrst", 0.95, 1.0, 0.3, 1, 7)
-        assert (report.k, report.serial_cost) == (52, 2296)
+        assert (report.k, report.serial_cost) == (52, 2244)
         buf = io.StringIO()
         write_traces_csv(report.traces, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
-            "c6449df699bb68cf0244138a9c58d7cbe5f13b98b5bcc825d8814fe01553b1a3")
+            "32f7cbf973b57e48ad0bac8cb7b9a3b7277f0df827847e3a0c0a0f1298d5dccb")
 
 
 def test_autocorrelation_analytic_threshold():

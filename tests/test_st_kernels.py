@@ -7,7 +7,8 @@ from array import array
 import numpy as np
 import pytest
 
-from nrst.bench_models import ToyGaussian, analytic_gaussian_path
+from nrst import runner
+from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
 from nrst.explore import build_explorers
 from nrst.model import Schedule, acceptance_probability
 from nrst.planner import fit_cpu_model
@@ -24,7 +25,13 @@ from nrst.st_kernels import (
     write_traces_csv,
 )
 
-from oracles import CountingDraw, index_kernel, uniform_schedule, write_traces_csv_per_tour
+from oracles import (
+    CountingDraw,
+    index_kernel,
+    run_tour_exploring_regeneration,
+    uniform_schedule,
+    write_traces_csv_per_tour,
+)
 
 
 class ScriptedRng:
@@ -73,11 +80,14 @@ def exact_toy_schedule(n):
 def test_nrst_step_forced_rejection(toy, sched2):
     rng = np.random.default_rng(0)
     x = toy.sample_reference(rng)
-    new_x, level, direction, _ = nrst_step(x, 0, 1, toy.potential(x), sched2,
-                                           build_explorers(toy, sched2),
-                                           ScriptedRng(rng, 0.999999))
+    v = toy.potential(x)
+    evals = toy.v_evals.value
+    new_x, level, direction, new_v = nrst_step(x, 0, 1, v, sched2,
+                                               build_explorers(toy, sched2),
+                                               ScriptedRng(rng, 0.999999))
     assert (level, direction) == (0, -1)
-    assert not np.array_equal(new_x, x)  # level 0 resamples the reference
+    # the move enters the regeneration set: no kernel runs, the state is kept
+    assert new_x is x and new_v == v and toy.v_evals.value == evals
 
 
 def test_nrst_step_bounce_above_no_draw(toy):
@@ -136,32 +146,77 @@ def test_st_step_absorbing_when_all_rejected(toy):
         assert level == 1
 
 
-def test_a_step_that_lands_at_level_zero_calls_level_zeros_kernel(toy, sched2):
+def test_a_step_that_regenerates_skips_level_zeros_kernel(toy, sched2):
     x0 = np.zeros(3)
     v0 = toy.potential(x0)
     explorers = build_explorers(toy, sched2)
     explorers[0] = draw = CountingDraw(np.full(3, 7.0), 7.0)
     rng = np.random.default_rng(0)
-    # rejected up from level 0: the step stays there and explores with the stub
-    x, level, _, v = nrst_step(x0, 0, 1, v0, sched2, explorers, ScriptedRng(rng, 0.999999))
-    assert (level, v, draw.calls) == (0, 7.0, 1) and x is draw.state[0]
-    # down from level 1 (u = 0.9 picks -1) and accepted
+    # rejected up from level 0: the step regenerates and keeps its state
+    x, level, e, v = nrst_step(x0, 0, 1, v0, sched2, explorers, ScriptedRng(rng, 0.999999))
+    assert (level, e, v, draw.calls) == (0, -1, v0, 0) and x is x0
+    # down from level 1 (u = 0.9 picks -1) and accepted: regenerates too
     x, level, _, v = st_step(x0, 1, 1, v0, sched2, explorers, ScriptedRng(rng, 0.9, 0.0))
-    assert (level, v, draw.calls) == (0, 7.0, 2) and x is draw.state[0]
+    assert (level, v, draw.calls) == (0, v0, 0) and x is x0
     # a step that lands at level 1 leaves the stub alone
     _, level, _, _ = nrst_step(x0, 0, 1, v0, sched2, explorers, ScriptedRng(rng, 0.0))
-    assert (level, draw.calls) == (1, 2)
+    assert (level, draw.calls) == (1, 0)
+    # a non-reversible bounce off the bottom lands at (0, +1), outside the
+    # regeneration set, and explores with level 0's kernel
+    x, level, e, v = nrst_step(x0, 0, -1, v0, sched2, explorers, rng)
+    assert (level, e, v, draw.calls) == (0, 1, 7.0, 1) and x is draw.state[0]
 
 
-def test_run_tour_starts_from_level_zeros_kernel(toy, sched2):
+def test_run_tour_draws_from_level_zeros_kernel_once(toy, sched2):
     explorers = build_explorers(toy, sched2)
     explorers[0] = draw = CountingDraw(np.full(3, 2.0), 1.25)
-    # rejected up from level 0: the start state and the one step both come
-    # from the stub
+    # rejected up from level 0: the start state comes from the stub, and the
+    # one step keeps it
     trace = run_tour(toy, sched2, "nrst", 10, ScriptedRng(np.random.default_rng(1), 0.999999),
                      explorers)
-    assert draw.calls == 2
+    assert draw.calls == 1
     assert list(trace.levels) == [0, 0] and list(trace.v) == [1.25, 1.25]
+    assert list(trace.v_evals) == [0]  # the stub spends none
+
+
+@pytest.mark.parametrize("variant", ["nrst", "st"])
+@pytest.mark.parametrize("name", ["toy_gaussian", "threshold_weibull"])
+def test_run_tour_matches_the_tour_that_explores_at_regeneration(variant, name):
+    # 95% of threshold_weibull's reference draws have V = +inf, so on a
+    # uniform grid most of its tours are one rejected move up from level 0.
+    model = make_model(ModelSpec(name))
+    sched = exact_toy_schedule(4) if name == "toy_gaussian" else uniform_schedule(4)
+    explorers = build_explorers(model, sched)
+    h_funcs = (CoordinateFunction(0),)
+    steps, first_vs = [], []
+    for index in range(200):
+        new, old = (tour(model, sched, variant, 10**4, np.random.default_rng([5, index]),
+                         explorers, h_funcs=h_funcs)
+                    for tour in (run_tour, run_tour_exploring_regeneration))
+        for column in ("levels", "directions", "starts", "visits_top", "h_top_sums"):
+            assert getattr(new, column) == getattr(old, column)
+        assert new.v[:-1] == old.v[:-1]
+        assert new.v_evals[0] == old.v_evals[0] - 1
+        steps.append(new.n_steps)
+        first_vs.append(new.v[0])
+    if name == "toy_gaussian":
+        assert max(steps) > 1
+    else:
+        assert first_vs.count(math.inf) > 150 and set(steps) == {1}
+
+
+@pytest.mark.parametrize("variant", ["nrst", "st"])
+def test_run_parallel_matches_the_run_that_explores_at_regeneration(monkeypatch, variant):
+    # On the toy, unlike on threshold_weibull, 52 tours reach the top level,
+    # which the estimates need.
+    model, sched = ToyGaussian(), exact_toy_schedule(4)
+    report = run_parallel(model, sched, variant, 0.95, 1.0, 0.3, 1, 5)
+    monkeypatch.setattr(runner, "run_tour", run_tour_exploring_regeneration)
+    ref = run_parallel(model, sched, variant, 0.95, 1.0, 0.3, 1, 5)
+    assert (report.k, report.te_hat) == (ref.k, ref.te_hat)
+    np.testing.assert_equal(report.estimates, ref.estimates)
+    assert (report.serial_cost, report.parallel_cost) == (ref.serial_cost - ref.k,
+                                                          ref.parallel_cost - 1)
 
 
 def test_run_tour_minimal(toy, sched2):
