@@ -228,13 +228,12 @@ class MRnaTransfection(TemperedModel):
         if not np.all(np.isfinite(mu)):
             return math.inf
         resid = self.y - mu
-        # A residual beyond ~1e154 overflows its square: zero likelihood.
+        # Residuals whose squares' sum, or that sum over 2 sigma^2, overflows
+        # give V = +inf: zero likelihood.
         with np.errstate(over="ignore"):
-            sum_sq = float(np.dot(resid, resid))
-        if not math.isfinite(sum_sq):
-            return math.inf
+            scaled = float(np.dot(resid, resid)) / (2.0 * sigma**2)
         n = self.y.size
-        return 0.5 * n * (_LOG_2PI + 2.0 * math.log(sigma)) + sum_sq / (2.0 * sigma**2)
+        return 0.5 * n * (_LOG_2PI + 2.0 * math.log(sigma)) + scaled
 
 
 class ThresholdWeibull(TemperedModel):
@@ -416,7 +415,7 @@ _MODELS = {
     "toy_gaussian": (lambda rng, **p: ToyGaussian(**p),
                      {"dim": _whole(), "m": _real(), "sigma0": _real(positive=True)}),
     "banana": (lambda rng: Banana(), {}),
-    "funnel": (lambda rng, **p: Funnel(**p), {"dim": _whole()}),
+    "funnel": (lambda rng, **p: Funnel(**p), {"dim": _whole(2)}),
     # The dataset's ratio test takes ddof=1 variances across and within groups.
     "hierarchical": (lambda rng, **p: Hierarchical(hierarchical_dataset(rng, **p)),
                      {"j_groups": _whole(2), "m_per_group": _whole(2)}),

@@ -184,30 +184,11 @@ def build_explorers(model: TemperedModel, schedule: Schedule) -> list:
     return kernels
 
 
-def autocorrelation(series, max_lag: int) -> np.ndarray:
-    """Biased sample autocorrelation at lags 0..max_lag.
-
-    A zero-variance series returns zeros at every positive lag.
-    """
-    v = np.asarray(series, dtype=float)
-    n = v.size
-    c = v - v.mean()
-    denom = float(np.dot(c, c))
-    out = np.zeros(max_lag + 1)
-    out[0] = 1.0
-    if denom == 0.0:
-        out[0] = 0.0
-        return out
-    for lag in range(1, min(max_lag, n - 1) + 1):
-        out[lag] = float(np.dot(c[:-lag], c[lag:])) / denom
-    return out
-
-
 def lag1_autocorrelation(v_in, v_out) -> float:
     """Lag-1 autocorrelation of V from the (V before, V after) pairs of
     single sweeps started from stationary draws.
 
-    The biased estimator of :func:`autocorrelation`, with both ends of a
+    The biased estimator of :func:`_lag_walk`, with both ends of a
     pair taken from the same law: centred on the pooled mean, scaled by the
     pooled sum of squares.  Zero variance returns 0.
     """
@@ -221,16 +202,21 @@ def lag1_autocorrelation(v_in, v_out) -> float:
     return float(np.dot(ca, cb)) / denom
 
 
-def steps_from_autocorrelation(kappas, kappa_bar: float) -> int:
-    """Smallest lag n >= 1 with kappa(n) <= kappa_bar, capped at
-    ``_MAX_EXPLORE_STEPS``.
+def _lag_walk(series) -> int:
+    """Smallest lag n >= 1 at which the biased sample autocorrelation of
+    ``series``, a negative one read as 0, is <= ``_KAPPA_BAR``, walking up
+    to ``_MAX_EXPLORE_STEPS`` and returning it when no lag qualifies.
 
-    Negative estimates are truncated to 0 before thresholding.
+    The autocorrelation is 0 at every lag of a zero-variance series and at
+    every lag >= the series length, so those series stop there.
     """
-    kappas = np.maximum(np.asarray(kappas, dtype=float), 0.0)
-    for n in range(1, min(kappas.size - 1, _MAX_EXPLORE_STEPS) + 1):
-        if kappas[n] <= kappa_bar:
-            return n
+    c = np.asarray(series, dtype=float)
+    c = c - c.mean()
+    denom = float(np.dot(c, c))
+    for lag in range(1, _MAX_EXPLORE_STEPS + 1):
+        kappa = float(np.dot(c[:-lag], c[lag:])) / denom if lag < c.size and denom else 0.0
+        if max(kappa, 0.0) <= _KAPPA_BAR:
+            return lag
     return _MAX_EXPLORE_STEPS
 
 
@@ -268,6 +254,5 @@ def tune_explore_steps(
         for t in range(_CHAIN_LEN):
             x, v = kernel(x, v, level_rng)
             vs[t] = v
-        kappas = autocorrelation(vs, _MAX_EXPLORE_STEPS)
-        steps[i - 1] = steps_from_autocorrelation(kappas, _KAPPA_BAR)
+        steps[i - 1] = _lag_walk(vs)
     return steps

@@ -123,6 +123,17 @@ def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs):
     return table
 
 
+def _top_visit_te(traces, seed, what="tours") -> float:
+    """Estimated TE of ``traces``, which hold the tours 0..len - 1 of
+    ``seed``; raises NoTopVisitsError naming them when none reached the
+    target level."""
+    te = estimate_te(traces.visits_top)
+    if te == 0.0:
+        raise NoTopVisitsError(f"{what} 0..{len(traces) - 1} (seed {seed}) "
+                               f"never reached the target level")
+    return te
+
+
 def _aggregate(traces, variant, alpha, delta, te_input, seed, h_names,
                k_trial=None) -> RunReport:
     stats = TourStatistics.from_traces(traces)
@@ -166,6 +177,7 @@ def run_parallel(
     k = min_tours(alpha, delta, te_hat)
     traces = _run_tours(model, schedule, kernel_variant, range(k), workers, rng_seed,
                         tuple(h_funcs))
+    _top_visit_te(traces, rng_seed)
     return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed, h_names)
 
 
@@ -194,11 +206,7 @@ def pilot_then_run(
     k_trial = min_tours(alpha, delta, te_seed)
     traces = _run_tours(model, schedule, kernel_variant, range(k_trial), workers, rng_seed,
                         tuple(h_funcs))
-    te_pilot = estimate_te(traces.visits_top)
-    if te_pilot == 0.0:
-        raise NoTopVisitsError(f"pilot tours 0..{k_trial - 1} (seed {rng_seed}) "
-                               f"never reached the target level")
-    k = min_tours(alpha, delta, te_pilot)
+    k = min_tours(alpha, delta, _top_visit_te(traces, rng_seed, "pilot tours"))
     if k > k_trial:
         traces.extend(_run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,
                                  rng_seed, tuple(h_funcs)))

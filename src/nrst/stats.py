@@ -22,43 +22,40 @@ class NoTopVisitsError(ValueError):
 
 @dataclass(frozen=True)
 class TourStatistics:
-    """Per-tour records: lengths, top-level visit counts, and h tour sums.
+    """Per-tour records: top-level visit counts and h tour sums.
 
     ``h_top_sums[j, m]`` is the sum of the m-th test function over the states
     of tour j at the top level, which is all the ratio and variance
     estimators need (the centering happens after the ratio is known).
     """
 
-    tau: np.ndarray
     visits: np.ndarray
     h_top_sums: np.ndarray
 
     def __post_init__(self):
-        tau = np.asarray(self.tau, dtype=np.int64)
         visits = np.asarray(self.visits, dtype=np.int64)
         h = np.asarray(self.h_top_sums, dtype=float)
         if h.ndim == 1:
             h = h[:, None]
-        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "visits", visits)
         object.__setattr__(self, "h_top_sums", h)
-        if tau.ndim != 1 or tau.size < 1:
+        if visits.ndim != 1 or visits.size < 1:
             raise ValueError("need at least one tour")
-        if visits.shape != tau.shape or h.shape[0] != tau.size:
+        if h.shape[0] != visits.size:
             raise ValueError("per-tour arrays must have matching lengths")
-        if np.any(tau < 1) or np.any(visits < 0):
-            raise ValueError("tour lengths must be >= 1 and visit counts >= 0")
+        if np.any(visits < 0):
+            raise ValueError("visit counts must be >= 0")
 
     @property
     def k(self) -> int:
-        return self.tau.size
+        return self.visits.size
 
     @classmethod
     def from_traces(cls, traces) -> "TourStatistics":
         """The statistics of a :class:`~nrst.st_kernels.TourTable`, read from
-        its per-tour columns."""
-        h = np.asarray(traces.h_top_sums).reshape(len(traces), traces.n_h)
-        return cls(traces.tour_steps(), traces.visits_top, h)
+        its ``visits_top`` and ``h_top_sums`` columns."""
+        h = np.asarray(traces.h_top_sums).reshape(len(traces.visits_top), traces.n_h)
+        return cls(traces.visits_top, h)
 
 
 def ratio_estimate(stats: TourStatistics, h_index: int = 0) -> float:

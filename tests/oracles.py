@@ -15,6 +15,9 @@ writer must match it byte for byte.  ``run_tour_exploring_regeneration``
 is the tour that runs level 0's kernel after the move into the regeneration
 set too, a second reference draw that nothing reads: ``run_tour`` must match
 it in every column but ``cpu_seconds``, the last ``v`` and ``v_evals``.
+``autocorrelation`` and ``steps_from_autocorrelation`` are the step-count
+rule in two steps, every lag's estimate first and the threshold after: the
+lag walk that sets each level's step count must equal it bit for bit.
 
 ``grid_per_target``, ``logz_per_interval``, ``median_affinities_per_level``
 and ``rejections_per_interval`` are the tuner's estimators written one
@@ -29,6 +32,7 @@ from array import array
 import numpy as np
 
 from nrst.adapt import run_nrpt
+from nrst.explore import _MAX_EXPLORE_STEPS
 from nrst.model import Schedule, acceptance_probability
 from nrst.st_kernels import _VARIANTS, NRST, ST, IdealIndexChain, TourOverrunError, TourTable
 
@@ -281,3 +285,35 @@ def run_tour_exploring_regeneration(model, schedule, variant, max_steps, rng, ex
                              array("d", [time.thread_time() - t0]),
                              array("q", [levels.count(n)]), h_sums)
     raise TourOverrunError(max_steps, None)
+
+
+def autocorrelation(series, max_lag: int) -> np.ndarray:
+    """Biased sample autocorrelation at lags 0..max_lag.
+
+    A zero-variance series returns zeros at every positive lag.
+    """
+    v = np.asarray(series, dtype=float)
+    n = v.size
+    c = v - v.mean()
+    denom = float(np.dot(c, c))
+    out = np.zeros(max_lag + 1)
+    out[0] = 1.0
+    if denom == 0.0:
+        out[0] = 0.0
+        return out
+    for lag in range(1, min(max_lag, n - 1) + 1):
+        out[lag] = float(np.dot(c[:-lag], c[lag:])) / denom
+    return out
+
+
+def steps_from_autocorrelation(kappas, kappa_bar: float) -> int:
+    """Smallest lag n >= 1 with kappa(n) <= kappa_bar, capped at
+    ``_MAX_EXPLORE_STEPS``.
+
+    Negative estimates are truncated to 0 before thresholding.
+    """
+    kappas = np.maximum(np.asarray(kappas, dtype=float), 0.0)
+    for n in range(1, min(kappas.size - 1, _MAX_EXPLORE_STEPS) + 1):
+        if kappas[n] <= kappa_bar:
+            return n
+    return _MAX_EXPLORE_STEPS

@@ -306,8 +306,8 @@ def test_criterion_12_variance_bound():
     for n, rho in CRITERION1_CONFIGS:
         chain = IdealIndexChain.symmetric(np.full(n, rho))
         for variant in ("nrst", "st"):
-            steps, visits, sodd = simulate_index_tours(chain, variant, 10**5, rng)
-            stats = TourStatistics(steps, visits, sodd.astype(float))
+            _, visits, sodd = simulate_index_tours(chain, variant, 10**5, rng)
+            stats = TourStatistics(visits, sodd.astype(float))
             te_hat = estimate_te(visits)
             sigma2 = estimate_sigma2(stats)
             bound = 4.0 / te_hat * 1.05

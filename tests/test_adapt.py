@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nrst import explore
 from nrst.adapt import (
     BarrierEstimate,
     InfiniteReferenceError,
@@ -27,16 +28,18 @@ from nrst.adapt import (
     stepping_stone_logz,
 )
 from nrst.bench_models import ModelSpec, ToyGaussian, analytic_gaussian_path, make_model
-from nrst.explore import autocorrelation, build_explorers, lag1_autocorrelation
+from nrst.explore import build_explorers, lag1_autocorrelation
 from nrst.model import Schedule, TemperedModel
 from oracles import (
     CountingDraw,
     LinearBarrier,
+    autocorrelation,
     grid_per_target,
     local_rejection_rates,
     logz_per_interval,
     median_affinities_per_level,
     rejections_per_interval,
+    steps_from_autocorrelation,
     uniform_schedule,
 )
 
@@ -968,6 +971,26 @@ def test_lag1_from_final_pass_matches_the_chain_estimate():
     assert abs(pairs - autocorrelation(v, 1)[1]) < 1e-3
     assert abs(pairs - 0.9) < 0.02
     assert lag1_autocorrelation(np.full(5, 2.0), np.full(5, 2.0)) == 0.0
+
+
+@pytest.mark.parametrize("kappa_bar", [0.95, 0.1])
+def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa_bar):
+    # at 0.1 some banana levels need 2 steps or more
+    monkeypatch.setattr(explore, "_KAPPA_BAR", kappa_bar)
+    walked = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
+    counts = []
+
+    def two_step(series):
+        counts.append(steps_from_autocorrelation(
+            autocorrelation(series, explore._MAX_EXPLORE_STEPS), kappa_bar))
+        return counts[-1]
+
+    monkeypatch.setattr(explore, "_lag_walk", two_step)
+    oracle = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
+    assert walked.schedule.to_dict() == oracle.schedule.to_dict()
+    assert len(counts) == walked.schedule.n_levels
+    assert walked.schedule.explore_steps.tolist() == counts
+    assert (max(counts) > 1) == (kappa_bar < 0.5)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -198,9 +198,15 @@ def test_mrna_potential_at_truth_is_moderate():
 def test_mrna_overflowing_residual_gives_inf_without_warning():
     t, _ = mrna_dataset(np.random.default_rng(6))
     model = MRnaTransfection(t, np.full(t.shape, 1e200))  # residuals square past 1e308
+    # the residuals' squares sum to a finite 1.2e308, which sigma = 0.107
+    # sends past the largest float (a point that nrst tune --model mrna
+    # --max-rounds 4 --seed 2 reaches)
+    u = np.array([-2.128849533334973, -2.7952916273399473, -2.7765300037927054,
+                  2.5190887312904398, -1.7594354997748267])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert model.potential(np.zeros(5)) == math.inf
+        assert make_model(ModelSpec("mrna")).potential(u) == math.inf
 
 
 @pytest.mark.parametrize("name, key, value", [

@@ -261,6 +261,7 @@ def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp
     ("threshold_weibull", {"b": 0}, "b"),
     ("toy_gaussian", {"sigma0": 0}, "sigma0"),
     ("toy_gaussian", {"m": "nan"}, "m"),
+    ("funnel", {"dim": 1}, "dim"),
 ])
 def test_a_model_parameter_its_reader_refuses_is_a_config_error(model, params, key, tmp_path,
                                                                  capsys):

@@ -12,17 +12,15 @@ from nrst import explore
 from nrst.explore import (
     ExplorationKernel,
     SliceNumericalError,
-    autocorrelation,
     build_explorers,
     slice_step,
-    steps_from_autocorrelation,
     tune_explore_steps,
 )
 from nrst.model import DivergedPotentialError, Schedule, log_tempered_density
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
 from nrst.runner import run_parallel
 from nrst.st_kernels import write_traces_csv
-from oracles import uniform_schedule, warm_states
+from oracles import autocorrelation, steps_from_autocorrelation, uniform_schedule, warm_states
 
 FROZEN_TOY_SCHEDULE = (Path(__file__).resolve().parents[1]
                        / "perfbench" / "inputs" / "toy_gaussian.schedule.json")
@@ -366,17 +364,46 @@ def test_autocorrelation_ar1_simulation():
         v[t] = phi * v[t - 1] + eps[t]
     kappas = autocorrelation(v, 10)
     assert kappas[1] == pytest.approx(phi, abs=0.01)
-    n_star = steps_from_autocorrelation(kappas, 0.95)
+    n_star = explore._lag_walk(v)
     assert n_star in (5, 6, 7)
 
 
 def test_autocorrelation_iid_and_constant():
     rng = np.random.default_rng(17)
     iid = rng.normal(size=50_000)
-    kappas = autocorrelation(iid, 5)
-    assert steps_from_autocorrelation(kappas, 0.95) == 1
+    assert explore._lag_walk(iid) == 1
     const = autocorrelation(np.full(100, 3.3), 5)
     assert np.all(const == 0.0)
+    assert explore._lag_walk(np.full(100, 3.3)) == 1
+
+
+def ar1(phi, n, rng):
+    """A length-n AR(1) series with coefficient phi and unit innovations."""
+    eps = rng.normal(size=n)
+    v = np.empty(n)
+    v[0] = eps[0]
+    for t in range(1, n):
+        v[t] = phi * v[t - 1] + eps[t]
+    return v
+
+
+@pytest.mark.parametrize("kappa_bar", [0.1, 0.5, 0.95])
+def test_lag_walk_equals_the_two_step_rule(monkeypatch, kappa_bar):
+    # every lag's estimate first and the threshold after, at series shorter
+    # and longer than the cap, and at zero variance
+    monkeypatch.setattr(explore, "_KAPPA_BAR", kappa_bar)
+    cap = explore._MAX_EXPLORE_STEPS
+    rng = np.random.default_rng(23)
+    series = [np.full(n, 3.3) for n in (1, 40, 512)]
+    series += [ar1(phi, n, rng) for phi in (0.0, 0.5, 0.9, 0.99, 0.999, 1.0)
+               for n in (1, 2, 30, cap, cap + 1, 200, 512)]
+    series.append(ar1(1.0, 20_000, rng))  # a random walk too long to decorrelate by lag 64
+    walked = [explore._lag_walk(v) for v in series]
+    assert walked == [steps_from_autocorrelation(autocorrelation(v, cap), kappa_bar)
+                      for v in series]
+    # the walk stops early, at a short series' length and at the cap
+    assert min(walked) == 1 and 1 < len(set(walked)) and cap in walked
+    assert any(n == v.size < cap for n, v in zip(walked, series))
 
 
 def tune_every_level(monkeypatch, model, sched, kappa_bar, chain_len, seed):

@@ -138,6 +138,15 @@ def test_a_pilot_that_never_reaches_the_top_names_its_seed_and_tours():
                               f"never reached the target level")
 
 
+def test_a_run_that_never_reaches_the_top_names_its_seed_and_tours():
+    # the run's tours, as the pilot's above; the message named neither
+    sched = Schedule(np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.0, -1e6]), np.ones(2, dtype=int))
+    k = min_tours(0.9, 1.0, 1.0)
+    with pytest.raises(NoTopVisitsError) as err:
+        run_parallel(ToyGaussian(), sched, "nrst", 0.9, 1.0, 1.0, 1, 77)
+    assert str(err.value) == f"tours 0..{k - 1} (seed 77) never reached the target level"
+
+
 def test_posterior_mean_within_wide_interval():
     # one seeded run: the x1 ratio estimate should land near the analytic 1.6
     model = ToyGaussian()

@@ -18,10 +18,8 @@ from nrst.stats import (
 )
 
 
-def make_stats(visits, h_sums, tau=None):
-    visits = np.asarray(visits)
-    tau = np.full(visits.size, 5) if tau is None else tau
-    return TourStatistics(tau, visits, np.asarray(h_sums, dtype=float))
+def make_stats(visits, h_sums):
+    return TourStatistics(visits, h_sums)
 
 
 def test_ratio_estimate_examples():
@@ -133,11 +131,11 @@ def test_ci_coverage_on_ideal_chain():
     chain = IdealIndexChain.symmetric([0.5])
     rng = np.random.default_rng(2024)
     n_runs, k = 1000, 500
-    steps, visits, sodd = simulate_index_tours(chain, "st", n_runs * k, rng)
+    _, visits, sodd = simulate_index_tours(chain, "st", n_runs * k, rng)
     covered = 0
     for r in range(n_runs):
         sl = slice(r * k, (r + 1) * k)
-        stats = TourStatistics(steps[sl], visits[sl], sodd[sl].astype(float))
+        stats = TourStatistics(visits[sl], sodd[sl].astype(float))
         est = ratio_estimate(stats)
         s2 = estimate_sigma2(stats)
         lo, hi = confidence_interval(est, s2, k, 0.95)
