@@ -103,10 +103,10 @@ def run_nrpt(
     ``full`` returns an :class:`NrptPass` instead of the bare array.  It
     adds the final states, an array ``ends`` of shape (2, N+1, n_scan) and
     an array ``moves`` of shape (N, dim).  ``ends[0, i, s]`` is the V
-    entering level i's exploration in scan s and ``ends[1, i, s]`` the V
-    leaving it (at level 0, the fresh draw twice).  ``moves[i - 1, d]`` sums
-    |x_after[d] - x_before[d]| over level i's explorer calls.  Recording
-    draws nothing.
+    entering level i's kernel in scan s and ``ends[1, i, s]`` the V leaving
+    it, at every level (level 0's first entry is its start state's V, NaN
+    after a cold start).  ``moves[i - 1, d]`` sums |x_after[d] - x_before[d]|
+    over level i's explorer calls, for levels 1..N.  Recording draws nothing.
     """
     if n_scan < 1:
         raise ValueError("n_scan must be >= 1")
@@ -120,15 +120,14 @@ def run_nrpt(
     vs = [v for _, v in init_states]
     records = np.empty((n + 1, n_scan))
     ends = np.empty((2, n + 1, n_scan)) if full else None
-    moves = np.zeros((n, model.dim))
+    moves = np.zeros((n + 1, model.dim))
     betas = schedule.betas
     for scan in range(n_scan):
-        xs[0], vs[0] = explorers[0](xs[0], vs[0], rng)
         if full:
             ends[0, :, scan] = vs
-        for i in range(1, n + 1):
+        for i in range(n + 1):
             x, vs[i] = explorers[i](xs[i], vs[i], rng)
-            moves[i - 1] += np.abs(x - xs[i])
+            moves[i] += np.abs(x - xs[i])
             xs[i] = x
         if full:
             ends[1, :, scan] = vs
@@ -142,7 +141,7 @@ def run_nrpt(
                 vs[i], vs[j] = vs[j], vs[i]
         records[:, scan] = vs
     if full:
-        return NrptPass(records, list(zip(xs, vs)), ends, moves)
+        return NrptPass(records, list(zip(xs, vs)), ends, moves[1:])
     return records
 
 
@@ -430,7 +429,13 @@ def _counting_v_evals(model, call, *args, **kwargs):
 def _widths_from_moves(moves, n_scan):
     """Slice bracket widths from a pass's summed moves: ``_WIDTH_PER_MOVE``
     times each level's and coordinate's mean |move| per explorer call, and
-    ``_INITIAL_WIDTH`` where that mean is 0 or not finite."""
+    ``_INITIAL_WIDTH`` where that mean is 0 or not finite.
+
+    A bracket much narrower than the slice moves x by a third of its width
+    on average, so it grows ~5x per round until it covers the slice.  The
+    move is the conditional scale the sampler sees; the spread of the
+    states is not used, since a heavy-tailed marginal (e.g. a Cauchy mean)
+    makes it far wider than the slice."""
     widths = _WIDTH_PER_MOVE * (np.asarray(moves, dtype=float) / n_scan)
     widths[~(np.isfinite(widths) & (widths > 0.0))] = _INITIAL_WIDTH
     return widths
@@ -550,28 +555,19 @@ def adapt(
     from; it has no pass to be pooled with, so it runs twice the scans, as
     a next round would.  ``n_scan_final`` is the last pass's scan count.
 
-    Every pass also learns each level's slice bracket width per coordinate:
-    ``_WIDTH_PER_MOVE`` times the mean |move| of that coordinate in one
-    explorer call, 1.0 where that mean is 0 or not finite.  A bracket much
-    narrower than the slice moves x by a third of its width on average, so
-    it grows ~5x per round until it covers the slice.  The move is the
-    conditional scale the sampler sees; the spread of the states is not
-    used, since a heavy-tailed marginal (e.g. a Cauchy mean) makes it far
-    wider than the slice.  The first round explores at 1.0 everywhere.
-    Each later pass, restarts included, uses the widths of the pass before,
-    interpolated linearly in beta onto its grid.
+    Every pass also learns each level's slice widths
+    (:func:`_widths_from_moves`).  The first round explores at 1.0
+    everywhere; each later pass, restarts included, uses the widths of the
+    pass before, interpolated linearly in beta onto its grid.
 
     Exploration step counts are tuned last.  In the schedule's passes every
-    level's chain is stationary for its tempered law, so the pairs (V
-    before, V after) of its explorer calls give its lag-1 autocorrelation
-    kappa(1).  :func:`tune_explore_steps` gets these bounds, kappa(1) plus 2
-    batch-means SEs per level, with the last pass's final states: a level
-    whose bound is <= ``explore._KAPPA_BAR`` gets 1 step at no V-eval cost,
-    and every other level runs a chain of ``explore._CHAIN_LEN`` sweeps
-    warm-started from its state.  The result's ``final_pass_v_evals`` and
+    level's chain is stationary for its tempered law, so the (V before, V
+    after) pairs of its explorer calls bound its lag-1 autocorrelation
+    (:func:`_kappa1_upper`), and :func:`tune_explore_steps` runs a chain
+    only at the levels whose bound exceeds ``explore._KAPPA_BAR``, from the
+    last pass's final states.  ``final_pass_v_evals`` and
     ``step_tuning_v_evals`` count the V-evals spent outside the rounds'
-    passes.  Every argument is checked before the first pass;
-    ``n_levels_initial`` must be a whole number >= 1.
+    passes.  Every argument is checked before the first pass.
     """
     if not (n_levels_initial >= 1 and float(n_levels_initial).is_integer()):
         raise ValueError(f"n_levels_initial must be a whole number >= 1, "
@@ -597,7 +593,7 @@ def adapt(
                                                n_scan, rng, states)
         states = nrpt.states
         current = _pass_estimates(nrpt.data, betas, affinity_mode)
-        affinities, barrier = current.affinities, current.barrier
+        affinities = current.affinities
         # With the affinities held fixed, lambda_hat is the mean of per-scan
         # sums, so batch means applies to it directly.
         lambda_se = _batch_se(
@@ -607,7 +603,7 @@ def adapt(
         if prev is not None:
             converged, indicators = check_convergence(prev, current, affinity_mode)
         rounds_log.append({"round": round_idx, "n_scan": n_scan, "n_levels": n,
-                           "v_evals": pass_v_evals, "lambda_hat": barrier.total,
+                           "v_evals": pass_v_evals, "lambda_hat": current.barrier.total,
                            "lambda_se": lambda_se, "logz_se": logz_se,
                            "affinity_top": float(affinities[-1]),
                            "indicators": indicators, "converged": converged})
@@ -621,7 +617,8 @@ def adapt(
             # The last two rounds share a grid: their passes pooled decide
             # the restart and, if there is none, give the schedule.
             nrpt = _pool(held, nrpt)
-            barrier = _pass_estimates(nrpt.data, betas, affinity_mode).barrier
+            current = _pass_estimates(nrpt.data, betas, affinity_mode)
+        barrier = current.barrier
         n_target = n
         if (restarts < _MAX_RESTARTS and barrier.total > 0.0
                 and (last_round or _grid_size_settled(barrier.total, lambda_se))):
@@ -648,8 +645,9 @@ def adapt(
         n_scan *= 2
         nrpt, final_pass_v_evals = _counting_v_evals(model, _tuning_pass, model, betas,
                                                      widths, n_scan, rng, states)
+        current = _pass_estimates(nrpt.data, betas, affinity_mode)
 
-    affinities, log_z, rejections, barrier = _pass_estimates(nrpt.data, betas, affinity_mode)
+    affinities, log_z, rejections, barrier = current
     widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1])
     spread, asym = equi_rejection_indicators(*rejections)
     kappa1 = [_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]

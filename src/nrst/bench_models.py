@@ -24,8 +24,6 @@ from .model import TemperedModel
 _LOG_2PI = math.log(2.0 * math.pi)
 # Seed of the synthetic datasets, so every build of a model sees the same data.
 _DATA_SEED = 20240817
-# Gauss-Hermite nodes of the toy's quadrature log Z.
-_QUAD_NODES = 200
 # Accepted band for the between/within variance ratio of the hierarchical
 # dataset (nominal 16), and the rejection-sampling budget for hitting it.
 _RATIO_BAND = (12.0, 20.0)
@@ -318,23 +316,18 @@ class XYModel(TemperedModel):
 
 
 def analytic_gaussian_path(d: int, m: float, sigma0: float, beta: float):
-    """Closed-form path moments of the Gaussian toy plus a quadrature log Z.
+    """Closed-form path of the Gaussian toy: (mu(beta), sigma(beta)^2, log Z(beta)).
 
-    Returns (mu(beta), sigma(beta)^2, log Z(beta)) with the log normalizing
-    constant computed by per-dimension Gauss-Hermite quadrature of the
-    reference expectation of exp(-beta V).
+    log Z(beta) = -(d/2) [beta log 2 pi + log(1 + beta sigma0^2)
+    + beta m^2 / (1 + beta sigma0^2)], the reference expectation of
+    exp(-beta V) with the square completed in each dimension.
     """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     var = 1.0 / (beta + 1.0 / sigma0**2)
     mu = beta * m * var
-    nodes, weights = np.polynomial.hermite.hermgauss(_QUAD_NODES)
-    x = math.sqrt(2.0) * sigma0 * nodes
-    v1 = 0.5 * (x - m) ** 2 + 0.5 * _LOG_2PI
-    expo = np.log(weights) - beta * v1
-    mx = expo.max()
-    logz1 = mx + math.log(np.sum(np.exp(expo - mx))) - 0.5 * math.log(math.pi)
-    return mu, var, d * logz1
+    spread = 1.0 + beta * sigma0**2
+    return mu, var, -0.5 * d * (beta * _LOG_2PI + math.log(spread) + beta * m**2 / spread)
 
 
 def hierarchical_dataset(rng, j_groups: int = 8, m_per_group: int = 20):

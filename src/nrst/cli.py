@@ -7,6 +7,7 @@ tidy CSV so runs are auditable and diffable; plotting is left to notebooks.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from .st_kernels import (
     simulate_index_tours,
     write_traces_csv,
 )
-from .stats import NoTopVisitsError, estimate_te
+from .stats import NoTopVisitsError, estimate_te, min_tours
 
 
 class ConfigError(ValueError):
@@ -111,14 +112,20 @@ def _check_flags(parser, args):
 _VARIANTS = {"both": ("nrst", "st"), "nrst": ("nrst",), "st": ("st",)}
 
 
+@contextlib.contextmanager
+def _config_errors(field, *errors):
+    """Raise the ``errors`` of the block as config errors of ``field``."""
+    try:
+        yield
+    except errors as err:
+        raise ConfigError(field, str(err))
+
+
 def _load_json(path, flag):
     """The JSON object in the file that ``flag`` names; a missing file, bad
     JSON or a value that is not an object fails as a config error."""
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except (OSError, ValueError) as err:
-        raise ConfigError(flag, str(err))
+    with _config_errors(flag, OSError, ValueError), open(path) as f:
+        payload = json.load(f)
     if not isinstance(payload, dict):
         raise ConfigError(flag, "must hold a JSON object")
     return payload
@@ -144,10 +151,9 @@ def _model_of(spec):
         name, params = spec["name"], spec.get("params", {})
     except (AttributeError, KeyError, TypeError):
         raise ConfigError("schedule", "needs a 'model' entry with a 'name'")
-    try:
+    with _config_errors("params" if name in available_models() else "model",
+                        TypeError, ValueError):
         return make_model(ModelSpec(name, params))
-    except (TypeError, ValueError) as err:
-        raise ConfigError("params" if name in available_models() else "model", str(err))
 
 
 def _schedule_file(args) -> tuple:
@@ -155,16 +161,25 @@ def _schedule_file(args) -> tuple:
     checked against the model before any tour runs."""
     payload = _load_json(args.schedule, "schedule")
     model = _model_of(payload.get("model"))
-    try:
+    with _config_errors("schedule", KeyError, TypeError, ValueError):
         schedule = Schedule.from_dict(payload)
         build_explorers(model, schedule)
-    except (KeyError, TypeError, ValueError) as err:
-        raise ConfigError("schedule", str(err))
     lambda_hat = payload.get("lambda_hat", 0.0)
     if not _passes(lambda v: type(v) is not bool and math.isfinite(v) and v >= 0, lambda_hat):
         raise ConfigError("schedule", f"lambda_hat must be a finite number >= 0, "
                                       f"got {lambda_hat!r}")
     return model, schedule, lambda_hat
+
+
+def _check_tour_count(args, lambda_hat, te_hat=None):
+    """A run's first tour count, at --alpha, --delta and --te-hat (else the
+    pilot's TE from lambda_hat), before any tour: one that is not finite is
+    --delta's config error if it is so even at TE = 1, else the TE's."""
+    te, te_flag = ((planner.te_infinity(lambda_hat), "schedule") if te_hat is None
+                   else (te_hat, "te_hat"))
+    for flag, t in (("delta", 1.0), (te_flag, te)):
+        with _config_errors(flag, ValueError):
+            min_tours(args.alpha, args.delta, t)
 
 
 def _cap_workers(args):
@@ -190,9 +205,10 @@ def _te_table(chain, args):
 def _cmd_tune(args) -> int:
     spec = {"name": args.model, "params": _parse_params(args.params)}
     model = _model_of(spec)
+    with _config_errors("out", OSError):  # before the tune, not after it
+        os.makedirs(args.out, exist_ok=True)
     result = run_adapt(model, args.levels, args.max_rounds, args.affinity_mode,
                        rng=np.random.default_rng(args.seed))
-    os.makedirs(args.out, exist_ok=True)
     payload = {
         "model": spec,
         **result.schedule.to_dict(),
@@ -232,6 +248,7 @@ def _cmd_tune(args) -> int:
 def _cmd_run(args) -> int:
     _cap_workers(args)
     model, schedule, lambda_hat = _schedule_file(args)
+    _check_tour_count(args, lambda_hat, args.te_hat)
     if any(i < 0 or i >= model.dim for i in args.h_coords):
         raise ConfigError("h_coords", f"indices must lie in [0, {model.dim})")
     if len(set(args.h_coords)) < len(args.h_coords):
@@ -241,9 +258,10 @@ def _cmd_run(args) -> int:
     # A --te-hat skips the pilot, which the schedule's lambda_hat sizes.
     run, te_or_lambda = ((pilot_then_run, lambda_hat) if args.te_hat is None
                          else (run_parallel, args.te_hat))
+    with _config_errors("out", OSError):
+        os.makedirs(args.out, exist_ok=True)
     report = run(model, schedule, args.variant, args.alpha, args.delta, te_or_lambda,
                  args.workers, args.seed, h_funcs=h_funcs, h_names=h_names)
-    os.makedirs(args.out, exist_ok=True)
     report.write_json(os.path.join(args.out, "report.json"))
     with open(os.path.join(args.out, "traces.csv"), "w") as f:
         write_traces_csv(report.traces, f)
@@ -266,10 +284,11 @@ def _cmd_plan(args) -> int:
         raise ConfigError("report", "cpu_seconds must be numbers, not true or false")
     pools = [int(p) for p in str(args.pools).split(",") if p]
     rng = np.random.default_rng(args.seed)
-    try:
+    # Too few times, some negative or not finite, or all 0.
+    with _config_errors("report", ValueError):
         model = planner.fit_cpu_model(times)
-    except ValueError as err:  # too few times, some negative or not finite, or all 0
-        raise ConfigError("report", str(err))
+    with _config_errors("out", OSError):
+        out = open(args.out, "w")
     curves = planner.cost_curves(model, args.k_extra, pools, args.replications, rng)
     sample = model.sample(args.k_extra, np.random.default_rng(args.seed + 1))
     hist, edges = np.histogram(sample, bins=40)
@@ -287,8 +306,8 @@ def _cmd_plan(args) -> int:
                            ("cost_cloud", "cloud_cost")):
             rows.append(f"{panel},{c['pool_size']},,{c[key + '_mean']!r},"
                         f"{c[key + '_q10']!r},{c[key + '_q90']!r}")
-    with open(args.out, "w") as f:
-        f.write("\n".join(rows) + "\n")
+    with out:
+        out.write("\n".join(rows) + "\n")
     print(f"plan for {args.k_extra} tours over pools {pools} written to {args.out}")
     return 0
 
@@ -311,6 +330,7 @@ def _cmd_bench(args) -> int:
         _te_table(chain, args)
         return 0
     model, schedule, lambda_hat = _schedule_file(args)
+    _check_tour_count(args, lambda_hat)
     print("variant  k      te_hat    serial_cost  parallel_cost")
     for variant in _VARIANTS[args.variant]:
         report = pilot_then_run(
@@ -349,12 +369,7 @@ def build_parser() -> tuple:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--max-rounds", type=int, default=12,
                    help="cap on the scan-doubling rounds of the whole tune, "
-                        "across the grid-size restart; the restart is decided "
-                        "at the first round whose standard error pins the grid "
-                        "size down (or at the last round), and no pass runs at "
-                        "the discarded grid size after it; the last two rounds "
-                        "share a grid and the schedule comes from their passes "
-                        "(one more pass runs only when the last round restarts)")
+                        "across the grid-size restart")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--out", type=str, default=".")
     p.set_defaults(func=_cmd_tune)

@@ -150,10 +150,7 @@ class ExplorationKernel:
 
 class ReferenceDraw:
     """Level 0's kernel, callable as kernel(x, v, rng) -> (x', v'): a fresh
-    reference draw and its V (one V-eval), whatever x and v it is given.
-
-    A tour calls it once, for its first state; the step that returns to
-    level 0 ends the tour without it.  An NRPT scan calls it once."""
+    reference draw and its V (one V-eval), whatever x and v it is given."""
 
     def __init__(self, model: TemperedModel):
         self.model = model

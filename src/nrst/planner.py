@@ -163,20 +163,13 @@ def cost_curves(model, k_tours: int, pool_sizes, replications: int,
             makespans[r, j] = simulate_pool(durations, pool).makespan
     out = []
     for j, pool in enumerate(pool_sizes):
-        ms = makespans[:, j]
-        hpc = ms * pool
-        out.append({
-            "pool_size": pool,
-            "makespan_mean": float(ms.mean()),
-            "makespan_q10": float(np.percentile(ms, 10)),
-            "makespan_q90": float(np.percentile(ms, 90)),
-            "hpc_cost_mean": float(hpc.mean()),
-            "hpc_cost_q10": float(np.percentile(hpc, 10)),
-            "hpc_cost_q90": float(np.percentile(hpc, 90)),
-            "cloud_cost_mean": float(clouds.mean()),
-            "cloud_cost_q10": float(np.percentile(clouds, 10)),
-            "cloud_cost_q90": float(np.percentile(clouds, 90)),
-        })
+        entry = {"pool_size": pool}
+        for key, values in (("makespan", makespans[:, j]), ("hpc_cost", makespans[:, j] * pool),
+                            ("cloud_cost", clouds)):
+            entry.update({f"{key}_mean": float(values.mean()),
+                          f"{key}_q10": float(np.percentile(values, 10)),
+                          f"{key}_q90": float(np.percentile(values, 90))})
+        out.append(entry)
     return out
 
 

@@ -104,7 +104,8 @@ def estimate_te(visit_counts) -> float:
 def min_tours(alpha: float, delta: float, te: float) -> int:
     """Tours needed for an alpha-CI of half-width delta on all |h| <= 1.
 
-    ceil((4 / te) (z_alpha / delta)^2).
+    ceil((4 / te) (z_alpha / delta)^2); a count beyond the float range is a
+    ValueError naming alpha, delta and te.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -113,7 +114,11 @@ def min_tours(alpha: float, delta: float, te: float) -> int:
     if not 0.0 < te <= 1.0:
         raise ValueError("te must lie in (0, 1]")
     z = normal_quantile((1.0 + alpha) / 2.0)
-    return int(math.ceil((4.0 / te) * (z / delta) ** 2))
+    try:  # (z / delta)^2, or its ceiling, may overflow
+        return int(math.ceil((4.0 / te) * (z / delta) ** 2))
+    except OverflowError:
+        raise ValueError(f"the tour count (4 / te) (z_alpha / delta)^2 is not finite at "
+                         f"alpha={alpha!r}, delta={delta!r}, te={te!r}") from None
 
 
 def diagnostics_report(stats: TourStatistics, alpha: float, h_names=None) -> dict:

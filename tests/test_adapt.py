@@ -85,10 +85,11 @@ def test_run_nrpt_sweep_ends_pair_each_sweep_with_its_records():
     for i in range(4):
         np.testing.assert_array_equal(again[i], data[i])
     assert [v for _, v in states_again] == [data[i][-1] for i in range(4)]
-    # the V entering scan s's sweep is the one recorded after scan s - 1
-    for i in range(1, 4):
+    # at every level, level 0 included, the V entering scan s's kernel is the
+    # one recorded after scan s - 1; a cold start leaves level 0's unread
+    for i in range(4):
         np.testing.assert_array_equal(ends[0, i, 1:], data[i][:-1])
-    np.testing.assert_array_equal(ends[0, 0], ends[1, 0])
+    assert math.isnan(ends[0, 0, 0]) and not np.isnan(ends[0, 1:, 0]).any()
     # the swap round after the sweeps only permutes the V leaving them
     records = np.array([data[i] for i in range(4)])
     np.testing.assert_array_equal(np.sort(ends[1], axis=0), np.sort(records, axis=0))
@@ -140,8 +141,12 @@ def test_run_nrpt_calls_level_zeros_kernel_once_per_scan(monkeypatch):
                         lambda model, schedule: [draw] + build_explorers(model, schedule)[1:])
     nrpt = run_nrpt(model, uniform_schedule(3), 5, np.random.default_rng(0), full=True)
     assert draw.calls == 5
-    # level 0's V entering and leaving exploration is its kernel's
-    assert np.all(nrpt.ends[:, 0, :] == draw.state[1])
+    # level 0's V leaving its kernel is the kernel's; the V entering it is
+    # the start state's (NaN, cold) and then the one recorded a scan before
+    assert np.all(nrpt.ends[1, 0, :] == draw.state[1])
+    assert math.isnan(nrpt.ends[0, 0, 0])
+    np.testing.assert_array_equal(nrpt.ends[0, 0, 1:], nrpt.data[0, :-1])
+    assert nrpt.moves.shape == (3, 3)
 
 
 def test_run_nrpt_level_means_match_analytic():
@@ -618,6 +623,10 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
         return out
 
     monkeypatch.setattr(module, "run_nrpt", spy)
+    estimated = []
+    real_estimates = module._pass_estimates
+    monkeypatch.setattr(module, "_pass_estimates",
+                        lambda data, *args: estimated.append(data) or real_estimates(data, *args))
     step_calls = spy_on_step_tuning(monkeypatch)
     res = adapt(ToyGaussian(), n_levels, max_rounds, mode, rng=np.random.default_rng(3))
     # one pass per round, plus one of twice the scans at the new size only
@@ -643,6 +652,10 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
         ends = np.concatenate([before.ends, ends], axis=2)
         moves = before.moves + moves
         assert data[0].size == n_before + n_scan
+    # no dataset, a pooled one included, is estimated twice; the schedule's last
+    assert len(estimated) >= len(passes)
+    assert not any(np.array_equal(a, b) for k, a in enumerate(estimated) for b in estimated[:k])
+    np.testing.assert_array_equal(estimated[-1], data)
     np.testing.assert_array_equal(res.schedule.betas, betas)
     if mode == "mean":
         log_z = stepping_stone_logz(data, betas)

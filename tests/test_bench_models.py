@@ -29,14 +29,14 @@ def test_toy_gaussian_potential_closed_form():
     assert model.potential(x) == pytest.approx(expected, abs=1e-12)
 
 
-def test_analytic_path_endpoints_and_quadrature():
+def test_analytic_path_endpoints_and_closed_form():
     mu0, var0, logz0 = analytic_gaussian_path(3, 2.0, 2.0, 0.0)
     assert (mu0, var0, logz0) == (0.0, 4.0, pytest.approx(0.0, abs=1e-12))
     mu1, var1, logz1 = analytic_gaussian_path(3, 2.0, 2.0, 1.0)
     assert var1 == pytest.approx(0.8)
     assert mu1 == pytest.approx(1.6)
 
-    # quadrature agrees with the complete-the-square closed form
+    # log Z agrees with the complete-the-square form written through var(beta)
     def closed_form(d, m, s0, beta):
         var = 1.0 / (beta + 1.0 / s0**2)
         per_dim = (-0.5 * beta * math.log(2 * math.pi)
@@ -47,7 +47,8 @@ def test_analytic_path_endpoints_and_quadrature():
 
     for beta in (0.1, 0.35, 0.5, 0.77, 1.0):
         _, _, logz = analytic_gaussian_path(3, 2.0, 2.0, beta)
-        assert logz == pytest.approx(closed_form(3, 2.0, 2.0, beta), abs=1e-8)
+        assert logz == pytest.approx(closed_form(3, 2.0, 2.0, beta), abs=1e-12)
+    assert logz1 == pytest.approx(-6.370972, abs=1e-6)
 
 
 def test_toy_gaussian_posterior_matches_conjugacy():

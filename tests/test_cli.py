@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from nrst.bench_models import ToyGaussian
+from nrst.bench_models import ToyGaussian, make_model
 from nrst.cli import _CHECKS, build_parser, main
+from nrst.stats import min_tours
 
 
 def run_cli(argv):
@@ -77,15 +78,20 @@ def test_tune_outputs(tune_run):
     assert expected in stdout.splitlines()
 
 
-def test_run_and_plan_pipeline(tuned_dir, tmp_path, capsys):
+@pytest.mark.parametrize("te_hat", [None, 0.3])
+def test_run_and_plan_pipeline(te_hat, tuned_dir, tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli([
         "run", "--schedule", tuned_dir / "schedule.json", "--alpha", 0.9,
         "--delta", 1.0, "--seed", 4, "--out", out,
-    ])
+    ] + ([] if te_hat is None else ["--te-hat", te_hat]))
     assert code == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["k"] >= report["k_trial"]
+    if te_hat is None:
+        assert report["k"] >= report["k_trial"]
+    else:  # no pilot: the count that --te-hat gives
+        assert report["k"] == min_tours(0.9, 1.0, te_hat) and "k_trial" not in report
+        assert report["te_hat_input"] == te_hat
     assert report["serial_cost"] >= report["parallel_cost"]
     assert (out / "traces.csv").read_text().startswith("tour_id,step,level,direction,v")
 
@@ -235,6 +241,12 @@ def test_config_file_sets_flags_that_have_defaults(tmp_path, capsys):
     ("bench", {"variant": ["nrst"]}, "variant"),
     ("tune", {"levels": 2.5}, "levels"),
     ("tune", ["--model", "hierarchical", "--params", '{"j_groups": 1}'], "params"),
+    ("tune", ["--params", '{"dim": 3'], "params"),
+    ("tune", ["--params", "[3]"], "params"),
+    ("run", ["--h-coords", 3], "h_coords"),
+    ("run", ["--delta", 1e-300], "delta"),
+    ("bench", ["--delta", 1e-300], "delta"),
+    ("run", ["--te-hat", 1e-320], "te_hat"),
 ])
 def test_bad_flag_values_are_config_errors(command, flags, field, tuned_dir, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -527,6 +539,30 @@ def test_tune_without_a_finite_reference_draw_is_a_runtime_error(tmp_path, monke
     assert run_cli(["tune", "--levels", 2, "--max-rounds", 2, "--out", tmp_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("runtime error: all 1000 reference draws had V = +inf")
+
+
+@pytest.mark.parametrize("command", ["tune", "run", "plan"])
+def test_an_out_that_cannot_be_written_fails_before_any_work(command, tuned_dir, tmp_path,
+                                                             monkeypatch, capsys):
+    models, plans = [], []
+    monkeypatch.setattr("nrst.cli.make_model",
+                        lambda spec: models.append(make_model(spec)) or models[-1])
+    monkeypatch.setattr("nrst.planner.cost_curves", lambda *args: plans.append(args))
+    # a file where tune and run make their directory, no directory for plan's file
+    out = tmp_path / "taken" if command != "plan" else tmp_path / "missing" / "plan.csv"
+    if command != "plan":
+        out.write_text("")
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"tours": [{"cpu_seconds": 0.1 * k} for k in range(1, 13)]}))
+    argv = {
+        "tune": ["tune", "--levels", 2, "--max-rounds", 2],
+        "run": ["run", "--schedule", tuned_dir / "schedule.json"],
+        "plan": ["plan", "--report", report, "--k-extra", 8],
+    }[command]
+    assert run_cli(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out: ") and f"{str(out)!r}" in err
+    assert sum(model.v_evals.value for model in models) == 0 and plans == []
 
 
 def test_readme_cli_commands_parse():

@@ -61,7 +61,5 @@ def test_package_exports_only_the_pipeline_api():
     assert public == {
         "TemperedModel", "Schedule", "ModelSpec", "make_model", "adapt",
         "run_parallel", "pilot_then_run", "CoordinateFunction",
-        "fit_cpu_model", "cost_curves", "DivergedPotentialError",
-        "SliceNumericalError", "TourOverrunError",
-        "NoTopVisitsError",
+        "fit_cpu_model", "cost_curves",
     }
