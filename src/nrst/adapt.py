@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -410,12 +411,9 @@ class AdaptResult:
     rounds: list
     rejections: tuple
     final_indicators: dict
-    n_scan_final: int
     restarts: int
     log_z: np.ndarray | None = None
-    # V-evals of the pass that runs only when the last round restarts, and
-    # of the step-tuning chains; with the rounds' they sum to the tune's.
-    final_pass_v_evals: int = 0
+    # V-evals of the step-tuning chains; with the rounds' they sum to the tune's.
     step_tuning_v_evals: int = 0
 
 
@@ -490,13 +488,6 @@ def _remap_states(states, old_betas, new_betas):
     return [states[j] for j in idx]
 
 
-def _tuning_pass(model, betas, widths, n_scan, rng, states) -> NrptPass:
-    """One NRPT pass on ``betas`` at the slice ``widths`` and from warm ``states``."""
-    n = betas.size - 1
-    sched = Schedule(betas, np.zeros(n + 1), np.ones(n, dtype=int), widths)
-    return run_nrpt(model, sched, n_scan, rng, init_states=states, full=True)
-
-
 def _pass_estimates(data, betas, affinity_mode) -> PassEstimates:
     """A pass's estimates, from its data."""
     if affinity_mode == "mean":
@@ -526,7 +517,8 @@ def adapt(
     """Full tuning loop: doubling NRPT budget until the indicators stabilize.
 
     Starts from the uniform grid and doubles the scan count each round
-    until convergence or exhaustion of ``max_rounds``.  A round converges
+    until convergence or exhaustion of ``max_rounds``; every NRPT pass of
+    the tune is one round, logged in ``rounds``.  A round converges
     when :func:`check_convergence` finds every stability indicator, against
     the round before on the same grid, below its module threshold.  Each
     round records its pass's V-evals as ``v_evals`` and batch-means
@@ -541,7 +533,9 @@ def adapt(
     ``_MAX_RESTARTS`` times.  A restart keeps the scan count and the warm
     chain states, remapped from the grid that round ran on, and goes on
     with the rounds that are left: ``max_rounds`` caps the rounds of the
-    whole tune, across restarts.
+    whole tune, across restarts, except that a restart at the last round is
+    followed by one more round on the new grid (at twice the scans, as
+    every next round).
 
     Every round but the last two re-places the grid from its barrier, so
     the last two share a grid.  The last round's pass is pooled with the
@@ -550,10 +544,7 @@ def adapt(
     the pooled pass decides the last round's restart, so that one round's
     noise does not place the kept grid.  The schedule (betas, affinities,
     widths) comes from it, as do ``barrier``, ``lambda_hat``, ``log_z``,
-    ``rejections`` and ``final_indicators``.  Only if the last round
-    restarts does one more pass run, on the new grid, for them to come
-    from; it has no pass to be pooled with, so it runs twice the scans, as
-    a next round would.  ``n_scan_final`` is the last pass's scan count.
+    ``rejections`` and ``final_indicators``.
 
     Every pass also learns each level's slice widths
     (:func:`_widths_from_moves`).  The first round explores at 1.0
@@ -565,15 +556,15 @@ def adapt(
     after) pairs of its explorer calls bound its lag-1 autocorrelation
     (:func:`_kappa1_upper`), and :func:`tune_explore_steps` runs a chain
     only at the levels whose bound exceeds ``explore._KAPPA_BAR``, from the
-    last pass's final states.  ``final_pass_v_evals`` and
-    ``step_tuning_v_evals`` count the V-evals spent outside the rounds'
-    passes.  Every argument is checked before the first pass.
+    last pass's final states.  ``step_tuning_v_evals`` counts their
+    V-evals, which with the rounds' ``v_evals`` sum to the tune's.  Every
+    argument is checked before the first pass.
     """
     if not (n_levels_initial >= 1 and float(n_levels_initial).is_integer()):
         raise ValueError(f"n_levels_initial must be a whole number >= 1, "
                          f"got {n_levels_initial!r}")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
+    if not (max_rounds >= 1 and float(max_rounds).is_integer()):
+        raise ValueError(f"max_rounds must be a whole number >= 1, got {max_rounds!r}")
     if affinity_mode not in ("mean", "median"):
         raise ValueError("affinity_mode must be 'mean' or 'median'")
 
@@ -585,12 +576,14 @@ def adapt(
     restarts = 0
     n_scan = 1
     converged = False
-    final_pass_v_evals = 0
 
-    for round_idx in range(1, max_rounds + 1):
+    for round_idx in count(1):  # until a last round that does not restart
         n_scan *= 2
-        nrpt, pass_v_evals = _counting_v_evals(model, _tuning_pass, model, betas, widths,
-                                               n_scan, rng, states)
+        # The round's pass, at the widths and from the states that the pass
+        # before left (round 1: width 1.0 and a cold start).
+        sched = Schedule(betas, np.zeros(n + 1), np.ones(n, dtype=int), widths)
+        nrpt, pass_v_evals = _counting_v_evals(model, run_nrpt, model, sched, n_scan, rng,
+                                               init_states=states, full=True)
         states = nrpt.states
         current = _pass_estimates(nrpt.data, betas, affinity_mode)
         affinities = current.affinities
@@ -612,7 +605,7 @@ def adapt(
         # The restart is decided on the grid this round ran on, as soon as
         # the round's noise pins the implied size down, or at the last
         # round: no NRPT pass is spent at a size about to go.
-        last_round = converged or round_idx == max_rounds
+        last_round = converged or round_idx >= max_rounds
         if last_round and held is not None:
             # The last two rounds share a grid: their passes pooled decide
             # the restart and, if there is none, give the schedule.
@@ -640,12 +633,6 @@ def adapt(
         widths = _carry_widths(_widths_from_moves(nrpt.moves, nrpt.data.shape[1]),
                                old_betas, betas)
         held = nrpt if betas is old_betas else None
-    else:
-        # The last round restarted, so no pass has run at the new size.
-        n_scan *= 2
-        nrpt, final_pass_v_evals = _counting_v_evals(model, _tuning_pass, model, betas,
-                                                     widths, n_scan, rng, states)
-        current = _pass_estimates(nrpt.data, betas, affinity_mode)
 
     affinities, log_z, rejections, barrier = current
     widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1])
@@ -660,6 +647,5 @@ def adapt(
         barrier=barrier, lambda_hat=barrier.total, converged=converged,
         rounds=rounds_log, rejections=rejections,
         final_indicators={"rejection_spread": spread, "directional_asymmetry": asym},
-        n_scan_final=n_scan, restarts=restarts, log_z=log_z,
-        final_pass_v_evals=final_pass_v_evals, step_tuning_v_evals=step_tuning_v_evals,
+        restarts=restarts, log_z=log_z, step_tuning_v_evals=step_tuning_v_evals,
     )

@@ -197,7 +197,7 @@ def _te_table(chain, args):
     rng = np.random.default_rng(args.seed)
     print("variant  TE_closed  TE_mc      mean_visits")
     for variant in _VARIANTS[args.variant]:
-        _, visits, _ = simulate_index_tours(chain, variant, args.tours, rng)
+        _, visits = simulate_index_tours(chain, variant, args.tours, rng)
         print(f"{variant:7s}  {ideal_te(chain, variant):<9.5f}  "
               f"{estimate_te(visits):<9.5f}  {visits.mean():.4f}")
 
@@ -218,8 +218,6 @@ def _cmd_tune(args) -> int:
         "rounds": result.rounds,
         "rejections": dict(zip(("up", "down", "sym"), (r.tolist() for r in result.rejections))),
         "final_indicators": result.final_indicators,
-        "n_scan_final": result.n_scan_final,
-        "final_pass_v_evals": result.final_pass_v_evals,
         "step_tuning_v_evals": result.step_tuning_v_evals,
         "seed": args.seed,
     }
@@ -234,11 +232,11 @@ def _cmd_tune(args) -> int:
           f"lambda_hat={result.lambda_hat:.4f} converged={result.converged}")
     per_n = Counter(r["n_levels"] for r in result.rounds)
     print("rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items()))
-    # The final pass and the step-tuning chains run at the kept N.
+    # The step-tuning chains run at the kept N.
     evals = Counter()
     for r in result.rounds:
         evals[r["n_levels"]] += r["v_evals"]
-    evals[result.schedule.n_levels] += result.final_pass_v_evals + result.step_tuning_v_evals
+    evals[result.schedule.n_levels] += result.step_tuning_v_evals
     print("V-evals per N: " + " ".join(f"{n}:{k}" for n, k in evals.items())
           + f" (step tuning {result.step_tuning_v_evals})")
     print(f"schedule written to {sched_path}")
@@ -369,7 +367,8 @@ def build_parser() -> tuple:
     p.add_argument("--levels", type=int, default=8)
     p.add_argument("--max-rounds", type=int, default=12,
                    help="cap on the scan-doubling rounds of the whole tune, "
-                        "across the grid-size restart")
+                        "across the grid-size restart; a restart at the last "
+                        "round adds one round on the new grid")
     p.add_argument("--affinity-mode", default="mean", choices=("mean", "median"))
     p.add_argument("--out", type=str, default=".")
     p.set_defaults(func=_cmd_tune)

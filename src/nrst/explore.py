@@ -123,6 +123,8 @@ class ExplorationKernel:
     def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1, widths=None):
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must lie in (0, 1], got {beta}")
+        if not (n_steps >= 1 and float(n_steps).is_integer()):
+            raise ValueError(f"n_steps must be a whole number >= 1, got {n_steps!r}")
         if widths is None:
             widths = np.full(model.dim, _INITIAL_WIDTH)
         widths = np.asarray(widths, dtype=float)

@@ -123,6 +123,18 @@ def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs):
     return table
 
 
+def _checked_h_funcs(h_funcs, h_names) -> tuple:
+    """``h_funcs`` as a tuple; ValueError unless ``h_names`` is None or
+    names each of them once."""
+    h_funcs = tuple(h_funcs)
+    if h_names is not None and len(h_names) != len(h_funcs):
+        raise ValueError(f"h_names holds {len(h_names)} names for {len(h_funcs)} h_funcs")
+    for k, name in enumerate(h_names or ()):
+        if name in h_names[:k]:
+            raise ValueError(f"h_names repeats {name!r}")
+    return h_funcs
+
+
 def _top_visit_te(traces, seed, what="tours") -> float:
     """Estimated TE of ``traces``, which hold the tours 0..len - 1 of
     ``seed``; raises NoTopVisitsError naming them when none reached the
@@ -172,11 +184,13 @@ def run_parallel(
 
     The report aggregates the regenerative estimators over all tours and
     keeps their traces as one :class:`TourTable`.  Bit-identical for any worker
-    count at a fixed seed.
+    count at a fixed seed.  ``h_names``, if given, names each of ``h_funcs``
+    once; ValueError before any tour otherwise.
     """
+    h_funcs = _checked_h_funcs(h_funcs, h_names)
     k = min_tours(alpha, delta, te_hat)
     traces = _run_tours(model, schedule, kernel_variant, range(k), workers, rng_seed,
-                        tuple(h_funcs))
+                        h_funcs)
     _top_visit_te(traces, rng_seed)
     return _aggregate(traces, kernel_variant, alpha, delta, te_hat, rng_seed, h_names)
 
@@ -200,15 +214,16 @@ def pilot_then_run(
     1/(1 + 2 lambda_hat); the realized TE of those tours determines the full
     requirement K, and only the difference is executed in phase two.  Tour
     indices are contiguous so the combined run equals a single-phase run
-    with the same seed.
+    with the same seed.  ``h_names`` is checked as by :func:`run_parallel`.
     """
+    h_funcs = _checked_h_funcs(h_funcs, h_names)
     te_seed = te_infinity(lambda_hat)
     k_trial = min_tours(alpha, delta, te_seed)
     traces = _run_tours(model, schedule, kernel_variant, range(k_trial), workers, rng_seed,
-                        tuple(h_funcs))
+                        h_funcs)
     k = min_tours(alpha, delta, _top_visit_te(traces, rng_seed, "pilot tours"))
     if k > k_trial:
         traces.extend(_run_tours(model, schedule, kernel_variant, range(k_trial, k), workers,
-                                 rng_seed, tuple(h_funcs)))
+                                 rng_seed, h_funcs))
     return _aggregate(traces, kernel_variant, alpha, delta, te_seed, rng_seed,
                       h_names, k_trial=k_trial)

@@ -310,14 +310,12 @@ def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
                          rng: np.random.Generator):
     """Simulate regeneration tours of the idealized index chain.
 
-    Returns (steps, visits_top, parity_sums) arrays of length n_tours, where
-    steps counts kernel applications per tour (the tour length in states is
-    steps + 1 for the non-reversible variant, which starts one step past the
-    regeneration set, and steps for the reversible one, which starts at it),
-    and parity_sums holds the per-tour count of odd-numbered top-level
-    visits, a bounded test function used by the regenerative variance
-    estimators.  A tour still running after ``_INDEX_MAX_STEPS`` steps
-    raises :class:`TourOverrunError`.
+    Returns (steps, visits_top) arrays of length n_tours, where steps counts
+    kernel applications per tour (the tour length in states is steps + 1
+    for the non-reversible variant, which starts one step past the
+    regeneration set, and steps for the reversible one, which starts at it)
+    and visits_top the tour's top-level visits.  A tour still running after
+    ``_INDEX_MAX_STEPS`` steps raises :class:`TourOverrunError`.
     """
     reversible = _reversible(variant)
     if n_tours < 1:
@@ -326,9 +324,9 @@ def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
     alpha_up = np.append(1.0 - chain.rho, 0.0)  # accepting a move up from level i
     alpha_dn = np.append(0.0, 1.0 - chain.rho)  # and a move down
 
-    i, visits, sodd = np.zeros((3, n_tours), dtype=np.int64)
+    i, visits = np.zeros((2, n_tours), dtype=np.int64)
     e = np.ones(n_tours, dtype=np.int64)
-    out_steps, out_visits, out_sodd = (np.zeros(n_tours, dtype=np.int64) for _ in range(3))
+    out_steps, out_visits = np.zeros((2, n_tours), dtype=np.int64)
     alive = np.arange(n_tours)
 
     # Every tour still alive has taken ``it`` steps.  Each step draws the
@@ -339,15 +337,13 @@ def simulate_index_tours(chain: IdealIndexChain, variant: str, n_tours: int,
         acc = u < np.where(d > 0, alpha_up[i], alpha_dn[i])
         i = i + np.where(acc, d, 0)
         e = d if reversible else np.where(acc, d, -d)
-        at_top = i == n
-        visits += at_top
-        sodd += at_top & (visits % 2 == 1)
+        visits += i == n
         done = _regenerates(i, e, reversible)
         if np.any(done):
             idx = alive[done]
-            out_steps[idx], out_visits[idx], out_sodd[idx] = it, visits[done], sodd[done]
+            out_steps[idx], out_visits[idx] = it, visits[done]
             keep = ~done
-            alive, i, e, visits, sodd = alive[keep], i[keep], e[keep], visits[keep], sodd[keep]
+            alive, i, e, visits = alive[keep], i[keep], e[keep], visits[keep]
             if not alive.size:
-                return out_steps, out_visits, out_sodd
+                return out_steps, out_visits
     raise TourOverrunError(_INDEX_MAX_STEPS, None)

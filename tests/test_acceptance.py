@@ -71,7 +71,7 @@ def test_criterion_01_te_closed_forms():
         tes = {}
         for variant in ("nrst", "st"):
             closed = ideal_te(chain, variant)
-            _, visits, _ = simulate_index_tours(chain, variant, 10**6, rng)
+            _, visits = simulate_index_tours(chain, variant, 10**6, rng)
             mc = estimate_te(visits)
             ok &= abs(mc - closed) <= 0.01
             tes[variant] = mc
@@ -86,7 +86,7 @@ def test_criterion_02_regeneration_identities():
     rng = np.random.default_rng(102)
     n = 5
     chain = IdealIndexChain.symmetric([0.1, 0.3, 0.2, 0.4, 0.25])
-    steps, visits, _ = simulate_index_tours(chain, "nrst", 10**5, rng)
+    steps, visits = simulate_index_tours(chain, "nrst", 10**5, rng)
     lengths = steps + 1.0  # tours include the regeneration state
     se_len = lengths.std() / math.sqrt(lengths.size)
     se_vis = visits.std() / math.sqrt(visits.size)
@@ -108,7 +108,7 @@ def test_criterion_03_te_infinity_limit():
         gaps = {}
         for n in (16, 64):
             chain = IdealIndexChain.symmetric(np.full(n, lam / n))
-            _, visits, _ = simulate_index_tours(chain, "nrst", 4 * 10**5, rng)
+            _, visits = simulate_index_tours(chain, "nrst", 4 * 10**5, rng)
             te = estimate_te(visits)
             gaps[n] = abs(te - te_infinity(lam)) / te_infinity(lam)
         ok &= gaps[64] <= 0.10
@@ -306,8 +306,10 @@ def test_criterion_12_variance_bound():
     for n, rho in CRITERION1_CONFIGS:
         chain = IdealIndexChain.symmetric(np.full(n, rho))
         for variant in ("nrst", "st"):
-            _, visits, sodd = simulate_index_tours(chain, variant, 10**5, rng)
-            stats = TourStatistics(visits, sodd.astype(float))
+            _, visits = simulate_index_tours(chain, variant, 10**5, rng)
+            # h = 1 at the odd-numbered top-level visits: its tour sum is
+            # the count of those, (visits + 1) // 2
+            stats = TourStatistics(visits, ((visits + 1) // 2).astype(float))
             te_hat = estimate_te(visits)
             sigma2 = estimate_sigma2(stats)
             bound = 4.0 / te_hat * 1.05

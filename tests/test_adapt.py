@@ -535,7 +535,7 @@ def test_adapt_restart_keeps_scan_budget_within_round_cap(loose):
     levels = [r["n_levels"] for r in res.rounds]
     assert levels[0] == 8 and levels[-1] == res.schedule.n_levels != 8
     n_scans = [r["n_scan"] for r in res.rounds]
-    assert n_scans == sorted(n_scans) and n_scans[-1] == res.n_scan_final
+    assert n_scans == sorted(n_scans)
     assert [r["round"] for r in res.rounds] == list(range(1, len(res.rounds) + 1))
     assert len(res.rounds) <= 6
 
@@ -563,7 +563,7 @@ def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch, loos
     # one pass per round and none after them: the last round's pass, at the
     # final size, is the one the schedule comes from
     assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
-    assert calls[-1] == (res.schedule.n_levels, res.n_scan_final)
+    assert calls[-1] == (res.schedule.n_levels, res.rounds[-1]["n_scan"])
     # the restart size comes from the last round at the first size
     assert res.schedule.n_levels == optimal_grid_size(first[-1]["lambda_hat"], 2.0)
 
@@ -574,7 +574,7 @@ def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch, loose):
     res = adapt(ToyGaussian(), 8, 6, "mean", rng=np.random.default_rng(3))
     assert res.restarts == 0
     assert calls == [(8, r["n_scan"]) for r in res.rounds]
-    assert calls[-1] == (8, res.n_scan_final)
+    assert calls[-1] == (8, res.rounds[-1]["n_scan"])
 
 
 def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(monkeypatch):
@@ -599,7 +599,7 @@ def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(mon
     # the rounds after the restart run on the grid that is kept, and no pass
     # runs after them
     assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
-    assert calls[-1] == (n_final, res.n_scan_final)
+    assert calls[-1] == (n_final, res.rounds[-1]["n_scan"])
     assert sum(1 for n_levels, _ in calls if n_levels == n_final) >= 2
 
 
@@ -629,16 +629,16 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
                         lambda data, *args: estimated.append(data) or real_estimates(data, *args))
     step_calls = spy_on_step_tuning(monkeypatch)
     res = adapt(ToyGaussian(), n_levels, max_rounds, mode, rng=np.random.default_rng(3))
-    # one pass per round, plus one of twice the scans at the new size only
-    # when the last round restarts: with 2 rounds, round 2 converges and
-    # restarts (N 16 -> 9; the toy's lambda of ~1 calls for 5)
+    # one pass per round: with 2 rounds, round 2 converges and restarts
+    # (N 16 -> 9; the toy's lambda of ~1 calls for 5), so a third round, of
+    # twice the scans, runs at the new size
     calls = [(sched.n_levels, n_scan) for sched, n_scan, _ in passes]
     rounds = [(r["n_levels"], r["n_scan"]) for r in res.rounds]
+    assert calls == rounds
     if max_rounds == 2:
-        assert res.restarts == 1 and rounds == [(16, 2), (16, 4)]
-        assert calls == rounds + [(res.schedule.n_levels, 8)] and res.schedule.n_levels < 16
-    else:
-        assert calls == rounds
+        assert res.restarts == 1 and res.schedule.n_levels < 16
+        assert rounds == [(16, 2), (16, 4), (res.schedule.n_levels, 8)]
+        assert res.rounds[-1]["round"] == 3 and res.rounds[-1]["indicators"] is None
     sched, n_scan, (data, states, ends, moves) = passes[-1]
     betas = sched.betas
     # the last two rounds share a grid, unless the tune stopped early on
@@ -673,7 +673,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     assert res.lambda_hat == res.barrier.total == build_barrier(rejections[2], betas).total
     spread, asym = equi_rejection_indicators(*rejections)
     assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
-    assert res.n_scan_final == n_scan
+    assert res.rounds[-1]["n_scan"] == n_scan
     n = res.schedule.n_levels
     assert step_calls[0]["kappa1"] == [_kappa1_upper(ends[0, i], ends[1, i])
                                        for i in range(1, n + 1)]
@@ -783,12 +783,11 @@ def test_adapt_restart_from_heavy_tailed_reference_completes(monkeypatch):
     # its lambda of ~3 calls for N ~13, so the tune restarts
     assert res.restarts == 1 and res.schedule.n_levels > 8
     rounds = [(r["n_levels"], r["n_scan"]) for r in res.rounds]
-    assert [n_scan for _, n_scan in rounds] == [2, 4, 8, 16, 32, 64]
-    # one pass per round, and one more, of twice the scans, at the new size
-    # only if the restart came at the last round
-    assert calls[:6] == rounds
-    assert calls[6:] in ([], [(res.schedule.n_levels, 128)])
-    assert calls[-1] == (res.schedule.n_levels, res.n_scan_final)
+    # one pass per round: the restart comes at the last round (N 8 -> 13),
+    # so a seventh round, of twice the scans, runs at the new size
+    assert calls == rounds
+    assert rounds == [(8, 2), (8, 4), (8, 8), (8, 16), (8, 32), (8, 64),
+                      (res.schedule.n_levels, 128)]
 
 
 def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier():
@@ -797,18 +796,19 @@ def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier():
     # carry the interval, or the affinities and lambda_hat come out NaN.
     model = make_model(ModelSpec("threshold_weibull"))
     res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
-    assert len(res.rounds) == 6
+    # six rounds within the cap, and the round after the last one's restart
+    assert len(res.rounds) == 7
     assert all(math.isfinite(r["lambda_hat"]) for r in res.rounds)
 
 
 def test_adapt_v_evals_by_part_sum_to_the_tune():
-    # Round 2 is the last and restarts (N 16 -> 5), so one more pass runs;
+    # Round 2 is the last and restarts (N 16 -> 5), so a third round runs;
     # below 32 scans every level's kappa(1) bound is +inf, so every level
     # runs a step-tuning chain.
     model = ToyGaussian()
     res = adapt(model, 16, 2, rng=np.random.default_rng(3))
-    parts = [r["v_evals"] for r in res.rounds]
-    parts += [res.final_pass_v_evals, res.step_tuning_v_evals]
+    assert [r["n_levels"] for r in res.rounds] == [16, 16, res.schedule.n_levels]
+    parts = [r["v_evals"] for r in res.rounds] + [res.step_tuning_v_evals]
     assert min(parts) > 0
     assert sum(parts) == model.v_evals.value
 
@@ -1010,9 +1010,39 @@ def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa
     ((8, 6, "bogus"), "affinity_mode must be 'mean' or 'median'"),
     ((2.7, 2), "n_levels_initial must be a whole number >= 1, got 2.7"),
     ((0, 2), "n_levels_initial must be a whole number >= 1, got 0"),
-], ids=["affinity_mode", "n_levels_initial-fraction", "n_levels_initial-zero"])
+    ((8, 2.5), "max_rounds must be a whole number >= 1, got 2.5"),
+    ((8, math.inf), "max_rounds must be a whole number >= 1, got inf"),
+    ((8, 0), "max_rounds must be a whole number >= 1, got 0"),
+], ids=["affinity_mode", "n_levels_initial-fraction", "n_levels_initial-zero",
+        "max_rounds-fraction", "max_rounds-inf", "max_rounds-zero"])
 def test_adapt_checks_its_arguments_before_any_pass(args, message):
     model = ToyGaussian()
     with pytest.raises(ValueError, match=message):
         adapt(model, *args, rng=np.random.default_rng(3))
     assert model.v_evals.value == 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_nrpt(ToyGaussian(), uniform_schedule(2), 0, np.random.default_rng(0)),
+     "n_scan must be >= 1"),
+    (lambda: stepping_stone_logz(np.zeros((3, 4)), [0.0, 1.0]),
+     "dataset and grid sizes disagree"),
+    (lambda: BarrierEstimate([0.0, 0.5, 1.0], [0.0, 1.0]),
+     "knots must be matching 1-d arrays with >= 2 points"),
+    (lambda: BarrierEstimate([0.0, 0.5, 0.5], [0.0, 1.0, 2.0]),
+     "knot abscissae must be strictly increasing"),
+    (lambda: BarrierEstimate([0.0, 0.5, 1.0], [0.0, 2.0, 1.0]),
+     "knot ordinates must be non-decreasing"),
+    (lambda: BarrierEstimate([0.0, 1.0], [0.5, 1.0]), "barrier must start at 0"),
+    (lambda: build_barrier([0.1, 0.2], [0.0, 1.0]),
+     "need one rejection estimate per grid interval"),
+    (lambda: optimize_grid(BarrierEstimate([0.0, 1.0], [0.0, 1.0]), 0),
+     "n_levels must be >= 1"),
+    (lambda: n_star(0.0), "lambda_total must be > 0"),
+    (lambda: optimal_grid_size(1.0, 0.5), "gamma must be >= 1"),
+], ids=["run_nrpt-n_scan", "stepping_stone-sizes", "barrier-shape", "barrier-abscissae",
+        "barrier-ordinates", "barrier-start", "build_barrier-sizes", "optimize_grid-levels",
+        "n_star-lambda", "optimal_grid_size-gamma"])
+def test_adapt_helpers_check_their_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

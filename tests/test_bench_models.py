@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats as sps
 
+from nrst import bench_models
 from nrst.bench_models import (
     Banana,
     Funnel,
+    Hierarchical,
     ModelSpec,
     MRnaTransfection,
     ToyGaussian,
@@ -278,3 +280,22 @@ def test_make_model_takes_numbers_given_as_text():
     model = make_model(ModelSpec("threshold_weibull", {"a": "10", "b": "2", "c": "1.5"}))
     np.testing.assert_array_equal(model.y, make_model(ModelSpec("threshold_weibull")).y)
     assert make_model(ModelSpec("toy_gaussian", {"m": "2.5"})).m == 2.5
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Funnel(1), ValueError, "funnel needs dim >= 2"),
+    (lambda: Hierarchical(np.zeros(4)), ValueError, r"y must be a \(groups, observations\) matrix"),
+    (lambda: MRnaTransfection(np.zeros(3), np.zeros(4)), ValueError,
+     "t and y must have matching shapes"),
+    (lambda: analytic_gaussian_path(3, 2.0, 2.0, 1.5), ValueError,
+     r"beta must lie in \[0, 1\]"),
+], ids=["funnel-dim", "hierarchical-y", "mrna-shapes", "path-beta"])
+def test_bench_models_check_their_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_hierarchical_dataset_gives_up_after_its_tries(monkeypatch):
+    monkeypatch.setattr(bench_models, "_MAX_DATASET_TRIES", 0)
+    with pytest.raises(RuntimeError, match="rejection sampling did not terminate"):
+        hierarchical_dataset(np.random.default_rng(0))

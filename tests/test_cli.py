@@ -66,13 +66,15 @@ def test_tune_outputs(tune_run):
         per_n[r["n_levels"]] = per_n.get(r["n_levels"], 0) + 1
     expected = "rounds per N: " + " ".join(f"{n}:{k}" for n, k in per_n.items())
     assert expected in stdout.splitlines()
-    # and the V-evals spent at each, the kept N's with the step tuning's
+    # and the V-evals spent at each, the kept N's with the step tuning's:
+    # every NRPT pass is a round, so no other pass is reported
+    assert "final_pass_v_evals" not in payload and "n_scan_final" not in payload
+    assert rounds[-1]["n_levels"] == len(betas) - 1
     evals = {}
     for r in rounds:
         evals[r["n_levels"]] = evals.get(r["n_levels"], 0) + r["v_evals"]
     step = payload["step_tuning_v_evals"]
-    kept = len(betas) - 1
-    evals[kept] = evals.get(kept, 0) + payload["final_pass_v_evals"] + step
+    evals[len(betas) - 1] += step
     expected = ("V-evals per N: " + " ".join(f"{n}:{k}" for n, k in evals.items())
                 + f" (step tuning {step})")
     assert expected in stdout.splitlines()

@@ -177,6 +177,14 @@ def test_exploration_kernel_rejects_reference_level():
         ExplorationKernel(ToyGaussian(), 0.0)
 
 
+@pytest.mark.parametrize("n_steps", [0, -3, 2.5, math.inf, math.nan])
+def test_exploration_kernel_takes_whole_step_counts_only(n_steps):
+    # Unchecked, 0 and -3 left the input unmoved at 0 V-evals and 2.5 ran 2
+    # sweeps; Schedule applies the same rule to its explore_steps.
+    with pytest.raises(ValueError, match="n_steps must be a whole number >= 1"):
+        ExplorationKernel(ToyGaussian(), 0.5, n_steps)
+
+
 def test_compose_identity_and_associativity():
     # n_steps = 1 is a single sweep, and two calls of n_steps = 2 are one
     # call of n_steps = 4 on the same stream: V carries across calls.
@@ -188,6 +196,7 @@ def test_compose_identity_and_associativity():
     logp = log_tempered_density(model, x, 0.7)
     single = slice_step(x, logp, kernel.density, np.random.default_rng(3), kernel.widths)
     assert np.array_equal(one, single.x) and v_one == single.v
+    assert single.size == x.size == 3  # the sweep updated every coordinate
 
     rng = np.random.default_rng(9)
     two = ExplorationKernel(model, 0.7, 2)

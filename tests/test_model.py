@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from nrst.model import (
     DivergedPotentialError,
     Schedule,
+    TemperedModel,
     acceptance_probability,
     log_tempered_density,
 )
@@ -224,3 +226,33 @@ def test_schedule_rejects_widths_with_wrong_rows():
     for widths in (np.ones((2, 2)), np.ones((4, 2)), np.ones(3), [[1.0, 1.0], [1.0], [1.0, 1.0]]):
         with pytest.raises(ValueError, match="one row per level 1..3"):
             Schedule(sched.betas, sched.affinities, sched.explore_steps, widths)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TemperedModel(0), ValueError, "dim must be a positive integer, got 0"),
+    (lambda: TemperedModel(1).sample_reference(np.random.default_rng(0)),
+     NotImplementedError, None),
+    (lambda: TemperedModel(1).log_reference(np.zeros(1)), NotImplementedError, None),
+    (lambda: TemperedModel(1).potential(np.zeros(1)), NotImplementedError, None),
+    (lambda: Schedule([[0.0, 1.0]], [[0.0, 0.0]], [1]), ValueError,
+     "betas must be a 1-d grid with at least 2 points"),
+    (lambda: Schedule([0.0, 1.0], [0.0, 0.0, 0.0], [1]), ValueError,
+     "affinities must have the same length as betas"),
+    (lambda: Schedule([0.0, 1.0], [0.0, math.inf], [1]), ValueError,
+     "affinities must be finite"),
+    (lambda: Schedule([0.0, 1.0], [0.0, 0.0], [1, 1]), ValueError,
+     "explore_steps must have one entry per level 1..N"),
+], ids=["dim", "sample_reference", "log_reference", "potential", "betas-shape",
+        "affinities-shape", "affinities-finite", "explore_steps-shape"])
+def test_model_and_schedule_check_their_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_diverged_potential_error_pickles_with_what_callers_attach():
+    err = DivergedPotentialError(np.array([1.0, 2.0]), -math.inf)
+    err.tour_index = 7
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DivergedPotentialError and str(back) == str(err)
+    assert back.x.tolist() == [1.0, 2.0] and back.value == -math.inf
+    assert back.tour_index == 7

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from nrst import planner
 from nrst.planner import (
+    CpuTimeModel,
     cost_curves,
     fit_cpu_model,
     simulate_pool,
@@ -137,3 +139,26 @@ def test_te_infinity_values():
     assert te_infinity(2.0) == pytest.approx(0.2)
     with pytest.raises(ValueError):
         te_infinity(-0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: CpuTimeModel(-1.0, [1.0], 1.0, 1.0), "threshold must be non-negative"),
+    (lambda: CpuTimeModel(1.0, [1.0], 0.0, 1.0), "tail parameters must be positive"),
+    (lambda: CpuTimeModel(1.0, [], 1.0, 1.0), "bulk must hold non-negative samples"),
+    (lambda: simulate_pool([1.0], 0), "pool_size must be >= 1"),
+    (lambda: simulate_pool([], 2), "need at least one tour"),
+    (lambda: cost_curves(CpuTimeModel(1.0, [1.0], 1.0, 1.0), 4, [1], 0,
+                         np.random.default_rng(0)), "replications must be >= 1"),
+], ids=["threshold", "tail", "bulk", "pool_size", "no-tours", "replications"])
+def test_planner_checks_its_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_weibull_shape_solve_stops_at_its_iteration_cap(monkeypatch):
+    monkeypatch.setattr(planner, "_MLE_MAX_ITER", 1)
+    y = np.random.default_rng(0).weibull(2.0, 200)
+    # one Newton step from k = 1, short of the converged shape
+    k = planner._weibull_mle_shape(y)
+    monkeypatch.setattr(planner, "_MLE_MAX_ITER", 200)
+    assert k != 1.0 and abs(k - planner._weibull_mle_shape(y)) > 1e-3

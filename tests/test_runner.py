@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -284,4 +285,21 @@ def test_both_entry_points_reject_fewer_than_one_worker(entry, workers):
     model = ToyGaussian()
     with pytest.raises(ValueError, match="workers must be >= 1"):
         entry(model, tuned_like_schedule(), "nrst", 0.95, 0.5, 0.5, workers, 5)
+    assert model.v_evals.value == 0
+
+
+@pytest.mark.parametrize("entry", [pilot_then_run, run_parallel])
+@pytest.mark.parametrize("n_h, h_names, message", [
+    (2, ["x1"], "h_names holds 1 names for 2 h_funcs"),
+    (1, ["x1", "x2"], "h_names holds 2 names for 1 h_funcs"),
+    (2, ["x1", "x1"], "h_names repeats 'x1'"),
+], ids=["fewer-names", "more-names", "repeated-name"])
+def test_both_entry_points_check_h_names_before_any_tour(entry, n_h, h_names, message):
+    # Unchecked, a missing name dropped an estimate, an extra one raised an
+    # IndexError after the whole run, and a repeated one overwrote an estimate.
+    model = ToyGaussian()
+    h_funcs = tuple(CoordinateFunction(i) for i in range(n_h))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        entry(model, tuned_like_schedule(), "nrst", 0.95, 1.0, 0.3, 1, 5,
+              h_funcs=h_funcs, h_names=h_names)
     assert model.v_evals.value == 0

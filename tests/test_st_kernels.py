@@ -502,7 +502,7 @@ def test_index_kernel_st_rows_mix_proposals():
 def test_simulate_zero_rejection_deterministic():
     chain = IdealIndexChain.symmetric([0.0] * 3)
     rng = np.random.default_rng(14)
-    steps, visits, _ = simulate_index_tours(chain, "nrst", 1000, rng)
+    steps, visits = simulate_index_tours(chain, "nrst", 1000, rng)
     assert np.all(visits == 2)
     assert np.all(steps == 2 * 4 - 1)
     from nrst.stats import estimate_te
@@ -511,16 +511,18 @@ def test_simulate_zero_rejection_deterministic():
 
 
 def test_simulate_index_tours_stream_is_pinned():
-    # Hard-coded (steps, visits_top, parity_sums): a change to the order of
-    # the draws, or to the step rule, changes these.
+    # Hard-coded (steps, visits_top): a change to the order of the draws, or
+    # to the step rule, changes these.  The count of odd-numbered top-level
+    # visits, the third column here once, is (visits + 1) // 2.
     chain = IdealIndexChain.symmetric([0.3, 0.5])
     expected = {
         "nrst": ([7, 7, 1, 15, 3], [4, 4, 0, 12, 0], [2, 2, 0, 6, 0]),
         "st": ([2, 2, 1, 1, 2], [0] * 5, [0] * 5),
     }
-    for variant, want in expected.items():
+    for variant, (steps, visits, odd_visits) in expected.items():
         got = simulate_index_tours(chain, variant, 5, np.random.default_rng(3))
-        assert tuple(a.tolist() for a in got) == want
+        assert tuple(a.tolist() for a in got) == (steps, visits)
+        assert ((got[1] + 1) // 2).tolist() == odd_visits
 
 
 def test_simulate_raises_overrun_after_the_step_bound(monkeypatch):
@@ -561,12 +563,12 @@ def test_simulate_matches_closed_form():
 
     rng = np.random.default_rng(15)
     chain = IdealIndexChain.symmetric([0.5])
-    steps, visits, _ = simulate_index_tours(chain, "nrst", 10**6, rng)
+    steps, visits = simulate_index_tours(chain, "nrst", 10**6, rng)
     assert visits.mean() == pytest.approx(2.0, abs=3 * visits.std() / 1000)
     assert estimate_te(visits) == pytest.approx(1 / 3, abs=0.01)
 
     chain6 = IdealIndexChain.symmetric([0.2] * 6)
-    steps, visits, _ = simulate_index_tours(chain6, "st", 10**6, rng)
+    steps, visits = simulate_index_tours(chain6, "st", 10**6, rng)
     assert estimate_te(visits) == pytest.approx(1 / 29, abs=0.005)
 
 
@@ -593,3 +595,31 @@ def test_ele_stubbed_tour_length(toy):
         lengths[k] = len(trace.levels)
     se = lengths.std() / math.sqrt(n_tours)
     assert abs(lengths.mean() - 2 * (n + 1)) <= 3 * se
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ideal_te(IdealIndexChain.symmetric([0.1]), "bogus"), ValueError,
+     "variant must be one of"),
+    (lambda: TourTable("nrst", 0, array("i", [1, 0]), array("b", [1, -1]),
+                       array("d", [0.0, 0.0]), array("q", [0])).validate(),
+     AssertionError, r"tour must start at \(level 0, direction \+1\)"),
+    (lambda: run_tour(ToyGaussian(), uniform_schedule(2), "nrst", 0,
+                      np.random.default_rng(0), []),
+     ValueError, "max_steps must be >= 1"),
+    (lambda: IdealIndexChain.symmetric([[0.1, 0.2]]), ValueError,
+     "rho must be a 1-d array of length >= 1"),
+    (lambda: simulate_index_tours(IdealIndexChain.symmetric([0.1]), "nrst", 0,
+                                  np.random.default_rng(0)),
+     ValueError, "n_tours must be >= 1"),
+], ids=["variant", "validate-start", "run_tour-max_steps", "rho-shape", "n_tours"])
+def test_st_kernels_check_their_arguments(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_tour_overrun_error_pickles_with_what_callers_attach():
+    err = TourOverrunError(5, None)
+    err.tour_index = 3
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is TourOverrunError and str(back) == str(err)
+    assert back.max_steps == 5 and back.trace is None and back.tour_index == 3

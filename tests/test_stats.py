@@ -131,7 +131,8 @@ def test_ci_coverage_on_ideal_chain():
     chain = IdealIndexChain.symmetric([0.5])
     rng = np.random.default_rng(2024)
     n_runs, k = 1000, 500
-    _, visits, sodd = simulate_index_tours(chain, "st", n_runs * k, rng)
+    _, visits = simulate_index_tours(chain, "st", n_runs * k, rng)
+    sodd = (visits + 1) // 2  # the tour sum of h, the odd-numbered visits
     covered = 0
     for r in range(n_runs):
         sl = slice(r * k, (r + 1) * k)
@@ -151,3 +152,23 @@ def test_diagnostics_report_shape():
     assert set(report["per_h"]) == {"a", "b"}
     assert 0 <= report["te_hat"] <= 1
     assert len(report["per_h"]["a"]["ci"]) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TourStatistics([], []), "need at least one tour"),
+    (lambda: TourStatistics([1, 2], [0.5]), "per-tour arrays must have matching lengths"),
+    (lambda: TourStatistics([1, -1], [0.5, 0.5]), "visit counts must be >= 0"),
+    (lambda: confidence_interval(0.0, 1.0, 10, 1.0), r"alpha must lie in \(0, 1\)"),
+    (lambda: confidence_interval(0.0, 1.0, 0, 0.9), "k must be >= 1"),
+    (lambda: confidence_interval(0.0, -1.0, 10, 0.9), "sigma2 must be >= 0"),
+    (lambda: estimate_te([]), "need at least one tour"),
+    (lambda: min_tours(0.0, 0.5, 0.5), r"alpha must lie in \(0, 1\)"),
+    (lambda: min_tours(0.9, 0.0, 0.5), "delta must be > 0"),
+    (lambda: min_tours(0.9, 0.5, 1.5), r"te must lie in \(0, 1\]"),
+    (lambda: normal_quantile(1.0), r"p must lie in \(0, 1\)"),
+], ids=["stats-empty", "stats-lengths", "stats-negative-visits", "ci-alpha", "ci-k",
+        "ci-sigma2", "te-empty", "min_tours-alpha", "min_tours-delta", "min_tours-te",
+        "normal_quantile-p"])
+def test_stats_check_their_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
