@@ -13,7 +13,8 @@ standard error of the barrier pins the implied grid size down, so the rounds
 after it run on the grid that is kept.  The last two rounds share a grid,
 and their two passes pooled decide the last round's restart and give the
 schedule.  Each pass also learns per-level slice widths from the moves of
-its explorers, for the next pass and for the schedule.
+its explorers: a wide bracket for the next pass, a narrower one, cheaper
+per unit of tour effectiveness, for the schedule.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune_explore_steps
+from .explore import (
+    _INITIAL_WIDTH,
+    _batch_se,
+    _kappa1_upper,
+    build_explorers,
+    tune_explore_steps,
+)
 from .model import Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
@@ -36,13 +43,11 @@ _MAX_RESTARTS = 1
 # Relative gap between the current grid size and the one a settled round's
 # barrier implies above which the tune restarts at the implied size.
 _RESTART_MISMATCH = 0.25
-# Fewest scans from which a pass's batch-means standard error is computed:
-# with fewer, a handful of short batches gives SEs small enough to settle
-# the grid size on noise (2-4 scan rounds settled the toy at N=3 or 4).
-_MIN_SE_SCANS = 32
 # Slice bracket width of a level and coordinate, per unit of the mean |move|
-# that the coordinate made in one explorer call of the last pass.
+# that the coordinate made in one explorer call of the last pass: in the
+# tune's passes, and in the schedule that the tours run.
 _WIDTH_PER_MOVE = 16.0
+_RUN_WIDTH_PER_MOVE = 6.0
 # Stopping thresholds of the four stability indicators: the tune converges
 # when every indicator is below its threshold (the asymmetry one only under
 # mean-energy affinities).
@@ -424,17 +429,22 @@ def _counting_v_evals(model, call, *args, **kwargs):
     return out, model.v_evals.value - evals0
 
 
-def _widths_from_moves(moves, n_scan):
-    """Slice bracket widths from a pass's summed moves: ``_WIDTH_PER_MOVE``
-    times each level's and coordinate's mean |move| per explorer call, and
+def _widths_from_moves(moves, n_scan, per_move):
+    """Slice bracket widths from a pass's summed moves: ``per_move`` times
+    each level's and coordinate's mean |move| per explorer call, and
     ``_INITIAL_WIDTH`` where that mean is 0 or not finite.
 
-    A bracket much narrower than the slice moves x by a third of its width
-    on average, so it grows ~5x per round until it covers the slice.  The
-    move is the conditional scale the sampler sees; the spread of the
+    The move is the conditional scale the sampler sees; the spread of the
     states is not used, since a heavy-tailed marginal (e.g. a Cauchy mean)
-    makes it far wider than the slice."""
-    widths = _WIDTH_PER_MOVE * (np.asarray(moves, dtype=float) / n_scan)
+    makes it far wider than the slice.  The tune's passes take
+    ``_WIDTH_PER_MOVE``: a bracket much narrower than the slice moves x by a
+    third of its width on average, so it grows ~5x per round until it
+    covers the slice.  The schedule, which the tours run at, takes
+    ``_RUN_WIDTH_PER_MOVE``: a bracket that covers the slice costs fewer
+    shrinks the narrower it is, and on a 1-d Gaussian the sampler's
+    effective samples of x^2 per V-eval peak at 5.4-7.1x its mean |move|
+    (the README gives V-evals per unit TE at 4x to 16x)."""
+    widths = per_move * (np.asarray(moves, dtype=float) / n_scan)
     widths[~(np.isfinite(widths) & (widths > 0.0))] = _INITIAL_WIDTH
     return widths
 
@@ -446,29 +456,17 @@ def _carry_widths(widths, old_betas, new_betas):
     return np.column_stack([np.interp(new_betas[1:], old, w) for w in widths.T])
 
 
-def _batch_se(data: np.ndarray, stat):
-    """Batch-means standard error of ``stat`` over a pass's scans.
+def _run_kappa1_upper(v_in, v_out) -> float:
+    """Upper bound on kappa(1) of the run's kernel at a level, from the
+    (V in, V out) pairs of the tune's kernel there.
 
-    Splits the scans into b = 2^floor(log2(n_scan) / 2) consecutive batches
-    of equal length (every scan when n_scan is a power of two), evaluates
-    ``stat`` on each batch's columns of ``data`` and returns sd(batch values) / sqrt(b)
-    (Flegal & Jones, Ann. Statist. 2010).  None below ``_MIN_SE_SCANS``
-    scans.
-    """
-    n_scan = data.shape[1]
-    if n_scan < _MIN_SE_SCANS:
-        return None
-    b = 2 ** (int(math.log2(n_scan)) // 2)
-    size = n_scan // b
-    values = [stat(data[:, k * size:(k + 1) * size]) for k in range(b)]
-    return float(np.std(values, ddof=1)) / math.sqrt(b)
-
-
-def _kappa1_upper(v_in, v_out) -> float:
-    """kappa(1) from a level's (V in, V out) pairs plus 2 batch-means SEs
-    over its scans; +inf below ``_MIN_SE_SCANS`` scans."""
-    se = _batch_se(np.array((v_in, v_out)), lambda d: lag1_autocorrelation(*d))
-    return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
+    A bracket that covers the slice draws uniformly from it at any width,
+    and one narrower than the slice moves x diffusively, by a fixed share of
+    its width, so 1 - kappa(1) falls with the square of the bracket: the
+    run's bracket, ``_RUN_WIDTH_PER_MOVE / _WIDTH_PER_MOVE`` of the tune's,
+    leaves at least that ratio squared of the tune's 1 - kappa(1)."""
+    shrink = (_RUN_WIDTH_PER_MOVE / _WIDTH_PER_MOVE) ** 2
+    return 1.0 - shrink * (1.0 - _kappa1_upper(v_in, v_out))
 
 
 def _grid_size_settled(lambda_hat, lambda_se) -> bool:
@@ -549,16 +547,22 @@ def adapt(
     Every pass also learns each level's slice widths
     (:func:`_widths_from_moves`).  The first round explores at 1.0
     everywhere; each later pass, restarts included, uses the widths of the
-    pass before, interpolated linearly in beta onto its grid.
+    pass before at ``_WIDTH_PER_MOVE``, interpolated linearly in beta onto
+    its grid.  The schedule's widths are ``_RUN_WIDTH_PER_MOVE`` times the
+    moves of the pass that gives the schedule: the run's bracket, not the
+    tune's.
 
-    Exploration step counts are tuned last.  In the schedule's passes every
-    level's chain is stationary for its tempered law, so the (V before, V
-    after) pairs of its explorer calls bound its lag-1 autocorrelation
-    (:func:`_kappa1_upper`), and :func:`tune_explore_steps` runs a chain
-    only at the levels whose bound exceeds ``explore._KAPPA_BAR``, from the
-    last pass's final states.  ``step_tuning_v_evals`` counts their
-    V-evals, which with the rounds' ``v_evals`` sum to the tune's.  Every
-    argument is checked before the first pass.
+    Exploration step counts are tuned last, for the run's kernel.  In the
+    schedule's passes every level's chain is stationary for its tempered
+    law, so the (V before, V after) pairs of its explorer calls bound the
+    lag-1 autocorrelation of the tune's kernel (:func:`_kappa1_upper`) and,
+    through the ratio of the brackets, of the run's
+    (:func:`_run_kappa1_upper`).  :func:`tune_explore_steps` runs a chain,
+    at the schedule's widths, only at the levels whose run bound exceeds
+    ``explore._KAPPA_BAR``, from the last pass's final states.
+    ``step_tuning_v_evals`` counts their V-evals, which with the rounds'
+    ``v_evals`` sum to the tune's.  Every argument is checked before the
+    first pass.
     """
     if not (n_levels_initial >= 1 and float(n_levels_initial).is_integer()):
         raise ValueError(f"n_levels_initial must be a whole number >= 1, "
@@ -630,14 +634,15 @@ def adapt(
             # The last two rounds share a grid, so that the schedule comes
             # from the passes of both.
             betas = optimize_grid(barrier, n)
-        widths = _carry_widths(_widths_from_moves(nrpt.moves, nrpt.data.shape[1]),
-                               old_betas, betas)
+        widths = _carry_widths(
+            _widths_from_moves(nrpt.moves, nrpt.data.shape[1], _WIDTH_PER_MOVE),
+            old_betas, betas)
         held = nrpt if betas is old_betas else None
 
     affinities, log_z, rejections, barrier = current
-    widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1])
+    widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1], _RUN_WIDTH_PER_MOVE)
     spread, asym = equi_rejection_indicators(*rejections)
-    kappa1 = [_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]
+    kappa1 = [_run_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps, step_tuning_v_evals = _counting_v_evals(
         model, tune_explore_steps, model, tuning_sched, rng,

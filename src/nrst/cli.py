@@ -22,7 +22,7 @@ from .adapt import adapt as run_adapt
 from .bench_models import ModelSpec, available_models, make_model
 from .explore import SliceNumericalError, build_explorers
 from .model import DivergedPotentialError, Schedule
-from .runner import CoordinateFunction, pilot_then_run, run_parallel
+from .runner import CoordinateFunction, WorkerDiedError, pilot_then_run, run_parallel
 from .st_kernels import (
     IdealIndexChain,
     TourOverrunError,
@@ -435,7 +435,7 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return 1
     except (TourOverrunError, DivergedPotentialError, SliceNumericalError,
-            NoTopVisitsError, InfiniteReferenceError) as err:
+            NoTopVisitsError, InfiniteReferenceError, WorkerDiedError) as err:
         where = ""
         if hasattr(err, "tour_index"):
             where = f"tour {err.tour_index} (seed {err.seed}): "

@@ -26,6 +26,17 @@ from .stats import NoTopVisitsError, TourStatistics, diagnostics_report, estimat
 _MAX_TOUR_STEPS = 10**6
 
 
+class WorkerDiedError(RuntimeError):
+    """A pool worker died, so the tours from ``.tour_index`` on, of the
+    stream keyed by ``.seed``, did not all come back."""
+
+    def __init__(self, seed, tour_index):
+        super().__init__(f"a pool worker died: tours from index {tour_index} on "
+                         f"(seed {seed}) did not finish")
+        self.seed = seed
+        self.tour_index = tour_index
+
+
 @dataclass(frozen=True)
 class CoordinateFunction:
     """Picklable test function h(x) = x[index]."""
@@ -111,14 +122,21 @@ def _run_tours(model, schedule, variant, indices, workers, seed, h_funcs):
         return _tour_chunk((model, schedule, variant, seed, indices, h_funcs, _MAX_TOUR_STEPS))
     # Imported here, so that a run without a pool never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     size = max(1, len(indices) // (workers * 8))
+    starts = range(0, len(indices), size)
     chunks = [(model, schedule, variant, seed, indices[a:a + size], h_funcs, _MAX_TOUR_STEPS)
-              for a in range(0, len(indices), size)]
+              for a in starts]
+    table = TourTable(variant, len(h_funcs))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         tables = pool.map(_tour_chunk, chunks)
-        table = next(tables)
-        for more in tables:
+        for a in starts:
+            try:
+                more = next(tables)
+            except BrokenProcessPool as err:
+                # The first chunk, in index order, that never came back.
+                raise WorkerDiedError(seed, indices[a]) from err
             table.extend(more)
     return table
 

@@ -6,6 +6,8 @@ import pytest
 
 from nrst import explore
 from nrst.adapt import (
+    _RUN_WIDTH_PER_MOVE,
+    _WIDTH_PER_MOVE,
     BarrierEstimate,
     InfiniteReferenceError,
     PassEstimates,
@@ -13,6 +15,7 @@ from nrst.adapt import (
     _carry_widths,
     _kappa1_upper,
     _remap_states,
+    _run_kappa1_upper,
     _widths_from_moves,
     adapt,
     build_barrier,
@@ -666,7 +669,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
         assert res.log_z is None
     np.testing.assert_array_equal(res.schedule.affinities, affinities)
     np.testing.assert_array_equal(res.schedule.widths,
-                                  _widths_from_moves(moves, data[0].size))
+                                  _widths_from_moves(moves, data[0].size, _RUN_WIDTH_PER_MOVE))
     rejections = estimate_rejections(data, betas, affinities)
     for got, want in zip(res.rejections, rejections):
         np.testing.assert_array_equal(got, want)
@@ -675,7 +678,7 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
     assert res.rounds[-1]["n_scan"] == n_scan
     n = res.schedule.n_levels
-    assert step_calls[0]["kappa1"] == [_kappa1_upper(ends[0, i], ends[1, i])
+    assert step_calls[0]["kappa1"] == [_run_kappa1_upper(ends[0, i], ends[1, i])
                                        for i in range(1, n + 1)]
     assert step_calls[0]["init_states"] is states
 
@@ -713,10 +716,10 @@ def test_batch_se_needs_32_scans():
     assert _batch_se(_series_dataset(x), _mean_of_level_0) > 0
 
 
-def test_widths_from_moves_scale_the_mean_move_and_default_to_one():
+@pytest.mark.parametrize("scale", [_WIDTH_PER_MOVE, _RUN_WIDTH_PER_MOVE, 0.5])
+def test_widths_from_moves_scale_the_mean_move_and_default_to_one(scale):
     moves = np.array([[8.0, 0.0], [math.inf, 2.0], [math.nan, 4.0]])
-    widths = _widths_from_moves(moves, 4)
-    scale = importlib.import_module("nrst.adapt")._WIDTH_PER_MOVE
+    widths = _widths_from_moves(moves, 4, scale)
     np.testing.assert_array_equal(widths, [[2.0 * scale, 1.0], [1.0, 0.5 * scale],
                                            [1.0, 1.0 * scale]])
 
@@ -746,12 +749,73 @@ def test_adapt_learns_widths_from_each_pass(monkeypatch, loose):
     # pass before learned, carried onto its grid (the restart included)
     assert calls[0][0].widths is None
     for (before, n_before, moves), (after, _, _) in zip(calls, calls[1:]):
-        learned = _widths_from_moves(moves, n_before)
+        learned = _widths_from_moves(moves, n_before, _WIDTH_PER_MOVE)
         np.testing.assert_array_equal(
             after.widths, _carry_widths(learned, before.betas, after.betas))
-    # the schedule keeps the widths of the last pass
+    # the schedule keeps the run's widths from the moves of the last pass
     final, n_final, moves = calls[-1]
-    np.testing.assert_array_equal(res.schedule.widths, _widths_from_moves(moves, n_final))
+    np.testing.assert_array_equal(res.schedule.widths,
+                                  _widths_from_moves(moves, n_final, _RUN_WIDTH_PER_MOVE))
+
+
+def test_adapt_explores_at_the_tune_bracket_and_writes_the_run_bracket(monkeypatch):
+    module = importlib.import_module("nrst.adapt")
+    monkeypatch.setattr(module, "_MAX_RESTARTS", 0)
+    passes = []
+    real = module.run_nrpt
+
+    def spy(model, schedule, n_scan, *args, **kwargs):
+        out = real(model, schedule, n_scan, *args, **kwargs)
+        passes.append((schedule, n_scan, out.moves))
+        return out
+
+    monkeypatch.setattr(module, "run_nrpt", spy)
+    chain_kernels = []
+    real_tune, real_kernel = explore.tune_explore_steps, explore.ExplorationKernel
+
+    def kernel(model, beta, n_steps=1, widths=None):
+        chain_kernels.append((beta, n_steps, widths))
+        return real_kernel(model, beta, n_steps, widths)
+
+    def tune(model, schedule, rng, *, init_states, kappa1):
+        # every level runs its chain
+        monkeypatch.setattr(explore, "ExplorationKernel", kernel)
+        try:
+            return real_tune(model, schedule, rng, init_states=init_states,
+                             kappa1=[math.inf] * schedule.n_levels)
+        finally:
+            monkeypatch.setattr(explore, "ExplorationKernel", real_kernel)
+
+    monkeypatch.setattr(module, "tune_explore_steps", tune)
+    res = adapt(ToyGaussian(), 8, 4, rng=np.random.default_rng(3))
+    assert len(passes) == 4 and passes[0][0].widths is None
+    # every pass after the first explores at 16x the mean move of the pass
+    # before, carried onto its grid
+    for (before, n_before, moves), (after, _, _) in zip(passes, passes[1:]):
+        np.testing.assert_array_equal(after.widths, _carry_widths(
+            _WIDTH_PER_MOVE * (moves / n_before), before.betas, after.betas))
+    # the schedule carries 6x the mean move of the last two passes pooled
+    mean_move = (passes[-2][2] + passes[-1][2]) / (passes[-2][1] + passes[-1][1])
+    np.testing.assert_array_equal(res.schedule.widths, _RUN_WIDTH_PER_MOVE * mean_move)
+    np.testing.assert_allclose(res.schedule.widths / (_WIDTH_PER_MOVE * mean_move), 6 / 16,
+                               rtol=1e-12)
+    # and every step-tuning chain runs one sweep per call at those widths
+    n = res.schedule.n_levels
+    assert [beta for beta, _, _ in chain_kernels] == list(res.schedule.betas[1:])
+    for i, (_, n_steps, widths) in enumerate(chain_kernels):
+        assert n_steps == 1
+        np.testing.assert_array_equal(widths, res.schedule.widths[i])
+    assert len(chain_kernels) == n
+
+
+def test_run_widths_are_about_six_conditional_sds_on_the_toy():
+    # the toy's tempered law at beta has conditional sd (1/sigma0^2 + beta)^-1/2
+    # in every coordinate; the tune's own 16x bracket reads ~15.5 of them
+    toy = ToyGaussian()
+    res = adapt(toy, 8, 9, rng=np.random.default_rng(1000))
+    sd = (1.0 / toy.sigma0**2 + res.schedule.betas[1:]) ** -0.5
+    ratio = res.schedule.widths / sd[:, None]
+    assert np.all((ratio >= 4.5) & (ratio <= 7.5)), ratio
 
 
 def test_adapt_learned_widths_speed_toy_mixing(monkeypatch):
@@ -765,10 +829,11 @@ def test_adapt_learned_widths_speed_toy_mixing(monkeypatch):
     assert np.all(widths[0] > widths[-1])
     # With no stepping out, a bracket of 1.0 moves x by ~1/3 per update, so
     # V mixes slowly at every level (kappa(1) + 2 SE 0.90-0.97 at seed 1, and
-    # 0.20-0.39 at the learned widths); the learned brackets cover the slice
-    # and buy mixing, not fewer V-evals.
+    # 0.20-0.39 at the learned widths, in the tune's passes; the bounds that
+    # step tuning gets are mapped to the run's bracket, in the same order);
+    # the learned brackets cover the slice and buy mixing, not fewer V-evals.
     monkeypatch.setattr(importlib.import_module("nrst.adapt"), "_widths_from_moves",
-                        lambda moves, n_scan: np.ones_like(moves))
+                        lambda moves, n_scan, per_move: np.ones_like(moves))
     unit_calls = spy_on_step_tuning(monkeypatch)
     adapt(ToyGaussian(), 8, 9, rng=np.random.default_rng(1))
     assert max(calls[0]["kappa1"]) < min(unit_calls[0]["kappa1"])
@@ -923,9 +988,11 @@ def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
     res, call, chain_res, chain_call = adapt_with_and_without_kappa1(
         monkeypatch, ToyGaussian, 8, 5, "mean", seed=1)
     assert len(call["kappa1"]) == res.schedule.n_levels
-    assert max(call["kappa1"]) <= 0.95
-    assert call["v_evals"] == 0 and call["chain_levels"] == []
-    assert chain_call["v_evals"] > 0
+    # the bounds are the run kernel's: only level 3's (from a tune-kernel
+    # bound of 0.68) leaves room above 0.95, so only level 3 runs its chain
+    assert call["chain_levels"] == [i for i, k in enumerate(call["kappa1"], start=1)
+                                    if k > 0.95] == [3]
+    assert 0 < call["v_evals"] < chain_call["v_evals"]
     assert chain_call["chain_levels"] == list(range(1, res.schedule.n_levels + 1))
     np.testing.assert_array_equal(res.schedule.explore_steps, chain_res.schedule.explore_steps)
 
@@ -972,6 +1039,17 @@ def test_kappa1_upper_adds_two_batch_means_ses():
     assert _kappa1_upper(v_in[:32], v_out[:32]) < math.inf
 
 
+def test_run_kappa1_upper_leaves_the_bracket_ratio_squared_of_one_minus_kappa():
+    rng = np.random.default_rng(9)
+    v_in = rng.standard_normal(256)
+    v_out = 0.5 * v_in + rng.standard_normal(256)
+    tune = _kappa1_upper(v_in, v_out)
+    run = _run_kappa1_upper(v_in, v_out)
+    assert 1.0 - run == pytest.approx((6 / 16) ** 2 * (1.0 - tune), rel=1e-12)
+    assert tune < run < 1.0
+    assert _run_kappa1_upper(v_in[:31], v_out[:31]) == math.inf
+
+
 def test_lag1_from_final_pass_matches_the_chain_estimate():
     # the pass's pairs from the stationary chain (V_t, V_t+1) estimate what
     # autocorrelation() estimates from the series
@@ -1001,9 +1079,12 @@ def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa
     monkeypatch.setattr(explore, "_lag_walk", two_step)
     oracle = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
     assert walked.schedule.to_dict() == oracle.schedule.to_dict()
-    assert len(counts) == walked.schedule.n_levels
-    assert walked.schedule.explore_steps.tolist() == counts
-    assert (max(counts) > 1) == (kappa_bar < 0.5)
+    # at 0.95 every chain's own lag-1 bound clears the bar at 32 pairs, so it
+    # stops at 1 step with no walk; at 0.1 the chains that run to their end
+    # walk, and the others stop at 1 step
+    steps = walked.schedule.explore_steps.tolist()
+    assert (len(counts) > 0) == (max(steps) > 1) == (kappa_bar < 0.5)
+    assert sorted(counts) == sorted(steps)[len(steps) - len(counts):]
 
 
 @pytest.mark.parametrize("args, message", [

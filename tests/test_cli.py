@@ -10,6 +10,7 @@ import pytest
 
 from nrst.bench_models import ToyGaussian, make_model
 from nrst.cli import _CHECKS, build_parser, main
+from nrst.runner import WorkerDiedError
 from nrst.stats import min_tours
 
 
@@ -529,6 +530,19 @@ def test_runtime_error_names_the_failing_tour(command, tuned_dir, tmp_path, monk
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert re.search(r"runtime error: tour \d+ \(seed 5\): log density not finite", err)
+
+
+def test_a_dead_worker_is_a_runtime_error(tuned_dir, tmp_path, monkeypatch, capsys):
+    def dies(*args, **kwargs):
+        raise WorkerDiedError(5, 12)
+
+    monkeypatch.setattr("nrst.cli.run_parallel", dies)
+    argv = ["run", "--schedule", tuned_dir / "schedule.json", "--te-hat", 0.3, "--seed", 5,
+            "--workers", 2, "--out", tmp_path]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: tour 12 (seed 5): a pool worker died: tours from index 12 on "
+        "(seed 5) did not finish\n")
 
 
 def test_tune_without_a_finite_reference_draw_is_a_runtime_error(tmp_path, monkeypatch,

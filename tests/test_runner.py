@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import math
+import multiprocessing
+import os
 import pickle
 import re
 
@@ -42,6 +44,20 @@ class BrokenReference(ToyGaussian):
 
     def log_reference(self, x):
         return -math.inf if x[0] > 3.0 else super().log_reference(x)
+
+
+class KillsItsWorker(ToyGaussian):
+    """V ends any process but the one that built the model, as a worker
+    that dies (e.g. killed for its memory) would."""
+
+    def __init__(self):
+        super().__init__()
+        self.parent = os.getpid()
+
+    def _potential(self, x):
+        if os.getpid() != self.parent:
+            os._exit(3)
+        return super()._potential(x)
 
 
 def tuned_like_schedule(n=4):
@@ -186,6 +202,20 @@ def test_failed_tour_names_its_index_and_seed_for_any_worker_count(model, max_st
             run_parallel(model, sched, "nrst", 0.95, 0.5, 1.0, workers, 5)
         named.append((info.value.tour_index, info.value.seed))
     assert named == [(first, 5)] * 2
+
+
+@pytest.mark.parametrize("first", [0, 40])
+def test_a_dead_worker_names_the_seed_and_the_first_tour_that_did_not_come_back(first):
+    sched = tuned_like_schedule()
+    with pytest.raises(runner.WorkerDiedError, match=rf"tours from index {first} on "
+                                                     rf"\(seed 5\) did not finish") as info:
+        if first == 0:
+            run_parallel(KillsItsWorker(), sched, "nrst", 0.95, 0.5, 1.0, 2, 5)
+        else:  # a pilot's top-up runs the tours after the pilot's
+            runner._run_tours(KillsItsWorker(), sched, "nrst", range(first, 2 * first), 2, 5,
+                              (CoordinateFunction(0),))
+    assert (info.value.seed, info.value.tour_index) == (5, first)
+    assert multiprocessing.active_children() == []
 
 
 def fails(model, sched, max_steps, key):
