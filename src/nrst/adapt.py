@@ -26,13 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .explore import (
-    _INITIAL_WIDTH,
-    _batch_se,
-    _kappa1_upper,
-    build_explorers,
-    tune_explore_steps,
-)
+from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune_explore_steps
 from .model import Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
@@ -43,6 +37,10 @@ _MAX_RESTARTS = 1
 # Relative gap between the current grid size and the one a settled round's
 # barrier implies above which the tune restarts at the implied size.
 _RESTART_MISMATCH = 0.25
+# Fewest scans from which a pass's batch-means standard error is computed:
+# with fewer, a handful of short batches gives SEs small enough to settle
+# the grid size on noise (2-4 scan rounds settled the toy at N=3 or 4).
+_MIN_SE_SCANS = 32
 # Slice bracket width of a level and coordinate, per unit of the mean |move|
 # that the coordinate made in one explorer call of the last pass: in the
 # tune's passes, and in the schedule that the tours run.
@@ -456,16 +454,42 @@ def _carry_widths(widths, old_betas, new_betas):
     return np.column_stack([np.interp(new_betas[1:], old, w) for w in widths.T])
 
 
-def _run_kappa1_upper(v_in, v_out) -> float:
-    """Upper bound on kappa(1) of the run's kernel at a level, from the
-    (V in, V out) pairs of the tune's kernel there.
+def _batch_se(data: np.ndarray, stat):
+    """Batch-means standard error of ``stat`` over a pass's scans.
+
+    Splits the scans into b = 2^floor(log2(n_scan) / 2) consecutive batches
+    of equal length (every scan when n_scan is a power of two), evaluates
+    ``stat`` on each batch's columns of ``data`` and returns sd(batch values) / sqrt(b)
+    (Flegal & Jones, Ann. Statist. 2010).  None below ``_MIN_SE_SCANS``
+    scans.
+    """
+    n_scan = data.shape[1]
+    if n_scan < _MIN_SE_SCANS:
+        return None
+    b = 2 ** (int(math.log2(n_scan)) // 2)
+    size = n_scan // b
+    values = [stat(data[:, k * size:(k + 1) * size]) for k in range(b)]
+    return float(np.std(values, ddof=1)) / math.sqrt(b)
+
+
+def _kappa1_upper(v_in, v_out) -> float:
+    """kappa(1) from a level's (V in, V out) pairs plus 2 batch-means SEs
+    over its scans; +inf below ``_MIN_SE_SCANS`` scans."""
+    se = _batch_se(np.array((v_in, v_out)), lambda d: lag1_autocorrelation(*d))
+    return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
+
+
+def _run_kappa1_upper(v_in, v_out, per_move) -> float:
+    """Upper bound on kappa(1) of the run's kernel at a level, whose widths
+    are ``per_move`` times the mean move, from the (V in, V out) pairs of
+    the tune's kernel there.
 
     A bracket that covers the slice draws uniformly from it at any width,
     and one narrower than the slice moves x diffusively, by a fixed share of
     its width, so 1 - kappa(1) falls with the square of the bracket: the
-    run's bracket, ``_RUN_WIDTH_PER_MOVE / _WIDTH_PER_MOVE`` of the tune's,
-    leaves at least that ratio squared of the tune's 1 - kappa(1)."""
-    shrink = (_RUN_WIDTH_PER_MOVE / _WIDTH_PER_MOVE) ** 2
+    run's bracket, ``per_move / _WIDTH_PER_MOVE`` of the tune's, leaves at
+    least that ratio squared of the tune's 1 - kappa(1)."""
+    shrink = (per_move / _WIDTH_PER_MOVE) ** 2
     return 1.0 - shrink * (1.0 - _kappa1_upper(v_in, v_out))
 
 
@@ -549,8 +573,9 @@ def adapt(
     everywhere; each later pass, restarts included, uses the widths of the
     pass before at ``_WIDTH_PER_MOVE``, interpolated linearly in beta onto
     its grid.  The schedule's widths are ``_RUN_WIDTH_PER_MOVE`` times the
-    moves of the pass that gives the schedule: the run's bracket, not the
-    tune's.
+    moves of the passes that give the schedule: the run's bracket, not the
+    tune's.  Where round 1's pass, at the initial width, is one of them,
+    they are ``_WIDTH_PER_MOVE`` times its moves, as for a next round.
 
     Exploration step counts are tuned last, for the run's kernel.  In the
     schedule's passes every level's chain is stationary for its tempered
@@ -640,9 +665,14 @@ def adapt(
         held = nrpt if betas is old_betas else None
 
     affinities, log_z, rejections, barrier = current
-    widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1], _RUN_WIDTH_PER_MOVE)
+    # Round 1's pass explores at the initial width, where each move is as
+    # long as the bracket lets it be, not as the slice: a schedule that it
+    # helps give keeps the tune's bracket.
+    per_move = _WIDTH_PER_MOVE if round_idx - (held is not None) == 1 else _RUN_WIDTH_PER_MOVE
+    widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1], per_move)
     spread, asym = equi_rejection_indicators(*rejections)
-    kappa1 = [_run_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i]) for i in range(1, n + 1)]
+    kappa1 = [_run_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i], per_move)
+              for i in range(1, n + 1)]
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps, step_tuning_v_evals = _counting_v_evals(
         model, tune_explore_steps, model, tuning_sched, rng,

@@ -16,11 +16,10 @@ so that a narrow bracket grows fast, and the schedule carries 6x, which
 the tours run at for fewer V-evals per unit of tour effectiveness.  The
 number of self-compositions per level is the smallest lag n at which the
 autocorrelation of the potential series falls to ``_KAPPA_BAR``, read from
-a chain of up to ``_CHAIN_LEN`` sweeps at the schedule's widths at the
-levels that need one; a chain whose own lag-1 bound clears the bar early
-stops there, at 1 step.  Kernels take the potential V of their start point
-and return V of their end point with it, so no caller spends a V-eval where
-a sweep already holds the value.
+a chain of ``_CHAIN_LEN`` sweeps at the schedule's widths at the levels
+that need one.  Kernels take the potential V of their start point and
+return V of their end point with it, so no caller spends a V-eval where a
+sweep already holds the value.
 """
 
 from __future__ import annotations
@@ -44,10 +43,6 @@ _MAX_EXPLORE_STEPS = 64
 _KAPPA_BAR = 0.95
 # Sweeps of the chain that sets a level's exploration steps.
 _CHAIN_LEN = 512
-# Fewest scans (or chain steps) from which a batch-means standard error is
-# computed: with fewer, a handful of short batches gives SEs small enough to
-# settle the grid size on noise (2-4 scan rounds settled the toy at N=3 or 4).
-_MIN_SE_SCANS = 32
 
 
 class SliceNumericalError(RuntimeError):
@@ -209,31 +204,6 @@ def lag1_autocorrelation(v_in, v_out) -> float:
     return float(np.dot(ca, cb)) / denom
 
 
-def _batch_se(data: np.ndarray, stat):
-    """Batch-means standard error of ``stat`` over a pass's scans.
-
-    Splits the scans into b = 2^floor(log2(n_scan) / 2) consecutive batches
-    of equal length (every scan when n_scan is a power of two), evaluates
-    ``stat`` on each batch's columns of ``data`` and returns sd(batch values) / sqrt(b)
-    (Flegal & Jones, Ann. Statist. 2010).  None below ``_MIN_SE_SCANS``
-    scans.
-    """
-    n_scan = data.shape[1]
-    if n_scan < _MIN_SE_SCANS:
-        return None
-    b = 2 ** (int(math.log2(n_scan)) // 2)
-    size = n_scan // b
-    values = [stat(data[:, k * size:(k + 1) * size]) for k in range(b)]
-    return float(np.std(values, ddof=1)) / math.sqrt(b)
-
-
-def _kappa1_upper(v_in, v_out) -> float:
-    """kappa(1) from a level's (V in, V out) pairs plus 2 batch-means SEs
-    over its scans; +inf below ``_MIN_SE_SCANS`` scans."""
-    se = _batch_se(np.array((v_in, v_out)), lambda d: lag1_autocorrelation(*d))
-    return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
-
-
 def _lag_walk(series) -> int:
     """Smallest lag n >= 1 at which the biased sample autocorrelation of
     ``series``, a negative one read as 0, is <= ``_KAPPA_BAR``, walking up
@@ -264,17 +234,12 @@ def tune_explore_steps(
 
     ``kappa1`` holds, per level 1..N, an upper bound on the lag-1
     autocorrelation kappa(1) of V under one sweep at the schedule's widths,
-    from stationary draws (see :func:`adapt.adapt`).  A level whose bound
-    is <= ``_KAPPA_BAR`` gets 1 step and runs no chain.  Every other level
-    runs a single-sweep slice chain, at the schedule's widths, from its warm
-    state in ``init_states`` (one (x, V(x)) per level 0..N).  The chain
-    stops at 1 step as soon as its own bound clears the bar: kappa(1) of
-    its consecutive V pairs plus 2 batch-means SEs (:func:`_kappa1_upper`),
-    read at each power of two from ``_MIN_SE_SCANS`` pairs (32, 64, 128 and
-    256 of the 511 a full chain has).  Otherwise it runs ``_CHAIN_LEN``
-    sweeps, and the level gets the smallest n that brings the lag-n
-    autocorrelation of the V series at or below ``_KAPPA_BAR``, capped at
-    ``_MAX_EXPLORE_STEPS``.
+    from stationary draws (see :func:`adapt.adapt`).  A level whose bound is <= ``_KAPPA_BAR`` gets 1
+    step and runs no chain.  Every other level runs a single-sweep slice
+    chain of length ``_CHAIN_LEN``, at the schedule's widths, from its warm
+    state in ``init_states`` (one (x, V(x)) per level 0..N), estimates the
+    lag-n autocorrelation of the V series and gets the smallest n that
+    brings it at or below ``_KAPPA_BAR``, capped at ``_MAX_EXPLORE_STEPS``.
     Levels use independent spawned rng streams, so a level's count does not
     depend on which other levels run their chain.
     """
@@ -291,10 +256,5 @@ def tune_explore_steps(
         for t in range(_CHAIN_LEN):
             x, v = kernel(x, v, level_rng)
             vs[t] = v
-            # t pairs so far: read the bound at each power of two from 32
-            if (t >= _MIN_SE_SCANS and t & (t - 1) == 0
-                    and _kappa1_upper(vs[:t], vs[1:t + 1]) <= _KAPPA_BAR):
-                break
-        else:
-            steps[i - 1] = _lag_walk(vs)
+        steps[i - 1] = _lag_walk(vs)
     return steps

@@ -28,11 +28,11 @@ _MAX_TOUR_STEPS = 10**6
 
 class WorkerDiedError(RuntimeError):
     """A pool worker died, so the tours from ``.tour_index`` on, of the
-    stream keyed by ``.seed``, did not all come back."""
+    stream keyed by ``.seed``, did not all come back.  The message leaves
+    both to the caller, as for the other tour errors."""
 
     def __init__(self, seed, tour_index):
-        super().__init__(f"a pool worker died: tours from index {tour_index} on "
-                         f"(seed {seed}) did not finish")
+        super().__init__("a pool worker died; this tour and those after it did not finish")
         self.seed = seed
         self.tour_index = tour_index
 

@@ -678,7 +678,8 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
     assert res.rounds[-1]["n_scan"] == n_scan
     n = res.schedule.n_levels
-    assert step_calls[0]["kappa1"] == [_run_kappa1_upper(ends[0, i], ends[1, i])
+    assert step_calls[0]["kappa1"] == [_run_kappa1_upper(ends[0, i], ends[1, i],
+                                                         _RUN_WIDTH_PER_MOVE)
                                        for i in range(1, n + 1)]
     assert step_calls[0]["init_states"] is states
 
@@ -806,6 +807,30 @@ def test_adapt_explores_at_the_tune_bracket_and_writes_the_run_bracket(monkeypat
         assert n_steps == 1
         np.testing.assert_array_equal(widths, res.schedule.widths[i])
     assert len(chain_kernels) == n
+
+
+@pytest.mark.parametrize("max_rounds", [1, 2])
+def test_a_schedule_that_round_1_gives_keeps_the_tune_bracket(monkeypatch, max_rounds):
+    # round 1 explores at width 1.0, where a move is as long as the bracket
+    # lets it be, not as the slice: a schedule from its pass (alone, or
+    # pooled with round 2's) takes 16x the mean move
+    module = importlib.import_module("nrst.adapt")
+    monkeypatch.setattr(module, "_MAX_RESTARTS", 0)
+    passes = []
+    real = module.run_nrpt
+
+    def spy(model, schedule, n_scan, *args, **kwargs):
+        out = real(model, schedule, n_scan, *args, **kwargs)
+        passes.append((n_scan, out.moves))
+        return out
+
+    monkeypatch.setattr(module, "run_nrpt", spy)
+    res = adapt(ToyGaussian(), 8, max_rounds, rng=np.random.default_rng(1002))
+    assert len(passes) == max_rounds
+    moves = sum(m for _, m in passes)
+    n_scan = sum(n for n, _ in passes)
+    np.testing.assert_array_equal(res.schedule.widths,
+                                  _widths_from_moves(moves, n_scan, _WIDTH_PER_MOVE))
 
 
 def test_run_widths_are_about_six_conditional_sds_on_the_toy():
@@ -1044,10 +1069,12 @@ def test_run_kappa1_upper_leaves_the_bracket_ratio_squared_of_one_minus_kappa():
     v_in = rng.standard_normal(256)
     v_out = 0.5 * v_in + rng.standard_normal(256)
     tune = _kappa1_upper(v_in, v_out)
-    run = _run_kappa1_upper(v_in, v_out)
+    run = _run_kappa1_upper(v_in, v_out, _RUN_WIDTH_PER_MOVE)
     assert 1.0 - run == pytest.approx((6 / 16) ** 2 * (1.0 - tune), rel=1e-12)
     assert tune < run < 1.0
-    assert _run_kappa1_upper(v_in[:31], v_out[:31]) == math.inf
+    # a run at the tune's bracket has the tune's bound
+    assert _run_kappa1_upper(v_in, v_out, _WIDTH_PER_MOVE) == tune
+    assert _run_kappa1_upper(v_in[:31], v_out[:31], _RUN_WIDTH_PER_MOVE) == math.inf
 
 
 def test_lag1_from_final_pass_matches_the_chain_estimate():
@@ -1066,25 +1093,34 @@ def test_lag1_from_final_pass_matches_the_chain_estimate():
 
 @pytest.mark.parametrize("kappa_bar", [0.95, 0.1])
 def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa_bar):
-    # at 0.1 some banana levels need 2 steps or more
+    # at 0.1 some banana levels need 2 steps or more; in both cases the
+    # schedule's passes pool 24 scans, too few for a bound, so every level
+    # runs its chain and walks
     monkeypatch.setattr(explore, "_KAPPA_BAR", kappa_bar)
     walked = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
-    counts = []
+    kernel_betas, walks = [], []
+    real_kernel = explore.ExplorationKernel
+
+    def kernel(model, beta, *args, **kwargs):
+        kernel_betas.append(beta)
+        return real_kernel(model, beta, *args, **kwargs)
 
     def two_step(series):
-        counts.append(steps_from_autocorrelation(
-            autocorrelation(series, explore._MAX_EXPLORE_STEPS), kappa_bar))
-        return counts[-1]
+        # a level's walk follows the kernel of its chain
+        walks.append((kernel_betas[-1], steps_from_autocorrelation(
+            autocorrelation(series, explore._MAX_EXPLORE_STEPS), kappa_bar)))
+        return walks[-1][1]
 
+    monkeypatch.setattr(explore, "ExplorationKernel", kernel)
     monkeypatch.setattr(explore, "_lag_walk", two_step)
     oracle = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
     assert walked.schedule.to_dict() == oracle.schedule.to_dict()
-    # at 0.95 every chain's own lag-1 bound clears the bar at 32 pairs, so it
-    # stops at 1 step with no walk; at 0.1 the chains that run to their end
-    # walk, and the others stop at 1 step
-    steps = walked.schedule.explore_steps.tolist()
-    assert (len(counts) > 0) == (max(steps) > 1) == (kappa_bar < 0.5)
-    assert sorted(counts) == sorted(steps)[len(steps) - len(counts):]
+    betas = walked.schedule.betas.tolist()
+    steps = walked.schedule.explore_steps
+    assert [betas.index(beta) for beta, _ in walks] == list(range(1, len(betas)))
+    for beta, count in walks:
+        assert steps[betas.index(beta) - 1] == count
+    assert (max(steps) > 1) == (kappa_bar < 0.5)
 
 
 @pytest.mark.parametrize("args, message", [

@@ -541,8 +541,8 @@ def test_a_dead_worker_is_a_runtime_error(tuned_dir, tmp_path, monkeypatch, caps
             "--workers", 2, "--out", tmp_path]
     assert run_cli(argv) == 2
     assert capsys.readouterr().err == (
-        "runtime error: tour 12 (seed 5): a pool worker died: tours from index 12 on "
-        "(seed 5) did not finish\n")
+        "runtime error: tour 12 (seed 5): a pool worker died; this tour and those after it "
+        "did not finish\n")
 
 
 def test_tune_without_a_finite_reference_draw_is_a_runtime_error(tmp_path, monkeypatch,

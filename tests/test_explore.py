@@ -464,36 +464,3 @@ def test_tune_explore_steps_runs_chains_only_above_kappa_bar(monkeypatch):
     assert one_slow[0] == one_slow[2] == 1
     # the slow level's chain runs on its own stream, as when every level runs
     assert one_slow[1] == full[1] > 1
-
-
-@pytest.mark.parametrize("clears_at", [32, 64, 256, None])
-def test_a_chain_stops_at_one_step_once_its_own_lag1_bound_clears(monkeypatch, clears_at):
-    # the chain reads the bound of its consecutive V pairs at 32, 64, 128 and
-    # 256 pairs; once it clears the bar the level gets 1 step, and a chain
-    # whose bound never clears runs all 512 sweeps and takes the lag walk's count
-    model = ToyGaussian()
-    sched = uniform_schedule(1)
-    states = warm_states(model, sched, np.random.default_rng(104))
-    looks, sweeps = [], []
-    real_call = ExplorationKernel.__call__
-
-    def bound(v_in, v_out):
-        np.testing.assert_array_equal(v_in[1:], v_out[:-1])
-        looks.append(len(v_in))
-        return 0.5 if len(v_in) == clears_at else 0.96
-
-    def call(self, x, v, rng):
-        x, v = real_call(self, x, v, rng)
-        sweeps.append(v)
-        return x, v
-
-    monkeypatch.setattr(explore, "_kappa1_upper", bound)
-    monkeypatch.setattr(ExplorationKernel, "__call__", call)
-    steps = tune_explore_steps(model, sched, np.random.default_rng(5), init_states=states,
-                               kappa1=[math.inf])
-    if clears_at is None:
-        assert looks == [32, 64, 128, 256] and len(sweeps) == 512
-        assert steps.tolist() == [explore._lag_walk(sweeps)]
-    else:
-        assert looks == [n for n in (32, 64, 128, 256) if n <= clears_at]
-        assert len(sweeps) == clears_at + 1 and steps.tolist() == [1]
