@@ -2,14 +2,15 @@
 
 The tuner bootstraps with non-reversible parallel tempering (deterministic
 even/odd swap rounds) to build a dataset of potential samples per level,
-estimates level affinities (stepping-stone log normalizing constants for the
-mean-energy strategy, trapezoid of sample medians for the minimum-rejection
-strategy), measures per-interval rejection probabilities, accumulates them
-into a monotone barrier function, and inverts the barrier to place the grid
-at equal rejection increments.  Rounds double the scan budget until four
-heuristic stability indicators are jointly satisfied.  The grid-size
-restart is decided inside that loop, at the first round whose batch-means
-standard error of the barrier pins the implied grid size down, so the rounds
+estimates level affinities (for the mean-energy strategy, stepping-stone log
+normalizing constants with a Bennett acceptance ratio per stone; for the
+minimum-rejection strategy, a trapezoid of sample medians), measures
+per-interval rejection probabilities, accumulates them into a monotone
+barrier function, and inverts the barrier to place the grid at equal
+rejection increments.  Rounds double the scan budget until four heuristic
+stability indicators are jointly satisfied.  The grid-size restart, to the
+paper's cost-optimal N*, is decided inside that loop, at the first round
+whose batch-means standard error of the barrier pins N* down, so the rounds
 after it run on the grid that is kept.  The last two rounds share a grid,
 and their two passes pooled decide the last round's restart and give the
 schedule.  Each pass also learns per-level slice widths from the moves of
@@ -30,8 +31,6 @@ from .explore import _INITIAL_WIDTH, build_explorers, lag1_autocorrelation, tune
 from .model import Schedule, TemperedModel, acceptance_probability
 
 _INIT_DRAW_TRIES = 1000
-# Grid size as a multiple of the cost-optimal N-star (see optimal_grid_size).
-_GAMMA = 2.0
 # Grid-size restarts a tune may make.
 _MAX_RESTARTS = 1
 # Relative gap between the current grid size and the one a settled round's
@@ -55,6 +54,10 @@ _MAX_BARRIER_CHANGE = 0.01
 _MAX_ASYMMETRY = 0.05
 # Halvings of [0, 1] that place a grid point, to within 2^-40 <= 1e-12.
 _BISECTIONS = 40
+# Bennett solve of a stepping stone (_bennett_root): a row stops once its
+# step is at most _BENNETT_TOL * (1 + |root|), or after _BENNETT_ITERATIONS.
+_BENNETT_TOL = 1e-10
+_BENNETT_ITERATIONS = 100
 
 
 class InfiniteReferenceError(RuntimeError):
@@ -149,13 +152,42 @@ def run_nrpt(
     return records
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each row of the 2-d ``a``; -inf for a row that is all -inf."""
-    m = np.max(a, axis=1)
-    out = np.full(m.shape, -np.inf)
-    some = m > -np.inf
-    out[some] = m[some] + np.log(np.sum(np.exp(a[some] - m[some, None]), axis=1))
-    return out
+def _bennett_root(h):
+    """Row by row, the E at which the mean of tanh(E - h) is 0.
+
+    ``h`` has shape (rows, width), an entry +inf adds -1 to the mean, and in
+    every row the finite entries outnumber the infinite ones.  The mean
+    rises strictly in E, from <= 0 at the row's smallest entry to >= 0 at
+    its largest finite one plus log(width / (finite - infinite entries)) / 2,
+    so the root is unique and bracketed.  Newton's method starts at the mean
+    of the finite entries, clipped to the bracket; a step that leaves the
+    bracket, or meets a zero slope, halves it.  A row stops once its step is
+    within ``_BENNETT_TOL`` (relative to 1 + |E|), or after
+    ``_BENNETT_ITERATIONS``.  tanh saturates at +-1, so +inf entries raise
+    no numpy warning.
+    """
+    width = h.shape[1]
+    finite = np.isfinite(h)
+    m = finite.sum(axis=1)
+    lo = np.min(h, axis=1)
+    hi = np.max(np.where(finite, h, -np.inf), axis=1) + 0.5 * np.log(width / (2 * m - width))
+    e = np.clip(np.sum(np.where(finite, h, 0.0), axis=1) / m, lo, hi)
+    active = np.ones(e.shape, dtype=bool)
+    for _ in range(_BENNETT_ITERATIONS):
+        t = e[:, None] - h
+        f = np.tanh(t, out=t).sum(axis=1) / width
+        slope = 1.0 - np.square(t, out=t).sum(axis=1) / width
+        lo = np.where(f < 0.0, e, lo)
+        hi = np.where(f > 0.0, e, hi)
+        # |f| <= 1, so a zero slope sends the step far out of the bracket.
+        newton = e - f / np.maximum(slope, 1e-300)
+        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.abs(step - e) <= _BENNETT_TOL * (1.0 + np.abs(e))
+        e = np.where(active, step, e)
+        active &= ~done
+        if not active.any():
+            break
+    return e
 
 
 def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
@@ -163,20 +195,34 @@ def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
 
     ``data`` has shape (N+1, n_scan); row i holds the potentials of level i.
 
-    Averages the forward and backward stepping-stone estimators in log space
-    and accumulates the per-interval log ratios, all intervals at once.
-    When every lower-level sample of an interval is V = +inf (reference
-    draws of zero likelihood), the forward estimate is -inf and carries no
-    information: the interval then takes the backward estimate alone.
+    The stepping stone sums log Z(beta_{i+1}) - log Z(beta_i) over the
+    intervals, each estimated from the samples of both its levels by
+    Bennett's acceptance ratio (Bennett, J. Comput. Phys. 22, 1976): with
+    a = dbeta V at level i and b = dbeta V at level i+1, the increment is
+    -D, the root of mean sigma(D - a) = mean sigma(b - D), sigma the
+    logistic function (the Barker acceptance of a swap).  As
+    sigma(x) = (1 + tanh(x / 2)) / 2, D / 2 is the root that
+    :func:`_bennett_root` finds for a / 2 and b / 2 side by side, all
+    intervals at once.  A sample V = +inf adds 0 to its side, so where the
+    reference puts mass on V = +inf the estimate is still of log Z, not of
+    log Z - log P(V < inf).  An interval whose lower-level samples are all
+    +inf has no root and takes the backward estimate -log mean exp(b) alone.
     """
     betas = np.asarray(betas, dtype=float)
     if len(data) != betas.size:
         raise ValueError("dataset and grid sizes disagree")
+    n = data.shape[1]
     db = np.diff(betas)[:, None]
-    forward = -math.log(data.shape[1]) + _logsumexp(-db * data[:-1])
-    backward = math.log(data.shape[1]) - _logsumexp(db * data[1:])
-    step = np.where(np.isfinite(forward), 0.5 * (forward + backward), backward)
-    return np.cumsum(np.concatenate(([0.0], step)))
+    h = np.concatenate((db * data[:-1], db * data[1:]), axis=1)
+    h *= 0.5
+    solvable = np.isfinite(h).sum(axis=1) > n
+    d = np.empty(len(db))
+    d[solvable] = 2.0 * _bennett_root(h[solvable])
+    if not solvable.all():
+        b = db[~solvable] * data[1:][~solvable]
+        top = np.max(b, axis=1)
+        d[~solvable] = top + np.log(np.mean(np.exp(b - top[:, None]), axis=1))
+    return np.cumsum(np.concatenate(([0.0], -d)))
 
 
 def mean_energy_affinities(log_z) -> np.ndarray:
@@ -493,12 +539,16 @@ def _run_kappa1_upper(v_in, v_out, per_move) -> float:
     return 1.0 - shrink * (1.0 - _kappa1_upper(v_in, v_out))
 
 
+def _grid_size(lambda_total: float) -> int:
+    """The grid size a tune restarts at: the cost-optimal N-star rounded up."""
+    return optimal_grid_size(lambda_total, 1.0)
+
+
 def _grid_size_settled(lambda_hat, lambda_se) -> bool:
-    """Whether ``optimal_grid_size`` gives one N across lambda_hat +- 2 SE."""
+    """Whether ``_grid_size`` gives one N across lambda_hat +- 2 SE."""
     if lambda_se is None or not lambda_hat - 2.0 * lambda_se > 0.0:
         return False
-    return (optimal_grid_size(lambda_hat - 2.0 * lambda_se, _GAMMA)
-            == optimal_grid_size(lambda_hat + 2.0 * lambda_se, _GAMMA))
+    return _grid_size(lambda_hat - 2.0 * lambda_se) == _grid_size(lambda_hat + 2.0 * lambda_se)
 
 
 def _remap_states(states, old_betas, new_betas):
@@ -546,8 +596,8 @@ def adapt(
     round records its pass's V-evals as ``v_evals`` and batch-means
     standard errors of its ``lambda_hat`` (affinities held fixed) and of its
     log Z(1) as ``lambda_se`` and ``logz_se`` (None below ``_MIN_SE_SCANS``
-    scans).  The grid size N =
-    ``optimal_grid_size(lambda_hat, _GAMMA)`` is settled at the first round
+    scans).  The grid size N = :func:`_grid_size` of lambda_hat, the
+    paper's cost-optimal N* rounded up, is settled at the first round
     where it is the same at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE,
     or else at the last round (the cap binds or the round converged).  If a
     settled N differs from the current one by more than
@@ -644,7 +694,7 @@ def adapt(
         n_target = n
         if (restarts < _MAX_RESTARTS and barrier.total > 0.0
                 and (last_round or _grid_size_settled(barrier.total, lambda_se))):
-            n_target = optimal_grid_size(barrier.total, _GAMMA)
+            n_target = _grid_size(barrier.total)
         old_betas = betas
         if abs(n - n_target) / n > _RESTART_MISMATCH:
             restarts += 1

@@ -25,13 +25,12 @@ level or interval at a time, as loops of scalar steps: the array estimators
 must equal them bit for bit.
 """
 
-import math
 import time
 from array import array
 
 import numpy as np
 
-from nrst.adapt import run_nrpt
+from nrst.adapt import _BENNETT_ITERATIONS, _BENNETT_TOL, run_nrpt
 from nrst.explore import _MAX_EXPLORE_STEPS
 from nrst.model import Schedule, acceptance_probability
 from nrst.st_kernels import _VARIANTS, NRST, ST, IdealIndexChain, TourOverrunError, TourTable
@@ -189,24 +188,46 @@ def grid_per_target(barrier, n_levels: int) -> np.ndarray:
     return betas
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if m == -np.inf:
-        return -math.inf
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _bennett_root_of_row(h: np.ndarray) -> float:
+    """The E at which the mean of tanh(E - h) over the row ``h`` is 0, by
+    the bracketed Newton steps of ``_bennett_root``, in Python floats."""
+    finite = np.isfinite(h)
+    m = int(finite.sum())
+    lo = float(np.min(h))
+    hi = float(np.max(h[finite]) + 0.5 * np.log(h.size / (2 * m - h.size)))
+    e = min(max(float(np.sum(np.where(finite, h, 0.0))) / m, lo), hi)
+    for _ in range(_BENNETT_ITERATIONS):
+        t = np.tanh(e - h)
+        f = float(t.sum()) / h.size
+        slope = 1.0 - float((t * t).sum()) / h.size
+        if f < 0.0:
+            lo = e
+        if f > 0.0:
+            hi = e
+        newton = e - f / max(slope, 1e-300)
+        step = newton if lo <= newton <= hi else 0.5 * (lo + hi)
+        done = abs(step - e) <= _BENNETT_TOL * (1.0 + abs(e))
+        e = step
+        if done:
+            break
+    return e
 
 
 def logz_per_interval(data: np.ndarray, betas) -> np.ndarray:
-    """``stepping_stone_logz`` one interval at a time."""
+    """``stepping_stone_logz`` one interval at a time: each interval's
+    Bennett equation solved on its own, or its backward estimate when the
+    lower level's samples are all V = +inf."""
     betas = np.asarray(betas, dtype=float)
     logz = np.zeros(betas.size)
     for i in range(1, betas.size):
         db = betas[i] - betas[i - 1]
-        lo, hi = data[i - 1], data[i]
-        forward = -math.log(lo.size) + _logsumexp(-db * lo)
-        backward = math.log(hi.size) - _logsumexp(db * hi)
-        step = 0.5 * (forward + backward) if math.isfinite(forward) else backward
-        logz[i] = logz[i - 1] + step
+        h = 0.5 * np.concatenate((db * data[i - 1], db * data[i]))
+        if int(np.isfinite(h).sum()) > data[i].size:
+            d = 2.0 * _bennett_root_of_row(h)
+        else:
+            b = db * data[i]
+            d = float(np.max(b) + np.log(np.mean(np.exp(b - np.max(b)))))
+        logz[i] = logz[i - 1] - d
     return logz
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from nrst import explore
 from nrst.adapt import (
@@ -13,6 +14,7 @@ from nrst.adapt import (
     PassEstimates,
     _batch_se,
     _carry_widths,
+    _grid_size,
     _kappa1_upper,
     _remap_states,
     _run_kappa1_upper,
@@ -200,6 +202,46 @@ def test_stepping_stone_accuracy_modest():
     assert abs(logz[-1] - exact[-1]) <= 0.05
 
 
+def test_stepping_stone_accuracy_on_wide_intervals():
+    # two intervals of width 0.5: the old forward/backward average of the
+    # stepping stone was off by more than 0.05 at 34 of 40 seeds of this
+    # dataset (0.10 at seed 0)
+    betas = np.linspace(0, 1, 3)
+    data = exact_dataset(betas, 10_000, np.random.default_rng(0))
+    logz = stepping_stone_logz(data, betas)
+    assert abs(logz[-1] - analytic_gaussian_path(3, 2.0, 2.0, 1.0)[2]) <= 0.05
+
+
+def test_stepping_stone_where_the_reference_puts_mass_on_infinite_v():
+    # threshold_weibull's reference draws have V = +inf with probability
+    # 0.95, so log Z(beta) = log E_0[exp(-beta V)] counts those draws as 0.
+    # The backward half of the old average estimated log Z(beta) minus
+    # log P_0(V < inf) and read ~ -3.4 here.
+    model = make_model(ModelSpec("threshold_weibull"))
+    beta = 0.004
+    # level 1's widths are of the size a tune learns there
+    sched = Schedule(np.array([0.0, beta, 1.0]), np.zeros(3), np.ones(2, dtype=int),
+                     np.array([[3.5, 20.0, 9.0], [1.0, 1.0, 1.0]]))
+    rng = np.random.default_rng(1)
+    warm = run_nrpt(model, sched, 256, rng, full=True)
+    data = run_nrpt(model, sched, 4096, rng, init_states=warm.states)[:2]
+    logz = stepping_stone_logz(data, [0.0, beta])[-1]
+    # batch means over 8 batches of 512 scans, each with ~25 finite level-0
+    # samples
+    batches = [stepping_stone_logz(data[:, k * 512:(k + 1) * 512], [0.0, beta])[-1]
+               for k in range(8)]
+    se = np.std(batches, ddof=1) / math.sqrt(8)
+    mc_rng = np.random.default_rng(0)
+    log_w = -beta * np.array([model.potential(model.sample_reference(mc_rng))
+                              for _ in range(100_000)])
+    top = np.max(log_w[np.isfinite(log_w)])
+    w = np.exp(log_w - top)
+    mc = top + math.log(np.mean(w))
+    mc_se = np.std(w) / np.mean(w) / math.sqrt(w.size)
+    assert abs(logz - mc) <= 3.0 * math.hypot(se, mc_se)
+    assert math.hypot(se, mc_se) < 0.2
+
+
 def test_mean_energy_affinities_examples():
     np.testing.assert_array_equal(mean_energy_affinities([0.0, 0.0, 0.0]), np.zeros(3))
     np.testing.assert_allclose(
@@ -369,8 +411,18 @@ def test_array_logz_and_rejections_equal_the_per_interval_loops(n_levels, n_scan
                                                                 all_inf_lower):
     data, betas, c = _random_pass(n_levels, n_scan, n_levels * n_scan, all_inf_lower)
     for d in (data, np.ascontiguousarray(data)):
-        np.testing.assert_array_equal(stepping_stone_logz(d, betas),
-                                      logz_per_interval(d, betas))
+        logz = stepping_stone_logz(d, betas)
+        np.testing.assert_array_equal(logz, logz_per_interval(d, betas))
+        # each increment -D solves Bennett's equation
+        # mean sigma(D - a) = mean sigma(b - D), except where every lower
+        # sample is V = +inf
+        db = np.diff(betas)[:, None]
+        a, b = db * d[:-1], db * d[1:]
+        root = -np.diff(logz)[:, None]
+        residual = np.mean(expit(root - a), axis=1) - np.mean(expit(b - root), axis=1)
+        solved = np.isfinite(a).any(axis=1)
+        assert solved[1:].all() and solved[0] == (not all_inf_lower)
+        np.testing.assert_allclose(residual[solved], 0.0, atol=1e-12)
         for got, want in zip(estimate_rejections(d, betas, c),
                              rejections_per_interval(d, betas, c)):
             np.testing.assert_array_equal(got, want)
@@ -568,7 +620,7 @@ def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch, loos
     assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
     assert calls[-1] == (res.schedule.n_levels, res.rounds[-1]["n_scan"])
     # the restart size comes from the last round at the first size
-    assert res.schedule.n_levels == optimal_grid_size(first[-1]["lambda_hat"], 2.0)
+    assert res.schedule.n_levels == _grid_size(first[-1]["lambda_hat"])
 
 
 def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch, loose):
@@ -589,7 +641,7 @@ def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(mon
         lam, se = r["lambda_hat"], r["lambda_se"]
         if se is None or lam - 2 * se <= 0:
             return None
-        lo, hi = (optimal_grid_size(lam + k * se, 2.0) for k in (-2, 2))
+        lo, hi = (_grid_size(lam + k * se) for k in (-2, 2))
         return lo if lo == hi else None
 
     sizes = [settled_size(r) for r in res.rounds]
@@ -869,25 +921,35 @@ def test_adapt_restart_from_heavy_tailed_reference_completes(monkeypatch):
     # to warm-start a tempered level from one and fail in the slice sweep.
     calls = spy_on_run_nrpt(monkeypatch)
     model = make_model(ModelSpec("threshold_weibull"))
-    res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
-    # its lambda of ~3 calls for N ~13, so the tune restarts
-    assert res.restarts == 1 and res.schedule.n_levels > 8
+    res = adapt(model, 12, 6, "mean", rng=np.random.default_rng(1))
+    # its lambda of ~3 calls for N ~7, so a tune from 12 levels restarts
+    assert res.restarts == 1 and res.schedule.n_levels < 12
     rounds = [(r["n_levels"], r["n_scan"]) for r in res.rounds]
-    # one pass per round: the restart comes at the last round (N 8 -> 13),
+    # one pass per round: the restart comes at the last round (N 12 -> 7),
     # so a seventh round, of twice the scans, runs at the new size
     assert calls == rounds
-    assert rounds == [(8, 2), (8, 4), (8, 8), (8, 16), (8, 32), (8, 64),
+    assert rounds == [(12, 2), (12, 4), (12, 8), (12, 16), (12, 32), (12, 64),
                       (res.schedule.n_levels, 128)]
 
 
-def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier():
+def test_adapt_rounds_with_only_infinite_reference_potentials_have_a_barrier(monkeypatch):
     # In the first rounds of this tune every level-0 sample has V = +inf, so
-    # the forward stepping-stone estimate is -inf; the backward one must
-    # carry the interval, or the affinities and lambda_hat come out NaN.
+    # the first interval's Bennett equation has no root; the backward
+    # estimate must carry the interval, or the affinities and lambda_hat
+    # come out NaN.
+    module = importlib.import_module("nrst.adapt")
+    real, lower_inf = module.stepping_stone_logz, []
+
+    def spy(data, betas):
+        lower_inf.append(bool(np.isinf(data[0]).all()))
+        return real(data, betas)
+
+    monkeypatch.setattr(module, "stepping_stone_logz", spy)
     model = make_model(ModelSpec("threshold_weibull"))
-    res = adapt(model, 8, 6, "mean", rng=np.random.default_rng(1))
+    res = adapt(model, 12, 6, "mean", rng=np.random.default_rng(1))
     # six rounds within the cap, and the round after the last one's restart
     assert len(res.rounds) == 7
+    assert lower_inf[0]
     assert all(math.isfinite(r["lambda_hat"]) for r in res.rounds)
 
 
@@ -1011,10 +1073,10 @@ def adapt_with_and_without_kappa1(monkeypatch, make, *args, seed):
 
 def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
     res, call, chain_res, chain_call = adapt_with_and_without_kappa1(
-        monkeypatch, ToyGaussian, 8, 5, "mean", seed=1)
+        monkeypatch, ToyGaussian, 8, 5, "mean", seed=5)
     assert len(call["kappa1"]) == res.schedule.n_levels
     # the bounds are the run kernel's: only level 3's (from a tune-kernel
-    # bound of 0.68) leaves room above 0.95, so only level 3 runs its chain
+    # bound of 0.74) leaves room above 0.95, so only level 3 runs its chain
     assert call["chain_levels"] == [i for i, k in enumerate(call["kappa1"], start=1)
                                     if k > 0.95] == [3]
     assert 0 < call["v_evals"] < chain_call["v_evals"]
@@ -1093,11 +1155,11 @@ def test_lag1_from_final_pass_matches_the_chain_estimate():
 
 @pytest.mark.parametrize("kappa_bar", [0.95, 0.1])
 def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa_bar):
-    # at 0.1 some banana levels need 2 steps or more; in both cases the
-    # schedule's passes pool 24 scans, too few for a bound, so every level
-    # runs its chain and walks
+    # at 0.1 some banana levels need 2 steps or more; in both cases round 3
+    # restarts (N 8 -> 4) and the schedule's pass, round 4's alone, has 16
+    # scans, too few for a bound, so every level runs its chain and walks
     monkeypatch.setattr(explore, "_KAPPA_BAR", kappa_bar)
-    walked = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
+    walked = adapt(make_model(ModelSpec("banana")), 8, 3, rng=np.random.default_rng(2))
     kernel_betas, walks = [], []
     real_kernel = explore.ExplorationKernel
 
@@ -1113,7 +1175,7 @@ def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa
 
     monkeypatch.setattr(explore, "ExplorationKernel", kernel)
     monkeypatch.setattr(explore, "_lag_walk", two_step)
-    oracle = adapt(make_model(ModelSpec("banana")), 8, 4, rng=np.random.default_rng(2))
+    oracle = adapt(make_model(ModelSpec("banana")), 8, 3, rng=np.random.default_rng(2))
     assert walked.schedule.to_dict() == oracle.schedule.to_dict()
     betas = walked.schedule.betas.tolist()
     steps = walked.schedule.explore_steps
