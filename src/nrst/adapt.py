@@ -194,6 +194,9 @@ def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
     """Log normalizing constants along the grid, anchored at 0 for beta = 0.
 
     ``data`` has shape (N+1, n_scan); row i holds the potentials of level i.
+    Data of shape (batches, N+1, n_scan) gives one path per batch, shape
+    (batches, N+1), from one solve over the intervals of every batch; each
+    path is bit for bit the one its batch gives alone.
 
     The stepping stone sums log Z(beta_{i+1}) - log Z(beta_i) over the
     intervals, each estimated from the samples of both its levels by
@@ -209,20 +212,23 @@ def stepping_stone_logz(data: np.ndarray, betas) -> np.ndarray:
     +inf has no root and takes the backward estimate -log mean exp(b) alone.
     """
     betas = np.asarray(betas, dtype=float)
-    if len(data) != betas.size:
+    if data.shape[-2] != betas.size:
         raise ValueError("dataset and grid sizes disagree")
-    n = data.shape[1]
+    n = data.shape[-1]
     db = np.diff(betas)[:, None]
-    h = np.concatenate((db * data[:-1], db * data[1:]), axis=1)
+    # One row per interval, batch by batch.
+    upper = (db * data[..., 1:, :]).reshape(-1, n)
+    h = np.concatenate(((db * data[..., :-1, :]).reshape(-1, n), upper), axis=1)
     h *= 0.5
     solvable = np.isfinite(h).sum(axis=1) > n
-    d = np.empty(len(db))
+    d = np.empty(len(h))
     d[solvable] = 2.0 * _bennett_root(h[solvable])
     if not solvable.all():
-        b = db[~solvable] * data[1:][~solvable]
+        b = upper[~solvable]
         top = np.max(b, axis=1)
         d[~solvable] = top + np.log(np.mean(np.exp(b - top[:, None]), axis=1))
-    return np.cumsum(np.concatenate(([0.0], -d)))
+    d = d.reshape(data.shape[:-2] + (len(db),))
+    return np.cumsum(np.concatenate((np.zeros(d.shape[:-1] + (1,)), -d), axis=-1), axis=-1)
 
 
 def mean_energy_affinities(log_z) -> np.ndarray:
@@ -500,22 +506,29 @@ def _carry_widths(widths, old_betas, new_betas):
     return np.column_stack([np.interp(new_betas[1:], old, w) for w in widths.T])
 
 
-def _batch_se(data: np.ndarray, stat):
-    """Batch-means standard error of ``stat`` over a pass's scans.
-
-    Splits the scans into b = 2^floor(log2(n_scan) / 2) consecutive batches
-    of equal length (every scan when n_scan is a power of two), evaluates
-    ``stat`` on each batch's columns of ``data`` and returns sd(batch values) / sqrt(b)
-    (Flegal & Jones, Ann. Statist. 2010).  None below ``_MIN_SE_SCANS``
-    scans.
-    """
-    n_scan = data.shape[1]
+def _batches(data: np.ndarray):
+    """A pass's scans split into b = 2^floor(log2(n_scan) / 2) consecutive
+    batches of equal length (every scan when n_scan is a power of two):
+    shape (b, rows, n_scan // b), batch k holding the columns of ``data``
+    of its scans.  None below ``_MIN_SE_SCANS`` scans."""
+    rows, n_scan = data.shape
     if n_scan < _MIN_SE_SCANS:
         return None
     b = 2 ** (int(math.log2(n_scan)) // 2)
-    size = n_scan // b
-    values = [stat(data[:, k * size:(k + 1) * size]) for k in range(b)]
-    return float(np.std(values, ddof=1)) / math.sqrt(b)
+    return data[:, :b * (n_scan // b)].reshape(rows, b, -1).swapaxes(0, 1)
+
+
+def _batch_means_se(values) -> float:
+    """sd(batch values) / sqrt(b) (Flegal & Jones, Ann. Statist. 2010)."""
+    return float(np.std(values, ddof=1)) / math.sqrt(len(values))
+
+
+def _batch_se(data: np.ndarray, stat):
+    """Batch-means standard error of ``stat`` over a pass's scans, from
+    ``stat`` of each of :func:`_batches`; None below ``_MIN_SE_SCANS``
+    scans."""
+    batches = _batches(data)
+    return None if batches is None else _batch_means_se([stat(batch) for batch in batches])
 
 
 def _kappa1_upper(v_in, v_out) -> float:
@@ -670,7 +683,10 @@ def adapt(
         # sums, so batch means applies to it directly.
         lambda_se = _batch_se(
             nrpt.data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
-        logz_se = _batch_se(nrpt.data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
+        # Every batch's stepping stone from one Bennett solve.
+        batches = _batches(nrpt.data)
+        logz_se = (None if batches is None
+                   else _batch_means_se(stepping_stone_logz(batches, betas)[:, -1]))
         indicators = None
         if prev is not None:
             converged, indicators = check_convergence(prev, current, affinity_mode)

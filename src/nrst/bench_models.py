@@ -66,7 +66,9 @@ class ToyGaussian(TemperedModel):
     """Conjugate Gaussian toy model with a fully analytic tempered path.
 
     Reference N_d(0, sigma0^2 I); potential is the negative Gaussian
-    log likelihood of the observation m * ones under unit noise.
+    log likelihood of the observation m * ones under unit noise,
+    V(x) = |x - m 1|^2 / 2 + (d/2) log 2 pi.  Its minimum, v_min =
+    (d/2) log 2 pi, is taken at x = m 1, exactly in floating point too.
     """
 
     def __init__(self, dim: int = 3, m: float = 2.0, sigma0: float = 2.0):
@@ -82,6 +84,10 @@ class ToyGaussian(TemperedModel):
     def log_reference(self, x):
         return self._ref_const - float(np.dot(x, x)) / (2.0 * self.sigma0**2)
 
+    @property
+    def v_min(self):
+        return self._lik_const
+
     def _potential(self, x):
         diff = x - self.m
         return 0.5 * float(np.dot(diff, diff)) + self._lik_const
@@ -92,7 +98,9 @@ class Banana(TemperedModel):
 
     Target: x1 ~ N(1, 10), x2 | x1 ~ N(x1^2, 0.1^2).  The reference keeps
     the x1 marginal and replaces the conditional by N(11, 10^2) (the target
-    second moment of x2 is 11).
+    second moment of x2 is 11).  V = log N(x2; 11, 10^2) - log N(x2; x1^2,
+    0.1^2) falls as (x2 - 11)^2 / 200 grows at x2 = x1^2, so it is unbounded
+    below and v_min stays -inf.
     """
 
     def __init__(self):
@@ -111,7 +119,9 @@ class Banana(TemperedModel):
 class Funnel(TemperedModel):
     """Neal's funnel in 20 dimensions with an isotropic Gaussian reference.
 
-    Target: x1 ~ N(0, 3^2) and x_i | x1 ~ N(0, e^{x1}) for i >= 2.
+    Target: x1 ~ N(0, 3^2) and x_i | x1 ~ N(0, e^{x1}) for i >= 2.  At
+    x_i = 0 for i >= 2, V = (dim - 1) (x1 - log 9) / 2 falls without bound
+    as x1 -> -inf, so v_min stays -inf.
     """
 
     def __init__(self, dim: int = 20):
@@ -138,7 +148,15 @@ class Hierarchical(TemperedModel):
 
     Parameters (mu, log tau^2, log sigma^2, theta_1..theta_J); the prior is
     the reference and the potential is the negative log likelihood of the
-    (J, M) observation matrix.
+    (J, M) observation matrix,
+    V = (n/2) (log 2 pi + s) + S(theta) / (2 e^s), with s = log sigma^2,
+    n = J M and S(theta) the sum of squares of y_jk - theta_j.  S(theta) is
+    at least S_w, the within-group sum of squares (theta_j the group
+    means), and S_w / (2 e^s) + n s / 2 is least at e^s = S_w / n, so
+    V >= (n/2) (log 2 pi + log(S_w / n) + 1) where S_w > 0.  ``v_min`` is
+    that bound less a slack for the rounding of V's expanded sums of
+    squares, whose error near the minimum is a few ulps of sum y^2 against
+    S_w; S_w = 0 leaves V unbounded below as s -> -inf, and v_min -inf.
     """
 
     def __init__(self, y: np.ndarray):
@@ -149,6 +167,11 @@ class Hierarchical(TemperedModel):
         self.j_groups, self.m_per_group = y.shape
         self._group_sums = y.sum(axis=1)
         self._group_sq = (y**2).sum(axis=1)
+        s_within = float(np.sum((y - y.mean(axis=1, keepdims=True)) ** 2))
+        if s_within > 0.0:
+            n = y.size
+            bound = 0.5 * n * (_LOG_2PI + math.log(s_within / n) + 1.0)
+            self.v_min = bound - 1e-9 * (abs(bound) + n * float(self._group_sq.sum()) / s_within)
         super().__init__(3 + self.j_groups)
 
     def sample_reference(self, rng):
@@ -198,7 +221,11 @@ class MRnaTransfection(TemperedModel):
     """mRNA transfection time series with log10-uniform priors.
 
     Coordinates are logit transforms of the log10 parameters
-    (t0, kappa, beta, delta, sigma) over their prior boxes.
+    (t0, kappa, beta, delta, sigma) over their prior boxes.  V is
+    (n/2) (log 2 pi + 2 log sigma) plus a sum of squares >= 0, and the box
+    keeps sigma >= 10^-2, so V >= (n/2) (log 2 pi - 4 log 10).  ``v_min``
+    computes that term as V does, at sigma = 10^-2, so that V's rounding
+    cannot take it below the bound.
     """
 
     def __init__(self, t: np.ndarray, y: np.ndarray):
@@ -206,6 +233,8 @@ class MRnaTransfection(TemperedModel):
         self.y = np.asarray(y, dtype=float)
         if self.t.shape != self.y.shape:
             raise ValueError("t and y must have matching shapes")
+        sigma_min = 10.0 ** _MRNA_BOUNDS[4, 0]
+        self.v_min = 0.5 * self.y.size * (_LOG_2PI + 2.0 * math.log(sigma_min))
         super().__init__(5)
 
     def sample_reference(self, rng):
@@ -241,6 +270,9 @@ class ThresholdWeibull(TemperedModel):
     observation (zero likelihood), which makes the potential heavier and
     heavier tailed as beta decreases; only reference-level draws land there.
     Coordinates: (logit a over (0, 200), log b, logit c over (0.1, 10)).
+    As a approaches the smallest observation y_min with c < 1, the term
+    (c - 1) log((y_min - a) / b) of the log likelihood grows without bound,
+    so V is unbounded below and v_min stays -inf.
     """
 
     A_RANGE = (0.0, 200.0)
@@ -293,6 +325,10 @@ class XYModel(TemperedModel):
 
     Reference is uniform on [-pi, pi)^{n^2}; the potential is the negative
     of J times the summed cosine of angle differences along lattice edges.
+    The sum has 2 n^2 terms, each in [-1, 1], so V >= -|J| 2 n^2 =
+    ``v_min``; a float sum of terms <= 1 cannot round above their count.
+    Off the reference's box, where log pi0 = -inf, the bound rejects a
+    slice proposal without a V-eval.
     """
 
     def __init__(self, n: int = 8, coupling: float = 2.0):
@@ -307,6 +343,10 @@ class XYModel(TemperedModel):
         if np.any(x < -math.pi) or np.any(x >= math.pi):
             return -math.inf
         return -self.dim * math.log(2.0 * math.pi)
+
+    @property
+    def v_min(self):
+        return -abs(self.coupling) * (2 * self.n * self.n)
 
     def _potential(self, x):
         grid = np.reshape(x, (self.n, self.n))

@@ -7,7 +7,9 @@ ends at the move into the regeneration set, with no kernel after it), and
 once per NRPT scan.  Every other level's is slice sampling within Gibbs.
 Each coordinate update shrinks one bracket of its level's width, placed at
 random around the current point and never stepped out, so each proposal
-costs one V-eval.  That is valid at any width, which makes it usable
+costs at most one V-eval: none where the model's lower bound on V already
+puts it below the slice level (:class:`TemperedDensity`), which rejects it
+as V would have.  That is valid at any width, which makes it usable
 inside a tuning loop whose grid moves every round: a bracket too narrow for
 the slice costs mixing, one too wide costs shrinks.  Widths come from
 ``Schedule.widths``, 1.0 where a schedule carries none.  The tuner learns
@@ -52,6 +54,7 @@ class SliceNumericalError(RuntimeError):
 def _slice_coordinate(x, d, logp, density, rng, w):
     """One slice update of coordinate d in place, in a bracket of width w.
 
+    ``density(x, y)`` is called with each proposal and its slice level y.
     Returns the (log density, V) pair that ``density`` gave at the new point.
     """
     x0 = float(x[d])
@@ -70,7 +73,7 @@ def _slice_coordinate(x, d, logp, density, rng, w):
             )
         x1 = left + (right - left) * rng.random()
         x[d] = x1
-        lp, v = density(x)
+        lp, v = density(x, y)
         if lp > y:
             return lp, v
         if x1 < x0:
@@ -100,7 +103,9 @@ def slice_step(x, logp: float, density, rng: np.random.Generator, widths) -> Swe
 
     ``density(x)`` returns the pair (log density, V) at x, and ``logp`` is the
     log density at the start point, which the caller already holds: the
-    sweep evaluates nothing there.  ``widths[d]`` is the bracket width of
+    sweep evaluates nothing there.  A :class:`TemperedDensity` is also given
+    each proposal's slice level, so that it can reject the proposal from its
+    bound without a V-eval.  ``widths[d]`` is the bracket width of
     coordinate d; every V-eval is at a proposal.  The returned V is the one
     ``density`` gave at the new point (the last coordinate's accepted one).
     The sweep leaves the log density invariant, whatever the widths.
@@ -108,9 +113,39 @@ def slice_step(x, logp: float, density, rng: np.random.Generator, widths) -> Swe
     x = np.array(x, dtype=float, copy=True)
     if not math.isfinite(logp):
         raise SliceNumericalError(f"log density not finite at the initial point: {logp}")
+    screened = density if isinstance(density, TemperedDensity) else lambda z, y: density(z)
     for d in range(x.size):
-        logp, v = _slice_coordinate(x, d, logp, density, rng, widths[d])
+        logp, v = _slice_coordinate(x, d, logp, screened, rng, widths[d])
     return Sweep(x, logp, v)
+
+
+class TemperedDensity:
+    """log pi_beta(x) = log pi0(x) - beta V(x) of a model at one beta > 0,
+    screened by the model's lower bound ``v_min`` on V.
+
+    Callable as density(x, level).  log pi0(x) - beta v_min bounds
+    log pi_beta(x) from above, in floating point too, as beta V >= beta v_min
+    rounds the same way.  Where that bound is <= ``level``, x lies off the
+    slice at that level whatever V(x) is, and the call returns the pair
+    (bound, None) at no V-eval.  Otherwise it returns (log pi_beta(x), V(x))
+    at one V-eval.  With v_min = -inf the bound is +inf, or NaN where
+    log pi0(x) = -inf, and neither screens anything out.
+    """
+
+    __slots__ = ("model", "beta", "_beta_v_min")
+
+    def __init__(self, model: TemperedModel, beta: float):
+        self.model = model
+        self.beta = beta
+        self._beta_v_min = beta * model.v_min
+
+    def __call__(self, x, level) -> tuple:
+        logref = float(self.model.log_reference(x))
+        bound = logref - self._beta_v_min
+        if bound <= level:
+            return bound, None
+        v = self.model.potential(x)
+        return log_tempered_density_from_v(x, logref, v, self.beta), v
 
 
 class ExplorationKernel:
@@ -120,7 +155,8 @@ class ExplorationKernel:
     where v = V(x) is carried in and v' = V(x') comes out of the last sweep,
     so neither end point costs a V-eval.  Applies ``n_steps`` full sweeps
     per call.  ``widths`` holds the bracket width of each of the model's
-    coordinates (``_INITIAL_WIDTH`` for all when None).
+    coordinates (``_INITIAL_WIDTH`` for all when None).  ``density`` is the
+    level's :class:`TemperedDensity`.
     """
 
     def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1, widths=None):
@@ -139,12 +175,7 @@ class ExplorationKernel:
         self.n_steps = int(n_steps)
         # Python floats keep the bracket arithmetic off numpy scalars.
         self.widths = tuple(float(w) for w in widths)
-
-    def density(self, x) -> tuple:
-        """(log pi_beta(x), V(x)), at the cost of one V-eval."""
-        logref = self.model.log_reference(x)
-        v = self.model.potential(x)
-        return log_tempered_density_from_v(x, logref, v, self.beta), v
+        self.density = TemperedDensity(model, self.beta)
 
     def __call__(self, x, v, rng):
         logp = log_tempered_density_from_v(x, self.model.log_reference(x), v, self.beta)

@@ -16,19 +16,27 @@ import numpy as np
 
 
 class DivergedPotentialError(RuntimeError):
-    """The potential evaluated to NaN (or -inf) at some point.
+    """The potential evaluated to NaN (or -inf) at some point, or to a finite
+    value below the model's declared lower bound ``v_min``.
 
-    Carries the offending point in ``.x``.
+    Carries the offending point in ``.x`` and the bound it broke, if any, in
+    ``.v_min``.
     """
 
-    def __init__(self, x, value):
-        super().__init__(f"potential diverged (value={value!r}) at x={x!r}")
+    def __init__(self, x, value, v_min=None):
+        if v_min is None:
+            message = f"potential diverged (value={value!r}) at x={x!r}"
+        else:
+            message = (f"potential {value!r} is below the model's lower bound "
+                       f"v_min={v_min!r} at x={x!r}")
+        super().__init__(message)
         self.x = x
         self.value = value
+        self.v_min = v_min
 
     def __reduce__(self):
         # The state carries what callers attach, e.g. the runner's tour_index.
-        return (DivergedPotentialError, (self.x, self.value), self.__dict__)
+        return (DivergedPotentialError, (self.x, self.value, self.v_min), self.__dict__)
 
 
 class EvalCounter:
@@ -55,9 +63,15 @@ class TemperedModel:
     count of the V-evals made through this object.  Worker processes each
     get their own copy of the model, so a count never crosses processes;
     the counter is the only mutable element.
+
+    ``v_min`` is a number <= V(x) at every x, -inf (the default) for a model
+    that declares none.  Slice exploration skips V at a proposal that the
+    bound alone puts below the slice level, so a bound can only save
+    V-evals: it changes no draw.  A finite V below it raises.
     """
 
     dim: int
+    v_min: float = -math.inf
 
     def __init__(self, dim: int):
         if dim < 1:
@@ -78,12 +92,15 @@ class TemperedModel:
         """V(x).  Counted; may be +inf where the target has zero density.
 
         NaN or -inf raise :class:`DivergedPotentialError`, wherever V is
-        evaluated: at reference draws as in exploration.
+        evaluated: at reference draws as in exploration.  So does a finite V
+        below ``v_min``, a false bound, naming both values.
         """
         self.v_evals.value += 1
         v = float(self._potential(x))
         if not v > -math.inf:
             raise DivergedPotentialError(x, v)
+        if v < self.v_min:
+            raise DivergedPotentialError(x, v, self.v_min)
         return v
 
 

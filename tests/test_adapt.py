@@ -12,7 +12,9 @@ from nrst.adapt import (
     BarrierEstimate,
     InfiniteReferenceError,
     PassEstimates,
+    _batch_means_se,
     _batch_se,
+    _batches,
     _carry_widths,
     _grid_size,
     _kappa1_upper,
@@ -50,7 +52,10 @@ from oracles import (
 
 
 class FlatModel(ToyGaussian):
-    """V identically zero: the whole pipeline degenerates gracefully."""
+    """V identically zero: the whole pipeline degenerates gracefully.  V = 0
+    lies below the toy's bound (d/2) log 2 pi, so the model declares none."""
+
+    v_min = -math.inf
 
     def _potential(self, x):
         return 0.0
@@ -761,6 +766,21 @@ def test_batch_se_inflates_by_the_ar1_variance_factor():
     se = _batch_se(_series_dataset(x), _mean_of_level_0)
     iid_se = float(np.std(x)) / math.sqrt(n)
     assert abs(se / iid_se - 3.0) <= 0.3 * 3.0
+
+
+def test_logz_se_solves_all_batches_at_once_bit_for_bit_as_batch_by_batch():
+    rng = np.random.default_rng(31)
+    betas = np.array([0.0, 0.2, 0.5, 1.0])
+    data = np.array([exact_level_potentials(b, 300, rng) for b in betas])
+    data[0, rng.random(300) < 0.3] = np.inf
+    data[0, :60] = np.inf  # no finite V at level 0 in the first batches
+    batches = _batches(data)
+    assert batches.shape == (16, 4, 18)
+    per_batch = _batch_se(data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
+    paths = stepping_stone_logz(batches, betas)
+    for batch, path in zip(batches, paths):
+        assert np.array_equal(stepping_stone_logz(batch, betas), path)
+    assert _batch_means_se(paths[:, -1]) == per_batch
 
 
 def test_batch_se_needs_32_scans():

@@ -299,3 +299,34 @@ def test_hierarchical_dataset_gives_up_after_its_tries(monkeypatch):
     monkeypatch.setattr(bench_models, "_MAX_DATASET_TRIES", 0)
     with pytest.raises(RuntimeError, match="rejection sampling did not terminate"):
         hierarchical_dataset(np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("name", sorted(bench_models._MODELS))
+def test_v_is_at_least_v_min_at_reference_draws_and_far_out_in_the_tails(name):
+    model = make_model(ModelSpec(name))
+    rng = np.random.default_rng(12)
+    for scale in (1.0, 2.0, 4.0):
+        for _ in range(300):
+            # ``not v < v_min`` lets a NaN V through: potential() raises on it
+            v = model._potential(scale * model.sample_reference(rng))
+            assert not v < model.v_min, (scale, v)
+
+
+def test_v_min_is_tight_where_a_model_reaches_it():
+    toy = ToyGaussian()
+    assert toy.v_min == 1.5 * math.log(2 * math.pi)
+    assert toy.potential(np.full(3, 2.0)) == toy.v_min
+    # the hierarchical bound's minimizer: theta the group means, sigma^2 = S_w / n
+    model = make_model(ModelSpec("hierarchical"))
+    means = model.y.mean(axis=1)
+    s_within = float(np.sum((model.y - means[:, None]) ** 2))
+    x = np.concatenate(([0.0, 0.0, math.log(s_within / model.y.size)], means))
+    assert 0.0 <= model.potential(x) - model.v_min < 1e-5
+    # mRNA at sigma = 10^-2 exactly, and the XY model's aligned rotors
+    mrna = make_model(ModelSpec("mrna"))
+    assert mrna.v_min == pytest.approx(15.0 * (math.log(2 * math.pi) - 4 * math.log(10)))
+    assert mrna.potential(np.array([0.0, 0.0, 0.0, 0.0, -40.0])) > mrna.v_min
+    xy = make_model(ModelSpec("xy"))
+    assert xy.potential(np.full(xy.dim, 0.3)) == xy.v_min == -2.0 * 2 * 64
+    for name in ("banana", "funnel", "threshold_weibull"):
+        assert make_model(ModelSpec(name)).v_min == -math.inf

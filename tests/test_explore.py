@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ from nrst.explore import (
     slice_step,
     tune_explore_steps,
 )
+from nrst.adapt import adapt
 from nrst.model import DivergedPotentialError, Schedule, log_tempered_density
 from nrst.bench_models import ToyGaussian, analytic_gaussian_path
-from nrst.runner import run_parallel
-from nrst.st_kernels import write_traces_csv
+from nrst.runner import pilot_then_run, run_parallel
+from nrst.st_kernels import run_tour, write_traces_csv
 from oracles import autocorrelation, steps_from_autocorrelation, uniform_schedule, warm_states
 
 FROZEN_TOY_SCHEDULE = (Path(__file__).resolve().parents[1]
@@ -343,7 +345,7 @@ def test_schedule_without_widths_explores_at_width_one():
                     np.ones((sched.n_levels, 3)))
     for schedule in (sched, ones):
         report = run_parallel(ToyGaussian(), schedule, "nrst", 0.95, 1.0, 0.3, 1, 7)
-        assert (report.k, report.serial_cost) == (52, 2244)
+        assert (report.k, report.serial_cost) == (52, 2237)
         buf = io.StringIO()
         write_traces_csv(report.traces, buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
@@ -464,3 +466,59 @@ def test_tune_explore_steps_runs_chains_only_above_kappa_bar(monkeypatch):
     assert one_slow[0] == one_slow[2] == 1
     # the slow level's chain runs on its own stream, as when every level runs
     assert one_slow[1] == full[1] > 1
+
+
+class BelowItsBound(ToyGaussian):
+    """V = 0 everywhere, below the toy's bound (d/2) log 2 pi, which it keeps."""
+
+    def _potential(self, x):
+        return 0.0
+
+
+def test_a_false_bound_raises_at_the_first_v_eval_of_a_tour_and_of_a_tune():
+    message = r"^potential 0\.0 is below the model's lower bound v_min=2\.7568\d* at x="
+    sched = uniform_schedule(2)
+    model = BelowItsBound()
+    with pytest.raises(DivergedPotentialError, match=message) as info:
+        run_tour(model, sched, "nrst", 100, np.random.default_rng(0),
+                 build_explorers(model, sched))
+    assert model.v_evals.value == 1 and info.value.v_min == model.v_min
+    back = pickle.loads(pickle.dumps(info.value))
+    assert str(back) == str(info.value) and back.v_min == model.v_min
+    model = BelowItsBound()
+    with pytest.raises(DivergedPotentialError, match=message):
+        adapt(model, 4, 2, rng=np.random.default_rng(0))
+    assert model.v_evals.value == 1
+    with pytest.raises(DivergedPotentialError, match=message) as info:
+        run_parallel(BelowItsBound(), sched, "nrst", 0.95, 0.5, 1.0, 1, 5)
+    assert (info.value.tour_index, info.value.seed) == (0, 5)
+
+
+def test_the_bound_on_v_changes_the_v_eval_count_and_nothing_else(monkeypatch):
+    def tune_and_run():
+        model = ToyGaussian()
+        tuned = adapt(model, 8, 4, rng=np.random.default_rng(6))
+        tune_v_evals = model.v_evals.value
+        t = pilot_then_run(model, tuned.schedule, "nrst", 0.95, 0.5, tuned.lambda_hat, 1,
+                           6).traces
+        return (tuned.schedule.to_dict(), (list(t.levels), list(t.directions), list(t.v)),
+                (tune_v_evals, sum(t.v_evals)))
+
+    screened = tune_and_run()
+    monkeypatch.setattr(ToyGaussian, "v_min", -math.inf)
+    unscreened = tune_and_run()
+    assert screened[:2] == unscreened[:2]
+    assert all(a < b for a, b in zip(screened[2], unscreened[2]))
+
+
+def test_the_bound_skips_v_only_where_it_puts_the_proposal_below_the_slice():
+    # At slice level -20, log pi0 - beta v_min is -604 at a proposal far out,
+    # whose V is never asked for, and -7.7 at the toy's minimizer m 1.
+    model = RecordingToy()
+    density = ExplorationKernel(model, 0.5).density
+    far, near = np.full(3, 40.0), np.full(3, 2.0)
+    assert density(far, -20.0) == (model.log_reference(far) - 0.5 * model.v_min, None)
+    assert model.points == []
+    lp, v = density(near, -20.0)
+    assert v == model.v_min and lp == model.log_reference(near) - 0.5 * v
+    assert len(model.points) == 1
