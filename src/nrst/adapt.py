@@ -259,22 +259,22 @@ def median_affinities(data: np.ndarray, betas) -> np.ndarray:
 def estimate_rejections(data: np.ndarray, betas, affinities):
     """Monte Carlo directional and symmetrized rejection probabilities.
 
-    ``data`` has shape (N+1, n_scan); row i holds the potentials of level i.
+    ``data`` has shape (..., N+1, n_scan); row i holds the potentials of
+    level i, and each leading index (a batch) gets estimates of shape (N,).
 
     r_up[i-1] estimates the rejection of the move beta_{i-1} -> beta_i using
     the level i-1 samples, r_down[i-1] the reverse move from the level i
     samples, and r_sym their average.  Each direction is one
-    :func:`acceptance_probability` call on an (N, n_scan) block of samples
-    with (N, 1) columns of betas and affinities.
+    :func:`acceptance_probability` call on an (..., N, n_scan) block of
+    samples with (N, 1) columns of betas and affinities.
     """
     b = np.asarray(betas, dtype=float)[:, None]
     c = np.asarray(affinities, dtype=float)[:, None]
-    acc_up = acceptance_probability(data[:-1], b[:-1], b[1:], c[:-1], c[1:])
-    acc_dn = acceptance_probability(data[1:], b[1:], b[:-1], c[1:], c[:-1])
-    r_up = 1.0 - np.mean(acc_up, axis=1)
-    r_down = 1.0 - np.mean(acc_dn, axis=1)
-    r_sym = 0.5 * (r_up + r_down)
-    return r_up, r_down, r_sym
+    acc_up = acceptance_probability(data[..., :-1, :], b[:-1], b[1:], c[:-1], c[1:])
+    acc_dn = acceptance_probability(data[..., 1:, :], b[1:], b[:-1], c[1:], c[:-1])
+    r_up = 1.0 - np.mean(acc_up, axis=-1)
+    r_down = 1.0 - np.mean(acc_dn, axis=-1)
+    return r_up, r_down, 0.5 * (r_up + r_down)
 
 
 def _fritsch_carlson_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -507,49 +507,53 @@ def _carry_widths(widths, old_betas, new_betas):
 
 
 def _batches(data: np.ndarray):
-    """A pass's scans split into b = 2^floor(log2(n_scan) / 2) consecutive
-    batches of equal length (every scan when n_scan is a power of two):
-    shape (b, rows, n_scan // b), batch k holding the columns of ``data``
-    of its scans.  None below ``_MIN_SE_SCANS`` scans."""
-    rows, n_scan = data.shape
+    """The last axis of ``data`` (a pass's scans) split into
+    b = 2^floor(log2(n_scan) / 2) consecutive batches of equal length: a
+    contiguous array of shape (b, ..., n_scan // b).  None below
+    ``_MIN_SE_SCANS`` scans."""
+    n_scan = data.shape[-1]
     if n_scan < _MIN_SE_SCANS:
         return None
     b = 2 ** (int(math.log2(n_scan)) // 2)
-    return data[:, :b * (n_scan // b)].reshape(rows, b, -1).swapaxes(0, 1)
+    split = data[..., :b * (n_scan // b)].reshape(data.shape[:-1] + (b, -1))
+    return np.ascontiguousarray(np.moveaxis(split, -2, 0))
 
 
-def _batch_means_se(values) -> float:
-    """sd(batch values) / sqrt(b) (Flegal & Jones, Ann. Statist. 2010)."""
-    return float(np.std(values, ddof=1)) / math.sqrt(len(values))
+def _batch_means_se(values):
+    """sd / sqrt(b) of the b batch values along axis 0, each entry's summed
+    as one contiguous row (Flegal & Jones, Ann. Statist. 2010)."""
+    values = np.ascontiguousarray(np.moveaxis(values, 0, -1))
+    return np.std(values, axis=-1, ddof=1) / math.sqrt(values.shape[-1])
 
 
-def _batch_se(data: np.ndarray, stat):
-    """Batch-means standard error of ``stat`` over a pass's scans, from
-    ``stat`` of each of :func:`_batches`; None below ``_MIN_SE_SCANS``
-    scans."""
+def _pass_ses(data, betas, affinities) -> tuple:
+    """Batch-means SEs of a pass's lambda_hat (the mean of per-scan sums,
+    as ``affinities`` are held fixed) and of its log Z(1), each from one
+    estimate over all :func:`_batches`; (None, None) where there are none."""
     batches = _batches(data)
-    return None if batches is None else _batch_means_se([stat(batch) for batch in batches])
+    if batches is None:
+        return None, None
+    lambda_hats = np.sum(estimate_rejections(batches, betas, affinities)[2], axis=-1)
+    log_z1 = stepping_stone_logz(batches, betas)[:, -1]
+    return float(_batch_means_se(lambda_hats)), float(_batch_means_se(log_z1))
 
 
-def _kappa1_upper(v_in, v_out) -> float:
-    """kappa(1) from a level's (V in, V out) pairs plus 2 batch-means SEs
-    over its scans; +inf below ``_MIN_SE_SCANS`` scans."""
-    se = _batch_se(np.array((v_in, v_out)), lambda d: lag1_autocorrelation(*d))
-    return math.inf if se is None else lag1_autocorrelation(v_in, v_out) + 2.0 * se
+def _run_kappa1_upper(ends, per_move) -> np.ndarray:
+    """Upper bounds on kappa(1) of the run's kernel at N levels, whose widths
+    are ``per_move`` times the mean move, from the tune's kernel's (V in,
+    V out) pairs ``ends``, of shape (2, N, n_scan).
 
-
-def _run_kappa1_upper(v_in, v_out, per_move) -> float:
-    """Upper bound on kappa(1) of the run's kernel at a level, whose widths
-    are ``per_move`` times the mean move, from the (V in, V out) pairs of
-    the tune's kernel there.
-
-    A bracket that covers the slice draws uniformly from it at any width,
-    and one narrower than the slice moves x diffusively, by a fixed share of
-    its width, so 1 - kappa(1) falls with the square of the bracket: the
-    run's bracket, ``per_move / _WIDTH_PER_MOVE`` of the tune's, leaves at
-    least that ratio squared of the tune's 1 - kappa(1)."""
-    shrink = (per_move / _WIDTH_PER_MOVE) ** 2
-    return 1.0 - shrink * (1.0 - _kappa1_upper(v_in, v_out))
+    The tune's bound is kappa(1) plus 2 batch-means SEs (+inf below
+    ``_MIN_SE_SCANS`` scans).  A bracket that covers the slice draws
+    uniformly from it at any width, and one narrower moves x diffusively, so
+    1 - kappa(1) falls with the square of the bracket: the run's,
+    ``per_move / _WIDTH_PER_MOVE`` of the tune's, leaves that ratio squared."""
+    batches = _batches(ends)
+    if batches is None:
+        return np.full(ends.shape[1], math.inf)
+    tune = lag1_autocorrelation(*ends) + 2.0 * _batch_means_se(
+        lag1_autocorrelation(batches[:, 0], batches[:, 1]))
+    return 1.0 - (per_move / _WIDTH_PER_MOVE) ** 2 * (1.0 - tune)
 
 
 def _grid_size(lambda_total: float) -> int:
@@ -643,9 +647,9 @@ def adapt(
     Exploration step counts are tuned last, for the run's kernel.  In the
     schedule's passes every level's chain is stationary for its tempered
     law, so the (V before, V after) pairs of its explorer calls bound the
-    lag-1 autocorrelation of the tune's kernel (:func:`_kappa1_upper`) and,
-    through the ratio of the brackets, of the run's
-    (:func:`_run_kappa1_upper`).  :func:`tune_explore_steps` runs a chain,
+    lag-1 autocorrelation of the tune's kernel and, through the ratio of
+    the brackets, of the run's (:func:`_run_kappa1_upper`, all levels in
+    one call).  :func:`tune_explore_steps` runs a chain,
     at the schedule's widths, only at the levels whose run bound exceeds
     ``explore._KAPPA_BAR``, from the last pass's final states.
     ``step_tuning_v_evals`` counts their V-evals, which with the rounds'
@@ -679,14 +683,7 @@ def adapt(
         states = nrpt.states
         current = _pass_estimates(nrpt.data, betas, affinity_mode)
         affinities = current.affinities
-        # With the affinities held fixed, lambda_hat is the mean of per-scan
-        # sums, so batch means applies to it directly.
-        lambda_se = _batch_se(
-            nrpt.data, lambda d: float(np.sum(estimate_rejections(d, betas, affinities)[2])))
-        # Every batch's stepping stone from one Bennett solve.
-        batches = _batches(nrpt.data)
-        logz_se = (None if batches is None
-                   else _batch_means_se(stepping_stone_logz(batches, betas)[:, -1]))
+        lambda_se, logz_se = _pass_ses(nrpt.data, betas, affinities)
         indicators = None
         if prev is not None:
             converged, indicators = check_convergence(prev, current, affinity_mode)
@@ -737,8 +734,7 @@ def adapt(
     per_move = _WIDTH_PER_MOVE if round_idx - (held is not None) == 1 else _RUN_WIDTH_PER_MOVE
     widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1], per_move)
     spread, asym = equi_rejection_indicators(*rejections)
-    kappa1 = [_run_kappa1_upper(nrpt.ends[0, i], nrpt.ends[1, i], per_move)
-              for i in range(1, n + 1)]
+    kappa1 = _run_kappa1_upper(nrpt.ends[:, 1:], per_move)
     tuning_sched = Schedule(betas, affinities, np.ones(n, dtype=int), widths)
     explore_steps, step_tuning_v_evals = _counting_v_evals(
         model, tune_explore_steps, model, tuning_sched, rng,

@@ -43,7 +43,21 @@ def _cauchy_lpdf(x):
 
 
 def _invgamma_lpdf(z, a, b):
+    """log density of InvGamma(a, b) at z; -inf, its limit, at z = 0 (from
+    -b / z) and +inf (from -(a + 1) log z).  A scale that :func:`_exp` gives
+    as +inf gets log pi0 = -inf, where it truly falls as -a log z: this cuts
+    the reference at log z = 709.78, a mass of about 1e-31 at a = b = 0.1."""
+    if z == 0.0:
+        return -math.inf
     return a * math.log(b) - math.lgamma(a) - (a + 1.0) * math.log(z) - b / z
+
+
+def _exp(u):
+    """math.exp(u), +inf where it overflows (u > log of the largest float)."""
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
 
 
 def _sample_invgamma(a, b, rng):
@@ -157,6 +171,8 @@ class Hierarchical(TemperedModel):
     that bound less a slack for the rounding of V's expanded sums of
     squares, whose error near the minimum is a few ulps of sum y^2 against
     S_w; S_w = 0 leaves V unbounded below as s -> -inf, and v_min -inf.
+    Where e^s underflows to 0, V is +inf, the limit of S / (2 e^s) wherever
+    S > 0; where it overflows, that term is 0 and V stays finite.
     """
 
     def __init__(self, y: np.ndarray):
@@ -184,18 +200,22 @@ class Hierarchical(TemperedModel):
     def log_reference(self, x):
         mu, ltau2, lsig2 = x[0], x[1], x[2]
         theta = x[3:]
-        tau2 = math.exp(ltau2)
-        sig2 = math.exp(lsig2)
+        tau2 = _exp(ltau2)
+        sig2 = _exp(lsig2)
         lp = _cauchy_lpdf(mu)
         lp += _invgamma_lpdf(tau2, 0.1, 0.1) + ltau2
         lp += _invgamma_lpdf(sig2, 0.1, 0.1) + lsig2
+        if lp == -math.inf:  # a scale at 0 or +inf: see the class docstring
+            return lp
         lp += float(np.sum(_norm_lpdf(theta, mu, tau2)))
         return lp
 
     def _potential(self, x):
-        sig2 = math.exp(x[2])
+        sig2 = _exp(x[2])
         theta = x[3:]
         sq = self._group_sq - 2.0 * theta * self._group_sums + self.m_per_group * theta**2
+        if sig2 == 0.0:
+            return math.inf
         n_obs = self.y.size
         return 0.5 * n_obs * (_LOG_2PI + x[2]) + float(np.sum(sq)) / (2.0 * sig2)
 
@@ -272,7 +292,11 @@ class ThresholdWeibull(TemperedModel):
     Coordinates: (logit a over (0, 200), log b, logit c over (0.1, 10)).
     As a approaches the smallest observation y_min with c < 1, the term
     (c - 1) log((y_min - a) / b) of the log likelihood grows without bound,
-    so V is unbounded below and v_min stays -inf.
+    so V is unbounded below and v_min stays -inf.  Per observation V is
+    c log b - log c - (c - 1) log(y - a) + z^c with z = (y - a) / b, which
+    grows as c log b as b -> +inf and as z^c as b -> 0.  So where e^{log b}
+    overflows or underflows to 0, or z or z^c overflows, V is +inf, its
+    limit.
     """
 
     A_RANGE = (0.0, 200.0)
@@ -299,23 +323,27 @@ class ThresholdWeibull(TemperedModel):
         a_lo, a_hi = self.A_RANGE
         c_lo, c_hi = self.C_RANGE
         a = a_lo + (a_hi - a_lo) * float(_expit(u[0]))
-        b = math.exp(u[1])
+        b = _exp(u[1])
         c = c_lo + (c_hi - c_lo) * float(_expit(u[2]))
         return a, b, c
 
     def log_reference(self, u):
         lp = float(-_softplus(u[0]) - _softplus(-u[0]))
-        lp += _invgamma_lpdf(math.exp(u[1]), 0.1, 0.1) + float(u[1])
+        lp += _invgamma_lpdf(_exp(u[1]), 0.1, 0.1) + float(u[1])
         lp += float(-_softplus(u[2]) - _softplus(-u[2]))
         return lp
 
     def _potential(self, u):
         a, b, c = self._params(u)
-        if a >= self.y_min:
+        if a >= self.y_min or not 0.0 < b < math.inf:
             return math.inf
-        z = (self.y - a) / b
+        with np.errstate(over="ignore"):
+            z = (self.y - a) / b
+            zc = z**c
+        if zc.max() == math.inf:
+            return math.inf
         loglik = self.y.size * (math.log(c) - math.log(b)) + float(
-            np.sum((c - 1.0) * np.log(z) - z**c)
+            np.sum((c - 1.0) * np.log(z) - zc)
         )
         return -loglik
 

@@ -8,20 +8,20 @@ once per NRPT scan.  Every other level's is slice sampling within Gibbs.
 Each coordinate update shrinks one bracket of its level's width, placed at
 random around the current point and never stepped out, so each proposal
 costs at most one V-eval: none where the model's lower bound on V already
-puts it below the slice level (:class:`TemperedDensity`), which rejects it
-as V would have.  That is valid at any width, which makes it usable
-inside a tuning loop whose grid moves every round: a bracket too narrow for
-the slice costs mixing, one too wide costs shrinks.  Widths come from
-``Schedule.widths``, 1.0 where a schedule carries none.  The tuner learns
-them from each level's mean move: its own passes explore at 16x that move,
-so that a narrow bracket grows fast, and the schedule carries 6x, which
-the tours run at for fewer V-evals per unit of tour effectiveness.  The
-number of self-compositions per level is the smallest lag n at which the
-autocorrelation of the potential series falls to ``_KAPPA_BAR``, read from
-a chain of ``_CHAIN_LEN`` sweeps at the schedule's widths at the levels
-that need one.  Kernels take the potential V of their start point and
-return V of their end point with it, so no caller spends a V-eval where a
-sweep already holds the value.
+puts it below the slice level (:meth:`ExplorationKernel.density`, which
+every sweep calls), rejecting it as V would have.  That is valid at any
+width, which makes it usable inside a tuning loop whose grid moves every
+round: a bracket too narrow for the slice costs mixing, one too wide costs
+shrinks.  Widths come from ``Schedule.widths``, 1.0 where a schedule
+carries none.  The tuner learns them from each level's mean move: its own
+passes explore at 16x that move, so that a narrow bracket grows fast, and
+the schedule carries 6x, which the tours run at for fewer V-evals per unit
+of tour effectiveness.  The number of self-compositions per level is the
+smallest lag n at which the autocorrelation of the potential series falls
+to ``_KAPPA_BAR``, read from a chain of ``_CHAIN_LEN`` calls of the level's
+kernel at the levels that need one.  Kernels take the potential V of their
+start point and return V of their end point with it, so no caller spends a
+V-eval where a sweep already holds the value.
 """
 
 from __future__ import annotations
@@ -101,51 +101,20 @@ class Sweep(NamedTuple):
 def slice_step(x, logp: float, density, rng: np.random.Generator, widths) -> Sweep:
     """One sweep of coordinate-wise slice sampling (fixed ascending scan).
 
-    ``density(x)`` returns the pair (log density, V) at x, and ``logp`` is the
-    log density at the start point, which the caller already holds: the
-    sweep evaluates nothing there.  A :class:`TemperedDensity` is also given
-    each proposal's slice level, so that it can reject the proposal from its
-    bound without a V-eval.  ``widths[d]`` is the bracket width of
-    coordinate d; every V-eval is at a proposal.  The returned V is the one
+    ``density(x, level)`` returns the pair (log density, V) at a proposal x
+    whose slice level is ``level``, as :meth:`ExplorationKernel.density`
+    does, and ``logp`` is the log density at the start point, which the
+    caller already holds: the sweep evaluates nothing there.  ``widths[d]``
+    is the bracket width of coordinate d.  The returned V is the one
     ``density`` gave at the new point (the last coordinate's accepted one).
     The sweep leaves the log density invariant, whatever the widths.
     """
     x = np.array(x, dtype=float, copy=True)
     if not math.isfinite(logp):
         raise SliceNumericalError(f"log density not finite at the initial point: {logp}")
-    screened = density if isinstance(density, TemperedDensity) else lambda z, y: density(z)
     for d in range(x.size):
-        logp, v = _slice_coordinate(x, d, logp, screened, rng, widths[d])
+        logp, v = _slice_coordinate(x, d, logp, density, rng, widths[d])
     return Sweep(x, logp, v)
-
-
-class TemperedDensity:
-    """log pi_beta(x) = log pi0(x) - beta V(x) of a model at one beta > 0,
-    screened by the model's lower bound ``v_min`` on V.
-
-    Callable as density(x, level).  log pi0(x) - beta v_min bounds
-    log pi_beta(x) from above, in floating point too, as beta V >= beta v_min
-    rounds the same way.  Where that bound is <= ``level``, x lies off the
-    slice at that level whatever V(x) is, and the call returns the pair
-    (bound, None) at no V-eval.  Otherwise it returns (log pi_beta(x), V(x))
-    at one V-eval.  With v_min = -inf the bound is +inf, or NaN where
-    log pi0(x) = -inf, and neither screens anything out.
-    """
-
-    __slots__ = ("model", "beta", "_beta_v_min")
-
-    def __init__(self, model: TemperedModel, beta: float):
-        self.model = model
-        self.beta = beta
-        self._beta_v_min = beta * model.v_min
-
-    def __call__(self, x, level) -> tuple:
-        logref = float(self.model.log_reference(x))
-        bound = logref - self._beta_v_min
-        if bound <= level:
-            return bound, None
-        v = self.model.potential(x)
-        return log_tempered_density_from_v(x, logref, v, self.beta), v
 
 
 class ExplorationKernel:
@@ -155,8 +124,7 @@ class ExplorationKernel:
     where v = V(x) is carried in and v' = V(x') comes out of the last sweep,
     so neither end point costs a V-eval.  Applies ``n_steps`` full sweeps
     per call.  ``widths`` holds the bracket width of each of the model's
-    coordinates (``_INITIAL_WIDTH`` for all when None).  ``density`` is the
-    level's :class:`TemperedDensity`.
+    coordinates (``_INITIAL_WIDTH`` for all when None).
     """
 
     def __init__(self, model: TemperedModel, beta: float, n_steps: int = 1, widths=None):
@@ -175,7 +143,22 @@ class ExplorationKernel:
         self.n_steps = int(n_steps)
         # Python floats keep the bracket arithmetic off numpy scalars.
         self.widths = tuple(float(w) for w in widths)
-        self.density = TemperedDensity(model, self.beta)
+        self._beta_v_min = self.beta * model.v_min
+
+    def density(self, x, level) -> tuple:
+        """(log pi_beta(x), V(x)) at one V-eval, or (bound, None) at none
+        where the bound log pi0(x) - beta v_min on log pi_beta(x) is already
+        <= ``level``: x then lies off the slice whatever V(x) is.  The bound
+        holds in floating point too, as beta V >= beta v_min rounds the same
+        way.  With v_min = -inf it is +inf, or NaN where log pi0(x) = -inf,
+        and neither screens anything out.
+        """
+        logref = float(self.model.log_reference(x))
+        bound = logref - self._beta_v_min
+        if bound <= level:
+            return bound, None
+        v = self.model.potential(x)
+        return log_tempered_density_from_v(x, logref, v, self.beta), v
 
     def __call__(self, x, v, rng):
         logp = log_tempered_density_from_v(x, self.model.log_reference(x), v, self.beta)
@@ -196,11 +179,6 @@ class ReferenceDraw:
         return x, self.model.potential(x)
 
 
-def _level_widths(schedule: Schedule, i: int):
-    """Row of bracket widths of level i >= 1, or None for the default."""
-    return None if schedule.widths is None else schedule.widths[i - 1]
-
-
 def build_explorers(model: TemperedModel, schedule: Schedule) -> list:
     """Kernels for levels 0..N: a :class:`ReferenceDraw` at level 0, an
     :class:`ExplorationKernel` at each level i >= 1.
@@ -208,31 +186,29 @@ def build_explorers(model: TemperedModel, schedule: Schedule) -> list:
     Raises ValueError when a row of ``schedule.widths`` does not hold one
     width per coordinate of ``model``.
     """
-    kernels = [ReferenceDraw(model)]
-    for i in range(1, schedule.n_levels + 1):
-        kernels.append(ExplorationKernel(
-            model, schedule.betas[i], int(schedule.explore_steps[i - 1]),
-            _level_widths(schedule, i),
-        ))
-    return kernels
+    widths = [None] * schedule.n_levels if schedule.widths is None else schedule.widths
+    return [ReferenceDraw(model)] + [
+        ExplorationKernel(model, beta, int(steps), w)
+        for beta, steps, w in zip(schedule.betas[1:], schedule.explore_steps, widths)]
 
 
-def lag1_autocorrelation(v_in, v_out) -> float:
+def lag1_autocorrelation(v_in, v_out):
     """Lag-1 autocorrelation of V from the (V before, V after) pairs of
-    single sweeps started from stationary draws.
+    single sweeps started from stationary draws, along the last axis: pairs
+    of shape (..., n) give shape (...).
 
     The biased estimator of :func:`_lag_walk`, with both ends of a
     pair taken from the same law: centred on the pooled mean, scaled by the
-    pooled sum of squares.  Zero variance returns 0.
+    pooled sum of squares.  Zero variance returns 0.  ``@`` sums each row
+    as ``np.dot`` sums a 1-d pair.
     """
-    a = np.asarray(v_in, dtype=float)
-    b = np.asarray(v_out, dtype=float)
-    m = 0.5 * (a.mean() + b.mean())
+    a = np.asarray(v_in, dtype=float)[..., None, :]
+    b = np.asarray(v_out, dtype=float)[..., None, :]
+    m = 0.5 * (a.mean(axis=-1, keepdims=True) + b.mean(axis=-1, keepdims=True))
     ca, cb = a - m, b - m
-    denom = 0.5 * (float(np.dot(ca, ca)) + float(np.dot(cb, cb)))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(ca, cb)) / denom
+    denom = 0.5 * (ca @ ca.swapaxes(-1, -2) + cb @ cb.swapaxes(-1, -2))[..., 0, 0]
+    num = (ca @ cb.swapaxes(-1, -2))[..., 0, 0]
+    return np.divide(num, denom, out=np.zeros(denom.shape), where=denom != 0.0)[()]
 
 
 def _lag_walk(series) -> int:
@@ -265,27 +241,25 @@ def tune_explore_steps(
 
     ``kappa1`` holds, per level 1..N, an upper bound on the lag-1
     autocorrelation kappa(1) of V under one sweep at the schedule's widths,
-    from stationary draws (see :func:`adapt.adapt`).  A level whose bound is <= ``_KAPPA_BAR`` gets 1
-    step and runs no chain.  Every other level runs a single-sweep slice
-    chain of length ``_CHAIN_LEN``, at the schedule's widths, from its warm
-    state in ``init_states`` (one (x, V(x)) per level 0..N), estimates the
-    lag-n autocorrelation of the V series and gets the smallest n that
-    brings it at or below ``_KAPPA_BAR``, capped at ``_MAX_EXPLORE_STEPS``.
-    Levels use independent spawned rng streams, so a level's count does not
-    depend on which other levels run their chain.
+    from stationary draws (see :func:`adapt.adapt`).  A level whose bound is
+    <= ``_KAPPA_BAR`` gets 1 step and runs no chain.  Every other level runs
+    ``_CHAIN_LEN`` calls of its kernel from :func:`build_explorers` (one
+    sweep each in adapt's schedule) from its warm state in ``init_states``
+    (one (x, V(x)) per level 0..N), estimates the lag-n autocorrelation of
+    the V series and gets the smallest n that brings it at or below
+    ``_KAPPA_BAR``, capped at ``_MAX_EXPLORE_STEPS``.  Levels use
+    independent spawned rng streams, so a level's count does not depend on
+    which other levels run their chain.
     """
-    n = schedule.n_levels
-    streams = rng.spawn(n)
-    steps = np.ones(n, dtype=int)
-    for i in range(1, n + 1):
-        if kappa1[i - 1] <= _KAPPA_BAR:
+    steps = np.ones(schedule.n_levels, dtype=int)
+    levels = zip(build_explorers(model, schedule)[1:], rng.spawn(schedule.n_levels),
+                 init_states[1:], kappa1, strict=True)
+    for i, (kernel, level_rng, (x, v), bound) in enumerate(levels):
+        if bound <= _KAPPA_BAR:
             continue
-        level_rng = streams[i - 1]
-        kernel = ExplorationKernel(model, schedule.betas[i], 1, _level_widths(schedule, i))
-        x, v = init_states[i]
         vs = np.empty(_CHAIN_LEN)
         for t in range(_CHAIN_LEN):
             x, v = kernel(x, v, level_rng)
             vs[t] = v
-        steps[i - 1] = _lag_walk(vs)
+        steps[i] = _lag_walk(vs)
     return steps

@@ -22,15 +22,24 @@ lag walk that sets each level's step count must equal it bit for bit.
 ``grid_per_target``, ``logz_per_interval``, ``median_affinities_per_level``
 and ``rejections_per_interval`` are the tuner's estimators written one
 level or interval at a time, as loops of scalar steps: the array estimators
-must equal them bit for bit.
+must equal them bit for bit.  So must the tuner's standard errors equal
+``batch_se_per_batch``, a statistic of each batch of scans in turn, and its
+kappa(1) bounds ``run_kappa1_upper_per_level``, one level at a time.
 """
 
+import math
 import time
 from array import array
 
 import numpy as np
 
-from nrst.adapt import _BENNETT_ITERATIONS, _BENNETT_TOL, run_nrpt
+from nrst.adapt import (
+    _BENNETT_ITERATIONS,
+    _BENNETT_TOL,
+    _MIN_SE_SCANS,
+    _WIDTH_PER_MOVE,
+    run_nrpt,
+)
 from nrst.explore import _MAX_EXPLORE_STEPS
 from nrst.model import Schedule, acceptance_probability
 from nrst.st_kernels import _VARIANTS, NRST, ST, IdealIndexChain, TourOverrunError, TourTable
@@ -229,6 +238,41 @@ def logz_per_interval(data: np.ndarray, betas) -> np.ndarray:
             d = float(np.max(b) + np.log(np.mean(np.exp(b - np.max(b)))))
         logz[i] = logz[i - 1] - d
     return logz
+
+
+def batch_se_per_batch(data: np.ndarray, stat):
+    """Batch-means standard error of ``stat`` over the scans of ``data``, of
+    shape (rows, n_scan): ``stat`` of each of b = 2^floor(log2(n_scan) / 2)
+    consecutive batches of columns in turn, then sd / sqrt(b) of the b
+    values; None below ``_MIN_SE_SCANS`` scans."""
+    n_scan = data.shape[1]
+    if n_scan < _MIN_SE_SCANS:
+        return None
+    b = 2 ** (int(math.log2(n_scan)) // 2)
+    m = n_scan // b
+    values = [stat(data[:, k * m:(k + 1) * m]) for k in range(b)]
+    return float(np.std(values, ddof=1)) / math.sqrt(b)
+
+
+def _lag1_of_pairs(v_in, v_out) -> float:
+    """``lag1_autocorrelation`` of one level's 1-d pairs, in Python floats."""
+    m = 0.5 * (v_in.mean() + v_out.mean())
+    ca, cb = v_in - m, v_out - m
+    denom = 0.5 * (float(np.dot(ca, ca)) + float(np.dot(cb, cb)))
+    return 0.0 if denom == 0.0 else float(np.dot(ca, cb)) / denom
+
+
+def run_kappa1_upper_per_level(ends: np.ndarray, per_move: float) -> list:
+    """``_run_kappa1_upper`` one level at a time: kappa(1) of the level's
+    (V in, V out) pairs plus 2 ``batch_se_per_batch``, mapped to the run's
+    bracket; +inf below ``_MIN_SE_SCANS`` scans."""
+    shrink = (per_move / _WIDTH_PER_MOVE) ** 2
+    bounds = []
+    for v_in, v_out in zip(ends[0], ends[1]):
+        se = batch_se_per_batch(np.array((v_in, v_out)), lambda d: _lag1_of_pairs(*d))
+        tune = math.inf if se is None else _lag1_of_pairs(v_in, v_out) + 2.0 * se
+        bounds.append(1.0 - shrink * (1.0 - tune))
+    return bounds
 
 
 def _lower_median(values: np.ndarray) -> float:

@@ -13,11 +13,10 @@ from nrst.adapt import (
     InfiniteReferenceError,
     PassEstimates,
     _batch_means_se,
-    _batch_se,
     _batches,
     _carry_widths,
     _grid_size,
-    _kappa1_upper,
+    _pass_ses,
     _remap_states,
     _run_kappa1_upper,
     _widths_from_moves,
@@ -41,11 +40,13 @@ from oracles import (
     CountingDraw,
     LinearBarrier,
     autocorrelation,
+    batch_se_per_batch,
     grid_per_target,
     local_rejection_rates,
     logz_per_interval,
     median_affinities_per_level,
     rejections_per_interval,
+    run_kappa1_upper_per_level,
     steps_from_autocorrelation,
     uniform_schedule,
 )
@@ -735,23 +736,21 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
     assert res.rounds[-1]["n_scan"] == n_scan
     n = res.schedule.n_levels
-    assert step_calls[0]["kappa1"] == [_run_kappa1_upper(ends[0, i], ends[1, i],
-                                                         _RUN_WIDTH_PER_MOVE)
-                                       for i in range(1, n + 1)]
+    np.testing.assert_array_equal(step_calls[0]["kappa1"],
+                                  _run_kappa1_upper(ends[:, 1:], _RUN_WIDTH_PER_MOVE))
+    assert len(step_calls[0]["kappa1"]) == n
     assert step_calls[0]["init_states"] is states
 
 
-def _series_dataset(x):
-    return np.array((x, x))
-
-
-def _mean_of_level_0(data):
-    return float(np.mean(data[0]))
+def _batch_se_of_mean(x):
+    """Batch-means SE of the mean of the series ``x``, or None."""
+    batches = _batches(x)
+    return None if batches is None else _batch_means_se(np.mean(batches, axis=-1))
 
 
 def test_batch_se_of_an_iid_mean_is_one_over_sqrt_n():
     x = np.random.default_rng(4).standard_normal(4096)
-    se = _batch_se(_series_dataset(x), _mean_of_level_0)
+    se = _batch_se_of_mean(x)
     assert abs(se - 1 / 64) <= 0.25 / 64
 
 
@@ -763,7 +762,7 @@ def test_batch_se_inflates_by_the_ar1_variance_factor():
     x[0] = rng.standard_normal()
     for t in range(1, n):
         x[t] = rho * x[t - 1] + noise[t]
-    se = _batch_se(_series_dataset(x), _mean_of_level_0)
+    se = _batch_se_of_mean(x)
     iid_se = float(np.std(x)) / math.sqrt(n)
     assert abs(se / iid_se - 3.0) <= 0.3 * 3.0
 
@@ -776,7 +775,7 @@ def test_logz_se_solves_all_batches_at_once_bit_for_bit_as_batch_by_batch():
     data[0, :60] = np.inf  # no finite V at level 0 in the first batches
     batches = _batches(data)
     assert batches.shape == (16, 4, 18)
-    per_batch = _batch_se(data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
+    per_batch = batch_se_per_batch(data, lambda d: float(stepping_stone_logz(d, betas)[-1]))
     paths = stepping_stone_logz(batches, betas)
     for batch, path in zip(batches, paths):
         assert np.array_equal(stepping_stone_logz(batch, betas), path)
@@ -785,8 +784,11 @@ def test_logz_se_solves_all_batches_at_once_bit_for_bit_as_batch_by_batch():
 
 def test_batch_se_needs_32_scans():
     x = np.random.default_rng(6).standard_normal(32)
-    assert _batch_se(_series_dataset(x[:16]), _mean_of_level_0) is None
-    assert _batch_se(_series_dataset(x), _mean_of_level_0) > 0
+    assert _batches(x[:31]) is None and _batch_se_of_mean(x[:16]) is None
+    assert _batch_se_of_mean(x) > 0
+    data = np.array((x, x))
+    assert _pass_ses(data[:, :31], [0.0, 1.0], [0.0, 0.0]) == (None, None)
+    assert all(se > 0 for se in _pass_ses(data, [0.0, 1.0], [0.0, 0.0]))
 
 
 @pytest.mark.parametrize("scale", [_WIDTH_PER_MOVE, _RUN_WIDTH_PER_MOVE, 0.5])
@@ -1051,7 +1053,7 @@ def spy_on_step_tuning(monkeypatch, drop_kappa1=False):
     runs its chain."""
     explore = importlib.import_module("nrst.explore")
     module = importlib.import_module("nrst.adapt")
-    real_tune, real_kernel = explore.tune_explore_steps, explore.ExplorationKernel
+    real_tune, real_call = explore.tune_explore_steps, explore.ExplorationKernel.__call__
     calls = []
 
     def spy(model, schedule, *args, **kwargs):
@@ -1060,16 +1062,19 @@ def spy_on_step_tuning(monkeypatch, drop_kappa1=False):
         if drop_kappa1:
             kwargs["kappa1"] = [math.inf] * schedule.n_levels
 
-        def kernel(model, beta, *k_args, **k_kwargs):
-            call["chain_levels"].append(int(np.flatnonzero(schedule.betas == beta)[0]))
-            return real_kernel(model, beta, *k_args, **k_kwargs)
+        def kernel_call(kernel, x, v, rng):
+            # a chain's first call names its level
+            level = int(np.flatnonzero(schedule.betas == kernel.beta)[0])
+            if level not in call["chain_levels"]:
+                call["chain_levels"].append(level)
+            return real_call(kernel, x, v, rng)
 
-        monkeypatch.setattr(explore, "ExplorationKernel", kernel)
+        monkeypatch.setattr(explore.ExplorationKernel, "__call__", kernel_call)
         v0 = model.v_evals.value
         try:
             steps = real_tune(model, schedule, *args, **kwargs)
         finally:
-            monkeypatch.setattr(explore, "ExplorationKernel", real_kernel)
+            monkeypatch.setattr(explore.ExplorationKernel, "__call__", real_call)
         call["v_evals"] = model.v_evals.value - v0
         calls.append(call)
         return steps
@@ -1106,20 +1111,21 @@ def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
 
 def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
     module = importlib.import_module("nrst.adapt")
-    real, pairs = module._kappa1_upper, []
+    real, passed = module._run_kappa1_upper, []
 
-    def spy(v_in, v_out):
-        pairs.append((v_in, v_out))
-        return real(v_in, v_out)
+    def spy(ends, per_move):
+        passed.append(ends)
+        return real(ends, per_move)
 
-    monkeypatch.setattr(module, "_kappa1_upper", spy)
+    monkeypatch.setattr(module, "_run_kappa1_upper", spy)
     res, call, chain_res, _ = adapt_with_and_without_kappa1(
         monkeypatch, Ridge, 8, 6, "mean", seed=1)
     # a level skips its chain only when kappa(1) + 2 SE <= 0.95
     slow = [i for i, k in enumerate(call["kappa1"], start=1) if k > 0.95]
     assert call["chain_levels"] == slow
     # the noise decides at some level: its kappa(1) alone is <= 0.95
-    kappa1 = [lag1_autocorrelation(*p) for p in pairs[:res.schedule.n_levels]]
+    assert passed[0].shape[:2] == (2, res.schedule.n_levels)
+    kappa1 = lag1_autocorrelation(*passed[0])
     assert any(kappa1[i - 1] <= 0.95 for i in slow)
     # the top level is slow, and the others are not all slow
     assert slow and slow[-1] == res.schedule.n_levels and slow[0] > 1
@@ -1131,6 +1137,11 @@ def test_adapt_runs_chains_only_at_slowly_mixing_levels(monkeypatch):
         assert steps[i - 1] == chain_res.schedule.explore_steps[i - 1]
 
 
+def _one_level(v_in, v_out):
+    """(V in, V out) pairs of one level, shaped as ``_run_kappa1_upper`` takes them."""
+    return np.array((v_in, v_out))[:, None, :]
+
+
 def test_kappa1_upper_adds_two_batch_means_ses():
     # independent stationary pairs: the SE of the correlation estimate is
     # (1 - rho^2) / sqrt(n)
@@ -1139,24 +1150,53 @@ def test_kappa1_upper_adds_two_batch_means_ses():
     v_in = rng.standard_normal(n)
     v_out = rho * v_in + math.sqrt(1 - rho**2) * rng.standard_normal(n)
     kappa1 = lag1_autocorrelation(v_in, v_out)
-    se = (_kappa1_upper(v_in, v_out) - kappa1) / 2
+    # at the tune's bracket the bound is the tune kernel's kappa(1) + 2 SE
+    tune = _run_kappa1_upper(_one_level(v_in, v_out), _WIDTH_PER_MOVE)
+    se = (tune[0] - kappa1) / 2
     assert abs(se / ((1 - rho**2) / math.sqrt(n)) - 1.0) <= 0.2
     # too few scans to measure the noise: the level never skips its chain
-    assert _kappa1_upper(v_in[:31], v_out[:31]) == math.inf
-    assert _kappa1_upper(v_in[:32], v_out[:32]) < math.inf
+    assert _run_kappa1_upper(_one_level(v_in[:31], v_out[:31]), _WIDTH_PER_MOVE) == math.inf
+    assert _run_kappa1_upper(_one_level(v_in[:32], v_out[:32]), _WIDTH_PER_MOVE) < math.inf
 
 
 def test_run_kappa1_upper_leaves_the_bracket_ratio_squared_of_one_minus_kappa():
     rng = np.random.default_rng(9)
     v_in = rng.standard_normal(256)
     v_out = 0.5 * v_in + rng.standard_normal(256)
-    tune = _kappa1_upper(v_in, v_out)
-    run = _run_kappa1_upper(v_in, v_out, _RUN_WIDTH_PER_MOVE)
+    ends = _one_level(v_in, v_out)
+    (tune,) = run_kappa1_upper_per_level(ends, _WIDTH_PER_MOVE)
+    run = _run_kappa1_upper(ends, _RUN_WIDTH_PER_MOVE)[0]
     assert 1.0 - run == pytest.approx((6 / 16) ** 2 * (1.0 - tune), rel=1e-12)
     assert tune < run < 1.0
     # a run at the tune's bracket has the tune's bound
-    assert _run_kappa1_upper(v_in, v_out, _WIDTH_PER_MOVE) == tune
-    assert _run_kappa1_upper(v_in[:31], v_out[:31], _RUN_WIDTH_PER_MOVE) == math.inf
+    assert _run_kappa1_upper(ends, _WIDTH_PER_MOVE)[0] == tune
+    assert _run_kappa1_upper(ends[..., :31], _RUN_WIDTH_PER_MOVE)[0] == math.inf
+
+
+@pytest.mark.parametrize("n_scan", [31, 32, 48, 4096])
+def test_ses_and_kappa1_bounds_equal_the_per_batch_and_per_level_forms(n_scan):
+    # level 0 holds V = +inf entries and level 2 never moves: its kappa(1)
+    # has zero variance, and reads 0
+    rng = np.random.default_rng(n_scan)
+    betas = np.array([0.0, 0.3, 0.6, 1.0])
+    data = np.array([exact_level_potentials(b, n_scan, rng) for b in betas])
+    data[0, rng.random(n_scan) < 0.2] = np.inf
+    c = mean_energy_affinities(stepping_stone_logz(data, betas))
+    v_in = np.array([exact_level_potentials(b, n_scan, rng) for b in betas[1:]])
+    v_out = 0.7 * v_in + rng.standard_normal(v_in.shape)
+    v_in[1] = v_out[1] = 2.5
+    ends = np.array((v_in, v_out))
+    lambda_se, logz_se = _pass_ses(data, betas, c)
+    assert lambda_se == batch_se_per_batch(
+        data, lambda d: float(np.sum(rejections_per_interval(d, betas, c)[2])))
+    assert logz_se == batch_se_per_batch(data, lambda d: float(logz_per_interval(d, betas)[-1]))
+    for per_move in (_WIDTH_PER_MOVE, _RUN_WIDTH_PER_MOVE):
+        bounds = _run_kappa1_upper(ends, per_move)
+        assert bounds.tolist() == run_kappa1_upper_per_level(ends, per_move)
+    assert lag1_autocorrelation(v_in[1], v_out[1]) == 0.0
+    assert (lambda_se is None) == (n_scan < 32) == np.isinf(bounds).all()
+    if n_scan >= 32:
+        assert _run_kappa1_upper(ends, _WIDTH_PER_MOVE)[1] == 0.0
 
 
 def test_lag1_from_final_pass_matches_the_chain_estimate():
@@ -1181,19 +1221,19 @@ def test_adapt_tunes_the_same_schedule_with_the_two_step_rule(monkeypatch, kappa
     monkeypatch.setattr(explore, "_KAPPA_BAR", kappa_bar)
     walked = adapt(make_model(ModelSpec("banana")), 8, 3, rng=np.random.default_rng(2))
     kernel_betas, walks = [], []
-    real_kernel = explore.ExplorationKernel
+    real_call = explore.ExplorationKernel.__call__
 
-    def kernel(model, beta, *args, **kwargs):
-        kernel_betas.append(beta)
-        return real_kernel(model, beta, *args, **kwargs)
+    def kernel_call(kernel, x, v, rng):
+        kernel_betas.append(kernel.beta)
+        return real_call(kernel, x, v, rng)
 
     def two_step(series):
-        # a level's walk follows the kernel of its chain
+        # a level's walk follows the calls of its chain's kernel
         walks.append((kernel_betas[-1], steps_from_autocorrelation(
             autocorrelation(series, explore._MAX_EXPLORE_STEPS), kappa_bar)))
         return walks[-1][1]
 
-    monkeypatch.setattr(explore, "ExplorationKernel", kernel)
+    monkeypatch.setattr(explore.ExplorationKernel, "__call__", kernel_call)
     monkeypatch.setattr(explore, "_lag_walk", two_step)
     oracle = adapt(make_model(ModelSpec("banana")), 8, 3, rng=np.random.default_rng(2))
     assert walked.schedule.to_dict() == oracle.schedule.to_dict()

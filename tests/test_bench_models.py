@@ -305,11 +305,52 @@ def test_hierarchical_dataset_gives_up_after_its_tries(monkeypatch):
 def test_v_is_at_least_v_min_at_reference_draws_and_far_out_in_the_tails(name):
     model = make_model(ModelSpec(name))
     rng = np.random.default_rng(12)
-    for scale in (1.0, 2.0, 4.0):
+    for scale in (1.0, 2.0, 4.0, 10.0, 30.0):
         for _ in range(300):
             # ``not v < v_min`` lets a NaN V through: potential() raises on it
             v = model._potential(scale * model.sample_reference(rng))
             assert not v < model.v_min, (scale, v)
+
+
+@pytest.mark.parametrize("name, x, v", [
+    # log b past the largest float's log, and e^{log b} = 0
+    ("threshold_weibull", [-24.8, 930.9, 9.1], math.inf),
+    ("threshold_weibull", [-24.8, -800.0, 0.0], math.inf),
+    ("threshold_weibull", [0.0, -800.0, 0.0], math.inf),
+    # b subnormal, so z = (y - a) / b overflows
+    ("threshold_weibull", [-24.8, -720.0, 5.0], math.inf),
+    # a finite log pi0, where z^c = (e^100 (y - a))^c overflows at c ~ 9.9
+    ("threshold_weibull", [-24.8, -100.0, 5.0], math.inf),
+    # log tau^2 = +-800 leaves V as it is; log sigma^2 = 800 leaves its
+    # linear term, and -800 gives +inf
+    ("hierarchical", {1: 800.0}, None),
+    ("hierarchical", {1: -800.0}, None),
+    ("hierarchical", {2: 800.0}, "linear"),
+    ("hierarchical", {2: -800.0}, math.inf),
+])
+def test_log_scale_coordinates_past_the_float_range_give_their_limits(name, x, v):
+    model = make_model(ModelSpec(name))
+    if isinstance(x, dict):
+        point = np.zeros(model.dim)
+        for k, value in x.items():
+            point[k] = value
+    else:
+        point = np.array(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logp = model.log_reference(point)
+        got = model.potential(point)
+    # log pi0 is -inf wherever a scale leaves the float range
+    assert (logp == -math.inf) == (abs(point[1]) >= 700.0 or abs(point[2]) >= 700.0)
+    assert logp == -math.inf or math.isfinite(logp)
+    if v is None:
+        inside = point.copy()
+        inside[list(x)] = 0.0
+        assert got == model.potential(inside)
+    elif v == "linear":
+        assert got == 0.5 * model.y.size * (math.log(2 * math.pi) + 800.0)
+    else:
+        assert got == v
 
 
 def test_v_min_is_tight_where_a_model_reaches_it():

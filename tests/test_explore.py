@@ -34,7 +34,7 @@ def std_normal_logpdf(x):
 
 def sweep(x, logdensity, rng):
     """One slice sweep over a plain log density, which reports no V."""
-    return slice_step(x, logdensity(x), lambda y: (logdensity(y), None), rng,
+    return slice_step(x, logdensity(x), lambda y, level: (logdensity(y), None), rng,
                       (1.0,) * x.size).x
 
 
@@ -106,7 +106,7 @@ def test_slice_step_raises_where_the_slice_level_rounds_to_the_density():
     # there forever; the density stops it after 10^4 V-evals instead.
     evals = []
 
-    def plateau(x):
+    def plateau(x, level):
         evals.append(1)
         assert len(evals) <= 10_000, "shrinkage did not end"
         return -1e20 - 0.5 * float(x[0]) ** 2, 1e20
@@ -238,7 +238,7 @@ def test_sweep_evaluates_no_bracket_endpoint():
     # at -0.25 + 0.9 * 0.2 = -0.07, inside it.
     evaluated = []
 
-    def slab(x):
+    def slab(x, level):
         evaluated.append(float(x[0]))
         return (0.0 if abs(x[0]) < 0.1 else -math.inf), None
 

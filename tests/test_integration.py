@@ -1,7 +1,11 @@
 """End-to-end smoke: every benchmark model survives tours and tempering scans,
-and the package exports only the pipeline API."""
+the package exports only the pipeline API, and the quality-gates tool runs."""
 
+import json
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,3 +67,20 @@ def test_package_exports_only_the_pipeline_api():
         "run_parallel", "pilot_then_run", "CoordinateFunction",
         "fit_cpu_model", "cost_curves",
     }
+
+
+def test_the_quality_gates_tool_runs_and_prints_its_summary_last():
+    # the tool imports private names of the package (runner._MAX_TOUR_STEPS)
+    tool = Path(__file__).resolve().parents[1] / "tools" / "quality_gates.py"
+    out = subprocess.run(
+        [sys.executable, "-W", "error", str(tool), "--model", "toy_gaussian", "--rounds", "2",
+         "--seeds", "1", "--scans", "64", "--tours", "50"],
+        capture_output=True, text=True, check=True, timeout=120).stdout
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert (summary["model"], summary["rounds"], summary["seeds"]) == ("toy_gaussian", 2, "1")
+    for key in ("lambda_hat", "tune_v_evals", "spread", "asymmetry", "v_evals_per_tour", "te",
+                "v_evals_per_te"):
+        # one seed: every summary statistic is its one value
+        stats = summary[key]
+        assert stats["min"] == stats["median"] == stats["max"] and stats["iqr"] == 0.0
+    assert summary["tune_v_evals"]["median"] > 0 and summary["te"]["median"] > 0

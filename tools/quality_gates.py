@@ -17,7 +17,9 @@ For each seed s the model is tuned by ``adapt(model, --levels, --rounds,
 
 It prints one line per seed and, last, one JSON line with the medians and
 interquartile ranges over the seeds, the tunes' V-evals included.  It uses
-numpy and the standard library only; neither src/ nor the tests import it.
+numpy and the standard library only.  src/ does not import it, and
+tests/test_integration.py runs it once, on a two-round toy tune, and reads
+its last line.
 """
 
 from __future__ import annotations
