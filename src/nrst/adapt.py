@@ -9,9 +9,10 @@ per-interval rejection probabilities, accumulates them into a monotone
 barrier function, and inverts the barrier to place the grid at equal
 rejection increments.  Rounds double the scan budget until four heuristic
 stability indicators are jointly satisfied.  The grid-size restart, to the
-paper's cost-optimal N*, is decided inside that loop, at the first round
-whose batch-means standard error of the barrier pins N* down, so the rounds
-after it run on the grid that is kept.  The last two rounds share a grid,
+N that minimizes the predicted V-evals per unit TE of this sampler's tours,
+is decided inside that loop, at the first round whose batch-means standard
+error of the barrier pins that N down, so the rounds after it run on the
+grid that is kept.  The last two rounds share a grid,
 and their two passes pooled decide the last round's restart and give the
 schedule.  Each pass also learns per-level slice widths from the moves of
 its explorers: a wide bracket for the next pass, a narrower one, cheaper
@@ -385,20 +386,6 @@ def optimize_grid(barrier: BarrierEstimate, n_levels: int) -> np.ndarray:
     return betas
 
 
-def n_star(lambda_total: float) -> float:
-    """Cost-optimal (real-valued) grid size for a given total barrier."""
-    if not lambda_total > 0:
-        raise ValueError("lambda_total must be > 0")
-    return lambda_total * (1.0 + math.sqrt(1.0 + 1.0 / (1.0 + 2.0 * lambda_total)))
-
-
-def optimal_grid_size(lambda_total: float, gamma: float) -> int:
-    """Grid size gamma * N-star rounded up, at least 2."""
-    if not gamma >= 1:
-        raise ValueError("gamma must be >= 1")
-    return max(2, math.ceil(gamma * n_star(lambda_total)))
-
-
 class PassEstimates(NamedTuple):
     """What one pass (or two pooled) gives; the convergence check compares
     two of these."""
@@ -556,16 +543,48 @@ def _run_kappa1_upper(ends, per_move) -> np.ndarray:
     return 1.0 - (per_move / _WIDTH_PER_MOVE) ** 2 * (1.0 - tune)
 
 
-def _grid_size(lambda_total: float) -> int:
-    """The grid size a tune restarts at: the cost-optimal N-star rounded up."""
-    return optimal_grid_size(lambda_total, 1.0)
+def _v_evals_per_call(rounds) -> float:
+    """c-bar: V-evals per explorer call at a tempered level, over the passes
+    of ``rounds`` (log entries on one grid of N levels), each of whose scans
+    also drew once at level 0 for 1 V-eval."""
+    scans = sum(r["n_scan"] for r in rounds)
+    v_evals = sum(r["v_evals"] for r in rounds)
+    return (v_evals - scans) / (rounds[0]["n_levels"] * scans)
 
 
-def _grid_size_settled(lambda_hat, lambda_se) -> bool:
+def _tour_cost_per_te(n_levels, lambda_total, cost_per_call) -> float:
+    """Predicted V-evals per unit TE of NRST tours on N equi-rejection levels.
+
+    A tour draws once at level 0 and visits each tempered level about twice
+    (Kac), for 1 + 2 N c-bar V-evals; the index chain whose N rejections are
+    all Lambda / N has 1 / TE = 1 + 2 Lambda / (1 - Lambda / N)."""
+    return ((1.0 + 2.0 * n_levels * cost_per_call)
+            * (1.0 + 2.0 * lambda_total / (1.0 - lambda_total / n_levels)))
+
+
+def _grid_size(lambda_total: float, cost_per_call: float) -> int:
+    """The grid size a tune restarts at: the integer N >= 2, N > Lambda,
+    that minimizes :func:`_tour_cost_per_te`.
+
+    With u = N - Lambda the cost is a + b u + e / u (b, e > 0), convex in u
+    and least at u = Lambda sqrt((1 + 2 c Lambda) / (c (1 + 2 Lambda))), so
+    the integer minimizer is the floor or the ceiling of Lambda + u.  At
+    c = 1/2 the cost is criterion 7's, 2 (N + 1) / TE, and Lambda + u is the
+    paper's N*."""
+    u = lambda_total * math.sqrt((1.0 + 2.0 * cost_per_call * lambda_total)
+                                 / (cost_per_call * (1.0 + 2.0 * lambda_total)))
+    n_min = max(2, math.floor(lambda_total) + 1)
+    candidates = sorted({max(n_min, math.floor(lambda_total + u)),
+                         max(n_min, math.ceil(lambda_total + u))})
+    return min(candidates, key=lambda n: _tour_cost_per_te(n, lambda_total, cost_per_call))
+
+
+def _grid_size_settled(lambda_hat, lambda_se, cost_per_call) -> bool:
     """Whether ``_grid_size`` gives one N across lambda_hat +- 2 SE."""
     if lambda_se is None or not lambda_hat - 2.0 * lambda_se > 0.0:
         return False
-    return _grid_size(lambda_hat - 2.0 * lambda_se) == _grid_size(lambda_hat + 2.0 * lambda_se)
+    return (_grid_size(lambda_hat - 2.0 * lambda_se, cost_per_call)
+            == _grid_size(lambda_hat + 2.0 * lambda_se, cost_per_call))
 
 
 def _remap_states(states, old_betas, new_betas):
@@ -614,9 +633,11 @@ def adapt(
     standard errors of its ``lambda_hat`` (affinities held fixed) and of its
     log Z(1) as ``lambda_se`` and ``logz_se`` (None below ``_MIN_SE_SCANS``
     scans).  The grid size N = :func:`_grid_size` of lambda_hat, the
-    paper's cost-optimal N* rounded up, is settled at the first round
-    where it is the same at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE,
-    or else at the last round (the cap binds or the round converged).  If a
+    integer N that minimizes the predicted V-evals per unit TE of tours at
+    the deciding pass's V-evals per tempered-level explorer call
+    (:func:`_v_evals_per_call`), is settled at the first round where it is
+    the same at lambda_hat - 2 SE > 0 and at lambda_hat + 2 SE, or else at
+    the last round (the cap binds or the round converged).  If a
     settled N differs from the current one by more than
     ``_RESTART_MISMATCH`` (relative), the tune restarts at N, at most
     ``_MAX_RESTARTS`` times.  A restart keeps the scan count and the warm
@@ -698,16 +719,19 @@ def adapt(
         # the round's noise pins the implied size down, or at the last
         # round: no NRPT pass is spent at a size about to go.
         last_round = converged or round_idx >= max_rounds
+        deciding = rounds_log[-1:]
         if last_round and held is not None:
             # The last two rounds share a grid: their passes pooled decide
             # the restart and, if there is none, give the schedule.
             nrpt = _pool(held, nrpt)
             current = _pass_estimates(nrpt.data, betas, affinity_mode)
+            deciding = rounds_log[-2:]
         barrier = current.barrier
+        cost_per_call = _v_evals_per_call(deciding)
         n_target = n
-        if (restarts < _MAX_RESTARTS and barrier.total > 0.0
-                and (last_round or _grid_size_settled(barrier.total, lambda_se))):
-            n_target = _grid_size(barrier.total)
+        if (restarts < _MAX_RESTARTS and barrier.total > 0.0 and (
+                last_round or _grid_size_settled(barrier.total, lambda_se, cost_per_call))):
+            n_target = _grid_size(barrier.total, cost_per_call)
         old_betas = betas
         if abs(n - n_target) / n > _RESTART_MISMATCH:
             restarts += 1

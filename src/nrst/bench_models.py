@@ -69,7 +69,9 @@ def _softplus(u):
 
 
 def _expit(u):
-    return 1.0 / (1.0 + np.exp(-u))
+    """The logistic function; 0, its limit, where e^{-u} overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-u))
 
 
 def _logit(p):
@@ -135,7 +137,10 @@ class Funnel(TemperedModel):
 
     Target: x1 ~ N(0, 3^2) and x_i | x1 ~ N(0, e^{x1}) for i >= 2.  At
     x_i = 0 for i >= 2, V = (dim - 1) (x1 - log 9) / 2 falls without bound
-    as x1 -> -inf, so v_min stays -inf.
+    as x1 -> -inf, so v_min stays -inf.  Where e^{x1} overflows, underflows
+    to 0, or is subnormal with x_i^2 / (2 e^{x1}) overflowing, V is +inf:
+    its limit, but where e^{x1} underflows at x_i = 0 for every i >= 2 (a
+    set of measure 0, where V -> -inf).
     """
 
     def __init__(self, dim: int = 20):
@@ -151,8 +156,11 @@ class Funnel(TemperedModel):
 
     def _potential(self, x):
         tail = x[1:]
-        var = math.exp(x[0])
-        lp_target = np.sum(_norm_lpdf(tail, 0.0, var))
+        var = _exp(x[0])
+        if var == 0.0:
+            return math.inf
+        with np.errstate(over="ignore"):
+            lp_target = np.sum(_norm_lpdf(tail, 0.0, var))
         lp_ref = np.sum(_norm_lpdf(tail, 0.0, 9.0))
         return float(lp_ref - lp_target)
 

@@ -18,6 +18,10 @@ it in every column but ``cpu_seconds``, the last ``v`` and ``v_evals``.
 ``autocorrelation`` and ``steps_from_autocorrelation`` are the step-count
 rule in two steps, every lag's estimate first and the threshold after: the
 lag walk that sets each level's step count must equal it bit for bit.
+``n_star`` is the paper's cost-optimal grid size, the real minimizer of
+criterion 7's cost 2 (N + 1) / TE, and ``optimal_grid_size`` gamma N*
+rounded up: tests set it in place of the tuner's own grid size, the one of
+least predicted V-evals per unit TE, to compare the two.
 
 ``grid_per_target``, ``logz_per_interval``, ``median_affinities_per_level``
 and ``rejections_per_interval`` are the tuner's estimators written one
@@ -171,6 +175,20 @@ def warm_states(model, schedule: Schedule, rng, n_scan: int = 8) -> list:
     """One (x, V(x)) per level 0..N, from a short NRPT pass on ``schedule``:
     warm starts like those ``adapt`` gives ``tune_explore_steps``."""
     return run_nrpt(model, schedule, n_scan, rng, full=True).states
+
+
+def n_star(lambda_total: float) -> float:
+    """Cost-optimal (real-valued) grid size for a given total barrier."""
+    if not lambda_total > 0:
+        raise ValueError("lambda_total must be > 0")
+    return lambda_total * (1.0 + math.sqrt(1.0 + 1.0 / (1.0 + 2.0 * lambda_total)))
+
+
+def optimal_grid_size(lambda_total: float, gamma: float) -> int:
+    """Grid size gamma * N-star rounded up, at least 2."""
+    if not gamma >= 1:
+        raise ValueError("gamma must be >= 1")
+    return max(2, math.ceil(gamma * n_star(lambda_total)))
 
 
 def grid_per_target(barrier, n_levels: int) -> np.ndarray:

@@ -16,8 +16,6 @@ from nrst.adapt import (
     adapt,
     equi_rejection_indicators,
     estimate_rejections,
-    n_star,
-    optimal_grid_size,
     run_nrpt,
     stepping_stone_logz,
 )
@@ -26,6 +24,7 @@ from nrst.planner import simulate_pool, te_infinity
 from nrst.runner import CoordinateFunction, pilot_then_run, run_parallel
 from nrst.st_kernels import IdealIndexChain, ideal_te, simulate_index_tours, write_traces_csv
 from nrst.stats import TourStatistics, estimate_sigma2, estimate_te, min_tours
+from oracles import n_star, optimal_grid_size
 
 pytestmark = pytest.mark.acceptance
 

@@ -19,6 +19,8 @@ from nrst.adapt import (
     _pass_ses,
     _remap_states,
     _run_kappa1_upper,
+    _tour_cost_per_te,
+    _v_evals_per_call,
     _widths_from_moves,
     adapt,
     build_barrier,
@@ -27,8 +29,6 @@ from nrst.adapt import (
     estimate_rejections,
     mean_energy_affinities,
     median_affinities,
-    n_star,
-    optimal_grid_size,
     optimize_grid,
     run_nrpt,
     stepping_stone_logz,
@@ -45,6 +45,8 @@ from oracles import (
     local_rejection_rates,
     logz_per_interval,
     median_affinities_per_level,
+    n_star,
+    optimal_grid_size,
     rejections_per_interval,
     run_kappa1_upper_per_level,
     steps_from_autocorrelation,
@@ -454,6 +456,53 @@ def test_optimal_grid_size_examples():
         assert 2 * lam < n_star(lam) < (1 + math.sqrt(2)) * lam
 
 
+@pytest.mark.parametrize("cost_per_call", [0.05, 0.5, 1.0, 1.8, 5.4, 9.0, 30.0, 400.0])
+def test_grid_size_is_the_integer_argmin_of_the_predicted_tour_cost(cost_per_call):
+    for lam in (0.01, 0.3, 0.999, 1.0, 1.001, 1.7, 2.0, 3.4, 7.5, 20.0, 63.2):
+        sizes = np.arange(max(2, math.floor(lam) + 1), 40 * math.ceil(lam) + 100)
+        costs = [_tour_cost_per_te(n, lam, cost_per_call) for n in sizes]
+        assert _grid_size(lam, cost_per_call) == sizes[np.argmin(costs)]
+
+
+def test_grid_size_at_half_a_v_eval_per_call_is_criterion_7s_integer_argmin():
+    # c-bar = 1/2 charges each level a unit per tour, as 2 (N + 1) / TE does
+    for lam in (0.3, 1.0, 2.5, 7.0, 40.0):
+        size = _grid_size(lam, 0.5)
+        assert size in (max(2, math.floor(n_star(lam))), max(2, math.ceil(n_star(lam))))
+        sizes = np.arange(math.floor(lam) + 1, 400)
+        cost = 2 * (sizes + 1) * (sizes * (1 + 2 * lam) - lam) / (sizes - lam)
+        assert size == max(2, sizes[np.argmin(cost)])
+
+
+def test_v_evals_per_call_leaves_out_level_zeros_draws_and_pools_passes():
+    rounds = [{"n_levels": 4, "n_scan": 16, "v_evals": 16 + 4 * 16 * 3},
+              {"n_levels": 4, "n_scan": 32, "v_evals": 32 + 4 * 32 * 6}]
+    assert _v_evals_per_call(rounds[:1]) == 3.0
+    assert _v_evals_per_call(rounds[1:]) == 6.0
+    assert _v_evals_per_call(rounds) == 5.0
+
+
+def restart_at_n_star(monkeypatch):
+    """Make adapt's grid size the paper's N* rounded up."""
+    monkeypatch.setattr(importlib.import_module("nrst.adapt"), "_grid_size",
+                        lambda lam, cost_per_call: optimal_grid_size(lam, 1.0))
+
+
+def test_adapt_restarts_the_toy_at_the_grid_size_of_fewest_v_evals_per_te(monkeypatch):
+    def tune():
+        model = ToyGaussian()
+        res = adapt(model, 8, 9, rng=np.random.default_rng(1000))
+        return res, model.v_evals.value
+
+    res, v_evals = tune()
+    assert res.restarts == 1 and res.schedule.n_levels == 2
+    # N* rounded up, the paper's grid size, restarts at 3 and tunes for more
+    restart_at_n_star(monkeypatch)
+    res_star, v_evals_star = tune()
+    assert res_star.restarts == 1 and res_star.schedule.n_levels == 3
+    assert v_evals_star > v_evals
+
+
 def _round_state(c_top, total, r_up, r_down):
     r_up = np.asarray(r_up, dtype=float)
     r_down = np.asarray(r_down, dtype=float)
@@ -626,7 +675,8 @@ def test_adapt_restart_runs_no_pass_at_the_discarded_grid_size(monkeypatch, loos
     assert calls == [(r["n_levels"], r["n_scan"]) for r in res.rounds]
     assert calls[-1] == (res.schedule.n_levels, res.rounds[-1]["n_scan"])
     # the restart size comes from the last round at the first size
-    assert res.schedule.n_levels == _grid_size(first[-1]["lambda_hat"])
+    assert res.schedule.n_levels == _grid_size(first[-1]["lambda_hat"],
+                                               _v_evals_per_call(first[-1:]))
 
 
 def test_adapt_without_restart_runs_one_pass_per_round(monkeypatch, loose):
@@ -647,7 +697,7 @@ def test_adapt_restarts_at_the_first_round_whose_noise_settles_the_grid_size(mon
         lam, se = r["lambda_hat"], r["lambda_se"]
         if se is None or lam - 2 * se <= 0:
             return None
-        lo, hi = (_grid_size(lam + k * se) for k in (-2, 2))
+        lo, hi = (_grid_size(lam + k * se, _v_evals_per_call([r])) for k in (-2, 2))
         return lo if lo == hi else None
 
     sizes = [settled_size(r) for r in res.rounds]
@@ -1097,6 +1147,8 @@ def adapt_with_and_without_kappa1(monkeypatch, make, *args, seed):
 
 
 def test_adapt_takes_toy_step_counts_from_the_final_pass(monkeypatch):
+    # at N* rounded up, this tune keeps N = 3 and one slowly mixing level
+    restart_at_n_star(monkeypatch)
     res, call, chain_res, chain_call = adapt_with_and_without_kappa1(
         monkeypatch, ToyGaussian, 8, 5, "mean", seed=5)
     assert len(call["kappa1"]) == res.schedule.n_levels

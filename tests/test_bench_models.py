@@ -305,7 +305,7 @@ def test_hierarchical_dataset_gives_up_after_its_tries(monkeypatch):
 def test_v_is_at_least_v_min_at_reference_draws_and_far_out_in_the_tails(name):
     model = make_model(ModelSpec(name))
     rng = np.random.default_rng(12)
-    for scale in (1.0, 2.0, 4.0, 10.0, 30.0):
+    for scale in (1.0, 2.0, 4.0, 10.0, 30.0, 100.0):
         for _ in range(300):
             # ``not v < v_min`` lets a NaN V through: potential() raises on it
             v = model._potential(scale * model.sample_reference(rng))
@@ -327,6 +327,14 @@ def test_v_is_at_least_v_min_at_reference_draws_and_far_out_in_the_tails(name):
     ("hierarchical", {1: -800.0}, None),
     ("hierarchical", {2: 800.0}, "linear"),
     ("hierarchical", {2: -800.0}, math.inf),
+    # the funnel's variance e^{x1} overflows, underflows to 0, or is
+    # subnormal with x_2^2 / (2 e^{x1}) past the largest float
+    ("funnel", {0: 774.7}, math.inf),
+    ("funnel", {0: -800.0, 1: 1.0}, math.inf),
+    ("funnel", {0: -720.0, 1: 1.0}, math.inf),
+    # e^{-u} overflows in the logistic map: t0 and sigma at their lower bounds
+    ("mrna", {0: -813.3}, "limit"),
+    ("mrna", {4: -813.3}, "limit"),
 ])
 def test_log_scale_coordinates_past_the_float_range_give_their_limits(name, x, v):
     model = make_model(ModelSpec(name))
@@ -340,7 +348,8 @@ def test_log_scale_coordinates_past_the_float_range_give_their_limits(name, x, v
         warnings.simplefilter("error")
         logp = model.log_reference(point)
         got = model.potential(point)
-    # log pi0 is -inf wherever a scale leaves the float range
+    # log pi0 is -inf wherever a scale of the reference (log b; log tau^2 and
+    # log sigma^2) leaves the float range; the funnel's and mRNA's are finite
     assert (logp == -math.inf) == (abs(point[1]) >= 700.0 or abs(point[2]) >= 700.0)
     assert logp == -math.inf or math.isfinite(logp)
     if v is None:
@@ -349,6 +358,11 @@ def test_log_scale_coordinates_past_the_float_range_give_their_limits(name, x, v
         assert got == model.potential(inside)
     elif v == "linear":
         assert got == 0.5 * model.y.size * (math.log(2 * math.pi) + 800.0)
+    elif v == "limit":
+        # the logistic map is within 1e-17 of its limit at |u| = 40 already
+        inside = point.copy()
+        inside[list(x)] = np.sign(point[list(x)]) * 40.0
+        assert math.isfinite(got) and got == pytest.approx(model.potential(inside), rel=1e-12)
     else:
         assert got == v
 

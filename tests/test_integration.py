@@ -2,6 +2,7 @@
 the package exports only the pipeline API, and the quality-gates tool runs."""
 
 import json
+import math
 import subprocess
 import sys
 import types
@@ -79,8 +80,9 @@ def test_the_quality_gates_tool_runs_and_prints_its_summary_last():
     summary = json.loads(out.strip().splitlines()[-1])
     assert (summary["model"], summary["rounds"], summary["seeds"]) == ("toy_gaussian", 2, "1")
     for key in ("lambda_hat", "tune_v_evals", "spread", "asymmetry", "v_evals_per_tour", "te",
-                "v_evals_per_te"):
+                "v_evals_per_te", "predicted_v_evals_per_te"):
         # one seed: every summary statistic is its one value
         stats = summary[key]
         assert stats["min"] == stats["median"] == stats["max"] and stats["iqr"] == 0.0
     assert summary["tune_v_evals"]["median"] > 0 and summary["te"]["median"] > 0
+    assert math.isfinite(summary["predicted_v_evals_per_te"]["median"])
