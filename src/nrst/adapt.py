@@ -454,6 +454,8 @@ class AdaptResult:
     rejections: tuple
     final_indicators: dict
     restarts: int
+    # The passes that gave the schedule and what they predict of its tours.
+    prediction: dict
     log_z: np.ndarray | None = None
     # V-evals of the step-tuning chains; with the rounds' they sum to the tune's.
     step_tuning_v_evals: int = 0
@@ -552,14 +554,22 @@ def _v_evals_per_call(rounds) -> float:
     return (v_evals - scans) / (rounds[0]["n_levels"] * scans)
 
 
-def _tour_cost_per_te(n_levels, lambda_total, cost_per_call) -> float:
-    """Predicted V-evals per unit TE of NRST tours on N equi-rejection levels.
+def _v_evals_per_tour(n_levels, cost_per_call) -> float:
+    """Predicted V-evals of an NRST tour on N levels: it draws once at level
+    0 and visits each tempered level about twice (Kac), 1 + 2 N c-bar."""
+    return 1.0 + 2.0 * n_levels * cost_per_call
 
-    A tour draws once at level 0 and visits each tempered level about twice
-    (Kac), for 1 + 2 N c-bar V-evals; the index chain whose N rejections are
-    all Lambda / N has 1 / TE = 1 + 2 Lambda / (1 - Lambda / N)."""
-    return ((1.0 + 2.0 * n_levels * cost_per_call)
-            * (1.0 + 2.0 * lambda_total / (1.0 - lambda_total / n_levels)))
+
+def _inverse_te(n_levels, lambda_total) -> float:
+    """1 / TE of the index chain whose N rejections all equal Lambda / N,
+    1 + 2 Lambda / (1 - Lambda / N); +inf where every move is rejected."""
+    slack = 1.0 - lambda_total / n_levels
+    return 1.0 + 2.0 * lambda_total / slack if slack > 0.0 else math.inf
+
+
+def _tour_cost_per_te(n_levels, lambda_total, cost_per_call) -> float:
+    """Predicted V-evals per unit TE of NRST tours on N equi-rejection levels."""
+    return _v_evals_per_tour(n_levels, cost_per_call) * _inverse_te(n_levels, lambda_total)
 
 
 def _grid_size(lambda_total: float, cost_per_call: float) -> int:
@@ -654,7 +664,13 @@ def adapt(
     the pooled pass decides the last round's restart, so that one round's
     noise does not place the kept grid.  The schedule (betas, affinities,
     widths) comes from it, as do ``barrier``, ``lambda_hat``, ``log_z``,
-    ``rejections`` and ``final_indicators``.
+    ``rejections`` and ``final_indicators``.  ``prediction`` records the
+    passes that gave the schedule and what they predict of its tours, at
+    the schedule's N and lambda_hat: ``rounds``, their round numbers (one,
+    or the last two pooled); ``v_evals_per_call``, their c-bar;
+    ``v_evals_per_tour``, ``te`` and ``v_evals_per_te``, the cost that
+    :func:`_grid_size` minimizes.  Nothing else decides which passes those
+    are.
 
     Every pass also learns each level's slice widths
     (:func:`_widths_from_moves`).  The first round explores at 1.0
@@ -662,8 +678,9 @@ def adapt(
     pass before at ``_WIDTH_PER_MOVE``, interpolated linearly in beta onto
     its grid.  The schedule's widths are ``_RUN_WIDTH_PER_MOVE`` times the
     moves of the passes that give the schedule: the run's bracket, not the
-    tune's.  Where round 1's pass, at the initial width, is one of them,
-    they are ``_WIDTH_PER_MOVE`` times its moves, as for a next round.
+    tune's.  Where round 1's pass, at the initial width, is one of them
+    (1 in ``prediction["rounds"]``), they are ``_WIDTH_PER_MOVE`` times
+    their moves, as for a next round.
 
     Exploration step counts are tuned last, for the run's kernel.  In the
     schedule's passes every level's chain is stationary for its tempered
@@ -752,10 +769,14 @@ def adapt(
         held = nrpt if betas is old_betas else None
 
     affinities, log_z, rejections, barrier = current
+    prediction = {"rounds": [r["round"] for r in deciding], "v_evals_per_call": cost_per_call,
+                  "v_evals_per_tour": _v_evals_per_tour(n, cost_per_call),
+                  "te": 1.0 / _inverse_te(n, barrier.total),
+                  "v_evals_per_te": _tour_cost_per_te(n, barrier.total, cost_per_call)}
     # Round 1's pass explores at the initial width, where each move is as
     # long as the bracket lets it be, not as the slice: a schedule that it
     # helps give keeps the tune's bracket.
-    per_move = _WIDTH_PER_MOVE if round_idx - (held is not None) == 1 else _RUN_WIDTH_PER_MOVE
+    per_move = _WIDTH_PER_MOVE if 1 in prediction["rounds"] else _RUN_WIDTH_PER_MOVE
     widths = _widths_from_moves(nrpt.moves, nrpt.data.shape[1], per_move)
     spread, asym = equi_rejection_indicators(*rejections)
     kappa1 = _run_kappa1_upper(nrpt.ends[:, 1:], per_move)
@@ -768,5 +789,6 @@ def adapt(
         barrier=barrier, lambda_hat=barrier.total, converged=converged,
         rounds=rounds_log, rejections=rejections,
         final_indicators={"rejection_spread": spread, "directional_asymmetry": asym},
-        restarts=restarts, log_z=log_z, step_tuning_v_evals=step_tuning_v_evals,
+        restarts=restarts, prediction=prediction, log_z=log_z,
+        step_tuning_v_evals=step_tuning_v_evals,
     )

@@ -213,6 +213,7 @@ def _cmd_tune(args) -> int:
         "model": spec,
         **result.schedule.to_dict(),
         "lambda_hat": result.lambda_hat,
+        "prediction": result.prediction,
         "converged": result.converged,
         "affinity_mode": args.affinity_mode,
         "rounds": result.rounds,

@@ -8,7 +8,6 @@ earliest-free worker) to predict makespan and costs for candidate pool sizes.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,26 +109,41 @@ class PoolSimulation:
     busy_counts: np.ndarray  # active workers from each event time onward
 
 
+def _list_schedule(durations: np.ndarray, pool_size: int) -> np.ndarray:
+    """Start times of greedy list scheduling, one workload per row.
+
+    ``durations`` has shape (R, K); each row's tours are dispatched in
+    order, each to the earliest-free of its own ``pool_size`` identical
+    workers, all rows at once.  Ties between free workers change no start
+    time: whichever of them takes the tour, the free times left are the
+    same."""
+    if pool_size < 1:
+        raise ValueError("pool_size must be >= 1")
+    if durations.shape[1] < 1:
+        raise ValueError("need at least one tour")
+    rows = durations.shape[0]
+    # When each worker next falls idle, row by row, and each row's first
+    # worker's index into it.
+    free = np.zeros(rows * pool_size)
+    first = np.arange(rows) * pool_size
+    starts = np.empty((durations.shape[1], rows))
+    for tour, duration in enumerate(durations.T):
+        worker = free.reshape(rows, pool_size).argmin(axis=1) + first
+        starts[tour] = free[worker]
+        free[worker] = starts[tour] + duration
+    return starts.T
+
+
 def simulate_pool(times, pool_size: int) -> PoolSimulation:
     """Greedy list scheduling of tours onto a pool of identical workers.
 
     ``times`` is the sequence of tour durations.  Tours are dispatched in
     the given order, each to the earliest-free worker, as a live queue
-    hands them out.
+    hands them out: :func:`_list_schedule` on one row.
     """
-    if pool_size < 1:
-        raise ValueError("pool_size must be >= 1")
     durations = np.asarray(times, dtype=float)
-    if durations.size < 1:
-        raise ValueError("need at least one tour")
-
-    free = [0.0] * pool_size  # the time each worker next falls idle, as a heap
-    starts = np.empty(durations.size)
-    ends = np.empty(durations.size)
-    for tour in range(durations.size):
-        starts[tour] = heapq.heappop(free)
-        ends[tour] = starts[tour] + durations[tour]
-        heapq.heappush(free, ends[tour])
+    starts = _list_schedule(durations[None, :], pool_size)[0]
+    ends = starts + durations
     makespan = float(ends.max())
 
     events = np.concatenate([starts, ends])
@@ -148,19 +162,20 @@ def cost_curves(model, k_tours: int, pool_sizes, replications: int,
     drawn by ``model.sample(k_tours, rng)`` (a :class:`CpuTimeModel`) and
     reused across every pool size, so the cloud cost (sum of CPU
     times) is exactly pool-invariant and only the HPC cost (makespan times
-    pool size) varies.  Each workload goes through :func:`simulate_pool` in
-    the order it was drawn.  Bands are the 10th/90th replication quantiles.
+    pool size) varies.  Per pool size, the workloads of all replications go
+    through :func:`_list_schedule` together, each in the order it was
+    drawn.  Bands are the 10th/90th replication quantiles.
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
     pool_sizes = [int(p) for p in pool_sizes]
-    makespans = np.empty((replications, len(pool_sizes)))
+    workloads = np.empty((replications, k_tours))
     clouds = np.empty(replications)
     for r in range(replications):
-        durations = model.sample(k_tours, rng)
-        clouds[r] = float(durations.sum())
-        for j, pool in enumerate(pool_sizes):
-            makespans[r, j] = simulate_pool(durations, pool).makespan
+        workloads[r] = model.sample(k_tours, rng)
+        clouds[r] = float(workloads[r].sum())
+    makespans = np.column_stack([np.max(_list_schedule(workloads, pool) + workloads, axis=1)
+                                 for pool in pool_sizes])
     out = []
     for j, pool in enumerate(pool_sizes):
         entry = {"pool_size": pool}

@@ -29,8 +29,12 @@ level or interval at a time, as loops of scalar steps: the array estimators
 must equal them bit for bit.  So must the tuner's standard errors equal
 ``batch_se_per_batch``, a statistic of each batch of scans in turn, and its
 kappa(1) bounds ``run_kappa1_upper_per_level``, one level at a time.
+``starts_with_heap`` is the planner's greedy list scheduler for one
+workload, a heap of free times popped once per tour: the planner's array
+scheduler must give the same start times, bit for bit.
 """
 
+import heapq
 import math
 import time
 from array import array
@@ -189,6 +193,17 @@ def optimal_grid_size(lambda_total: float, gamma: float) -> int:
     if not gamma >= 1:
         raise ValueError("gamma must be >= 1")
     return max(2, math.ceil(gamma * n_star(lambda_total)))
+
+
+def starts_with_heap(durations, pool_size: int) -> np.ndarray:
+    """Start time of each tour when the tours, in order, each go to the
+    earliest-free of ``pool_size`` workers."""
+    free = [0.0] * pool_size  # the time each worker next falls idle, as a heap
+    starts = np.empty(len(durations))
+    for tour, duration in enumerate(durations):
+        starts[tour] = heapq.heappop(free)
+        heapq.heappush(free, starts[tour] + duration)
+    return starts
 
 
 def grid_per_target(barrier, n_levels: int) -> np.ndarray:

@@ -462,6 +462,8 @@ def test_grid_size_is_the_integer_argmin_of_the_predicted_tour_cost(cost_per_cal
         sizes = np.arange(max(2, math.floor(lam) + 1), 40 * math.ceil(lam) + 100)
         costs = [_tour_cost_per_te(n, lam, cost_per_call) for n in sizes]
         assert _grid_size(lam, cost_per_call) == sizes[np.argmin(costs)]
+    # a grid that rejects every move has TE 0, at no finite cost
+    assert _tour_cost_per_te(4, 4.0, cost_per_call) == math.inf
 
 
 def test_grid_size_at_half_a_v_eval_per_call_is_criterion_7s_integer_argmin():
@@ -614,6 +616,12 @@ def test_adapt_flat_model_converges_in_two_rounds():
     np.testing.assert_allclose(res.schedule.betas, np.linspace(0, 1, 5))
     np.testing.assert_allclose(res.schedule.affinities, np.zeros(5), atol=1e-12)
     assert np.all(res.schedule.explore_steps == 1)
+    # a zero barrier leaves round 2 on round 1's grid, so the two pooled
+    # give the schedule and its prediction, not round 2 alone
+    assert res.prediction["rounds"] == [1, 2]
+    assert res.prediction["v_evals_per_te"] == _tour_cost_per_te(
+        4, 0.0, _v_evals_per_call(res.rounds)) != _tour_cost_per_te(
+        4, 0.0, _v_evals_per_call(res.rounds[1:]))
 
 
 def test_remap_states_maps_levels_above_zero_onto_old_levels_above_zero():
@@ -756,6 +764,20 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     # convergence or the last round restarted
     pooled = max_restarts == 0
     assert np.array_equal(passes[-2][0].betas, betas) == pooled
+    # and the record names the passes that gave the schedule
+    if pooled:  # capped: the last two rounds
+        assert res.prediction["rounds"] == [max_rounds - 1, max_rounds]
+    elif max_rounds == 2:  # a restart at the last round: the round it adds
+        assert res.prediction["rounds"] == [3]
+    else:  # converged before the cap: the last round
+        assert res.converged and len(res.rounds) < max_rounds
+        assert res.prediction["rounds"] == [len(res.rounds)]
+    n, lam = sched.n_levels, res.lambda_hat
+    c = _v_evals_per_call([r for r in res.rounds if r["round"] in res.prediction["rounds"]])
+    assert res.prediction == {
+        "rounds": res.prediction["rounds"], "v_evals_per_call": c,
+        "v_evals_per_tour": 1.0 + 2.0 * n * c, "te": 1.0 / (1.0 + 2.0 * lam / (1.0 - lam / n)),
+        "v_evals_per_te": _tour_cost_per_te(n, lam, c)}
     if pooled:
         assert not res.converged and len(res.rounds) == max_rounds
         _, n_before, before = passes[-2]
@@ -785,7 +807,6 @@ def test_adapt_takes_the_schedule_from_the_last_passes(monkeypatch, mode, n_leve
     spread, asym = equi_rejection_indicators(*rejections)
     assert res.final_indicators == {"rejection_spread": spread, "directional_asymmetry": asym}
     assert res.rounds[-1]["n_scan"] == n_scan
-    n = res.schedule.n_levels
     np.testing.assert_array_equal(step_calls[0]["kappa1"],
                                   _run_kappa1_upper(ends[:, 1:], _RUN_WIDTH_PER_MOVE))
     assert len(step_calls[0]["kappa1"]) == n
@@ -951,6 +972,7 @@ def test_a_schedule_that_round_1_gives_keeps_the_tune_bracket(monkeypatch, max_r
     monkeypatch.setattr(module, "run_nrpt", spy)
     res = adapt(ToyGaussian(), 8, max_rounds, rng=np.random.default_rng(1002))
     assert len(passes) == max_rounds
+    assert res.prediction["rounds"] == list(range(1, max_rounds + 1))
     moves = sum(m for _, m in passes)
     n_scan = sum(n for n, _ in passes)
     np.testing.assert_array_equal(res.schedule.widths,

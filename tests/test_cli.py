@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nrst.adapt import _tour_cost_per_te
 from nrst.bench_models import ToyGaussian, make_model
 from nrst.cli import _CHECKS, build_parser, main
 from nrst.runner import WorkerDiedError
@@ -61,6 +62,12 @@ def test_tune_outputs(tune_run):
             else:
                 assert math.isfinite(r[key]) and r[key] > 0
     assert any(r["lambda_se"] is not None for r in rounds)
+    # the passes that gave the schedule, ending with the last round, and
+    # the cost per unit TE that they predict at its N
+    prediction = payload["prediction"]
+    assert prediction["rounds"][-1] == rounds[-1]["round"] and len(prediction["rounds"]) <= 2
+    assert prediction["v_evals_per_te"] == _tour_cost_per_te(
+        len(betas) - 1, payload["lambda_hat"], prediction["v_evals_per_call"])
     # and stdout counts the rounds run at each grid size, in order
     per_n = {}
     for r in rounds:
@@ -123,6 +130,16 @@ def test_tune_deterministic_given_seed(tmp_path):
         assert code == 0
         payloads.append((out / "schedule.json").read_text())
     assert payloads[0] == payloads[1]
+
+
+def test_run_reads_a_schedule_written_before_the_tune_recorded_its_prediction(tmp_path):
+    frozen = (Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+              / "toy_gaussian.schedule.json")
+    assert "prediction" not in json.loads(frozen.read_text())
+    code = run_cli(["run", "--schedule", frozen, "--te-hat", 0.3, "--alpha", 0.9,
+                    "--delta", 1.0, "--seed", 4, "--out", tmp_path / "run"])
+    assert code == 0
+    assert json.loads((tmp_path / "run" / "report.json").read_text())["k"] > 0
 
 
 def test_run_deterministic_given_seed(tuned_dir, tmp_path):

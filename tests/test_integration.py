@@ -2,7 +2,6 @@
 the package exports only the pipeline API, and the quality-gates tool runs."""
 
 import json
-import math
 import subprocess
 import sys
 import types
@@ -12,7 +11,7 @@ import numpy as np
 import pytest
 
 import nrst
-from nrst.adapt import run_nrpt
+from nrst.adapt import adapt, run_nrpt
 from nrst.bench_models import ModelSpec, make_model
 from nrst.explore import build_explorers
 from nrst.st_kernels import run_tour
@@ -85,4 +84,6 @@ def test_the_quality_gates_tool_runs_and_prints_its_summary_last():
         stats = summary[key]
         assert stats["min"] == stats["median"] == stats["max"] and stats["iqr"] == 0.0
     assert summary["tune_v_evals"]["median"] > 0 and summary["te"]["median"] > 0
-    assert math.isfinite(summary["predicted_v_evals_per_te"]["median"])
+    # the prediction is the tune's own record, read, not derived again
+    res = adapt(make_model(ModelSpec("toy_gaussian", {})), 8, 2, rng=np.random.default_rng(1))
+    assert summary["predicted_v_evals_per_te"]["median"] == res.prediction["v_evals_per_te"]

@@ -9,6 +9,7 @@ from nrst.planner import (
     simulate_pool,
     te_infinity,
 )
+from oracles import starts_with_heap
 
 
 def test_percentile_threshold_example():
@@ -133,6 +134,33 @@ def test_cost_curves_with_model_bands():
     assert curves[0]["makespan_mean"] >= curves[-1]["makespan_mean"]
 
 
+class PresetWorkloads:
+    """A duration model whose workloads are the rows of an array, in turn."""
+
+    def __init__(self, rows):
+        self.rows = iter(rows)
+
+    def sample(self, n, rng):
+        return next(self.rows)
+
+
+@pytest.mark.parametrize("pool", [1, 2, 3, 7, 64, 300])
+def test_the_list_scheduler_gives_the_heap_loops_start_times(pool):
+    # whole-number durations often leave several workers free at once
+    rng = np.random.default_rng(pool)
+    workloads = np.vstack([rng.exponential(1.0, (4, 256)), rng.integers(1, 4, (4, 256))])
+    starts = planner._list_schedule(workloads, pool)
+    makespans = []
+    for row, got in zip(workloads, starts):
+        want = starts_with_heap(row, pool)
+        np.testing.assert_array_equal(got, want)
+        makespans.append(np.max(want + row))
+        assert simulate_pool(row, pool).makespan == makespans[-1]
+    curve, = cost_curves(PresetWorkloads(workloads), 256, [pool], len(workloads), rng)
+    assert curve["makespan_mean"] == float(np.mean(makespans))
+    assert curve["makespan_q90"] == float(np.percentile(makespans, 90))
+
+
 def test_te_infinity_values():
     assert te_infinity(0.0) == 1.0
     assert te_infinity(1.0) == pytest.approx(1 / 3)
@@ -149,7 +177,12 @@ def test_te_infinity_values():
     (lambda: simulate_pool([], 2), "need at least one tour"),
     (lambda: cost_curves(CpuTimeModel(1.0, [1.0], 1.0, 1.0), 4, [1], 0,
                          np.random.default_rng(0)), "replications must be >= 1"),
-], ids=["threshold", "tail", "bulk", "pool_size", "no-tours", "replications"])
+    (lambda: cost_curves(CpuTimeModel(1.0, [1.0], 1.0, 1.0), 4, [2, 0], 3,
+                         np.random.default_rng(0)), "pool_size must be >= 1"),
+    (lambda: cost_curves(CpuTimeModel(1.0, [1.0], 1.0, 1.0), 0, [1], 3,
+                         np.random.default_rng(0)), "need at least one tour"),
+], ids=["threshold", "tail", "bulk", "pool_size", "no-tours", "replications",
+        "curves-pool-size", "curves-no-tours"])
 def test_planner_checks_its_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()

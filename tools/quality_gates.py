@@ -15,8 +15,8 @@ For each seed s the model is tuned by ``adapt(model, --levels, --rounds,
   ``default_rng([s, k])``), their V-evals per tour, the TE estimated from
   their top-level visits, and V-evals per unit TE = V-evals per tour / TE;
 - the V-evals per unit TE that the tune predicts, the objective its grid
-  size minimizes, at the schedule's N, lambda_hat and the V-evals per
-  tempered-level explorer call of the passes that gave the schedule.
+  size minimizes, as ``adapt`` records it in ``prediction`` for the passes
+  that gave the schedule.
 
 It prints one line per seed and, last, one JSON line with the medians and
 interquartile ranges over the seeds, the tunes' V-evals included.  It uses
@@ -37,8 +37,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nrst.adapt import (  # noqa: E402
-    _tour_cost_per_te,
-    _v_evals_per_call,
     adapt,
     equi_rejection_indicators,
     estimate_rejections,
@@ -84,16 +82,6 @@ def tour_cost(model, schedule, n_tours: int, seed: int) -> dict:
             "v_evals_per_te": per_tour / te if te > 0.0 else float("inf")}
 
 
-def predicted_cost(res, max_rounds: int) -> float:
-    """The tune's predicted V-evals per unit TE at its schedule.  The
-    schedule comes from the last round, pooled with the round before when
-    the cap ended the tune and both ran on one grid."""
-    rounds = res.rounds
-    pooled = len(rounds) == max_rounds >= 2 and rounds[-2]["n_levels"] == rounds[-1]["n_levels"]
-    return _tour_cost_per_te(res.schedule.n_levels, res.lambda_hat,
-                             _v_evals_per_call(rounds[-2:] if pooled else rounds[-1:]))
-
-
 def _summary(values) -> dict:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(med), "iqr": float(q3 - q1), "min": float(np.min(values)),
@@ -122,7 +110,7 @@ def main(argv=None) -> int:
             row["spread"], row["asymmetry"] = gate3(model, res.schedule, args.scans)
         if args.tours > 0:
             row.update(tour_cost(model, res.schedule, args.tours, seed))
-        row["predicted_v_evals_per_te"] = predicted_cost(res, args.rounds)
+        row["predicted_v_evals_per_te"] = res.prediction["v_evals_per_te"]
         rows.append(row)
         print(" ".join(f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
                        for k, v in row.items()), flush=True)
